@@ -7,6 +7,7 @@ order.  Tangle words stay in the text grammar.  Loaders dispatch on the
 fails an axiom check.
 """
 
+import functools
 import json
 from fractions import Fraction
 
@@ -16,6 +17,20 @@ from .ribbon import RibbonData, ribbon_checks
 from .scalars import AlphaScalar, HSeries, Poly, QALPHA, QQ, SeriesRing
 from .supergraded import SuperMap, SuperSpace, UNIT
 from .words import parse_word
+
+
+def _loader(what):
+    """Report a missing key or a wrong type in the input as ValueError."""
+    def wrap(fn):
+        @functools.wraps(fn)
+        def load(obj, *args):
+            try:
+                return fn(obj, *args)
+            except (KeyError, TypeError, IndexError) as e:
+                raise ValueError("malformed %s: %s: %s"
+                                 % (what, type(e).__name__, e)) from e
+        return load
+    return wrap
 
 
 def scalar_to_json(v):
@@ -60,6 +75,7 @@ def diagram_to_json(diagram):
             "chords": [[list(a), list(b)] for a, b in diagram.chords]}
 
 
+@_loader("chord diagram")
 def diagram_from_json(obj):
     skeleton = []
     for kind in obj["skeleton"]:
@@ -80,6 +96,7 @@ def zvalue_to_json(z):
     return {"skeleton": list(z.skeleton), "h_order": z.order, "terms": terms}
 
 
+@_loader("integral value")
 def zvalue_from_json(obj):
     skeleton = tuple(diagram_from_json(
         {"skeleton": obj["skeleton"], "chords": []}).skeleton)
@@ -117,6 +134,7 @@ def ribbon_to_json(data):
     return out
 
 
+@_loader("ribbon data")
 def ribbon_from_json(obj, ring=QQ):
     """Build RibbonData and verify every axiom; raises on any failure."""
     parities = tuple(int(p) for p in obj["parities"])

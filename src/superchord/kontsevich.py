@@ -30,9 +30,11 @@ from .associator import build_associator
 from .diagrams import (
     CIRCLE, INTERVAL, ChordDiagram, canonical_form, slit_component)
 from .liesuper import rep_combine
-from .scalars import QALPHA, HSeries, SeriesRing, series_inverse
+from .scalars import (
+    QALPHA, HSeries, ScalarError, SeriesRing, series_inverse)
 from .supergraded import SuperMap
-from .weightsys import _apply_chord, wlg, ws_link, ws_tangle11
+from .weightsys import (
+    _apply_chord, _chord_matrix, wlg, ws_link, ws_tangle11)
 from .words import PathTracer, TangleWord, parse_word, resolve_singular
 
 
@@ -43,6 +45,12 @@ def _phi_terms(order, sign):
         return ()
     assoc = build_associator(max(2, order))
     return tuple((m, w, c) for m, w, c in assoc.words(sign) if m <= order)
+
+
+def _check_order(order):
+    """Refuse a negative truncation order before any work starts."""
+    if order < 0:
+        raise ScalarError("order must be >= 0, got %r" % (order,))
 
 
 def _as_word(word):
@@ -215,27 +223,10 @@ class _DiagramBackend:
 
 def z_eval(word, order):
     """Kontsevich integral of a word through the given chord degree."""
+    _check_order(order)
     word = _as_word(word)
     skeleton, terms, reps = _walk(word, _DiagramBackend(word, order))
     return ZValue(skeleton, terms, reps, order)
-
-
-def _pair_matrix(mats_a, mats_b, tensor, ring):
-    """Column-indexed two-site matrix of the Casimir tensor, unsigned."""
-    by_col = {}
-    for c, i, j in tensor.as_pair_terms():
-        c = ring.coerce(c)
-        for (ra, ca), va in mats_a[i].m.items():
-            cva = c * va
-            for (rb, cb), vb in mats_b[j].m.items():
-                col = (ca, cb)
-                cell = by_col.setdefault(col, {})
-                v = cell.get((ra, rb), ring.zero) + cva * vb
-                if v == ring.zero:
-                    cell.pop((ra, rb), None)
-                else:
-                    cell[(ra, rb)] = v
-    return {col: sorted(cell.items()) for col, cell in by_col.items() if cell}
 
 
 class _MatrixBackend:
@@ -272,8 +263,8 @@ class _MatrixBackend:
         if key not in self._mats:
             mats_a = self.rep.mats if key[0] else self.dual.mats
             mats_b = self.rep.mats if key[1] else self.dual.mats
-            self._mats[key] = _pair_matrix(mats_a, mats_b, self.tensor,
-                                           self.ring)
+            self._mats[key] = _chord_matrix(
+                mats_a, mats_b, self.tensor.as_pair_terms(), self.ring)
         return self._mats[key]
 
     def _apply_site(self, states, a, b, roles):
@@ -396,6 +387,7 @@ def wz_eval(word, rep, tensor, order):
     give a list of endomorphisms of V, one per degree.  Other boundaries
     give raw per-degree dicts keyed by (target indices, source indices).
     """
+    _check_order(order)
     word = _as_word(word)
     backend = _MatrixBackend(word, order, rep, tensor)
     deg = _walk(word, backend)

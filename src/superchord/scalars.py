@@ -8,6 +8,13 @@ Three levels are used throughout the package:
 * truncated power series in a formal variable ``h`` over either of the
   above (:class:`HSeries`), with hard degree cutoff.
 
+A denominator of the form c*alpha^k (k = 0 included), the kind that
+Links-Gould and V_alpha evaluations produce, reduces without Euclid: its
+gcd with the numerator is alpha^min(k, v), v the numerator's lowest
+degree, so both sides are shifted down instead of divided.  Sums over a
+shared denominator and products of polynomials skip the cross products.
+Any other denominator is reduced through ``Poly.gcd`` and ``Poly.divmod``.
+
 Everything is exact; floats are rejected on input.
 """
 
@@ -30,6 +37,19 @@ def _as_fraction(v):
     if isinstance(v, int):
         return Fraction(v)
     raise ScalarError("expected an exact rational, got %r" % (v,))
+
+
+def _poly(cs):
+    """Poly from coefficients already known to be Fractions.
+
+    Internal arithmetic only; the public constructor checks every entry.
+    """
+    n = len(cs)
+    while n and not cs[n - 1]:
+        n -= 1
+    p = Poly.__new__(Poly)
+    p.c = tuple(cs[:n])
+    return p
 
 
 class Poly:
@@ -66,12 +86,12 @@ class Poly:
 
     def __add__(self, other):
         a, b = self.c, other.c
-        n = max(len(a), len(b))
-        return Poly([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-                     for i in range(n)])
+        if len(a) < len(b):
+            a, b = b, a
+        return _poly([x + y for x, y in zip(a, b)] + list(a[len(b):]))
 
     def __neg__(self):
-        return Poly([-v for v in self.c])
+        return _poly([-v for v in self.c])
 
     def __sub__(self, other):
         return self + (-other)
@@ -88,7 +108,7 @@ class Poly:
                 for j, bv in enumerate(b):
                     if bv:
                         out[i + j] += av * bv
-        return Poly(out)
+        return _poly(out)
 
     __rmul__ = __mul__
 
@@ -111,7 +131,7 @@ class Poly:
             for i in range(len(div)):
                 rem[k + i] -= f * div[i]
             rem.pop()
-        return Poly(q), Poly(rem)
+        return _poly(q), _poly(rem)
 
     def gcd(self, other):
         a, b = self, other
@@ -159,16 +179,29 @@ class AlphaScalar:
         if num.is_zero():
             self.num, self.den = _PZERO, _PONE
             return
-        g = num.gcd(den)
-        if g.degree() > 0:
-            num = num.divmod(g)[0]
-            den = den.divmod(g)[0]
+        dc = den.c
+        k = len(dc) - 1
+        if not any(dc[:k]):
+            # den = c alpha^k: the gcd is alpha^min(k, v), v the lowest
+            # degree present in num
+            nc = num.c
+            s = 0
+            while s < k and not nc[s]:
+                s += 1
+            if s:
+                num, den = _poly(nc[s:]), _poly(dc[s:])
+        else:
+            g = num.gcd(den)
+            if g.degree() > 0:
+                num = num.divmod(g)[0]
+                den = den.divmod(g)[0]
         lead = den.c[-1]
         if lead != 1:
-            inv = Poly.const(1 / lead)
-            num = num * inv
-            den = den * inv
-        self.num, self.den = num, den
+            inv = 1 / lead
+            num = _poly([v * inv for v in num.c])
+            den = _poly([v * inv for v in den.c])
+        # reduced polynomials share _PONE, so products can test identity
+        self.num, self.den = num, _PONE if len(den.c) == 1 else den
 
     @staticmethod
     def coerce(v):
@@ -205,6 +238,8 @@ class AlphaScalar:
 
     def __add__(self, other):
         other = AlphaScalar.coerce(other)
+        if self.den == other.den:
+            return AlphaScalar(self.num + other.num, self.den)
         return AlphaScalar(self.num * other.den + other.num * self.den,
                            self.den * other.den)
 
@@ -221,6 +256,8 @@ class AlphaScalar:
 
     def __mul__(self, other):
         other = AlphaScalar.coerce(other)
+        if self.den is _PONE and other.den is _PONE:
+            return AlphaScalar(self.num * other.num)
         return AlphaScalar(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__

@@ -87,19 +87,15 @@ class _Layout:
         return out
 
 
-def _chord_matrix(rep, dual, tensor, colors):
-    """Column-indexed 2-site matrix of the tensor at a pair of stations.
+def _chord_matrix(mats_a, mats_b, terms, ring):
+    """Column-indexed two-site matrix of sum c A_i x B_j over terms (c, i, j).
 
-    colors is a (direction, direction) pair; upward stations act through
-    the dual representation and each contributes a factor -1.
+    The slice engine passes ``tensor.as_pair_terms()`` as they are; the
+    station engine multiplies each coefficient by its station sign first.
     """
-    ring = rep.ring
-    sign = (-1) ** (colors.count(UP))
-    mats_a = rep.mats if colors[0] == DOWN else dual.mats
-    mats_b = rep.mats if colors[1] == DOWN else dual.mats
     by_col = {}
-    for c, i, j in tensor.as_pair_terms():
-        c = ring.coerce(c) * sign
+    for c, i, j in terms:
+        c = ring.coerce(c)
         for (ra, ca), va in mats_a[i].m.items():
             cva = c * va
             for (rb, cb), vb in mats_b[j].m.items():
@@ -214,12 +210,18 @@ def _evaluate(diagram, rep, tensor, with_source):
     dim = rep.space.dim
     dual = rep_combine("dual", rep)
     state = _initial_state(layout, dim, ring, with_source)
+    # upward stations act through the dual and each contributes a -1
+    mats = {DOWN: rep.mats, UP: dual.mats}
     matrices = {}
     for (e1, e2) in diagram.chords:
         a, b = layout.slot_of[e1], layout.slot_of[e2]
         colors = (layout.directions[a], layout.directions[b])
         if colors not in matrices:
-            matrices[colors] = _chord_matrix(rep, dual, tensor, colors)
+            sign = (-1) ** colors.count(UP)
+            terms = [(ring.coerce(c) * sign, i, j)
+                     for c, i, j in tensor.as_pair_terms()]
+            matrices[colors] = _chord_matrix(mats[colors[0]],
+                                             mats[colors[1]], terms, ring)
         state = _apply_chord(state, a, b, matrices[colors], par, ring)
         if not state:
             break

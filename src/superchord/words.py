@@ -330,7 +330,12 @@ def parse_word(text):
         if seg.startswith("obj:"):
             if si != 0:
                 raise ValueError("obj line must come first")
-            source = tuple(_SIGN[c] for c in seg[4:].split())
+            signs = seg[4:].split()
+            for c in signs:
+                if c not in _SIGN:
+                    raise ValueError("obj line takes + and - only, got %r"
+                                     % (c,))
+            source = tuple(_SIGN[c] for c in signs)
             continue
         if seg.startswith("slice:"):
             seg = seg[6:]

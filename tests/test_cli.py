@@ -123,3 +123,15 @@ def test_missing_input_argument():
 def test_missing_file(capsys):
     assert main(["lg", "/nonexistent/file.tw"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    json.dumps({"skeleton": ["circle"]}),
+    json.dumps([["circle"], []]),
+])
+def test_ws_malformed_diagram_is_clean_error(tmp_path, capsys, text):
+    path = write(tmp_path, "bad.cd", text)
+    assert main(["ws", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed chord diagram")
+    assert "Traceback" not in err

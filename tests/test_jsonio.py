@@ -81,3 +81,18 @@ def test_load_path_dispatches_on_suffix(tmp_path):
 
     with pytest.raises(ValueError):
         load_path(str(tmp_path / "stuff.txt"))
+
+
+@pytest.mark.parametrize("load, obj", [
+    (diagram_from_json, {"skeleton": ["circle"]}),
+    (diagram_from_json, ["circle"]),
+    (diagram_from_json, {"skeleton": ["circle"], "chords": [[1, 2]]}),
+    (zvalue_from_json, {"skeleton": ["circle"], "h_order": 1}),
+    (zvalue_from_json, [1, 2]),
+    (ribbon_from_json, {"parities": [0]}),
+    (ribbon_from_json, {"parities": [0], "braiding": 5, "twist": []}),
+    (ribbon_from_json, "ribbon"),
+])
+def test_loaders_reject_missing_keys_and_wrong_types(load, obj):
+    with pytest.raises(ValueError, match="malformed"):
+        load(obj)

@@ -13,7 +13,7 @@ from superchord.kontsevich import (
     z_eval)
 from superchord.liesuper import (
     build_gl, casimir_tensor, rep_combine, standard_rep)
-from superchord.scalars import QALPHA, alpha
+from superchord.scalars import QALPHA, ScalarError, alpha
 from superchord.supergraded import SuperMap
 from superchord.weightsys import scalar_of_endo, wlg, ws_link, ws_tangle11
 from superchord.words import diagram_of_singular, parse_word, resolve_singular
@@ -249,3 +249,12 @@ def test_cabling_identity_on_random_diagrams():
         rhs = sum((ws_link(l, rep, tv) for l in cable_diagram(d, 0, 2)),
                   rep.ring.zero)
         assert lhs == rhs
+
+
+def test_negative_order_rejected_before_work():
+    rep, tensor = gl21_defining()
+    # the word would fail to parse, so the check comes before any work
+    with pytest.raises(ScalarError, match="order"):
+        z_eval("not a word", -1)
+    with pytest.raises(ScalarError, match="order"):
+        wz_eval("not a word", rep, tensor, -1)

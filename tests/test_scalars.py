@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superchord.scalars import (AlphaScalar, HSeries, Poly, QALPHA, QQ,
                                 RingMismatchError, ScalarError, SeriesRing,
@@ -163,3 +164,76 @@ def test_series_shift():
     s = R.one + R.monomial(1, 5)
     t = s.shift(2)
     assert t.c == (Fraction(0), Fraction(0), Fraction(1), Fraction(5))
+
+
+# Fast paths: denominators c*alpha^k reduce without Euclid; sums over a
+# shared denominator and products of polynomials skip cross products.
+# Each result must equal the value reduced here through Poly.gcd/divmod.
+
+def reduce_by_euclid(num, den):
+    """(num, den) reduced with a monic denominator, the slow way."""
+    if num.is_zero():
+        return Poly(), Poly([1])
+    g = num.gcd(den)
+    num, den = num.divmod(g)[0], den.divmod(g)[0]
+    inv = Poly.const(1 / den.c[-1])
+    return num * inv, den * inv
+
+
+rationals = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+# alpha^j * p, so that numerators often share powers of alpha with den
+polys = st.builds(lambda j, cs: Poly([0] * j + cs),
+                  st.integers(0, 4), st.lists(rationals, max_size=5))
+nonzero = st.fractions(min_value=-6, max_value=6,
+                       max_denominator=5).filter(bool)
+
+
+@st.composite
+def monomials(draw):
+    """c * alpha^k with c != 0 and k <= 4."""
+    return Poly([0] * draw(st.integers(0, 4)) + [draw(nonzero)])
+
+
+def assert_reduced(v, num, den):
+    assert (v.num, v.den) == reduce_by_euclid(num, den)
+    assert v.den.c[-1] == 1
+    assert v.num.gcd(v.den) == Poly([1])
+
+
+fast = settings(derandomize=True, max_examples=100, deadline=None)
+
+
+@fast
+@given(polys, monomials())
+def test_monomial_denominator_reduces_like_euclid(num, den):
+    assert_reduced(AlphaScalar(num, den), num, den)
+
+
+@fast
+@given(polys, monomials(), polys, monomials())
+def test_sum_and_product_reduce_like_euclid(n1, d1, n2, d2):
+    x, y = AlphaScalar(n1, d1), AlphaScalar(n2, d2)
+    assert_reduced(x + y, n1 * d2 + n2 * d1, d1 * d2)
+    assert_reduced(x * y, n1 * n2, d1 * d2)
+
+
+@fast
+@given(polys, polys, monomials())
+def test_shared_denominator_sum_reduces_like_euclid(n1, n2, den):
+    x, y = AlphaScalar(n1 * den), AlphaScalar(n2 * den)
+    # both are polynomials, so they share the denominator 1
+    assert_reduced(x + y, (n1 + n2) * den, Poly([1]))
+    assert_reduced(x * y, n1 * n2 * den * den, Poly([1]))
+    x, y = AlphaScalar(n1, den), AlphaScalar(n2, den)
+    assert_reduced(x + y, n1 + n2, den)
+
+
+def test_general_denominator_still_reduces():
+    # (alpha^2 + 3 alpha + 2) / (2 alpha + 2) = (alpha + 2) / 2
+    v = AlphaScalar(Poly([2, 3, 1]), Poly([2, 2]))
+    assert v.is_polynomial()
+    assert v.num == Poly([1, Fraction(1, 2)])
+    # alpha^2 / (alpha^2 + alpha) = alpha / (alpha + 1): no monomial shift
+    w = AlphaScalar(Poly([0, 0, 1]), Poly([0, 1, 1]))
+    assert (w.num, w.den) == (Poly([0, 1]), Poly([1, 1]))
+    assert w + w == AlphaScalar(Poly([0, 2]), Poly([1, 1]))

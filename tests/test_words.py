@@ -1,5 +1,7 @@
 """Tangle word parsing, tracing, framings, and singular handling."""
 
+import re
+
 import pytest
 from superchord.diagrams import CIRCLE, INTERVAL, canonical_form, ChordDiagram
 from superchord.words import parse_word, resolve_singular, diagram_of_singular
@@ -151,3 +153,12 @@ def test_two_marked_crossings_resolve_to_four():
     d = diagram_of_singular(w)
     assert d.skeleton == (CIRCLE,)
     assert d.degree == 2
+
+
+@pytest.mark.parametrize("text, token", [
+    ("obj: + id(-)\nslice: id(+)", "id(-)"),
+    ("obj: x\nslice: id(+)", "x"),
+])
+def test_bad_obj_sign_rejected(text, token):
+    with pytest.raises(ValueError, match=r"obj line.*%s" % re.escape(token)):
+        parse_word(text)
