@@ -106,36 +106,31 @@ def _kind_preserving_perms(skeleton):
 
 def canonical_form(diagram):
     """Minimal encoding over circle rotations and same-kind permutations."""
-    best = None
+    if diagram.skeleton == (INTERVAL,):
+        return diagram.encoding()
+    counts = diagram.counts
     rot_ranges = [range(max(1, k)) if kind == CIRCLE else range(1)
-                  for kind, k in zip(diagram.skeleton, diagram.counts)]
+                  for kind, k in zip(diagram.skeleton, counts)]
+    best = None
     for perm in _kind_preserving_perms(diagram.skeleton):
-        for rots in _product_ranges(rot_ranges):
-            enc = diagram.relabel(perm, rots).encoding()
-            if best is None or enc < best:
-                best = enc
-    if best is None:
-        best = diagram.encoding()
-    return best
-
-
-def _product_ranges(ranges):
-    if not ranges:
-        yield ()
-        return
-    for head in ranges[0]:
-        for tail in _product_ranges(ranges[1:]):
-            yield (head,) + tail
+        for rots in product(*rot_ranges):
+            # relabel(perm, rots).chords, without building the diagram
+            chords = []
+            for (c1, p1), (c2, p2) in diagram.chords:
+                a = (perm[c1], (p1 + rots[c1]) % counts[c1])
+                b = (perm[c2], (p2 + rots[c2]) % counts[c2])
+                chords.append((a, b) if a < b else (b, a))
+            chords = tuple(sorted(chords))
+            if best is None or chords < best:
+                best = chords
+    return (diagram.encoding()[0], best)
 
 
 def _compositions(total, parts):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    """Tuples of parts nonnegative integers summing to total, in
+    lexicographic order."""
+    return (c for c in product(range(total + 1), repeat=parts)
+            if sum(c) == total)
 
 
 def _matchings(items):

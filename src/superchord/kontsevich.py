@@ -33,8 +33,7 @@ from .liesuper import rep_combine
 from .scalars import (
     QALPHA, HSeries, ScalarError, SeriesRing, series_inverse)
 from .supergraded import SuperMap
-from .weightsys import (
-    _apply_chord, _chord_matrix, wlg, ws_link, ws_tangle11)
+from .weightsys import _apply_chord, _chord_matrix, wlg
 from .words import PathTracer, TangleWord, parse_word, resolve_singular
 
 

@@ -14,7 +14,7 @@ from .diagrams import (
     four_term_relators, random_diagram, slit_component)
 from .kontsevich import vassiliev_defect, z_eval
 from .liesuper import build_gl, casimir_tensor, rep_combine, standard_rep
-from .weightsys import wlg, ws_link, ws_tangle11
+from .weightsys import WeightSystem, wlg
 from .words import diagram_of_singular, parse_word, resolve_singular
 
 
@@ -72,13 +72,14 @@ SINGULAR_WORDS = (
 def verify_fourterm(order=3, seed=0):
     """Weight systems vanish on every four-term relator, small skeleta."""
     report = VerifyReport("fourterm")
-    systems = (("gl21", _gl21()), ("gl11", _gl11()))
+    systems = (("gl21", WeightSystem(*_gl21())),
+               ("gl11", WeightSystem(*_gl11())))
     cases = [((CIRCLE,), 2), ((CIRCLE,), 3),
              ((CIRCLE, CIRCLE), 2), ((CIRCLE, CIRCLE), 3)]
     for skeleton, degree in cases:
         rels = four_term_relators(skeleton, degree)
-        for name, (rep, tv) in systems:
-            ok = all(sum((ws_link(d, rep, tv) * s for s, d in r),
+        for name, ws in systems:
+            ok = all(sum((ws.link(d) * s for s, d in r),
                          Fraction(0)) == 0 for r in rels)
             report.add("%s_%dcircle_deg%d" % (name, len(skeleton), degree),
                        ok, "%d relators" % len(rels))
@@ -140,9 +141,10 @@ def verify_corollary(order=3, seed=0):
     """Degree-m defect coefficient equals the weight of the diagram."""
     report = VerifyReport("corollary")
     rep, tv = _gl21()
+    ws = WeightSystem(rep, tv)
     for m, label, text in SINGULAR_WORDS:
         v = vassiliev_defect(text, rep, tv, order)
-        target = ws_link(diagram_of_singular(parse_word(text)), rep, tv)
+        target = ws.link(diagram_of_singular(parse_word(text)))
         report.add("defect_matches_weight_%s" % label, v.coeff(m) == target)
     return report
 
@@ -167,13 +169,14 @@ def verify_cabling(order=3, seed=0, samples=50):
     """Tensor square against the sum over two-cable lifts."""
     report = VerifyReport("cabling")
     rep, tv = _gl11()
-    square = rep_combine("tensor", rep, rep)
+    ws = WeightSystem(rep, tv)
+    square = WeightSystem(rep_combine("tensor", rep, rep), tv)
     rng = random.Random(seed)
     bad = 0
     for _ in range(samples):
         d = random_diagram((CIRCLE,), rng.choice([1, 2]), rng)
-        lhs = ws_link(d, square, tv)
-        rhs = sum((ws_link(l, rep, tv) for l in cable_diagram(d, 0, 2)),
+        lhs = square.link(d)
+        rhs = sum((ws.link(l) for l in cable_diagram(d, 0, 2)),
                   Fraction(0))
         if lhs != rhs:
             bad += 1
@@ -185,7 +188,7 @@ def verify_cabling(order=3, seed=0, samples=50):
 def verify_slitting(order=3, seed=0, samples=20):
     """Closing a slit component back up recovers the supertrace."""
     report = VerifyReport("slitting")
-    rep, tv = _gl21()
+    ws = WeightSystem(*_gl21())
     rng = random.Random(seed)
     bad = 0
     for _ in range(samples):
@@ -194,8 +197,8 @@ def verify_slitting(order=3, seed=0, samples=20):
         comp = rng.randrange(len(skeleton))
         npts = sum(1 for a, b in d.chords for pt in (a, b) if pt[0] == comp)
         cut = rng.randrange(npts + 1)
-        endo = ws_tangle11(slit_component(d, comp, cut), rep, tv)
-        if endo.supertrace() != ws_link(d, rep, tv):
+        endo = ws.tangle11(slit_component(d, comp, cut))
+        if endo.supertrace() != ws.link(d):
             bad += 1
     report.add("supertrace_of_slit_matches", bad == 0,
                "%d random diagrams" % samples)

@@ -11,16 +11,26 @@ representation on upward ones, with one factor -1 per upward endpoint.
 Koszul transport signs come from the parities of the basis indices sitting
 to the left of each insertion slot.
 
-`ws_link` closes every component and returns a scalar; `ws_tangle11`
-leaves the single interval component open and returns an endomorphism of
-V; `wlg` is the Links-Gould weight system on the 2|2 dimensional gl(2|1)
-module V_alpha with the one-term tensor s = a (I x I) + t_sl.
+A `WeightSystem(rep, tensor)` holds one system: the dual representation,
+built once, and the chord matrices, built on first use for each pair of
+station directions.  `link` closes every component and returns a scalar;
+`tangle11` leaves the single interval component open and returns an
+endomorphism of V; `interval_scalar` is the scalar by which that
+endomorphism acts, after checking that it is a multiple of the identity.  `link` and `interval_scalar` are
+memoised by `canonical_form`, so each diagram class is evaluated once per
+instance; this relies on the value being invariant under rotating circles
+and permuting components, which holds because the tensor is invariant.
+`ws_link` and `ws_tangle11` evaluate one diagram on a fresh instance and
+keep nothing between calls.  `wlg` is the Links-Gould weight system on the
+2|2 dimensional gl(2|1) module V_alpha with the one-term tensor
+s = a (I x I) + t_sl; with the default a it uses one process-wide
+instance.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 
-from .diagrams import CIRCLE, INTERVAL
+from .diagrams import CIRCLE, INTERVAL, canonical_form
 from .liesuper import (
     build_gl, casimir_tensor, extend_identity, rep_combine, standard_rep)
 from .scalars import alpha
@@ -203,45 +213,88 @@ def _contract(state, layout, par, ring, with_source):
     return entries if with_source else scalar
 
 
-def _evaluate(diagram, rep, tensor, with_source):
-    layout = _Layout(diagram)
-    ring = rep.ring
-    par = rep.space.parities
-    dim = rep.space.dim
-    dual = rep_combine("dual", rep)
-    state = _initial_state(layout, dim, ring, with_source)
-    # upward stations act through the dual and each contributes a -1
-    mats = {DOWN: rep.mats, UP: dual.mats}
-    matrices = {}
-    for (e1, e2) in diagram.chords:
-        a, b = layout.slot_of[e1], layout.slot_of[e2]
-        colors = (layout.directions[a], layout.directions[b])
-        if colors not in matrices:
+class WeightSystem:
+    """A representation and an invariant tensor, evaluated on diagrams.
+
+    The dual representation is built once; the chord matrix for each pair
+    of station directions is built on first use.  `link` and
+    `interval_scalar` evaluate each canonical_form class once and answer
+    repeats from a memo; `tangle11` evaluates afresh every time.
+    """
+
+    def __init__(self, rep, tensor):
+        self.rep = rep
+        self.tensor = tensor
+        self.ring = rep.ring
+        self.par = rep.space.parities
+        self.dim = rep.space.dim
+        self.dual = rep_combine("dual", rep)
+        self._matrices = {}
+        self._memo = {}
+
+    def _matrix(self, colors):
+        """Chord matrix for the directions (DOWN or UP) of its two stations.
+
+        Upward stations act through the dual and each contributes a -1.
+        """
+        if colors not in self._matrices:
+            mats = (self.rep.mats, self.dual.mats)
             sign = (-1) ** colors.count(UP)
-            terms = [(ring.coerce(c) * sign, i, j)
-                     for c, i, j in tensor.as_pair_terms()]
-            matrices[colors] = _chord_matrix(mats[colors[0]],
-                                             mats[colors[1]], terms, ring)
-        state = _apply_chord(state, a, b, matrices[colors], par, ring)
-        if not state:
-            break
-    return _contract(state, layout, par, ring, with_source), layout
+            terms = [(self.ring.coerce(c) * sign, i, j)
+                     for c, i, j in self.tensor.as_pair_terms()]
+            self._matrices[colors] = _chord_matrix(
+                mats[colors[0]], mats[colors[1]], terms, self.ring)
+        return self._matrices[colors]
+
+    def _evaluate(self, diagram, with_source):
+        layout = _Layout(diagram)
+        state = _initial_state(layout, self.dim, self.ring, with_source)
+        for (e1, e2) in diagram.chords:
+            a, b = layout.slot_of[e1], layout.slot_of[e2]
+            matrix = self._matrix((layout.directions[a], layout.directions[b]))
+            state = _apply_chord(state, a, b, matrix, self.par, self.ring)
+            if not state:
+                break
+        return _contract(state, layout, self.par, self.ring, with_source)
+
+    def _once(self, diagram, evaluate):
+        key = canonical_form(diagram)
+        if key not in self._memo:
+            self._memo[key] = evaluate(diagram)
+        return self._memo[key]
+
+    def _link(self, diagram):
+        if any(kind != CIRCLE for kind in diagram.skeleton):
+            raise ValueError("ws_link needs a closed skeleton")
+        return self._evaluate(diagram, False)
+
+    def link(self, diagram):
+        """Scalar value of a diagram whose components are all circles."""
+        return self._once(diagram, self._link)
+
+    def tangle11(self, diagram):
+        """Endomorphism of V for a skeleton with exactly one interval."""
+        if sum(1 for kind in diagram.skeleton if kind == INTERVAL) != 1:
+            raise ValueError(
+                "ws_tangle11 needs exactly one interval component")
+        entries = self._evaluate(diagram, True)
+        return SuperMap(self.rep.space, self.rep.space, entries, self.ring)
+
+    def interval_scalar(self, diagram):
+        """The scalar by which tangle11(diagram) acts; raises if it is not
+        a multiple of the identity."""
+        return self._once(diagram,
+                          lambda d: scalar_of_endo(self.tangle11(d)))
 
 
 def ws_link(diagram, rep, tensor):
     """Scalar value of a diagram whose components are all circles."""
-    if any(kind != CIRCLE for kind in diagram.skeleton):
-        raise ValueError("ws_link needs a closed skeleton")
-    value, _ = _evaluate(diagram, rep, tensor, False)
-    return value
+    return WeightSystem(rep, tensor)._link(diagram)
 
 
 def ws_tangle11(diagram, rep, tensor):
     """Endomorphism of V for a skeleton with exactly one interval."""
-    if sum(1 for kind in diagram.skeleton if kind == INTERVAL) != 1:
-        raise ValueError("ws_tangle11 needs exactly one interval component")
-    entries, _ = _evaluate(diagram, rep, tensor, True)
-    return SuperMap(rep.space, rep.space, entries, rep.ring)
+    return WeightSystem(rep, tensor).tangle11(diagram)
 
 
 def scalar_of_endo(endo):
@@ -279,14 +332,21 @@ def lg_data(a=None):
     return rep, tensor
 
 
+@lru_cache(maxsize=None)
+def _lg_system():
+    return WeightSystem(*lg_data())
+
+
 def wlg(diagram, a=None):
     """Links-Gould weight of a diagram: scalar action on V_alpha.
 
-    Closed skeletons give the plain ws_link value (a multiple of the
+    Closed skeletons give the plain link value (a multiple of the
     superdimension 0); skeletons with one interval give the scalar by
-    which the invariant endomorphism acts.
+    which the invariant endomorphism acts.  The default constant uses one
+    process-wide WeightSystem, so each class is evaluated once; an
+    explicit a gets a fresh one.
     """
-    rep, tensor = lg_data(a)
+    ws = _lg_system() if a is None else WeightSystem(*lg_data(a))
     if any(kind == INTERVAL for kind in diagram.skeleton):
-        return scalar_of_endo(ws_tangle11(diagram, rep, tensor))
-    return ws_link(diagram, rep, tensor)
+        return ws.interval_scalar(diagram)
+    return ws.link(diagram)

@@ -1,6 +1,10 @@
 """Command line smoke tests driven through main() with argument lists."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -135,3 +139,15 @@ def test_ws_malformed_diagram_is_clean_error(tmp_path, capsys, text):
     err = capsys.readouterr().err
     assert err.startswith("error: malformed chord diagram")
     assert "Traceback" not in err
+
+
+def test_python_dash_m_runs_from_a_checkout():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "superchord", "verify", "oneterm"],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "ok   oneterm.isolated_deg3" in proc.stdout

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -143,3 +144,86 @@ def test_linear_span_rank_and_membership():
     assert span.rank == 2
     assert span.contains({(0,): 5})
     assert not span.contains({(2,): 1})
+
+
+def _reference_canonical_form(diagram):
+    """canonical_form as first written: relabel every (perm, rotation)."""
+    def product_ranges(ranges):
+        if not ranges:
+            yield ()
+            return
+        for head in ranges[0]:
+            for tail in product_ranges(ranges[1:]):
+                yield (head,) + tail
+
+    sk = diagram.skeleton
+    best = None
+    rot_ranges = [range(max(1, k)) if kind == "circle" else range(1)
+                  for kind, k in zip(sk, diagram.counts)]
+    for perm in permutations(range(len(sk))):
+        if not all(sk[c] == sk[perm[c]] for c in range(len(sk))):
+            continue
+        for rots in product_ranges(rot_ranges):
+            enc = diagram.relabel(perm, rots).encoding()
+            if best is None or enc < best:
+                best = enc
+    return best
+
+
+def _reference_compositions(total, parts):
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(total + 1):
+        for rest in _reference_compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def _reference_matchings(items):
+    if not items:
+        yield ()
+        return
+    for i in range(1, len(items)):
+        rest = items[1:i] + items[i + 1:]
+        for tail in _reference_matchings(rest):
+            yield ((items[0], items[i]),) + tail
+
+
+def _all_diagrams(skeleton, degree):
+    """Every diagram, not one per class, in the reference order."""
+    for counts in _reference_compositions(2 * degree, len(skeleton)):
+        points = [(c, p) for c, k in enumerate(counts) for p in range(k)]
+        for pairs in _reference_matchings(points):
+            yield ChordDiagram(skeleton, pairs)
+
+
+def _reference_enumerate(skeleton, degree):
+    if degree == 0:
+        return [ChordDiagram(skeleton, [])]
+    out, seen = [], set()
+    for d in _all_diagrams(skeleton, degree):
+        key = _reference_canonical_form(d)
+        if key not in seen:
+            seen.add(key)
+            out.append(d)
+    return out
+
+
+_SKELETA = [("circle",), ("interval",), ("circle", "circle"),
+            ("circle", "interval"), ("interval", "circle"),
+            ("interval", "interval")]
+
+
+def test_canonical_form_matches_reference():
+    for skeleton in _SKELETA:
+        for m in range(4):
+            for d in _all_diagrams(skeleton, m):
+                assert canonical_form(d) == _reference_canonical_form(d), d
+
+
+def test_enumerate_order_matches_reference():
+    for skeleton in _SKELETA:
+        for m in range(4):
+            assert (enumerate_diagrams(skeleton, m)
+                    == _reference_enumerate(skeleton, m)), (skeleton, m)

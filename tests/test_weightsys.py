@@ -1,6 +1,7 @@
 """Station-machine weight systems against a direct graded-map oracle."""
 
 from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
 
@@ -12,7 +13,8 @@ from superchord.scalars import QALPHA, alpha
 from superchord.supergraded import (
     SuperMap, copair_left, pair_dual_left, pair_dual_right, tensor_space)
 from superchord.weightsys import (
-    lg_constant, scalar_of_endo, wlg, ws_link, ws_tangle11)
+    WeightSystem, lg_constant, lg_data, scalar_of_endo, wlg, ws_link,
+    ws_tangle11)
 
 
 def brute_eval(diagram, rep, tensor):
@@ -275,3 +277,50 @@ def test_ws_link_rejects_intervals():
         ws_link(interval(), rep, t)
     with pytest.raises(ValueError):
         ws_tangle11(circle(), rep, t)
+
+
+def _relabellings(d):
+    rots = [range(max(1, k)) for k in d.counts]
+    for perm in permutations(range(len(d.skeleton))):
+        for rot in product(*rots):
+            yield d.relabel(perm, rot)
+
+
+def test_ws_link_is_invariant_under_relabelling():
+    # WeightSystem memoises by canonical_form, which relabels circles
+    cases = [(("circle",), m) for m in range(4)]
+    cases += [(("circle", "circle"), m) for m in range(3)]
+    for rep, t in _setups():
+        for skeleton, m in cases:
+            for d in enumerate_diagrams(skeleton, m):
+                want = ws_link(d, rep, t)
+                for r in _relabellings(d):
+                    assert ws_link(r, rep, t) == want, (d, r)
+
+
+def test_weight_system_memo_matches_fresh_evaluation():
+    for rep, t in _setups():
+        ws = WeightSystem(rep, t)
+        for m in (2, 3):
+            for rel in four_term_relators(("circle",), m):
+                for _sign, d in rel:
+                    assert ws.link(d) == ws_link(d, rep, t), d
+
+
+def test_memoised_wlg_matches_tangle_scalar():
+    rep, tensor = lg_data()
+    diagrams = [d for m in range(4)
+                for d in enumerate_diagrams(("interval",), m)]
+    assert len(diagrams) == 20
+    for d in diagrams + diagrams:
+        assert wlg(d) == scalar_of_endo(ws_tangle11(d, rep, tensor)), d
+
+
+def test_explicit_constant_is_not_served_from_default_memo():
+    a = alpha() * 2 + 2
+    d = interval(((0, 0), (0, 2)), ((0, 1), (0, 3)))
+    default = wlg(d)
+    other = wlg(d, a=a)
+    assert other == scalar_of_endo(ws_tangle11(d, *lg_data(a)))
+    assert other != default
+    assert wlg(d) == default
