@@ -14,7 +14,7 @@ with A = t12, B = t23, C = t13 on three strands, products written in
 operator order (the rightmost factor acts first).  All identities are
 checked in the quotient by the two-sided ideal of infinitesimal braid
 relations ([t_ij, t_kl] = 0 for disjoint pairs, [t_ij, t_ik + t_jk] = 0),
-reduced per degree by exact row elimination.
+reduced per degree by exact row elimination in a `LinearSpan`.
 
 Degrees are solved one at a time; the equations are affine in the unknown
 top-degree part, odd degrees are consistently set to zero (the even
@@ -221,51 +221,25 @@ def _all_residuals(terms, degree, ideal3, ideal4):
 
 
 def _solve_affine(base, cols, nunknowns):
-    """Solve sum_w c_w col_w = -base exactly; free unknowns become zero."""
-    rows = []
-    for e in range(len(base)):
-        keys = set(base[e])
-        for col in cols:
-            keys |= set(col[e])
-        for k in sorted(keys):
-            coeffs = [col[e].get(k, _ZERO) for col in cols]
-            rhs = -base[e].get(k, _ZERO)
-            rows.append((coeffs, rhs))
-    sol = [None] * nunknowns
-    pivots = {}
-    work = [(list(c), r) for c, r in rows]
-    for coeffs, rhs in work:
-        coeffs = list(coeffs)
-        # Stored pivot rows are not back-cleaned, so reduce until no pivot
-        # column survives; each step zeroes the smallest one for good.
-        while True:
-            hit = next((idx for idx in range(nunknowns)
-                        if coeffs[idx] and idx in pivots), None)
-            if hit is None:
-                break
-            prow, prhs = pivots[hit]
-            f = coeffs[hit]
-            for idx in range(hit, nunknowns):
-                if prow[idx]:
-                    coeffs[idx] -= f * prow[idx]
-            rhs -= f * prhs
-        piv = next((idx for idx in range(nunknowns) if coeffs[idx]), None)
-        if piv is None:
-            if rhs:
-                raise ValueError("inconsistent associator equations")
-            continue
-        inv = 1 / coeffs[piv]
-        coeffs = [c * inv for c in coeffs]
-        rhs *= inv
-        pivots[piv] = (coeffs, rhs)
-    for piv in sorted(pivots, reverse=True):
-        prow, prhs = pivots[piv]
-        acc = prhs
-        for idx in range(piv + 1, nunknowns):
-            if prow[idx]:
-                acc -= prow[idx] * (sol[idx] if sol[idx] is not None else 0)
-        sol[piv] = acc
-    return [v if v is not None else _ZERO for v in sol]
+    """Solve sum_w c_w col_w = -base exactly; free unknowns become zero.
+
+    Each equation is a LinearSpan row keyed nunknowns - idx for unknown
+    idx, so lower indices pivot first, and 0 for the constant.  It is
+    inconsistent iff the span holds {0: 1}; else unknown idx is the
+    constant left in the residual of its key.
+    """
+    span = LinearSpan()
+    for e, b in enumerate(base):
+        rows = {k: {0: c} for k, c in b.items()}
+        for idx, col in enumerate(cols):
+            for k, c in col[e].items():
+                rows.setdefault(k, {})[nunknowns - idx] = c
+        for row in rows.values():
+            span.add(row)
+    if span.contains({0: _ONE}):
+        raise ValueError("inconsistent associator equations")
+    return [span.residual({nunknowns - idx: _ONE}).get(0, _ZERO)
+            for idx in range(nunknowns)]
 
 
 class Associator:
@@ -277,19 +251,11 @@ class Associator:
         self.inverse = self._free_inverse()
 
     def _free_inverse(self):
-        pos = {}
-        for m, words in self.terms.items():
-            for w, c in words.items():
-                pos[w] = c
-        inv = {(): _ONE}
-        power = {(): _ONE}
-        for _ in range(self.order):
-            power = _wmul(power, _wscale(pos, -1), self.order)
-            if not power:
-                break
-            inv = _wadd(inv, power)
+        series = {(): _ONE}
+        for words in self.terms.values():
+            series.update(words)
         out = {}
-        for w, c in inv.items():
+        for w, c in _winv(series, self.order).items():
             if w:
                 out.setdefault(len(w), {})[w] = c
         return out

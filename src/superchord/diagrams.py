@@ -8,12 +8,15 @@ permutations of same-kind components, so it can serve as a dictionary key.
 
 `four_term_relators` produces the signed 4-diagram combinations that every
 weight system must kill, `cable_diagram` lifts a diagram along the doubling
-of one component, and `LinearSpan` does exact row reduction over Fraction
-for rank and membership questions about relator spans.
+of one component, and `LinearSpan` does exact row reduction over Q or
+Q(alpha): the rank and membership questions about relator spans, and
+every other exact linear solve in the package.
 """
 
 from fractions import Fraction
 from itertools import permutations, product
+
+from .scalars import QQ
 
 CIRCLE = "circle"
 INTERVAL = "interval"
@@ -316,9 +319,11 @@ def close_component(diagram, comp):
 
 
 class LinearSpan:
-    """Row space over Fraction, keyed by hashable totally ordered labels."""
+    """Row space over `ring` (QQ or QALPHA), keyed by hashable totally
+    ordered labels: the package's one exact linear solver."""
 
-    def __init__(self):
+    def __init__(self, ring=QQ):
+        self.ring = ring
         self._rows = {}
 
     @property
@@ -329,7 +334,8 @@ class LinearSpan:
         # Eliminates pivot keys from the top down, so the result carries no
         # pivot key at all and is the unique normal form modulo the span.
         # That uniqueness makes the map linear, which callers rely on.
-        vec = {k: Fraction(v) for k, v in vec.items() if v}
+        coerce, zero = self.ring.coerce, self.ring.zero
+        vec = {k: coerce(v) for k, v in vec.items() if v}
         out = {}
         first = None
         while vec:
@@ -342,7 +348,7 @@ class LinearSpan:
                 continue
             c = vec[pivot]
             for k, v in row.items():
-                w = vec.get(k, Fraction(0)) - c * v
+                w = vec.get(k, zero) - c * v
                 if w:
                     vec[k] = w
                 elif k in vec:
@@ -366,3 +372,21 @@ class LinearSpan:
         """The part of vec not explained by the span, fully reduced."""
         red, _ = self._residual(vec)
         return red
+
+
+def invert_matrix(entries, n, ring=QQ):
+    """Inverse of the n x n matrix {(i, j): a_ij}, or None if singular.
+
+    Row i is {(1, j): a_ij} + {(0, i): 1}; modulo their span, (1, j) is
+    -sum_i inv_ji (0, i), or keeps a (1, .) key if the matrix is singular.
+    """
+    span = LinearSpan(ring)
+    for i in range(n):
+        row = {(1, j): entries.get((i, j), ring.zero) for j in range(n)}
+        row[(0, i)] = ring.one
+        span.add(row)
+    rows = [span.residual({(1, j): ring.one}) for j in range(n)]
+    if any(side for r in rows for side, _ in r):
+        return None
+    return {(j, i): -r[(0, i)] for j, r in enumerate(rows)
+            for i in range(n) if (0, i) in r}

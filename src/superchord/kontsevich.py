@@ -28,12 +28,11 @@ from functools import lru_cache
 
 from .associator import build_associator
 from .diagrams import (
-    CIRCLE, INTERVAL, ChordDiagram, canonical_form, slit_component)
-from .liesuper import rep_combine
+    CIRCLE, ChordDiagram, canonical_form, slit_component)
 from .scalars import (
     QALPHA, HSeries, ScalarError, SeriesRing, series_inverse)
 from .supergraded import SuperMap
-from .weightsys import _apply_chord, _chord_matrix, wlg
+from .weightsys import DOWN, UP, WeightSystem, _apply_chord, wlg
 from .words import PathTracer, TangleWord, parse_word, resolve_singular
 
 
@@ -232,18 +231,17 @@ class _MatrixBackend:
     """States are basis-index keys per h degree, contracted slice by slice.
 
     Keys carry the current positions followed by the frozen source
-    indices, so open words come out as one map per degree.
+    indices, so open words come out as one map per degree.  Chord
+    matrices are the unsigned ones of a WeightSystem: an upward strand
+    (role < 0) acts through the dual, as an UP station does.
     """
 
     def __init__(self, word, order, rep, tensor):
         self.order = order
-        self.rep = rep
-        self.dual = rep_combine("dual", rep)
-        self.tensor = tensor
+        self.ws = WeightSystem(rep, tensor)
         self.ring = rep.ring
         self.par = rep.space.parities
         self.dim = rep.space.dim
-        self._mats = {}
         self.nsrc = len(word.source)
         self.deg = [dict() for _ in range(order + 1)]
         for key in self._keys(self.nsrc):
@@ -257,17 +255,8 @@ class _MatrixBackend:
             for i in range(self.dim):
                 yield rest + (i,)
 
-    def _matrix(self, roles):
-        key = (roles[0] > 0, roles[1] > 0)
-        if key not in self._mats:
-            mats_a = self.rep.mats if key[0] else self.dual.mats
-            mats_b = self.rep.mats if key[1] else self.dual.mats
-            self._mats[key] = _chord_matrix(
-                mats_a, mats_b, self.tensor.as_pair_terms(), self.ring)
-        return self._mats[key]
-
     def _apply_site(self, states, a, b, roles):
-        mat = self._matrix(roles)
+        mat = self.ws._matrix(tuple(DOWN if r > 0 else UP for r in roles))
         return [_apply_chord(s, a, b, mat, self.par, self.ring)
                 for s in states]
 

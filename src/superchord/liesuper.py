@@ -16,7 +16,8 @@ constructor checks the bracket axiom exactly.
 
 from fractions import Fraction
 
-from .scalars import QALPHA, QQ, AlphaScalar, alpha
+from .diagrams import invert_matrix
+from .scalars import QALPHA, QQ, alpha
 from .supergraded import SuperMap, SuperSpace, rings_equal
 
 
@@ -134,33 +135,11 @@ def invariant_form(alg):
 
 
 def _invert_form(alg, form):
-    """Inverse Gram matrix of the form, by exact Gaussian elimination."""
-    d = alg.dim
-    rows = []
-    for i in range(d):
-        row = [Fraction(0)] * (2 * d)
-        for j in range(d):
-            row[j] = Fraction(form.get((i, j), 0))
-        row[d + i] = Fraction(1)
-        rows.append(row)
-    for col in range(d):
-        piv = next((r for r in range(col, d) if rows[r][col]), None)
-        if piv is None:
-            raise ValueError("invariant form is degenerate")
-        rows[col], rows[piv] = rows[piv], rows[col]
-        inv = 1 / rows[col][col]
-        rows[col] = [v * inv for v in rows[col]]
-        for r in range(d):
-            if r != col and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-    out = {}
-    for i in range(d):
-        for j in range(d):
-            v = rows[i][d + j]
-            if v:
-                out[(i, j)] = v
-    return out
+    """Inverse Gram matrix of the form, solved exactly by `invert_matrix`."""
+    inv = invert_matrix(form, alg.dim)
+    if inv is None:
+        raise ValueError("invariant form is degenerate")
+    return inv
 
 
 class InvariantTensor:

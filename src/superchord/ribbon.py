@@ -13,6 +13,7 @@ are supported on two upward strands, which covers braid words and the
 kinks the parser produces on them.
 """
 
+from .diagrams import invert_matrix
 from .scalars import QQ
 from .supergraded import (
     SuperMap, SuperSpace, copair_left, copair_right, koszul_flip,
@@ -23,33 +24,14 @@ _CHECK_ORDER = ("inverse", "yang_baxter", "twist_naturality", "snake", "curl")
 
 
 def invert_supermap(f):
-    """Inverse by Gaussian elimination; raises on singular maps."""
+    """Inverse over f.ring, solved exactly by `invert_matrix`; raises on
+    singular maps."""
     if f.source.dim != f.target.dim:
         raise ValueError("only square maps can be inverted")
-    ring = f.ring
-    n = f.source.dim
-    rows = [[f.m.get((i, j), ring.zero) for j in range(n)]
-            + [ring.one if i == j else ring.zero for j in range(n)]
-            for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n)
-                      if not (rows[r][col] == ring.zero)), None)
-        if pivot is None:
-            raise ValueError("map is not invertible")
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv = ring.one / rows[col][col]
-        rows[col] = [inv * v for v in rows[col]]
-        for r in range(n):
-            if r != col and not (rows[r][col] == ring.zero):
-                c = rows[r][col]
-                rows[r] = [a - c * b for a, b in zip(rows[r], rows[col])]
-    entries = {}
-    for i in range(n):
-        for j in range(n):
-            v = rows[i][n + j]
-            if not (v == ring.zero):
-                entries[(i, j)] = v
-    return SuperMap(f.target, f.source, entries, ring)
+    entries = invert_matrix(f.m, f.source.dim, f.ring)
+    if entries is None:
+        raise ValueError("map is not invertible")
+    return SuperMap(f.target, f.source, entries, f.ring)
 
 
 class RibbonData:

@@ -7,6 +7,7 @@ check, so the command line can print them and exit nonzero on failure.
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 from .associator import associator_checks, build_associator
 from .diagrams import (
@@ -137,13 +138,20 @@ def verify_zleading(order=3, seed=0):
     return report
 
 
+@lru_cache(maxsize=None)
+def _singular_defects(order):
+    """SINGULAR_WORDS entries with their gl(2|1) vassiliev_defect appended."""
+    rep, tv = _gl21()
+    return tuple((m, label, text, vassiliev_defect(text, rep, tv, order))
+                 for m, label, text in SINGULAR_WORDS)
+
+
 def verify_corollary(order=3, seed=0):
     """Degree-m defect coefficient equals the weight of the diagram."""
     report = VerifyReport("corollary")
     rep, tv = _gl21()
     ws = WeightSystem(rep, tv)
-    for m, label, text in SINGULAR_WORDS:
-        v = vassiliev_defect(text, rep, tv, order)
+    for m, label, text, v in _singular_defects(order):
         target = ws.link(diagram_of_singular(parse_word(text)))
         report.add("defect_matches_weight_%s" % label, v.coeff(m) == target)
     return report
@@ -152,11 +160,10 @@ def verify_corollary(order=3, seed=0):
 def verify_vassiliev(order=3, seed=0):
     """Defect vanishes below the number of double points; odd framing bars."""
     report = VerifyReport("vassiliev")
-    rep, tv = _gl21()
-    for m, label, text in SINGULAR_WORDS:
-        v = vassiliev_defect(text, rep, tv, order)
+    for m, label, _text, v in _singular_defects(order):
         report.add("vanish_below_%s" % label,
                    all(v.coeff(j) == 0 for j in range(m)))
+    rep, tv = _gl21()
     try:
         vassiliev_defect("braid[2]: s1 sing ; close", rep, tv, order)
         report.add("odd_framing_rejected", False)

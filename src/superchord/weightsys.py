@@ -7,13 +7,15 @@ endpoint per station.  Cups (k -> V x V*) feed the bottoms, caps
 pairing V x V* -> k, which carries the supertrace sign.  A chord inserts
 the invariant tensor sum t^{ij} e_i x e_j at its two stations, acting
 through the representation on downward stations and through the dual
-representation on upward ones, with one factor -1 per upward endpoint.
+representation on upward ones, with one factor -1 per upward endpoint;
+that sign is uniform over the state, so it is applied once to the result.
 Koszul transport signs come from the parities of the basis indices sitting
 to the left of each insertion slot.
 
 A `WeightSystem(rep, tensor)` holds one system: the dual representation,
-built once, and the chord matrices, built on first use for each pair of
-station directions.  `link` closes every component and returns a scalar;
+built once, and the unsigned chord matrices, built on first use for each
+pair of station directions and shared with the slice engine of
+`kontsevich.wz_eval`.  `link` closes every component and returns a scalar;
 `tangle11` leaves the single interval component open and returns an
 endomorphism of V; `interval_scalar` is the scalar by which that
 endomorphism acts, after checking that it is a multiple of the identity.  `link` and `interval_scalar` are
@@ -27,7 +29,6 @@ s = a (I x I) + t_sl; with the default a it uses one process-wide
 instance.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .diagrams import CIRCLE, INTERVAL, canonical_form
@@ -100,8 +101,8 @@ class _Layout:
 def _chord_matrix(mats_a, mats_b, terms, ring):
     """Column-indexed two-site matrix of sum c A_i x B_j over terms (c, i, j).
 
-    The slice engine passes ``tensor.as_pair_terms()`` as they are; the
-    station engine multiplies each coefficient by its station sign first.
+    Both engines pass ``tensor.as_pair_terms()`` as they are; the station
+    engine applies its upward-endpoint signs to the evaluated result.
     """
     by_col = {}
     for c, i, j in terms:
@@ -216,8 +217,9 @@ def _contract(state, layout, par, ring, with_source):
 class WeightSystem:
     """A representation and an invariant tensor, evaluated on diagrams.
 
-    The dual representation is built once; the chord matrix for each pair
-    of station directions is built on first use.  `link` and
+    The dual representation is built once; the unsigned chord matrix for
+    each pair of station directions is built on first use, and the slice
+    engine (`kontsevich.wz_eval`) shares it.  `link` and
     `interval_scalar` evaluate each canonical_form class once and answer
     repeats from a memo; `tangle11` evaluates afresh every time.
     """
@@ -233,29 +235,33 @@ class WeightSystem:
         self._memo = {}
 
     def _matrix(self, colors):
-        """Chord matrix for the directions (DOWN or UP) of its two stations.
-
-        Upward stations act through the dual and each contributes a -1.
-        """
+        """Unsigned chord matrix for the directions (DOWN or UP) of its two
+        stations; upward stations act through the dual."""
         if colors not in self._matrices:
             mats = (self.rep.mats, self.dual.mats)
-            sign = (-1) ** colors.count(UP)
-            terms = [(self.ring.coerce(c) * sign, i, j)
-                     for c, i, j in self.tensor.as_pair_terms()]
             self._matrices[colors] = _chord_matrix(
-                mats[colors[0]], mats[colors[1]], terms, self.ring)
+                mats[colors[0]], mats[colors[1]],
+                self.tensor.as_pair_terms(), self.ring)
         return self._matrices[colors]
 
     def _evaluate(self, diagram, with_source):
         layout = _Layout(diagram)
         state = _initial_state(layout, self.dim, self.ring, with_source)
+        ups = 0
         for (e1, e2) in diagram.chords:
             a, b = layout.slot_of[e1], layout.slot_of[e2]
-            matrix = self._matrix((layout.directions[a], layout.directions[b]))
-            state = _apply_chord(state, a, b, matrix, self.par, self.ring)
+            colors = (layout.directions[a], layout.directions[b])
+            ups += colors.count(UP)
+            state = _apply_chord(state, a, b, self._matrix(colors),
+                                 self.par, self.ring)
             if not state:
                 break
-        return _contract(state, layout, self.par, self.ring, with_source)
+        value = _contract(state, layout, self.par, self.ring, with_source)
+        if ups % 2 == 0:
+            return value
+        if with_source:
+            return {k: -v for k, v in value.items()}
+        return -value
 
     def _once(self, diagram, evaluate):
         key = canonical_form(diagram)

@@ -86,3 +86,22 @@ def test_inverse_is_two_sided():
         inv[w] = c
     assert _wmul(phi, inv, 4) == {(): Fraction(1)}
     assert _wmul(inv, phi, 4) == {(): Fraction(1)}
+
+
+def test_order4_degree4_terms_frozen():
+    assert build_associator(4).terms[4] == {
+        (0, 0, 0, 1): Fraction(-1, 1440),
+        (0, 0, 1, 0): Fraction(1, 480),
+        (0, 0, 1, 1): Fraction(1, 5760),
+        (0, 1, 0, 0): Fraction(-1, 480),
+        (0, 1, 0, 1): Fraction(1, 1920),
+        (0, 1, 1, 0): Fraction(-1, 1152),
+        (0, 1, 1, 1): Fraction(-1, 1440),
+        (1, 0, 0, 0): Fraction(1, 1440),
+        (1, 0, 0, 1): Fraction(-1, 1152),
+        (1, 0, 1, 0): Fraction(7, 5760),
+        (1, 0, 1, 1): Fraction(1, 480),
+        (1, 1, 0, 0): Fraction(-1, 5760),
+        (1, 1, 0, 1): Fraction(-1, 480),
+        (1, 1, 1, 0): Fraction(1, 1440),
+    }
