@@ -27,6 +27,7 @@ from functools import lru_cache
 from itertools import product
 
 from .diagrams import LinearSpan
+from .scalars import add_term
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -35,11 +36,7 @@ _ONE = Fraction(1)
 def _wadd(x, y):
     out = dict(x)
     for w, c in y.items():
-        v = out.get(w, _ZERO) + c
-        if v:
-            out[w] = v
-        elif w in out:
-            del out[w]
+        add_term(out, w, c)
     return out
 
 
@@ -54,14 +51,8 @@ def _wmul(x, y, order):
     out = {}
     for wx, cx in x.items():
         for wy, cy in y.items():
-            if len(wx) + len(wy) > order:
-                continue
-            w = wx + wy
-            v = out.get(w, _ZERO) + cx * cy
-            if v:
-                out[w] = v
-            elif w in out:
-                del out[w]
+            if len(wx) + len(wy) <= order:
+                add_term(out, wx + wy, cx * cy)
     return out
 
 
@@ -98,11 +89,14 @@ def _component(x, degree):
 
 
 class _BraidIdeal:
-    """Degree-graded infinitesimal braid ideal on n strands."""
+    """Degree-graded infinitesimal braid ideal on n strands.
 
-    def __init__(self, n, order):
+    Each degree's span is built on first use and depends only on n and the
+    degree, so every order shares `_braid_ideal(n)`; `order` is unused.
+    """
+
+    def __init__(self, n, order=None):
         self.n = n
-        self.order = order
         self.gens = [(i, j) for i in range(1, n + 1)
                      for j in range(i + 1, n + 1)]
         self.gi = {g: k for k, g in enumerate(self.gens)}
@@ -150,6 +144,11 @@ class _BraidIdeal:
         if degree < 2 or not comp:
             return comp
         return self._span(degree).residual(comp)
+
+
+@lru_cache(maxsize=None)
+def _braid_ideal(n):
+    return _BraidIdeal(n)
 
 
 def _phi_element(terms, arg0, arg1, order, invert=False):
@@ -273,8 +272,7 @@ def build_associator(order=3):
     """Solve the hexagons and pentagon through the given total degree."""
     if order < 2:
         raise ValueError("the associator starts in degree 2")
-    ideal3 = _BraidIdeal(3, order)
-    ideal4 = _BraidIdeal(4, order)
+    ideal3, ideal4 = _braid_ideal(3), _braid_ideal(4)
     terms = {}
     for m in range(1, order + 1):
         base = _all_residuals(terms, m, ideal3, ideal4)
@@ -302,8 +300,7 @@ def build_associator(order=3):
 
 def associator_checks(assoc):
     """Named exact checks of the solved associator, for reporting."""
-    ideal3 = _BraidIdeal(3, assoc.order)
-    ideal4 = _BraidIdeal(4, assoc.order)
+    ideal3, ideal4 = _braid_ideal(3), _braid_ideal(4)
     hex1_ok = hex2_ok = pent_ok = True
     for m in range(1, assoc.order + 1):
         h1, h2 = _hexagon_residuals(assoc.terms, m, ideal3)

@@ -9,7 +9,6 @@ Inputs dispatch on suffix: .tw words, .cd diagrams, .ribbon data.
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .diagrams import CIRCLE, INTERVAL
 from .jsonio import (

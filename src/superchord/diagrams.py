@@ -16,7 +16,7 @@ every other exact linear solve in the package.
 from fractions import Fraction
 from itertools import permutations, product
 
-from .scalars import QQ
+from .scalars import QQ, add_term
 
 CIRCLE = "circle"
 INTERVAL = "interval"
@@ -242,12 +242,7 @@ def relator_vector(relator):
     """Signed sum of canonical forms, as a sparse Fraction vector."""
     out = {}
     for sign, d in relator:
-        key = canonical_form(d)
-        v = out.get(key, Fraction(0)) + sign
-        if v:
-            out[key] = v
-        elif key in out:
-            del out[key]
+        add_term(out, canonical_form(d), Fraction(sign))
     return out
 
 
@@ -334,7 +329,7 @@ class LinearSpan:
         # Eliminates pivot keys from the top down, so the result carries no
         # pivot key at all and is the unique normal form modulo the span.
         # That uniqueness makes the map linear, which callers rely on.
-        coerce, zero = self.ring.coerce, self.ring.zero
+        coerce = self.ring.coerce
         vec = {k: coerce(v) for k, v in vec.items() if v}
         out = {}
         first = None
@@ -346,13 +341,9 @@ class LinearSpan:
                     first = pivot
                 out[pivot] = vec.pop(pivot)
                 continue
-            c = vec[pivot]
+            c = -vec[pivot]
             for k, v in row.items():
-                w = vec.get(k, zero) - c * v
-                if w:
-                    vec[k] = w
-                elif k in vec:
-                    del vec[k]
+                add_term(vec, k, c * v)
         return out, first
 
     def add(self, vec):

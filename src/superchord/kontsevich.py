@@ -25,12 +25,13 @@ over the resolutions of marked double points.
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 from .associator import build_associator
 from .diagrams import (
     CIRCLE, ChordDiagram, canonical_form, slit_component)
 from .scalars import (
-    QALPHA, HSeries, ScalarError, SeriesRing, series_inverse)
+    QALPHA, HSeries, ScalarError, SeriesRing, add_term, series_inverse)
 from .supergraded import SuperMap
 from .weightsys import DOWN, UP, WeightSystem, _apply_chord, wlg
 from .words import PathTracer, TangleWord, parse_word, resolve_singular
@@ -153,8 +154,7 @@ class _DiagramBackend:
                 if k:
                     f = f * half / k
                     chords.append((("a", e, k - 1, p), ("a", e, k - 1, p + 1)))
-                k2 = key.union(chords)
-                new[k2] = new.get(k2, Fraction(0)) + c * f
+                add_term(new, key.union(chords), c * f)
         self.terms = new
         self.tracer.cross(p)
 
@@ -165,24 +165,21 @@ class _DiagramBackend:
         e = self._stamp_layers(range(p + 2))
         tuv = [(a, p, signs[a] * signs[p]) for a in range(p)]
         tvw = [(p, p + 1, signs[p] * signs[p + 1])]
-        add = {}
+        new = dict(self.terms)
         for key, c in self.terms.items():
             room = self.order - len(key)
             for deg, w, coeff in words_:
                 if deg > room:
                     continue
-                self._letters(add, key, c * coeff, w, tuv, tvw, e)
-        for key, v in add.items():
-            self.terms[key] = self.terms.get(key, Fraction(0)) + v
-        self.terms = {k: v for k, v in self.terms.items() if v}
+                self._letters(new, key, c * coeff, w, tuv, tvw, e)
+        self.terms = new
 
     def _letters(self, out, key, base, w, tuv, tvw, e):
         deg = len(w)
 
         def rec(l, chords, sgn):
             if l == deg:
-                k2 = key.union(chords)
-                out[k2] = out.get(k2, Fraction(0)) + base * sgn
+                add_term(out, key.union(chords), base * sgn)
                 return
             j = deg - 1 - l
             for (a, b, s) in (tuv if w[l] == 0 else tvw):
@@ -202,8 +199,6 @@ class _DiagramBackend:
         agg = {}
         reps = {}
         for key, c in self.terms.items():
-            if not c:
-                continue
             toks = sorted((t for ch in key for t in ch),
                           key=lambda t: out.token_pos[t])
             pos = {}
@@ -214,7 +209,7 @@ class _DiagramBackend:
                 counters[comp] = counters.get(comp, 0) + 1
             d = ChordDiagram(out.kinds, [(pos[a], pos[b]) for a, b in key])
             e = canonical_form(d)
-            agg[e] = agg.get(e, Fraction(0)) + c
+            add_term(agg, e, c)
             reps.setdefault(e, d)
         return out.kinds, agg, reps
 
@@ -244,21 +239,12 @@ class _MatrixBackend:
         self.dim = rep.space.dim
         self.nsrc = len(word.source)
         self.deg = [dict() for _ in range(order + 1)]
-        for key in self._keys(self.nsrc):
+        for key in product(range(self.dim), repeat=self.nsrc):
             self.deg[0][key + key] = self.ring.one
-
-    def _keys(self, n):
-        if n == 0:
-            yield ()
-            return
-        for rest in self._keys(n - 1):
-            for i in range(self.dim):
-                yield rest + (i,)
 
     def _apply_site(self, states, a, b, roles):
         mat = self.ws._matrix(tuple(DOWN if r > 0 else UP for r in roles))
-        return [_apply_chord(s, a, b, mat, self.par, self.ring)
-                for s in states]
+        return [_apply_chord(s, a, b, mat, self.par) for s in states]
 
     def crossing(self, p, s, signs):
         roles = (signs[p], signs[p + 1])
@@ -272,13 +258,9 @@ class _MatrixBackend:
                 break
             fc = self.ring.coerce(f)
             for m in range(self.order + 1 - k):
+                tgt = total[m + k]
                 for key, v in acc[m].items():
-                    tgt = total[m + k]
-                    w = tgt.get(key, self.ring.zero) + fc * v
-                    if w == self.ring.zero:
-                        tgt.pop(key, None)
-                    else:
-                        tgt[key] = w
+                    add_term(tgt, key, fc * v)
         flipped = [dict() for _ in range(self.order + 1)]
         for m, layer in enumerate(total):
             for key, v in layer.items():
@@ -311,13 +293,9 @@ class _MatrixBackend:
                 continue
             fc = self.ring.coerce(coeff)
             for m in range(self.order + 1 - deg):
+                tgt = total[m + deg]
                 for key, v in acc[m].items():
-                    tgt = total[m + deg]
-                    u = tgt.get(key, self.ring.zero) + fc * v
-                    if u == self.ring.zero:
-                        tgt.pop(key, None)
-                    else:
-                        tgt[key] = u
+                    add_term(tgt, key, fc * v)
         self.deg = total
 
     def _letter(self, states, letter, p, signs):
@@ -328,11 +306,7 @@ class _MatrixBackend:
             for m, layer in enumerate(part):
                 tgt = out[m]
                 for key, v in layer.items():
-                    u = tgt.get(key, self.ring.zero) + v
-                    if u == self.ring.zero:
-                        tgt.pop(key, None)
-                    else:
-                        tgt[key] = u
+                    add_term(tgt, key, v)
         return out
 
     def cup(self, p, sign):
@@ -356,12 +330,7 @@ class _MatrixBackend:
                     continue
                 if sign > 0 and self.par[key[p]]:
                     v = -v
-                k2 = key[:p] + key[p + 2:]
-                u = tgt.get(k2, self.ring.zero) + v
-                if u == self.ring.zero:
-                    tgt.pop(k2, None)
-                else:
-                    tgt[k2] = u
+                add_term(tgt, key[:p] + key[p + 2:], v)
         self.deg = new
 
     def finish(self):

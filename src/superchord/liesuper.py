@@ -17,7 +17,7 @@ constructor checks the bracket axiom exactly.
 from fractions import Fraction
 
 from .diagrams import invert_matrix
-from .scalars import QALPHA, QQ, alpha
+from .scalars import QALPHA, QQ, add_term, alpha
 from .supergraded import SuperMap, SuperSpace, rings_equal
 
 
@@ -44,38 +44,19 @@ class LieSuperAlgebra:
         """Coordinates of [e_i, e_j] as a sparse dict."""
         return self.table.get((i, j), {})
 
-    def bracket_elements(self, x, y):
-        """Bracket of two coordinate vectors (sparse dicts)."""
-        out = {}
-        for i, ci in x.items():
-            for j, cj in y.items():
-                for k, c in self.bracket(i, j).items():
-                    v = out.get(k, 0) + ci * cj * c
-                    if v:
-                        out[k] = v
-                    elif k in out:
-                        del out[k]
-        return out
-
     def jacobi_residual(self, i, j, k):
         """[e_i,[e_j,e_k]] - [[e_i,e_j],e_k] - (-1)^{|i||j|}[e_j,[e_i,e_k]]."""
         out = {}
-
-        def accum(coeffs, sign):
-            for idx, c in coeffs.items():
-                v = out.get(idx, 0) + sign * c
-                if v:
-                    out[idx] = v
-                elif idx in out:
-                    del out[idx]
-
-        for l, c in self.bracket(j, k).items():
-            accum({m: c * d for m, d in self.bracket(i, l).items()}, 1)
-        for l, c in self.bracket(i, j).items():
-            accum({m: c * d for m, d in self.bracket(l, k).items()}, -1)
         s = (-1) ** (self.parities[i] * self.parities[j])
+        for l, c in self.bracket(j, k).items():
+            for m, d in self.bracket(i, l).items():
+                add_term(out, m, c * d)
+        for l, c in self.bracket(i, j).items():
+            for m, d in self.bracket(l, k).items():
+                add_term(out, m, -c * d)
         for l, c in self.bracket(i, k).items():
-            accum({m: c * d for m, d in self.bracket(j, l).items()}, -s)
+            for m, d in self.bracket(j, l).items():
+                add_term(out, m, -s * c * d)
         return out
 
     def identity_coords(self):
@@ -107,13 +88,10 @@ def build_gl(m, n):
         for j, (c, e) in enumerate(labels):
             out = {}
             if b == c:
-                k = index[(a, e)]
-                out[k] = out.get(k, Fraction(0)) + 1
+                add_term(out, index[(a, e)], Fraction(1))
             if e == a:
                 sgn = (-1) ** (parities[i] * parities[j])
-                k = index[(c, b)]
-                out[k] = out.get(k, Fraction(0)) - sgn
-            out = {k: Fraction(v) for k, v in out.items() if v}
+                add_term(out, index[(c, b)], Fraction(-sgn))
             if out:
                 table[(i, j)] = out
     alg = LieSuperAlgebra("gl(%d|%d)" % (m, n), labels, parities, table)
@@ -151,7 +129,7 @@ class InvariantTensor:
         self.terms = {}
         for key, c in terms.items():
             c = ring.coerce(c)
-            if not (c == ring.zero):
+            if c:
                 self.terms[key] = c
 
     def as_pair_terms(self):
@@ -172,8 +150,7 @@ class InvariantTensor:
             raise ValueError("mismatched algebras")
         out = dict(self.terms)
         for key, c in other.terms.items():
-            v = out.get(key, self.ring.zero) + self.ring.coerce(c)
-            out[key] = v
+            add_term(out, key, self.ring.coerce(c))
         return InvariantTensor(self.algebra, out, self.ring)
 
     def scale(self, c):
@@ -189,20 +166,12 @@ class InvariantTensor:
         alg = self.algebra
         par = alg.parities
         out = {}
-
-        def accum(key, c):
-            v = out.get(key, self.ring.zero) + c
-            if v == self.ring.zero:
-                out.pop(key, None)
-            else:
-                out[key] = v
-
         for (i, j), c in self.terms.items():
             for l, s in alg.bracket(k, i).items():
-                accum((l, j), c * self.ring.coerce(s))
+                add_term(out, (l, j), c * self.ring.coerce(s))
             sign = (-1) ** (par[k] * par[i])
             for l, s in alg.bracket(k, j).items():
-                accum((i, l), c * self.ring.coerce(sign * s))
+                add_term(out, (i, l), c * self.ring.coerce(sign * s))
         return out
 
     def is_invariant(self):
@@ -251,9 +220,7 @@ def extend_identity(t, a):
     ident = alg.identity_coords()
     for i, ci in ident.items():
         for j, cj in ident.items():
-            key = (i, j)
-            v = terms.get(key, QALPHA.zero) + a * QALPHA.coerce(ci * cj)
-            terms[key] = v
+            add_term(terms, (i, j), a * QALPHA.coerce(ci * cj))
     return InvariantTensor(alg, terms, QALPHA)
 
 
@@ -406,11 +373,7 @@ def _kac_module(alg):
 
     def accum(out, coords, c):
         for w, v in coords.items():
-            s = out.get(w, QALPHA.zero) + v * c
-            if s == QALPHA.zero:
-                out.pop(w, None)
-            else:
-                out[w] = s
+            add_term(out, w, v * c)
 
     def apply_gen(g, word):
         """e_g . (word . w) in basis-word coordinates; word is canonical."""

@@ -110,7 +110,8 @@ def rt_invariant(word, data, validate=True):
     With validate on, any failed ribbon axiom raises before evaluation.
     """
     if validate:
-        failed = [n for n in _CHECK_ORDER if not ribbon_checks(data)[n]]
+        checks = ribbon_checks(data)
+        failed = [n for n in _CHECK_ORDER if not checks[n]]
         if failed:
             raise ValueError("ribbon axioms fail: %s" % ", ".join(failed))
     if isinstance(word, str):

@@ -15,6 +15,9 @@ degree, so both sides are shifted down instead of divided.  Sums over a
 shared denominator and products of polynomials skip the cross products.
 Any other denominator is reduced through ``Poly.gcd`` and ``Poly.divmod``.
 
+Sparse linear combinations (dicts from keys to coefficients) never store
+a zero: :func:`add_term` is the one way to add a term into one.
+
 Everything is exact; floats are rejected on input.
 """
 
@@ -50,6 +53,22 @@ def _poly(cs):
     p = Poly.__new__(Poly)
     p.c = tuple(cs[:n])
     return p
+
+
+def add_term(out, key, v):
+    """out[key] += v in a sparse combination that keeps no zero.
+
+    A missing key takes v itself, and a sum that cancels removes the key.
+    Truthiness is the zero test: Fraction, AlphaScalar and HSeries all
+    define it.
+    """
+    s = out.get(key)
+    if s is not None:
+        v = s + v
+    if v:
+        out[key] = v
+    elif s is not None:
+        del out[key]
 
 
 class Poly:

@@ -20,7 +20,7 @@ which makes both zigzag composites the identity.
 
 from __future__ import annotations
 
-from .scalars import QQ, RingMismatchError
+from .scalars import QQ, RingMismatchError, add_term
 
 
 def rings_equal(a, b):
@@ -137,12 +137,7 @@ class SuperMap:
             raise ValueError("adding maps with different shapes")
         m = dict(self.m)
         for k, v in other.m.items():
-            w = m.get(k)
-            s = v if w is None else w + v
-            if s:
-                m[k] = s
-            elif w is not None:
-                del m[k]
+            add_term(m, k, v)
         out = SuperMap(self.source, self.target, None, self.ring)
         out.m = m
         return out
@@ -185,13 +180,7 @@ class SuperMap:
                 if not row:
                     continue
                 for i, w in row:
-                    key = (i, j)
-                    s = m.get(key)
-                    t = w * v if s is None else s + w * v
-                    if t:
-                        m[key] = t
-                    elif s is not None:
-                        del m[key]
+                    add_term(m, (i, j), w * v)
         out = SuperMap(other.source, self.target, None, self.ring)
         out.m = m
         return out
@@ -319,14 +308,7 @@ def partial_supertrace(f, dims, site):
         p = spaces[site].parities[mi[site]]
         ri = tensor_index(rest, tuple(x for k, x in enumerate(mi) if k != site))
         rj = tensor_index(rest, tuple(x for k, x in enumerate(mj) if k != site))
-        w = -v if p else v
-        key = (ri, rj)
-        s = m.get(key)
-        t = w if s is None else s + w
-        if t:
-            m[key] = t
-        elif s is not None:
-            del m[key]
+        add_term(m, (ri, rj), -v if p else v)
     out.m = m
     return out
 

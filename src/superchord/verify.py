@@ -15,6 +15,7 @@ from .diagrams import (
     four_term_relators, random_diagram, slit_component)
 from .kontsevich import vassiliev_defect, z_eval
 from .liesuper import build_gl, casimir_tensor, rep_combine, standard_rep
+from .scalars import add_term
 from .weightsys import WeightSystem, wlg
 from .words import diagram_of_singular, parse_word, resolve_singular
 
@@ -127,8 +128,7 @@ def verify_zleading(order=3, seed=0):
         total = {}
         for sign, res in resolve_singular(word):
             for e, c in z_eval(res, order).terms.items():
-                total[e] = total.get(e, Fraction(0)) + sign * c
-        total = {e: c for e, c in total.items() if c}
+                add_term(total, e, sign * c)
         report.add("below_m_vanish_%s" % label,
                    all(len(e[1]) >= m for e in total))
         lead = {e: c for e, c in total.items() if len(e[1]) == m}

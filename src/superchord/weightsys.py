@@ -34,7 +34,7 @@ from functools import lru_cache
 from .diagrams import CIRCLE, INTERVAL, canonical_form
 from .liesuper import (
     build_gl, casimir_tensor, extend_identity, rep_combine, standard_rep)
-from .scalars import alpha
+from .scalars import add_term, alpha
 from .supergraded import SuperMap
 
 DOWN = 0
@@ -110,13 +110,7 @@ def _chord_matrix(mats_a, mats_b, terms, ring):
         for (ra, ca), va in mats_a[i].m.items():
             cva = c * va
             for (rb, cb), vb in mats_b[j].m.items():
-                col = (ca, cb)
-                cell = by_col.setdefault(col, {})
-                v = cell.get((ra, rb), ring.zero) + cva * vb
-                if v == ring.zero:
-                    cell.pop((ra, rb), None)
-                else:
-                    cell[(ra, rb)] = v
+                add_term(by_col.setdefault((ca, cb), {}), (ra, rb), cva * vb)
     return {col: sorted(cell.items()) for col, cell in by_col.items() if cell}
 
 
@@ -127,7 +121,6 @@ def _initial_state(layout, dim, ring, with_source):
     the interval's passive last station.
     """
     cups = layout.cups()
-    keys = [[0] * layout.total]
     base = [0] * layout.total
     states = {}
 
@@ -154,7 +147,7 @@ def _initial_state(layout, dim, ring, with_source):
     return states
 
 
-def _apply_chord(state, a, b, matrix, par, ring):
+def _apply_chord(state, a, b, matrix, par):
     out = {}
     for key, coeff in state.items():
         cell = matrix.get((key[a], key[b]))
@@ -176,13 +169,8 @@ def _apply_chord(state, a, b, matrix, par, ring):
             k2 = list(key)
             k2[a] = ra
             k2[b] = rb
-            k2 = tuple(k2)
-            term = coeff * val if s > 0 else -(coeff * val)
-            v = out.get(k2, ring.zero) + term
-            if v == ring.zero:
-                out.pop(k2, None)
-            else:
-                out[k2] = v
+            add_term(out, tuple(k2),
+                     coeff * val if s > 0 else -(coeff * val))
     return out
 
 
@@ -203,12 +191,7 @@ def _contract(state, layout, par, ring, with_source):
         if not ok:
             continue
         if with_source:
-            k = (key[tgt], key[-1])
-            v = entries.get(k, ring.zero) + coeff
-            if v == ring.zero:
-                entries.pop(k, None)
-            else:
-                entries[k] = v
+            add_term(entries, (key[tgt], key[-1]), coeff)
         else:
             scalar = scalar + coeff
     return entries if with_source else scalar
@@ -252,8 +235,7 @@ class WeightSystem:
             a, b = layout.slot_of[e1], layout.slot_of[e2]
             colors = (layout.directions[a], layout.directions[b])
             ups += colors.count(UP)
-            state = _apply_chord(state, a, b, self._matrix(colors),
-                                 self.par, self.ring)
+            state = _apply_chord(state, a, b, self._matrix(colors), self.par)
             if not state:
                 break
         value = _contract(state, layout, self.par, self.ring, with_source)
@@ -308,7 +290,7 @@ def scalar_of_endo(endo):
     ring = endo.ring
     dim = endo.source.dim
     c = endo.m.get((0, 0), ring.zero)
-    expect = {(i, i): c for i in range(dim) if not (c == ring.zero)}
+    expect = {(i, i): c for i in range(dim) if c}
     if endo.m != expect:
         raise ValueError("endomorphism is not a scalar multiple of id")
     return c
@@ -320,21 +302,14 @@ def lg_constant():
 
 
 @lru_cache(maxsize=None)
-def _lg_default():
-    g = build_gl(2, 1)
-    rep = standard_rep(g, "v_alpha")
-    tensor = extend_identity(casimir_tensor(g, "sl"), lg_constant())
-    return rep, tensor
-
-
 def lg_data(a=None):
     """Representation V_alpha and tensor a (I x I) + t_sl; a defaults to
-    the unique constant satisfying the one-term relation."""
-    if a is None:
-        return _lg_default()
+    the unique constant satisfying the one-term relation.  Memoised, so
+    equal arguments share one (rep, tensor) pair."""
     g = build_gl(2, 1)
     rep = standard_rep(g, "v_alpha")
-    tensor = extend_identity(casimir_tensor(g, "sl"), a)
+    tensor = extend_identity(casimir_tensor(g, "sl"),
+                             lg_constant() if a is None else a)
     return rep, tensor
 
 
