@@ -15,27 +15,16 @@ from .jsonio import (
     load_diagram, load_ribbon, load_word, scalar_to_json, series_to_json,
     zvalue_to_json)
 from .kontsevich import lg_invariant, wz_eval, z_eval
-from .liesuper import build_gl, casimir_tensor, standard_rep
 from .ribbon import ribbon_trivial, rt_invariant
 from .scalars import AlphaScalar
 from .verify import SUITES, run_all, run_suite
-from .weightsys import scalar_of_endo, wlg, ws_link, ws_tangle11
+from .weightsys import (
+    named_system, scalar_of_endo, wlg, ws_link, ws_tangle11)
 
 
 _ALG_REP = {("gl2_1", "defining"): "gl21",
             ("gl1_1", "defining"): "gl11",
             ("gl2_1", "v_alpha"): "valpha"}
-
-
-def _system(name):
-    if name == "gl21":
-        g = build_gl(2, 1)
-        return standard_rep(g, "defining"), casimir_tensor(g, "gl")
-    if name == "gl11":
-        g = build_gl(1, 1)
-        return standard_rep(g, "defining"), casimir_tensor(g, "gl")
-    g = build_gl(2, 1)
-    return standard_rep(g, "v_alpha"), casimir_tensor(g, "sl")
 
 
 def _system_name(args):
@@ -108,7 +97,7 @@ def _cmd_ws(args):
     if args.system == "lg":
         _emit_scalar(wlg(d), args.format)
         return 0
-    rep, tv = _system(args.system)
+    rep, tv = named_system(args.system)
     if all(k == CIRCLE for k in d.skeleton):
         value = ws_link(d, rep, tv)
     elif sum(1 for k in d.skeleton if k == INTERVAL) == 1:
@@ -136,7 +125,7 @@ def _cmd_wz(args):
     word = load_word(args.file)
     if not word.is_closed:
         raise ValueError("wz prints series for closed words only")
-    rep, tv = _system(_system_name(args))
+    rep, tv = named_system(_system_name(args))
     _emit_series(wz_eval(word, rep, tv, args.order), args.format)
     return 0
 

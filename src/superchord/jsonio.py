@@ -47,12 +47,17 @@ def scalar_to_json(v):
 
 
 def scalar_from_json(obj):
-    if isinstance(obj, str):
-        return Fraction(obj)
-    if isinstance(obj, dict) and "num" in obj:
-        num = Poly([Fraction(c) for c in obj["num"]])
-        den = Poly([Fraction(c) for c in obj.get("den", ["1"])])
-        return AlphaScalar(num, den)
+    """A Fraction, AlphaScalar or HSeries; a zero denominator raises
+    ValueError."""
+    try:
+        if isinstance(obj, str):
+            return Fraction(obj)
+        if isinstance(obj, dict) and "num" in obj:
+            num = Poly([Fraction(c) for c in obj["num"]])
+            den = Poly([Fraction(c) for c in obj.get("den", ["1"])])
+            return AlphaScalar(num, den)
+    except ZeroDivisionError as e:
+        raise ValueError("zero denominator in scalar %r" % (obj,)) from e
     if isinstance(obj, dict) and "h_order" in obj:
         return series_from_json(obj)
     raise ValueError("unrecognized scalar %r" % (obj,))

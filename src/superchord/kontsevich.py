@@ -17,15 +17,16 @@ are in operator order, so the rightmost letter of an associator word
 acts first, lowest on the page.
 
 Two backends walk the same slices: one accumulates chord diagrams on the
-traced skeleton (z_eval), one contracts representation matrices degree
-by degree (wz_eval).  Composites: lg_invariant pairs z_eval with the
-Links-Gould system on slit diagrams, vassiliev_defect alternates wz_eval
-over the resolutions of marked double points.
+traced skeleton (z_eval), one drives the WeightSystem state operations
+(cup, chord, cap, flip) over one state per h degree (wz_eval), the same
+operations that evaluate single diagrams.  Composites: lg_invariant
+pairs z_eval with the Links-Gould system on slit diagrams,
+vassiliev_defect alternates wz_eval over the resolutions of marked
+double points.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 
 from .associator import build_associator
 from .diagrams import (
@@ -33,7 +34,7 @@ from .diagrams import (
 from .scalars import (
     QALPHA, HSeries, ScalarError, SeriesRing, add_term, series_inverse)
 from .supergraded import SuperMap
-from .weightsys import DOWN, UP, WeightSystem, _apply_chord, wlg
+from .weightsys import WeightSystem, wlg
 from .words import PathTracer, TangleWord, parse_word, resolve_singular
 
 
@@ -223,37 +224,31 @@ def z_eval(word, order):
 
 
 class _MatrixBackend:
-    """States are basis-index keys per h degree, contracted slice by slice.
+    """States are one WeightSystem state per h degree, walked slice by slice.
 
-    Keys carry the current positions followed by the frozen source
-    indices, so open words come out as one map per degree.  Chord
-    matrices are the unsigned ones of a WeightSystem: an upward strand
-    (role < 0) acts through the dual, as an UP station does.
+    Every slice maps the WeightSystem operations (cup, chord, cap, flip)
+    over the degree layers; a strand's role is its sign, so an upward
+    strand acts through the dual.  The frozen source indices make open
+    words come out as one map per degree.
     """
 
     def __init__(self, word, order, rep, tensor):
         self.order = order
         self.ws = WeightSystem(rep, tensor)
         self.ring = rep.ring
-        self.par = rep.space.parities
-        self.dim = rep.space.dim
-        self.nsrc = len(word.source)
-        self.deg = [dict() for _ in range(order + 1)]
-        for key in product(range(self.dim), repeat=self.nsrc):
-            self.deg[0][key + key] = self.ring.one
+        self.deg = [self.ws.identity(len(word.source))]
+        self.deg += [dict() for _ in range(order)]
 
-    def _apply_site(self, states, a, b, roles):
-        mat = self.ws._matrix(tuple(DOWN if r > 0 else UP for r in roles))
-        return [_apply_chord(s, a, b, mat, self.par) for s in states]
+    def _chord(self, states, a, b, signs):
+        return [self.ws.chord(s, a, b, (signs[a], signs[b])) for s in states]
 
     def crossing(self, p, s, signs):
-        roles = (signs[p], signs[p + 1])
         total = [dict(d) for d in self.deg]
         acc = self.deg
         f = Fraction(1)
         for k in range(1, self.order + 1):
             f = f * Fraction(s, 2) / k
-            acc = self._apply_site(acc, p, p + 1, roles)
+            acc = self._chord(acc, p, p + 1, signs)
             if not any(acc):
                 break
             fc = self.ring.coerce(f)
@@ -261,15 +256,7 @@ class _MatrixBackend:
                 tgt = total[m + k]
                 for key, v in acc[m].items():
                     add_term(tgt, key, fc * v)
-        flipped = [dict() for _ in range(self.order + 1)]
-        for m, layer in enumerate(total):
-            for key, v in layer.items():
-                i, j = key[p], key[p + 1]
-                k2 = key[:p] + (j, i) + key[p + 2:]
-                if self.par[i] and self.par[j]:
-                    v = -v
-                flipped[m][k2] = v
-        self.deg = flipped
+        self.deg = [self.ws.flip(layer, p) for layer in total]
 
     def associate(self, p, sign, signs):
         words_ = _phi_terms(self.order, sign)
@@ -302,7 +289,7 @@ class _MatrixBackend:
         out = [dict() for _ in range(self.order + 1)]
         pairs = ([(a, p) for a in range(p)] if letter == 0 else [(p, p + 1)])
         for a, b in pairs:
-            part = self._apply_site(states, a, b, (signs[a], signs[b]))
+            part = self._chord(states, a, b, signs)
             for m, layer in enumerate(part):
                 tgt = out[m]
                 for key, v in layer.items():
@@ -310,28 +297,10 @@ class _MatrixBackend:
         return out
 
     def cup(self, p, sign):
-        new = [dict() for _ in range(self.order + 1)]
-        for m, layer in enumerate(self.deg):
-            for key, v in layer.items():
-                for i in range(self.dim):
-                    if sign < 0 and self.par[i]:
-                        w = -v
-                    else:
-                        w = v
-                    new[m][key[:p] + (i, i) + key[p:]] = w
-        self.deg = new
+        self.deg = [self.ws.cup(layer, p, sign) for layer in self.deg]
 
     def cap(self, p, sign):
-        new = [dict() for _ in range(self.order + 1)]
-        for m, layer in enumerate(self.deg):
-            tgt = new[m]
-            for key, v in layer.items():
-                if key[p] != key[p + 1]:
-                    continue
-                if sign > 0 and self.par[key[p]]:
-                    v = -v
-                add_term(tgt, key[:p] + key[p + 2:], v)
-        self.deg = new
+        self.deg = [self.ws.cap(layer, p, sign) for layer in self.deg]
 
     def finish(self):
         return self.deg

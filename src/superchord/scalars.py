@@ -487,7 +487,8 @@ def series_inverse(s):
     else:
         raise ScalarError("cannot invert constant term %r" % (c0,))
     out = ring.coerce(inv0)
-    # Newton-free iteration: out_{k+1} = out_k * (2 - s * out_k)
-    for _ in range(ring.order + 1):
+    # Newton's iteration out_{k+1} = out_k * (2 - s * out_k) doubles the
+    # number of correct coefficients, so ceil(log2(order + 1)) steps do
+    for _ in range(ring.order.bit_length()):
         out = out * (ring.coerce(2) - s * out)
     return out

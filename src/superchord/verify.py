@@ -14,9 +14,9 @@ from .diagrams import (
     CIRCLE, INTERVAL, cable_diagram, canonical_form, enumerate_diagrams,
     four_term_relators, random_diagram, slit_component)
 from .kontsevich import vassiliev_defect, z_eval
-from .liesuper import build_gl, casimir_tensor, rep_combine, standard_rep
+from .liesuper import rep_combine
 from .scalars import add_term
-from .weightsys import WeightSystem, wlg
+from .weightsys import WeightSystem, named_system, wlg
 from .words import diagram_of_singular, parse_word, resolve_singular
 
 
@@ -45,16 +45,6 @@ class VerifyReport:
         return out
 
 
-def _gl21():
-    g = build_gl(2, 1)
-    return standard_rep(g, "defining"), casimir_tensor(g, "gl")
-
-
-def _gl11():
-    g = build_gl(1, 1)
-    return standard_rep(g, "defining"), casimir_tensor(g, "gl")
-
-
 _PARALLEL_KINKS = """slice: cup(+-)
 slice: id(+) cup(+-) id(-)
 slice: X+ sing id(-) id(-)
@@ -74,8 +64,8 @@ SINGULAR_WORDS = (
 def verify_fourterm(order=3, seed=0):
     """Weight systems vanish on every four-term relator, small skeleta."""
     report = VerifyReport("fourterm")
-    systems = (("gl21", WeightSystem(*_gl21())),
-               ("gl11", WeightSystem(*_gl11())))
+    systems = (("gl21", WeightSystem(*named_system("gl21"))),
+               ("gl11", WeightSystem(*named_system("gl11"))))
     cases = [((CIRCLE,), 2), ((CIRCLE,), 3),
              ((CIRCLE, CIRCLE), 2), ((CIRCLE, CIRCLE), 3)]
     for skeleton, degree in cases:
@@ -141,7 +131,7 @@ def verify_zleading(order=3, seed=0):
 @lru_cache(maxsize=None)
 def _singular_defects(order):
     """SINGULAR_WORDS entries with their gl(2|1) vassiliev_defect appended."""
-    rep, tv = _gl21()
+    rep, tv = named_system("gl21")
     return tuple((m, label, text, vassiliev_defect(text, rep, tv, order))
                  for m, label, text in SINGULAR_WORDS)
 
@@ -149,7 +139,7 @@ def _singular_defects(order):
 def verify_corollary(order=3, seed=0):
     """Degree-m defect coefficient equals the weight of the diagram."""
     report = VerifyReport("corollary")
-    rep, tv = _gl21()
+    rep, tv = named_system("gl21")
     ws = WeightSystem(rep, tv)
     for m, label, text, v in _singular_defects(order):
         target = ws.link(diagram_of_singular(parse_word(text)))
@@ -163,7 +153,7 @@ def verify_vassiliev(order=3, seed=0):
     for m, label, _text, v in _singular_defects(order):
         report.add("vanish_below_%s" % label,
                    all(v.coeff(j) == 0 for j in range(m)))
-    rep, tv = _gl21()
+    rep, tv = named_system("gl21")
     try:
         vassiliev_defect("braid[2]: s1 sing ; close", rep, tv, order)
         report.add("odd_framing_rejected", False)
@@ -175,7 +165,7 @@ def verify_vassiliev(order=3, seed=0):
 def verify_cabling(order=3, seed=0, samples=50):
     """Tensor square against the sum over two-cable lifts."""
     report = VerifyReport("cabling")
-    rep, tv = _gl11()
+    rep, tv = named_system("gl11")
     ws = WeightSystem(rep, tv)
     square = WeightSystem(rep_combine("tensor", rep, rep), tv)
     rng = random.Random(seed)
@@ -195,7 +185,7 @@ def verify_cabling(order=3, seed=0, samples=50):
 def verify_slitting(order=3, seed=0, samples=20):
     """Closing a slit component back up recovers the supertrace."""
     report = VerifyReport("slitting")
-    ws = WeightSystem(*_gl21())
+    ws = WeightSystem(*named_system("gl21"))
     rng = random.Random(seed)
     bad = 0
     for _ in range(samples):

@@ -1,35 +1,48 @@
 """Weight systems: exact evaluation of chord diagrams in a representation.
 
-A diagram component is drawn as a serpentine of vertical stations that
-alternate between downward copies of V and upward copies of V*, one chord
-endpoint per station.  Cups (k -> V x V*) feed the bottoms, caps
-(V* x V -> k) close the tops, and a circle is finished with the right
-pairing V x V* -> k, which carries the supertrace sign.  A chord inserts
-the invariant tensor sum t^{ij} e_i x e_j at its two stations, acting
-through the representation on downward stations and through the dual
-representation on upward ones, with one factor -1 per upward endpoint;
-that sign is uniform over the state, so it is applied once to the result.
-Koszul transport signs come from the parities of the basis indices sitting
-to the left of each insertion slot.
+One state machine evaluates both diagrams and tangle words.  A state is
+a sparse dict keyed by the live basis indices, one per strand, followed
+by the frozen source indices; `WeightSystem` gives the only operations
+on it.  A strand of role +1 runs downward through V, one of role -1
+upward through V*.  `cup(+-)` (k -> V x V*) and `cap(-+)` (V* x V -> k)
+are plain; `cap(+-)`, the right pairing V x V* -> k, and `cup(-+)` sign
+odd indices, which gives the supertrace sign.  `chord` inserts the
+invariant tensor sum t^{ij} e_i x e_j at two strands, acting through
+the representation or its dual by role, with Koszul transport signs from
+the parities of the indices to the left of each insertion; `flip` is the
+super flip of a crossing.
+
+A diagram is walked as a planar picture: each component is a serpentine
+of stations, one chord endpoint per station, alternating roles +1 and
+-1.  Cups open the stations left to right (the interval's last station
+stays open: its source), every chord is applied on the full state, and
+caps close them right to left (each circle's inner turns, then its
+closure), leaving a scalar or the entries of an endomorphism of V.  The
+chord matrices are unsigned; each upward endpoint contributes one factor
+-1, uniform over the state, so it is applied once to the result.  The
+slice engine of `kontsevich.wz_eval` drives the same operations, slice
+by slice, over one state per h degree.
 
 A `WeightSystem(rep, tensor)` holds one system: the dual representation,
-built once, and the unsigned chord matrices, built on first use for each
-pair of station directions and shared with the slice engine of
-`kontsevich.wz_eval`.  `link` closes every component and returns a scalar;
+built once, and the chord matrices, built on first use for each pair of
+strand roles.  `link` closes every component and returns a scalar;
 `tangle11` leaves the single interval component open and returns an
 endomorphism of V; `interval_scalar` is the scalar by which that
-endomorphism acts, after checking that it is a multiple of the identity.  `link` and `interval_scalar` are
-memoised by `canonical_form`, so each diagram class is evaluated once per
-instance; this relies on the value being invariant under rotating circles
-and permuting components, which holds because the tensor is invariant.
-`ws_link` and `ws_tangle11` evaluate one diagram on a fresh instance and
-keep nothing between calls.  `wlg` is the Links-Gould weight system on the
+endomorphism acts, after checking that it is a multiple of the identity.
+`link` and `interval_scalar` are memoised by `canonical_form`, so each
+diagram class is evaluated once per instance; this relies on the value
+being invariant under rotating circles and permuting components, which
+holds because the tensor is invariant.  `ws_link` and `ws_tangle11`
+evaluate one diagram on a fresh instance and keep nothing between calls.
+`named_system` builds the named (rep, tensor) pairs of the command line
+and the verify suites.  `wlg` is the Links-Gould weight system on the
 2|2 dimensional gl(2|1) module V_alpha with the one-term tensor
 s = a (I x I) + t_sl; with the default a it uses one process-wide
 instance.
 """
 
 from functools import lru_cache
+from itertools import product
 
 from .diagrams import CIRCLE, INTERVAL, canonical_form
 from .liesuper import (
@@ -37,72 +50,38 @@ from .liesuper import (
 from .scalars import add_term, alpha
 from .supergraded import SuperMap
 
-DOWN = 0
-UP = 1
 
+def _layout(diagram):
+    """Stations of a skeleton with given endpoint counts.
 
-class _Layout:
-    """Station assignment for a skeleton with given endpoint counts."""
-
-    def __init__(self, diagram):
-        self.slot_of = {}
-        self.comp_slots = []
-        self.directions = []
-        self.interval_comp = None
-        g = 0
-        for c, kind in enumerate(diagram.skeleton):
-            k = diagram.counts[c]
-            if kind == CIRCLE:
-                nst = max(k if k % 2 == 0 else k + 1, 2)
-            else:
-                if self.interval_comp is not None:
-                    raise ValueError("at most one interval component")
-                self.interval_comp = c
-                nst = k if k % 2 == 1 else k + 1
-            for p in range(k):
-                self.slot_of[(c, p)] = g + p
-            for s in range(nst):
-                self.directions.append(DOWN if s % 2 == 0 else UP)
-            self.comp_slots.append((g, nst, kind))
-            g += nst
-        self.total = g
-
-    def cups(self):
-        """Bottom turns; the interval's last station stays open (source)."""
-        out = []
-        for (start, nst, kind) in self.comp_slots:
-            stop = nst if kind == CIRCLE else nst - 1
-            for a in range(0, stop, 2):
-                out.append(start + a)
-        return out
-
-    def source_slot(self):
-        start, nst, _ = self.comp_slots[self.interval_comp]
-        return start + nst - 1
-
-    def target_slot(self):
-        start, _, _ = self.comp_slots[self.interval_comp]
-        return start
-
-    def caps(self):
-        """Top turns: plain pairings plus one signed closure per circle."""
-        out = []
-        for (start, nst, kind) in self.comp_slots:
-            if kind == CIRCLE:
-                for a in range(1, nst - 2, 2):
-                    out.append((start + a, start + a + 1, "d"))
-                out.append((start, start + nst - 1, "dprime"))
-            else:
-                for a in range(1, nst - 1, 2):
-                    out.append((start + a, start + a + 1, "d"))
-        return out
+    Returns the station of each chord endpoint, the role of each station
+    (+1 downward, through V; -1 upward, through the dual), the bottom
+    turns left to right and the top turns right to left.  Turns are given
+    by the position of their left station; the interval's last station
+    stays open (the source) and its first one is the target.  A circle's
+    inner top turns come before its closure, whose ends are adjacent by
+    then.
+    """
+    slot_of, roles, cups, caps = {}, [], [], []
+    for c, kind in enumerate(diagram.skeleton):
+        k = diagram.counts[c]
+        closed = kind == CIRCLE
+        nst = max(k + k % 2, 2) if closed else k + 1 - k % 2
+        g = len(roles)
+        for p in range(k):
+            slot_of[(c, p)] = g + p
+        roles += [1, -1] * (nst // 2) + [1] * (nst % 2)
+        cups += range(g, g + nst - 1, 2)
+        inner = range(g + 1, g + nst - 1 - closed, 2)
+        caps[:0] = list(reversed(inner)) + [g] * closed
+    return slot_of, roles, cups, caps
 
 
 def _chord_matrix(mats_a, mats_b, terms, ring):
     """Column-indexed two-site matrix of sum c A_i x B_j over terms (c, i, j).
 
-    Both engines pass ``tensor.as_pair_terms()`` as they are; the station
-    engine applies its upward-endpoint signs to the evaluated result.
+    `WeightSystem.chord` builds one per pair of strand roles, unsigned;
+    the station walk applies its upward-endpoint signs to the result.
     """
     by_col = {}
     for c, i, j in terms:
@@ -112,39 +91,6 @@ def _chord_matrix(mats_a, mats_b, terms, ring):
             for (rb, cb), vb in mats_b[j].m.items():
                 add_term(by_col.setdefault((ca, cb), {}), (ra, rb), cva * vb)
     return {col: sorted(cell.items()) for col, cell in by_col.items() if cell}
-
-
-def _initial_state(layout, dim, ring, with_source):
-    """Product of cups, every free index enumerated; keys are index tuples.
-
-    For a tangle the key carries one extra entry, the source index feeding
-    the interval's passive last station.
-    """
-    cups = layout.cups()
-    base = [0] * layout.total
-    states = {}
-
-    def fill(pos, key):
-        if pos == len(cups):
-            if with_source:
-                src = layout.source_slot()
-                for s in range(dim):
-                    k2 = list(key)
-                    k2[src] = s
-                    states[tuple(k2) + (s,)] = ring.one
-            else:
-                states[tuple(key)] = ring.one
-            return
-        a = cups[pos]
-        for i in range(dim):
-            key[a] = i
-            key[a + 1] = i
-            fill(pos + 1, key)
-        key[a] = 0
-        key[a + 1] = 0
-
-    fill(0, base)
-    return states
 
 
 def _apply_chord(state, a, b, matrix, par):
@@ -174,37 +120,17 @@ def _apply_chord(state, a, b, matrix, par):
     return out
 
 
-def _contract(state, layout, par, ring, with_source):
-    """Apply all caps; returns a scalar or an endomorphism entry dict."""
-    caps = layout.caps()
-    scalar = ring.zero
-    entries = {}
-    tgt = layout.target_slot() if with_source else None
-    for key, coeff in state.items():
-        ok = True
-        for (a, b, kind) in caps:
-            if key[a] != key[b]:
-                ok = False
-                break
-            if kind == "dprime" and par[key[a]]:
-                coeff = -coeff
-        if not ok:
-            continue
-        if with_source:
-            add_term(entries, (key[tgt], key[-1]), coeff)
-        else:
-            scalar = scalar + coeff
-    return entries if with_source else scalar
-
-
 class WeightSystem:
     """A representation and an invariant tensor, evaluated on diagrams.
 
-    The dual representation is built once; the unsigned chord matrix for
-    each pair of station directions is built on first use, and the slice
-    engine (`kontsevich.wz_eval`) shares it.  `link` and
-    `interval_scalar` evaluate each canonical_form class once and answer
-    repeats from a memo; `tangle11` evaluates afresh every time.
+    A state is a sparse dict keyed by the live basis indices followed by
+    the frozen source indices; `identity`, `cup`, `chord`, `cap` and
+    `flip` are the only operations on it, shared by the station walk here
+    and the slice engine of `kontsevich.wz_eval`.  The dual representation
+    is built once, and the unsigned chord matrix for each pair of strand
+    roles on first use.  `link` and `interval_scalar` evaluate each
+    canonical_form class once and answer repeats from a memo; `tangle11`
+    evaluates afresh every time.
     """
 
     def __init__(self, rep, tensor):
@@ -217,33 +143,68 @@ class WeightSystem:
         self._matrices = {}
         self._memo = {}
 
-    def _matrix(self, colors):
-        """Unsigned chord matrix for the directions (DOWN or UP) of its two
-        stations; upward stations act through the dual."""
-        if colors not in self._matrices:
-            mats = (self.rep.mats, self.dual.mats)
-            self._matrices[colors] = _chord_matrix(
-                mats[colors[0]], mats[colors[1]],
+    def identity(self, n):
+        """The identity on n strands: live indices equal to the sources."""
+        return {key + key: self.ring.one
+                for key in product(range(self.dim), repeat=n)}
+
+    def cup(self, state, p, sign):
+        """Insert a cup at positions p, p + 1; cup(-+) signs odd indices."""
+        out = {}
+        for key, v in state.items():
+            for i in range(self.dim):
+                out[key[:p] + (i, i) + key[p:]] = (
+                    -v if sign < 0 and self.par[i] else v)
+        return out
+
+    def chord(self, state, a, b, roles):
+        """Insert the tensor at positions a < b, unsigned: a strand of role
+        +1 acts through V, one of role -1 through the dual."""
+        if roles not in self._matrices:
+            mats = {1: self.rep.mats, -1: self.dual.mats}
+            self._matrices[roles] = _chord_matrix(
+                mats[roles[0]], mats[roles[1]],
                 self.tensor.as_pair_terms(), self.ring)
-        return self._matrices[colors]
+        return _apply_chord(state, a, b, self._matrices[roles], self.par)
+
+    def cap(self, state, p, sign):
+        """Close positions p, p + 1; cap(+-) signs odd indices."""
+        out = {}
+        for key, v in state.items():
+            i = key[p]
+            if i == key[p + 1]:
+                add_term(out, key[:p] + key[p + 2:],
+                         -v if sign > 0 and self.par[i] else v)
+        return out
+
+    def flip(self, state, p):
+        """Super flip of positions p, p + 1, as a crossing carries them."""
+        out = {}
+        for key, v in state.items():
+            i, j = key[p], key[p + 1]
+            out[key[:p] + (j, i) + key[p + 2:]] = (
+                -v if self.par[i] and self.par[j] else v)
+        return out
 
     def _evaluate(self, diagram, with_source):
-        layout = _Layout(diagram)
-        state = _initial_state(layout, self.dim, self.ring, with_source)
+        """Planar walk: cups, then chords, then caps; a scalar, or the
+        {(target, source): value} entries of an endomorphism."""
+        slot_of, roles, cups, caps = _layout(diagram)
+        state = self.identity(1 if with_source else 0)
+        for p in cups:
+            state = self.cup(state, p, 1)
         ups = 0
         for (e1, e2) in diagram.chords:
-            a, b = layout.slot_of[e1], layout.slot_of[e2]
-            colors = (layout.directions[a], layout.directions[b])
-            ups += colors.count(UP)
-            state = _apply_chord(state, a, b, self._matrix(colors), self.par)
+            a, b = slot_of[e1], slot_of[e2]
+            ups += (roles[a] < 0) + (roles[b] < 0)
+            state = self.chord(state, a, b, (roles[a], roles[b]))
             if not state:
                 break
-        value = _contract(state, layout, self.par, self.ring, with_source)
-        if ups % 2 == 0:
-            return value
-        if with_source:
-            return {k: -v for k, v in value.items()}
-        return -value
+        for p in caps:
+            state = self.cap(state, p, roles[p])
+        if ups % 2:
+            state = {k: -v for k, v in state.items()}
+        return state if with_source else state.get((), self.ring.zero)
 
     def _once(self, diagram, evaluate):
         key = canonical_form(diagram)
@@ -311,6 +272,19 @@ def lg_data(a=None):
     tensor = extend_identity(casimir_tensor(g, "sl"),
                              lg_constant() if a is None else a)
     return rep, tensor
+
+
+_SYSTEMS = {"gl21": ((2, 1), "defining", "gl"),
+            "gl11": ((1, 1), "defining", "gl"),
+            "valpha": ((2, 1), "v_alpha", "sl")}
+
+
+def named_system(name):
+    """(rep, tensor) of a named system: the defining gl(2|1) or gl(1|1)
+    module with t_gl, or V_alpha with t_sl."""
+    (m, n), rep, tensor = _SYSTEMS[name]
+    g = build_gl(m, n)
+    return standard_rep(g, rep), casimir_tensor(g, tensor)
 
 
 @lru_cache(maxsize=None)

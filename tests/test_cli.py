@@ -151,3 +151,14 @@ def test_python_dash_m_runs_from_a_checkout():
         env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert "ok   oneterm.isolated_deg3" in proc.stdout
+
+
+def test_rt_zero_denominator_is_clean_error(tmp_path, capsys):
+    obj = ribbon_to_json(ribbon_diagonal([[2, 5], [7, 3]]))
+    obj["braiding"][0][2] = "1/0"
+    dpath = write(tmp_path, "bad.ribbon", json.dumps(obj))
+    path = write(tmp_path, "trefoil.tw", TREFOIL)
+    assert main(["rt", path, "--data", dpath]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: zero denominator")
+    assert "Traceback" not in err

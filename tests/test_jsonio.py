@@ -96,3 +96,30 @@ def test_load_path_dispatches_on_suffix(tmp_path):
 def test_loaders_reject_missing_keys_and_wrong_types(load, obj):
     with pytest.raises(ValueError, match="malformed"):
         load(obj)
+
+
+ZERO_DENOMINATORS = ["1/0", {"num": ["1"], "den": ["0"]},
+                     {"num": ["1/0"]}]
+
+
+@pytest.mark.parametrize("bad", ZERO_DENOMINATORS)
+def test_scalar_zero_denominator_is_value_error(bad):
+    with pytest.raises(ValueError, match="zero denominator"):
+        scalar_from_json(bad)
+
+
+@pytest.mark.parametrize("bad", ZERO_DENOMINATORS)
+def test_series_and_zvalue_zero_denominator_is_value_error(bad):
+    with pytest.raises(ValueError, match="zero denominator"):
+        series_from_json({"h_order": 1, "coeffs": ["1", bad]})
+    z = round_trip(zvalue_to_json(z_eval("braid[2]: s1 ; close", 1)))
+    z["terms"][0]["coeff"] = bad
+    with pytest.raises(ValueError, match="zero denominator"):
+        zvalue_from_json(z)
+
+
+def test_ribbon_zero_denominator_is_value_error():
+    obj = round_trip(ribbon_to_json(ribbon_diagonal([[2, 5], [7, 3]])))
+    obj["braiding"][0][2] = "1/0"
+    with pytest.raises(ValueError, match="zero denominator"):
+        ribbon_from_json(obj)

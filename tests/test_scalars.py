@@ -237,3 +237,16 @@ def test_general_denominator_still_reduces():
     w = AlphaScalar(Poly([0, 0, 1]), Poly([0, 1, 1]))
     assert (w.num, w.den) == (Poly([0, 1]), Poly([1, 1]))
     assert w + w == AlphaScalar(Poly([0, 2]), Poly([1, 1]))
+
+
+def test_series_inverse_at_every_step_count():
+    # ceil(log2(order + 1)) Newton steps: orders 0-8 cover 0 to 4 steps,
+    # each at the order where one more coefficient needs one more step
+    rng = random.Random(43)
+    a = alpha()
+    for order in range(9):
+        for base, c0 in ((QQ, Fraction(-2, 3)), (QALPHA, a + 1)):
+            R = SeriesRing(base, order)
+            c = [c0] + [base.coerce(rng.randint(-5, 5)) for _ in range(order)]
+            s = HSeries(R, c)
+            assert s * series_inverse(s) == R.one, (order, base)

@@ -13,8 +13,8 @@ from superchord.scalars import QALPHA, alpha
 from superchord.supergraded import (
     SuperMap, copair_left, pair_dual_left, pair_dual_right, tensor_space)
 from superchord.weightsys import (
-    WeightSystem, lg_constant, lg_data, scalar_of_endo, wlg, ws_link,
-    ws_tangle11)
+    WeightSystem, lg_constant, lg_data, named_system, scalar_of_endo, wlg,
+    ws_link, ws_tangle11)
 
 
 def brute_eval(diagram, rep, tensor):
@@ -324,3 +324,54 @@ def test_explicit_constant_is_not_served_from_default_memo():
     assert other == scalar_of_endo(ws_tangle11(d, *lg_data(a)))
     assert other != default
     assert wlg(d) == default
+
+
+def _mixed_cases():
+    """(diagram, has an interval): 35 diagrams on three mixed skeleta."""
+    cases = []
+    for skeleton in (("interval", "circle"), ("circle", "interval")):
+        for m in range(3):
+            cases += [(d, True) for d in enumerate_diagrams(skeleton, m)]
+    cases += [(d, False) for d in enumerate_diagrams(("circle", "circle"), 2)]
+    return cases
+
+
+def test_station_walk_matches_brute_on_mixed_skeleta():
+    # the interval before and after a circle, and two linked circles
+    cases = _mixed_cases()
+    assert len(cases) == 35
+    for rep, t in _setups():
+        for d, open_strand in cases:
+            want = brute_eval(d, rep, t)
+            if open_strand:
+                assert ws_tangle11(d, rep, t).m == want.m, d
+            else:
+                assert ws_link(d, rep, t) == want.m.get((0, 0), Fraction(0)), d
+
+
+def test_snake_identities_through_state_operations():
+    ws = WeightSystem(*named_system("gl21"))
+    one = ws.identity(1)
+    # cup(+-) left of the strand, then the plain cap(-+) on its right
+    assert ws.cap(ws.cup(one, 0, 1), 1, -1) == one
+    # cup(-+) right of the strand, then the signed cap(+-) on its left
+    assert ws.cap(ws.cup(one, 1, -1), 0, 1) == one
+    # the same bends with a plain cap keep the odd sign of the cup
+    wrong = ws.cap(ws.cup(one, 1, -1), 0, -1)
+    assert wrong != one
+    assert {k: v for k, v in wrong.items() if v != 1} == {
+        (i, i): -1 for i in range(ws.dim) if ws.par[i]}
+
+
+def test_named_systems_match_their_builds():
+    g21, g11 = build_gl(2, 1), build_gl(1, 1)
+    builds = {"gl21": (g21, "defining", "gl"),
+              "gl11": (g11, "defining", "gl"),
+              "valpha": (g21, "v_alpha", "sl")}
+    for name, (g, rep_name, kind) in builds.items():
+        rep, tensor = named_system(name)
+        want = standard_rep(g, rep_name)
+        assert rep.space.parities == want.space.parities, name
+        assert ({i: a.m for i, a in rep.mats.items()}
+                == {i: a.m for i, a in want.mats.items()}), name
+        assert tensor.terms == casimir_tensor(g, kind).terms, name
