@@ -19,10 +19,12 @@ acts first, lowest on the page.
 Two backends walk the same slices: one accumulates chord diagrams on the
 traced skeleton (z_eval), one drives the WeightSystem state operations
 (cup, chord, cap, flip) over one state per h degree (wz_eval), the same
-operations that evaluate single diagrams.  Composites: lg_invariant
-pairs z_eval with the Links-Gould system on slit diagrams,
-vassiliev_defect alternates wz_eval over the resolutions of marked
-double points.
+operations that evaluate single diagrams.  Composites: paired_invariant
+slits z_eval at the basepoint, reduces it modulo the interval four-term
+relations (reduce_fourterm) and pairs the residual basis terms with a
+weight, so only a basis of the quotient is ever weighed; lg_invariant
+does this with the Links-Gould system.  vassiliev_defect alternates
+wz_eval over the resolutions of marked double points.
 """
 
 from fractions import Fraction
@@ -30,9 +32,10 @@ from functools import lru_cache
 
 from .associator import build_associator
 from .diagrams import (
-    CIRCLE, ChordDiagram, canonical_form, slit_component)
+    CIRCLE, INTERVAL, ChordDiagram, LinearSpan, canonical_form,
+    four_term_relators, relator_vector, slit_component)
 from .scalars import (
-    QALPHA, HSeries, ScalarError, SeriesRing, add_term, series_inverse)
+    QALPHA, QQ, HSeries, ScalarError, SeriesRing, add_term, series_inverse)
 from .supergraded import SuperMap
 from .weightsys import WeightSystem, wlg
 from .words import PathTracer, TangleWord, parse_word, resolve_singular
@@ -341,27 +344,73 @@ def hump_factor(order):
     Plain bends make this series nontrivial from degree two on, and all
     four bend orientations give the same value.  A word picks up one
     copy, modulo four-term relations, for every maximum that a framed
-    isotopy could cancel.
+    isotopy could cancel.  The value is the unreduced interval integral;
+    paired_invariant reduces it modulo four-term relations before
+    weighing it.
     """
     return z_eval(_HUMP_WORD, order)
+
+
+@lru_cache(maxsize=None)
+def _fourterm_span(degree):
+    """Span over Q of the degree-m four-term relators on the interval."""
+    span = LinearSpan(QQ)
+    for relator in four_term_relators((INTERVAL,), degree):
+        span.add(relator_vector(relator))
+    return span
+
+
+def reduce_fourterm(z):
+    """The same element of the interval quotient by four-term relations.
+
+    Each degree's terms are replaced by their residual modulo the
+    relator span.  Pivots are the largest keys, so the residual lives on
+    the smallest canonical keys, one basis of the quotient (isolated and
+    parallel chords first, the cheapest diagrams to walk).  A weight
+    that kills the relators takes the same value on both sides.
+    """
+    if z.skeleton != (INTERVAL,):
+        raise ValueError("four-term reduction needs the interval skeleton")
+    layers = {}
+    for e, c in z.terms.items():
+        layers.setdefault(len(e[1]), {})[e] = c
+    terms = {}
+    for m, layer in layers.items():
+        terms.update(_fourterm_span(m).residual(layer))
+    reps = {e: ChordDiagram(z.skeleton, e[1]) for e in terms}
+    return ZValue(z.skeleton, terms, reps, z.order)
+
+
+def _slit(z):
+    """A knot's integral cut open at the basepoint: an interval value."""
+    terms, reps = {}, {}
+    for e, c in z.terms.items():
+        d = slit_component(z.reps[e], 0)
+        add_term(terms, d.encoding(), c)
+        reps.setdefault(d.encoding(), d)
+    return ZValue((INTERVAL,), terms, reps, z.order)
 
 
 def paired_invariant(word, weight, ring, order):
     """Weight-paired integral of a knot word, hump-normalized.
 
-    weight takes interval diagrams; chords on the closed component are
-    slit at the basepoint before pairing.  Dividing by the paired hump
-    factor once per maximum beyond the first makes the result a framed
-    invariant of the knot, independent of the sliced presentation.
+    weight takes interval diagrams and must kill the interval four-term
+    relators, as every weight system of an invariant tensor does.  The
+    closed component is slit at the basepoint and the result, like the
+    hump factor, is reduced modulo four-term relations before any weight
+    call, so weight sees only quotient basis diagrams.  Dividing by the
+    paired hump factor once per maximum beyond the first makes the
+    result a framed invariant of the knot, independent of the sliced
+    presentation.
     """
     word = _as_word(word)
     if not word.is_closed or word.components != (CIRCLE,):
         raise ValueError("paired invariants need a closed knot word")
-    z = z_eval(word, order)
-    series = z.pair(lambda d: weight(slit_component(d, 0)), ring)
+    series = reduce_fourterm(_slit(z_eval(word, order))).pair(weight, ring)
     caps = sum(1 for sl in word.slices for tok in sl if tok[0] == "cap")
     if caps > 1:
-        inv = series_inverse(hump_factor(order).pair(weight, ring))
+        hump = reduce_fourterm(hump_factor(order)).pair(weight, ring)
+        inv = series_inverse(hump)
         for _ in range(caps - 1):
             series = series * inv
     return series

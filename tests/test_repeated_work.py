@@ -1,7 +1,17 @@
 """Work that one call must not repeat."""
 
-from superchord import diagrams, ribbon
+from superchord import diagrams, ribbon, weightsys
 from superchord.associator import associator_checks, build_associator
+from superchord.kontsevich import lg_invariant
+
+# the lg-knots benchmark inputs of seed 0
+LG_KNOTS_SEED0 = (
+    "braid[2]: s1 s1 s1 t1^-3 ; close",
+    "braid[3]: s1^-1 s2 s1 s2 t1^-2 ; close",
+    "braid[2]: s1 s1 s1 s1 s1^-1 t1^-3 ; close",
+    "braid[3]: s1^-1 s1^-1 s1 s2 ; close",
+    "braid[2]: s1^-1 s1^-1 s1 s1^-1 s1^-1 s1 s1 t1^1 ; close",
+)
 
 
 def _counting(monkeypatch, owner, name):
@@ -30,3 +40,13 @@ def test_associator_checks_reuse_the_built_ideal_spans(monkeypatch):
     calls = _counting(monkeypatch, diagrams.LinearSpan, "add")
     assert all(associator_checks(assoc).values())
     assert calls == []
+
+
+def test_lg_invariant_weighs_quotient_basis_classes_only(monkeypatch):
+    fresh = weightsys.WeightSystem(*weightsys.lg_data())
+    monkeypatch.setattr(weightsys, "_lg_system", lambda: fresh)
+    calls = _counting(monkeypatch, weightsys.WeightSystem, "tangle11")
+    for text in LG_KNOTS_SEED0:
+        lg_invariant(text, 3)
+    # 1 + 1 + 2 + 3: the interval quotient through degree 3
+    assert len(calls) <= 7

@@ -2,14 +2,16 @@
 
 import pytest
 
+from superchord import verify
 from superchord.verify import SUITES, VerifyReport, run_all, run_suite
+from superchord.weightsys import WeightSystem, named_system
 
 
 def test_all_suites_green():
     reports = run_all(order=3, seed=0)
     assert [r.suite for r in reports] == list(SUITES)
     assert all(r.ok for r in reports)
-    assert sum(len(r.checks) for r in reports) == 33
+    assert sum(len(r.checks) for r in reports) == 38
 
 
 def test_unknown_suite_rejected():
@@ -25,3 +27,30 @@ def test_report_lines_mark_failures():
     lines = report.lines()
     assert lines[0] == "ok   demo.good  (fine)"
     assert lines[1] == "FAIL demo.bad"
+
+
+def test_fourterm_checks_lg_interval_relators_through_the_order(monkeypatch):
+    # a cheap stand-in for wlg: the check names and relator counts matter
+    monkeypatch.setattr(verify, "wlg",
+                        WeightSystem(*named_system("gl11")).interval_scalar)
+    names = {o: [n for n, _ok, _d in run_suite("fourterm", order=o).checks]
+             for o in (2, 3)}
+    assert names[2] == names[3]
+    assert names[3][-2:] == ["lg_interval_deg2", "lg_interval_deg3"]
+    report = run_suite("fourterm", order=4)
+    assert report.ok
+    assert report.checks[-1] == ("lg_interval_deg4", True, "315 relators")
+
+
+def test_conway_suite_sees_a_wrong_polynomial(monkeypatch):
+    assert run_suite("conway", order=3).ok
+    original = verify.conway_polynomial
+
+    def off_in_z2(word):
+        nabla = original(word) + [0, 0]
+        nabla[2] += 1
+        return nabla
+
+    monkeypatch.setattr(verify, "conway_polynomial", off_in_z2)
+    report = run_suite("conway", order=3)
+    assert not any(ok for _n, ok, _d in report.checks)
