@@ -4,7 +4,9 @@ Rationals travel as "p/q" strings, alpha scalars as numerator and
 denominator coefficient arrays, series tagged with their truncation
 order.  Tangle words stay in the text grammar.  Loaders dispatch on the
 .tw, .cd and .ribbon suffixes, and the ribbon loader refuses data that
-fails an axiom check.
+fails an axiom check.  Integer fields (chord endpoints, truncation
+orders, matrix indices, parities) must be JSON integers: a float, a
+string or a boolean there is a ValueError, never rounded.
 """
 
 import functools
@@ -31,6 +33,22 @@ def _loader(what):
                                  % (what, type(e).__name__, e)) from e
         return load
     return wrap
+
+
+def _json_int(v, what):
+    """A JSON integer field as an int; anything else raises ValueError."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ValueError("%s must be a JSON integer, got %r" % (what, v))
+    return v
+
+
+def _endpoint(ep):
+    c, p = ep
+    return _json_int(c, "chord endpoint"), _json_int(p, "chord endpoint")
+
+
+def _chords_from_json(rows):
+    return [(_endpoint(a), _endpoint(b)) for a, b in rows]
 
 
 def scalar_to_json(v):
@@ -68,10 +86,11 @@ def series_to_json(s):
             "coeffs": [scalar_to_json(c) for c in s.c]}
 
 
+@_loader("series")
 def series_from_json(obj):
     coeffs = [scalar_from_json(c) for c in obj["coeffs"]]
     base = QALPHA if any(isinstance(c, AlphaScalar) for c in coeffs) else QQ
-    ring = SeriesRing(base, int(obj["h_order"]))
+    ring = SeriesRing(base, _json_int(obj["h_order"], "h_order"))
     return HSeries(ring, [base.coerce(c) for c in coeffs])
 
 
@@ -87,8 +106,7 @@ def diagram_from_json(obj):
         if kind not in (CIRCLE, INTERVAL):
             raise ValueError("unknown skeleton component %r" % (kind,))
         skeleton.append(kind)
-    chords = [(tuple(a), tuple(b)) for a, b in obj["chords"]]
-    return ChordDiagram(tuple(skeleton), chords)
+    return ChordDiagram(tuple(skeleton), _chords_from_json(obj["chords"]))
 
 
 def zvalue_to_json(z):
@@ -107,12 +125,11 @@ def zvalue_from_json(obj):
         {"skeleton": obj["skeleton"], "chords": []}).skeleton)
     terms, reps = {}, {}
     for t in obj["terms"]:
-        chords = [(tuple(a), tuple(b)) for a, b in t["chords"]]
-        d = ChordDiagram(skeleton, chords)
+        d = ChordDiagram(skeleton, _chords_from_json(t["chords"]))
         e = canonical_form(d)
         terms[e] = scalar_from_json(t["coeff"])
         reps[e] = d
-    return ZValue(skeleton, terms, reps, int(obj["h_order"]))
+    return ZValue(skeleton, terms, reps, _json_int(obj["h_order"], "h_order"))
 
 
 def _entries_to_json(m):
@@ -122,7 +139,8 @@ def _entries_to_json(m):
 def _entries_from_json(rows, source, target, ring):
     entries = {}
     for i, j, v in rows:
-        entries[(int(i), int(j))] = ring.coerce(scalar_from_json(v))
+        key = (_json_int(i, "entry index"), _json_int(j, "entry index"))
+        entries[key] = ring.coerce(scalar_from_json(v))
     return SuperMap(source, target, entries, ring)
 
 
@@ -142,7 +160,7 @@ def ribbon_to_json(data):
 @_loader("ribbon data")
 def ribbon_from_json(obj, ring=QQ):
     """Build RibbonData and verify every axiom; raises on any failure."""
-    parities = tuple(int(p) for p in obj["parities"])
+    parities = tuple(_json_int(p, "parity") for p in obj["parities"])
     labels = tuple(obj["labels"]) if "labels" in obj else None
     v = SuperSpace(parities, labels)
     vv = v.tensor(v)

@@ -19,12 +19,18 @@ acts first, lowest on the page.
 Two backends walk the same slices: one accumulates chord diagrams on the
 traced skeleton (z_eval), one drives the WeightSystem state operations
 (cup, chord, cap, flip) over one state per h degree (wz_eval), the same
-operations that evaluate single diagrams.  Composites: paired_invariant
-slits z_eval at the basepoint, reduces it modulo the interval four-term
-relations (reduce_fourterm) and pairs the residual basis terms with a
-weight, so only a basis of the quotient is ever weighed; lg_invariant
-does this with the Links-Gould system.  vassiliev_defect alternates
-wz_eval over the resolutions of marked double points.
+operations that evaluate single diagrams.  Both truncate as they go.
+The diagram backend never builds a term of more than order chords.  The
+matrix backend carries a product of letters, or a power of a crossing
+chord, only on the layers that its least-degree completion can still
+reach, so a word of degree d acts on layers 0..order-d.
+
+Composites: paired_invariant slits z_eval at the basepoint, reduces it
+modulo the interval four-term relations (reduce_fourterm) and pairs the
+residual basis terms with a weight, so only a basis of the quotient is
+ever weighed; lg_invariant does this with the Links-Gould system.
+vassiliev_defect alternates wz_eval over the resolutions of marked
+double points.
 """
 
 from fractions import Fraction
@@ -48,6 +54,17 @@ def _phi_terms(order, sign):
         return ()
     assoc = build_associator(max(2, order))
     return tuple((m, w, c) for m, w, c in assoc.words(sign) if m <= order)
+
+
+@lru_cache(maxsize=None)
+def _suffix_tops(order, sign):
+    """Top h-degree layer on which each suffix of a _phi_terms word is
+    needed: order minus the least degree of a word that ends in it."""
+    tops = {}
+    for deg, w, _ in _phi_terms(order, sign):
+        for l in range(deg):
+            tops[w[l:]] = max(tops.get(w[l:], -1), order - deg)
+    return tops
 
 
 def _check_order(order):
@@ -233,6 +250,12 @@ class _MatrixBackend:
     over the degree layers; a strand's role is its sign, so an upward
     strand acts through the dual.  The frozen source indices make open
     words come out as one map per degree.
+
+    A product of letters, or a power of a crossing chord, is carried only
+    on the layers that its least-degree completion can still reach: for
+    the k-th power of a crossing chord, layers 0..order-k; for a suffix
+    of associator words, layers up to order minus the least degree of a
+    word that ends in it (_suffix_tops).  Higher layers are never built.
     """
 
     def __init__(self, word, order, rep, tensor):
@@ -251,13 +274,13 @@ class _MatrixBackend:
         f = Fraction(1)
         for k in range(1, self.order + 1):
             f = f * Fraction(s, 2) / k
-            acc = self._chord(acc, p, p + 1, signs)
+            acc = self._chord(acc[:self.order + 1 - k], p, p + 1, signs)
             if not any(acc):
                 break
             fc = self.ring.coerce(f)
-            for m in range(self.order + 1 - k):
+            for m, layer in enumerate(acc):
                 tgt = total[m + k]
-                for key, v in acc[m].items():
+                for key, v in layer.items():
                     add_term(tgt, key, fc * v)
         self.deg = [self.ws.flip(layer, p) for layer in total]
 
@@ -265,6 +288,7 @@ class _MatrixBackend:
         words_ = _phi_terms(self.order, sign)
         if not words_:
             return
+        tops = _suffix_tops(self.order, sign)
         base = self.deg
         total = [dict(d) for d in base]
         cache = {}
@@ -275,21 +299,21 @@ class _MatrixBackend:
                 if suffix in cache:
                     acc = cache[suffix]
                     continue
-                acc = self._letter(acc, w[l], p, signs)
+                acc = self._letter(acc[:tops[suffix] + 1], w[l], p, signs)
                 cache[suffix] = acc
                 if not any(acc):
                     break
             if not any(acc):
                 continue
             fc = self.ring.coerce(coeff)
-            for m in range(self.order + 1 - deg):
+            for m, layer in enumerate(acc):
                 tgt = total[m + deg]
-                for key, v in acc[m].items():
+                for key, v in layer.items():
                     add_term(tgt, key, fc * v)
         self.deg = total
 
     def _letter(self, states, letter, p, signs):
-        out = [dict() for _ in range(self.order + 1)]
+        out = [dict() for _ in states]
         pairs = ([(a, p) for a in range(p)] if letter == 0 else [(p, p + 1)])
         for a, b in pairs:
             part = self._chord(states, a, b, signs)

@@ -162,3 +162,27 @@ def test_rt_zero_denominator_is_clean_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: zero denominator")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("endpoint", [0.9, "0"])
+def test_ws_non_integer_endpoint_is_clean_error(tmp_path, capsys, endpoint):
+    text = json.dumps({"skeleton": ["circle"],
+                       "chords": [[[0, endpoint], [0, 1]]]})
+    path = write(tmp_path, "f.cd", text)
+    assert main(["ws", path, "--system", "gl21"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: chord endpoint must be a JSON integer")
+    assert "Traceback" not in captured.err
+
+
+def test_rt_float_entry_index_is_clean_error(tmp_path, capsys):
+    obj = ribbon_to_json(ribbon_diagonal([[2, 5], [7, 3]]))
+    obj["braiding"][0][0] = 0.5
+    dpath = write(tmp_path, "bad.ribbon", json.dumps(obj))
+    path = write(tmp_path, "trefoil.tw", TREFOIL)
+    assert main(["rt", path, "--data", dpath]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: entry index must be a JSON integer")
+    assert "Traceback" not in err

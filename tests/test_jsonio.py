@@ -92,6 +92,7 @@ def test_load_path_dispatches_on_suffix(tmp_path):
     (ribbon_from_json, {"parities": [0]}),
     (ribbon_from_json, {"parities": [0], "braiding": 5, "twist": []}),
     (ribbon_from_json, "ribbon"),
+    (series_from_json, {"h_order": 1}),
 ])
 def test_loaders_reject_missing_keys_and_wrong_types(load, obj):
     with pytest.raises(ValueError, match="malformed"):
@@ -123,3 +124,37 @@ def test_ribbon_zero_denominator_is_value_error():
     obj["braiding"][0][2] = "1/0"
     with pytest.raises(ValueError, match="zero denominator"):
         ribbon_from_json(obj)
+
+
+NON_INTEGERS = [0.9, 1.0, "0", True, None]
+
+
+def _set(obj, path, value):
+    for k in path[:-1]:
+        obj = obj[k]
+    obj[path[-1]] = value
+
+
+@pytest.mark.parametrize("bad", NON_INTEGERS)
+def test_integer_fields_reject_non_integers(bad):
+    d = {"skeleton": ["circle"], "chords": [[[0, bad], [0, 1]]]}
+    with pytest.raises(ValueError, match="chord endpoint must be a JSON int"):
+        diagram_from_json(d)
+    with pytest.raises(ValueError, match="h_order must be a JSON integer"):
+        series_from_json({"h_order": bad, "coeffs": ["1"]})
+    z = round_trip(zvalue_to_json(z_eval("braid[2]: s1 ; close", 1)))
+    k = next(i for i, t in enumerate(z["terms"]) if t["chords"])
+    for path, what in [(("terms", k, "chords", 0, 1, 0), "chord endpoint"),
+                       (("h_order",), "h_order")]:
+        obj = round_trip(z)
+        _set(obj, path, bad)
+        with pytest.raises(ValueError, match=what + " must be a JSON int"):
+            zvalue_from_json(obj)
+    r = round_trip(ribbon_to_json(ribbon_diagonal([[2, 5], [7, 3]])))
+    for path, what in [(("braiding", 0, 0), "entry index"),
+                       (("twist", 0, 1), "entry index"),
+                       (("parities", 0), "parity")]:
+        obj = round_trip(r)
+        _set(obj, path, bad)
+        with pytest.raises(ValueError, match=what + " must be a JSON int"):
+            ribbon_from_json(obj)

@@ -2,7 +2,7 @@
 
 from superchord import diagrams, ribbon, weightsys
 from superchord.associator import associator_checks, build_associator
-from superchord.kontsevich import lg_invariant
+from superchord.kontsevich import lg_invariant, wz_eval
 
 # the lg-knots benchmark inputs of seed 0
 LG_KNOTS_SEED0 = (
@@ -50,3 +50,11 @@ def test_lg_invariant_weighs_quotient_basis_classes_only(monkeypatch):
         lg_invariant(text, 3)
     # 1 + 1 + 2 + 3: the interval quotient through degree 3
     assert len(calls) <= 7
+
+
+def test_wz_eval_applies_chords_only_on_kept_layers(monkeypatch):
+    rep, tensor = weightsys.named_system("gl21")
+    calls = _counting(monkeypatch, weightsys.WeightSystem, "chord")
+    wz_eval("braid[3]: s1 s2^-1 s1 s2^-1 ; close", rep, tensor, 4)
+    # 58,230 state keys in 1,340 calls when every chord ran on all layers
+    assert sum(len(args[1]) for args in calls) <= 12274
