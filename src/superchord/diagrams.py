@@ -24,6 +24,17 @@ INTERVAL = "interval"
 _KIND_CODE = {CIRCLE: 0, INTERVAL: 1}
 
 
+def _endpoint(ep):
+    """A chord endpoint (component, position) of two ints; a bool, float,
+    string or other value raises ValueError instead of being coerced."""
+    c, p = ep
+    for v in (c, p):
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ValueError("chord endpoint must be an integer pair, got %r"
+                             % (ep,))
+    return c, p
+
+
 class ChordDiagram:
     """Chord pairing on an ordered skeleton of circles and intervals.
 
@@ -39,8 +50,7 @@ class ChordDiagram:
         seen = set()
         norm = []
         for chord in chords:
-            (c1, p1), (c2, p2) = chord
-            a, b = sorted(((int(c1), int(p1)), (int(c2), int(p2))))
+            a, b = sorted(_endpoint(ep) for ep in chord)
             if a == b:
                 raise ValueError("chord with equal endpoints %r" % (a,))
             norm.append((a, b))

@@ -14,14 +14,20 @@ super flip of a crossing.
 
 A diagram is walked as a planar picture: each component is a serpentine
 of stations, one chord endpoint per station, alternating roles +1 and
--1.  Cups open the stations left to right (the interval's last station
-stays open: its source), every chord is applied on the full state, and
-caps close them right to left (each circle's inner turns, then its
-closure), leaving a scalar or the entries of an endomorphism of V.  The
-chord matrices are unsigned; each upward endpoint contributes one factor
--1, uniform over the state, so it is applied once to the result.  The
-slice engine of `kontsevich.wz_eval` drives the same operations, slice
-by slice, over one state per h degree.
+-1.  The walk is a sweep: cups open the stations left to right (the
+interval's last station is open from the start: its source), each chord
+is applied as soon as both its stations are open, and each turn closes
+as soon as both its stations have had their chord and are adjacent
+among the open stations (a circle's closure after its inner turns),
+leaving a scalar or the entries of an endomorphism of V.  The order
+does not change the value: a cup or cap inserts or removes a pair
+(i, i) of even total parity, so the Koszul signs of the chords are
+those of opening every cup first, and chords on distinct stations
+commute because the tensor is even.  The chord matrices are unsigned;
+each upward endpoint contributes one factor -1, uniform over the state,
+so it is applied once to the result.  The slice engine of
+`kontsevich.wz_eval` drives the same operations, slice by slice, over
+one state per h degree.
 
 A `WeightSystem(rep, tensor)` holds one system: the dual representation,
 built once, and the chord matrices, built on first use for each pair of
@@ -41,6 +47,7 @@ s = a (I x I) + t_sl; with the default a it uses one process-wide
 instance.
 """
 
+from bisect import bisect
 from functools import lru_cache
 from itertools import product
 
@@ -51,30 +58,57 @@ from .scalars import add_term, alpha
 from .supergraded import SuperMap
 
 
-def _layout(diagram):
-    """Stations of a skeleton with given endpoint counts.
+def _sweep(diagram):
+    """The planar walk of a diagram as steps on live positions.
 
-    Returns the station of each chord endpoint, the role of each station
-    (+1 downward, through V; -1 upward, through the dual), the bottom
-    turns left to right and the top turns right to left.  Turns are given
-    by the position of their left station; the interval's last station
-    stays open (the source) and its first one is the target.  A circle's
-    inner top turns come before its closure, whose ends are adjacent by
-    then.
+    Each component is a serpentine of stations, one chord endpoint per
+    station, with roles alternating +1 (downward, through V) and -1
+    (upward, through the dual).  The interval's last station is live
+    from the start (the source) and its first one is never closed (the
+    target).  Cups open station pairs left to right; each chord is
+    applied as soon as both its stations are open, and each turn closes
+    as soon as both its stations have had their chord and are adjacent
+    among the live stations, so a circle's closure follows its inner
+    turns.  The steps are ("cup", p), ("chord", a, b, roles) and
+    ("cap", p, sign): p is the live position of the left station, and a
+    cap's sign is the role of its left station.
     """
-    slot_of, roles, cups, caps = {}, [], [], []
+    station, roles, cups, caps, live = {}, [], [], [], []
     for c, kind in enumerate(diagram.skeleton):
         k = diagram.counts[c]
         closed = kind == CIRCLE
         nst = max(k + k % 2, 2) if closed else k + 1 - k % 2
         g = len(roles)
         for p in range(k):
-            slot_of[(c, p)] = g + p
+            station[(c, p)] = g + p
         roles += [1, -1] * (nst // 2) + [1] * (nst % 2)
         cups += range(g, g + nst - 1, 2)
-        inner = range(g + 1, g + nst - 1 - closed, 2)
-        caps[:0] = list(reversed(inner)) + [g] * closed
-    return slot_of, roles, cups, caps
+        caps += [(s, s + 1) for s in range(g + 1, g + nst - 1 - closed, 2)]
+        if closed:
+            caps.append((g, g + nst - 1))
+        else:
+            live.append(g + nst - 1)
+    todo = [(station[e1], station[e2]) for e1, e2 in diagram.chords]
+    steps = []
+    for s in cups:
+        p = bisect(live, s)
+        live[p:p] = [s, s + 1]
+        steps.append(("cup", p))
+        for a, b in [ch for ch in todo if ch[0] in live and ch[1] in live]:
+            todo.remove((a, b))
+            steps.append(("chord", live.index(a), live.index(b),
+                          (roles[a], roles[b])))
+        busy = {x for ch in todo for x in ch}
+        p = 0
+        while p < len(live) - 1:
+            pair = tuple(live[p:p + 2])
+            if pair in caps and busy.isdisjoint(pair):
+                steps.append(("cap", p, roles[pair[0]]))
+                live[p:p + 2] = []
+                p = max(p - 1, 0)
+            else:
+                p += 1
+    return steps
 
 
 def _chord_matrix(mats_a, mats_b, terms, ring):
@@ -187,21 +221,27 @@ class WeightSystem:
         return out
 
     def _evaluate(self, diagram, with_source):
-        """Planar walk: cups, then chords, then caps; a scalar, or the
-        {(target, source): value} entries of an endomorphism."""
-        slot_of, roles, cups, caps = _layout(diagram)
+        """Run the steps of `_sweep` through cup, chord and cap; a scalar,
+        or the {(target, source): value} entries of an endomorphism.
+
+        Interleaving gives the value of opening every cup before the
+        first chord: a cup or cap inserts or removes a pair (i, i) of
+        even total parity, so it leaves the Koszul signs of the chords
+        unchanged, and chords on distinct stations commute because the
+        tensor is even.  An empty state ends the walk early.
+        """
         state = self.identity(1 if with_source else 0)
-        for p in cups:
-            state = self.cup(state, p, 1)
         ups = 0
-        for (e1, e2) in diagram.chords:
-            a, b = slot_of[e1], slot_of[e2]
-            ups += (roles[a] < 0) + (roles[b] < 0)
-            state = self.chord(state, a, b, (roles[a], roles[b]))
+        for step in _sweep(diagram):
+            if step[0] == "cup":
+                state = self.cup(state, step[1], 1)
+            elif step[0] == "cap":
+                state = self.cap(state, step[1], step[2])
+            else:
+                ups += step[3].count(-1)
+                state = self.chord(state, *step[1:])
             if not state:
                 break
-        for p in caps:
-            state = self.cap(state, p, roles[p])
         if ups % 2:
             state = {k: -v for k, v in state.items()}
         return state if with_source else state.get((), self.ring.zero)

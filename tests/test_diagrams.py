@@ -24,6 +24,25 @@ def test_validation_rejects_bad_input():
         ChordDiagram(("disk",), [])
 
 
+@pytest.mark.parametrize("bad", [0.9, 1.0, "1", True, False, None,
+                                 Fraction(1)])
+def test_endpoints_must_be_plain_ints(bad):
+    # each bad value once as a position and once as a component
+    with pytest.raises(ValueError, match="integer pair"):
+        ChordDiagram(("circle",), [((0, 0), (0, bad))])
+    with pytest.raises(ValueError, match="integer pair"):
+        ChordDiagram(("circle", "circle"), [((bad, 0), (0, 0))])
+
+
+def test_float_endpoints_are_not_rounded_into_a_chord():
+    with pytest.raises(ValueError, match=r"\(0, 0\.9\)"):
+        ChordDiagram(("circle",), [((0, 0.9), (0, "1"))])
+    d = ChordDiagram(("circle",), [((0, 1), (0, 0))])
+    assert d.chords == (((0, 0), (0, 1)),)
+    assert all(type(v) is int for chord in d.chords for ep in chord
+               for v in ep)
+
+
 def test_rotation_identifies_circle_diagrams():
     d1 = ChordDiagram(("circle",), [((0, 0), (0, 1)), ((0, 2), (0, 3))])
     d2 = ChordDiagram(("circle",), [((0, 0), (0, 3)), ((0, 1), (0, 2))])

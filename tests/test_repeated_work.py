@@ -58,3 +58,16 @@ def test_wz_eval_applies_chords_only_on_kept_layers(monkeypatch):
     wz_eval("braid[3]: s1 s2^-1 s1 s2^-1 ; close", rep, tensor, 4)
     # 58,230 state keys in 1,340 calls when every chord ran on all layers
     assert sum(len(args[1]) for args in calls) <= 12274
+
+
+def test_station_walk_applies_chords_on_partial_states(monkeypatch):
+    fresh = weightsys.WeightSystem(*weightsys.lg_data())
+    classes = {diagrams.canonical_form(d): d
+               for rel in diagrams.four_term_relators((diagrams.INTERVAL,), 3)
+               for _sign, d in rel}
+    assert len(classes) == 15
+    calls = _counting(monkeypatch, weightsys.WeightSystem, "chord")
+    for d in classes.values():
+        fresh.interval_scalar(d)
+    # 19,008 state keys when every cup was opened before the first chord
+    assert sum(len(args[1]) for args in calls) <= 9424

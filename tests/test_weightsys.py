@@ -1,9 +1,12 @@
 """Station-machine weight systems against a direct graded-map oracle."""
 
+import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superchord.diagrams import (
     ChordDiagram, enumerate_diagrams, four_term_relators, slit_component)
@@ -227,6 +230,21 @@ def test_four_term_on_interval_for_links_gould():
         assert acc == QALPHA.zero, rel
 
 
+def test_four_term_on_degree_four_interval_for_links_gould():
+    # a seeded sample of the gate `verify fourterm --order 4` runs in full
+    rels = four_term_relators(("interval",), 4)
+    assert len(rels) == 315
+    nonzero = 0
+    for rel in random.Random(0).sample(rels, 5):
+        acc = QALPHA.zero
+        for sign, d in rel:
+            v = wlg(d)
+            nonzero += v != QALPHA.zero
+            acc = acc + v * QALPHA.coerce(sign)
+        assert acc == QALPHA.zero, rel
+    assert nonzero
+
+
 def test_lg_one_term_relation_frozen():
     # A single chord acts by zero with the canonical constant; with the
     # nearby constant 2 + 2 alpha it acts by 2 alpha^3 - 2 alpha.
@@ -375,3 +393,51 @@ def test_named_systems_match_their_builds():
         assert ({i: a.m for i, a in rep.mats.items()}
                 == {i: a.m for i, a in want.mats.items()}), name
         assert tensor.terms == casimir_tensor(g, kind).terms, name
+
+
+def cycle_count(diagram):
+    """Cycles of: walk the arc from an endpoint to the next one along its
+    circle, then jump to that endpoint's chord partner.  An empty circle
+    is one cycle."""
+    partner = {}
+    for a, b in diagram.chords:
+        partner[a], partner[b] = b, a
+    count = sum(1 for k in diagram.counts if k == 0)
+    seen = set()
+    for start in partner:
+        if start not in seen:
+            count += 1
+            ep = start
+            while ep not in seen:
+                seen.add(ep)
+                c, p = ep
+                ep = partner[(c, (p + 1) % diagram.counts[c])]
+    return count
+
+
+@lru_cache(maxsize=None)
+def gl_defining(m, n):
+    g = build_gl(m, n)
+    return standard_rep(g, "defining"), casimir_tensor(g, "gl")
+
+
+@st.composite
+def circle_diagrams(draw):
+    """Diagrams of degree <= 6 on one or two circles."""
+    circles = draw(st.integers(1, 2))
+    degree = draw(st.integers(0, 6))
+    first = 2 * degree if circles == 1 else draw(st.integers(0, 2 * degree))
+    points = [(0, p) for p in range(first)]
+    points += [(1, p) for p in range(2 * degree - first)]
+    order = draw(st.permutations(points))
+    return ChordDiagram(("circle",) * circles,
+                        [order[i:i + 2] for i in range(0, 2 * degree, 2)])
+
+
+@pytest.mark.parametrize("m, n", [(3, 1), (2, 1), (1, 2)])
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(d=circle_diagrams())
+def test_gl_defining_weight_is_sdim_to_the_cycle_count(m, n, d):
+    # t_gl acts on V x V as the super flip, so each cycle closes to one
+    # supertrace of the identity: m - n
+    assert ws_link(d, *gl_defining(m, n)) == Fraction(m - n) ** cycle_count(d)
