@@ -8,6 +8,13 @@ Three levels are used throughout the package:
 * truncated power series in a formal variable ``h`` over either of the
   above (:class:`HSeries`), with hard degree cutoff.
 
+A polynomial in alpha (:class:`Poly`) is a tuple of Python ints over one
+positive int denominator, in lowest terms, so the arithmetic of both
+chord engines over Q(alpha) is int arithmetic: a sum over a shared
+denominator adds ints, a product is an int convolution with one gcd, and
+no ``Fraction`` is built.  ``Poly.c`` is a read-only ``Fraction`` view
+for printing, JSON and the general Euclidean ``divmod``/``gcd``.
+
 A denominator of the form c*alpha^k (k = 0 included), the kind that
 Links-Gould and V_alpha evaluations produce, reduces without Euclid: its
 gcd with the numerator is alpha^min(k, v), v the numerator's lowest
@@ -15,15 +22,19 @@ degree, so both sides are shifted down instead of divided.  Sums over a
 shared denominator and products of polynomials skip the cross products.
 Any other denominator is reduced through ``Poly.gcd`` and ``Poly.divmod``.
 
+A constant of any of the three levels is equal to, and hashes as, the
+``Fraction`` of the same value.
+
 Sparse linear combinations (dicts from keys to coefficients) never store
 a zero: :func:`add_term` is the one way to add a term into one.
 
-Everything is exact; floats are rejected on input.
+Everything is exact; floats and bools are rejected on input.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class ScalarError(ValueError):
@@ -34,25 +45,21 @@ class RingMismatchError(ScalarError):
     pass
 
 
-def _as_fraction(v):
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, int):
-        return Fraction(v)
+def _ratio(v):
+    """(numerator, denominator) of an exact rational, without a Fraction."""
+    t = type(v)
+    if t is int:
+        return v, 1
+    if t is Fraction or (isinstance(v, (int, Fraction))
+                         and not isinstance(v, bool)):
+        return v.numerator, v.denominator
     raise ScalarError("expected an exact rational, got %r" % (v,))
 
 
-def _poly(cs):
-    """Poly from coefficients already known to be Fractions.
-
-    Internal arithmetic only; the public constructor checks every entry.
-    """
-    n = len(cs)
-    while n and not cs[n - 1]:
-        n -= 1
-    p = Poly.__new__(Poly)
-    p.c = tuple(cs[:n])
-    return p
+def _as_fraction(v):
+    if type(v) is Fraction:
+        return v
+    return Fraction(*_ratio(v))
 
 
 def add_term(out, key, v):
@@ -71,63 +78,117 @@ def add_term(out, key, v):
         del out[key]
 
 
-class Poly:
-    """Dense univariate polynomial over Q, coefficients in ascending degree."""
+def _raw(n, d):
+    """Poly from a tuple n already in lowest terms over d."""
+    p = object.__new__(Poly)
+    p.n = n
+    p.d = d
+    return p
 
-    __slots__ = ("c",)
+
+def _poly(n, d):
+    """Poly from ints n over d > 0: trailing zeros dropped, gcd divided out."""
+    k = len(n)
+    while k and not n[k - 1]:
+        k -= 1
+    if k < len(n):
+        n = n[:k]
+    if d != 1:
+        g = gcd(d, *n)
+        if g != 1:
+            return _raw(tuple(x // g for x in n), d // g)
+    return _raw(tuple(n), d)
+
+
+def _from_fractions(cs):
+    d = lcm(*(v.denominator for v in cs))
+    return _poly([v.numerator * (d // v.denominator) for v in cs], d)
+
+
+class Poly:
+    """Dense univariate polynomial over Q: int numerators ``n`` in ascending
+    degree, no trailing zero, over one int denominator ``d`` > 0 with
+    gcd(d, *n) == 1.  Zero is ((), 1); equal polynomials have equal pairs."""
+
+    __slots__ = ("n", "d")
 
     def __init__(self, coeffs=()):
-        cs = [_as_fraction(v) for v in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.c = tuple(cs)
+        p = _from_fractions([_as_fraction(v) for v in coeffs])
+        self.n, self.d = p.n, p.d
+
+    @property
+    def c(self):
+        """The coefficients as Fractions, ascending degree."""
+        d = self.d
+        return tuple(Fraction(x, d) for x in self.n)
 
     @staticmethod
     def const(v):
-        return Poly([_as_fraction(v)])
+        a, b = _ratio(v)
+        return _raw((a,), b) if a else _PZERO
 
     @staticmethod
     def x():
-        return Poly([0, 1])
+        return _raw((0, 1), 1)
 
     def degree(self):
         # degree of the zero polynomial is -1 by convention
-        return len(self.c) - 1
+        return len(self.n) - 1
 
     def is_zero(self):
-        return not self.c
+        return not self.n
 
     def __eq__(self, other):
-        return isinstance(other, Poly) and self.c == other.c
+        return (isinstance(other, Poly) and self.n == other.n
+                and self.d == other.d)
 
     def __hash__(self):
-        return hash(self.c)
+        return hash((self.n, self.d))
 
     def __add__(self, other):
-        a, b = self.c, other.c
+        a, ad, b, bd = self.n, self.d, other.n, other.d
+        if ad != bd:
+            g = gcd(ad, bd)
+            sa, sb = bd // g, ad // g
+            a = [x * sa for x in a]
+            b = [x * sb for x in b]
+            ad *= sa
         if len(a) < len(b):
             a, b = b, a
-        return _poly([x + y for x, y in zip(a, b)] + list(a[len(b):]))
+        out = [x + y for x, y in zip(a, b)]
+        out += a[len(b):]
+        return _poly(out, ad)
 
     def __neg__(self):
-        return _poly([-v for v in self.c])
+        return _raw(tuple([-x for x in self.n]), self.d)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Poly:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = Poly.const(other)
-        a, b = self.c, other.c
+        a, b = self.n, other.n
         if not a or not b:
-            return Poly()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, av in enumerate(a):
-            if av:
-                for j, bv in enumerate(b):
-                    if bv:
-                        out[i + j] += av * bv
-        return _poly(out)
+            return _PZERO
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) == 1:
+            y = b[0]
+            out = [x * y for x in a]
+        elif len(b) == 2:
+            # a linear factor, as V_alpha matrix entries are
+            y0, y1 = b
+            out = [x * y0 + z * y1 for x, z in zip(a + (0,), (0,) + a)]
+        else:
+            out = [0] * (len(a) + len(b) - 1)
+            for j, y in enumerate(b):
+                if y:
+                    for i, x in enumerate(a, j):
+                        out[i] += x * y
+        return _poly(out, self.d * other.d)
 
     __rmul__ = __mul__
 
@@ -150,25 +211,25 @@ class Poly:
             for i in range(len(div)):
                 rem[k + i] -= f * div[i]
             rem.pop()
-        return _poly(q), _poly(rem)
+        return _from_fractions(q), _from_fractions(rem)
 
     def gcd(self, other):
         a, b = self, other
         while not b.is_zero():
             a, b = b, a.divmod(b)[1]
-        if a.is_zero():
-            return a
-        return a * Poly.const(1 / a.c[-1])
+        return _monic(a)[0]
 
     def eval(self, v):
-        v = _as_fraction(v)
-        acc = Fraction(0)
-        for coef in reversed(self.c):
-            acc = acc * v + coef
-        return acc
+        p, q = _ratio(v)
+        acc, qk = 0, 1
+        for x in reversed(self.n):
+            acc = acc * p + x * qk
+            qk *= q
+        # acc = sum n_i p^i q^(deg - i), and qk = q^(deg + 1)
+        return Fraction(acc * q, qk * self.d)
 
     def __repr__(self):
-        if not self.c:
+        if not self.n:
             return "Poly(0)"
         parts = []
         for i, v in enumerate(self.c):
@@ -177,8 +238,22 @@ class Poly:
         return "Poly(%s)" % " + ".join(parts)
 
 
-_PZERO = Poly()
-_PONE = Poly.const(1)
+def _monic(p):
+    """(monic, mul, div) with div > 0, such that a quotient num / p is
+    (num * mul / div) / monic; the zero p is its own monic."""
+    n, d = p.n, p.d
+    if not n:
+        return p, 1, 1
+    lead = n[-1]
+    if lead == d:
+        return p, 1, 1
+    if lead < 0:
+        n, lead, d = tuple(-x for x in n), -lead, -d
+    return _poly(n, lead), d, lead
+
+
+_PZERO = _raw((), 1)
+_PONE = _raw((1,), 1)
 
 
 class AlphaScalar:
@@ -187,55 +262,55 @@ class AlphaScalar:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
-        if isinstance(num, (int, Fraction)):
+        if type(num) is not Poly:
             num = Poly.const(num)
-        if den is None:
-            den = _PONE
-        elif isinstance(den, (int, Fraction)):
+        if den is None or den is _PONE:
+            self.num, self.den = num, _PONE
+            return
+        if type(den) is not Poly:
             den = Poly.const(den)
-        if den.is_zero():
+        dn = den.n
+        if not dn:
             raise ZeroDivisionError("zero denominator in AlphaScalar")
-        if num.is_zero():
+        nn = num.n
+        if not nn:
             self.num, self.den = _PZERO, _PONE
             return
-        dc = den.c
-        k = len(dc) - 1
-        if not any(dc[:k]):
+        k = len(dn) - 1
+        if not any(dn[:k]):
             # den = c alpha^k: the gcd is alpha^min(k, v), v the lowest
-            # degree present in num
-            nc = num.c
+            # degree present in num; dropping zeros keeps both in lowest
+            # terms
             s = 0
-            while s < k and not nc[s]:
+            while s < k and not nn[s]:
                 s += 1
             if s:
-                num, den = _poly(nc[s:]), _poly(dc[s:])
+                num, den = _raw(nn[s:], num.d), _raw(dn[s:], den.d)
         else:
             g = num.gcd(den)
             if g.degree() > 0:
                 num = num.divmod(g)[0]
                 den = den.divmod(g)[0]
-        lead = den.c[-1]
-        if lead != 1:
-            inv = 1 / lead
-            num = _poly([v * inv for v in num.c])
-            den = _poly([v * inv for v in den.c])
+        den, mul, div = _monic(den)
+        if mul != 1 or div != 1:
+            num = _poly([x * mul for x in num.n], num.d * div)
         # reduced polynomials share _PONE, so products can test identity
-        self.num, self.den = num, _PONE if len(den.c) == 1 else den
+        self.num, self.den = num, _PONE if len(den.n) == 1 else den
 
     @staticmethod
     def coerce(v):
-        if isinstance(v, AlphaScalar):
+        if type(v) is AlphaScalar:
             return v
         if isinstance(v, (int, Fraction)):
             return AlphaScalar(v)
         raise ScalarError("cannot coerce %r into Q(alpha)" % (v,))
 
     def is_zero(self):
-        return self.num.is_zero()
+        return not self.num.n
 
     def is_polynomial(self):
         """True when the reduced denominator is the constant 1."""
-        return self.den == _PONE
+        return self.den is _PONE
 
     def as_poly(self):
         if not self.is_polynomial():
@@ -243,24 +318,38 @@ class AlphaScalar:
         return self.num
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.num.n)
+
+    def _constant(self):
+        """(numerator, denominator) of a constant, else None."""
+        n = self.num.n
+        if self.den is _PONE and len(n) <= 1:
+            return (n[0] if n else 0), self.num.d
+        return None
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = AlphaScalar(other)
-        if not isinstance(other, AlphaScalar):
+        if type(other) is AlphaScalar:
+            return self.num == other.num and self.den == other.den
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        c = self._constant()
+        return c is not None and (c[0] * other.denominator
+                                  == other.numerator * c[1])
 
     def __hash__(self):
+        # a constant equals, so hashes as, the Fraction of its value
+        c = self._constant()
+        if c is not None:
+            return hash(Fraction(*c))
         return hash((self.num, self.den))
 
     def __add__(self, other):
-        other = AlphaScalar.coerce(other)
-        if self.den == other.den:
-            return AlphaScalar(self.num + other.num, self.den)
-        return AlphaScalar(self.num * other.den + other.num * self.den,
-                           self.den * other.den)
+        if type(other) is not AlphaScalar:
+            other = AlphaScalar.coerce(other)
+        sd, od = self.den, other.den
+        if sd is od or sd == od:
+            return AlphaScalar(self.num + other.num, sd)
+        return AlphaScalar(self.num * od + other.num * sd, sd * od)
 
     __radd__ = __add__
 
@@ -274,7 +363,8 @@ class AlphaScalar:
         return AlphaScalar.coerce(other) + (-self)
 
     def __mul__(self, other):
-        other = AlphaScalar.coerce(other)
+        if type(other) is not AlphaScalar:
+            other = AlphaScalar.coerce(other)
         if self.den is _PONE and other.den is _PONE:
             return AlphaScalar(self.num * other.num)
         return AlphaScalar(self.num * other.num, self.den * other.den)
@@ -298,7 +388,7 @@ class AlphaScalar:
         return self.num.eval(v) / d
 
     def __repr__(self):
-        if self.den == _PONE:
+        if self.den is _PONE:
             return "AlphaScalar(%r)" % (self.num,)
         return "AlphaScalar(%r / %r)" % (self.num, self.den)
 
@@ -327,10 +417,12 @@ class _RationalRing(Ring):
         self.one = Fraction(1)
 
     def coerce(self, v):
-        if isinstance(v, AlphaScalar):
-            if v.is_polynomial() and v.num.degree() <= 0:
-                return v.num.eval(0)
-            raise RingMismatchError("alpha-dependent value in Q: %r" % (v,))
+        if type(v) is AlphaScalar:
+            c = v._constant()
+            if c is None:
+                raise RingMismatchError(
+                    "alpha-dependent value in Q: %r" % (v,))
+            return Fraction(*c)
         return _as_fraction(v)
 
 
@@ -407,6 +499,9 @@ class HSeries:
         return self.ring.order == other.ring.order and self.c == other.c
 
     def __hash__(self):
+        # a constant series equals, so hashes as, its constant term
+        if not any(self.c[1:]):
+            return hash(self.c[0])
         return hash((self.ring.order, self.c))
 
     def _pair(self, other):

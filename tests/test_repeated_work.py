@@ -1,5 +1,7 @@
 """Work that one call must not repeat."""
 
+from fractions import Fraction
+
 from superchord import diagrams, ribbon, weightsys
 from superchord.associator import associator_checks, build_associator
 from superchord.kontsevich import lg_invariant, wz_eval
@@ -24,6 +26,14 @@ def _counting(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def _interval_classes(degree):
+    """The diagram classes of the interval four-term relators, by key."""
+    return {diagrams.canonical_form(d): d
+            for rel in diagrams.four_term_relators((diagrams.INTERVAL,),
+                                                   degree)
+            for _sign, d in rel}
 
 
 def test_rt_invariant_checks_the_axioms_once(monkeypatch):
@@ -62,12 +72,32 @@ def test_wz_eval_applies_chords_only_on_kept_layers(monkeypatch):
 
 def test_station_walk_applies_chords_on_partial_states(monkeypatch):
     fresh = weightsys.WeightSystem(*weightsys.lg_data())
-    classes = {diagrams.canonical_form(d): d
-               for rel in diagrams.four_term_relators((diagrams.INTERVAL,), 3)
-               for _sign, d in rel}
+    classes = _interval_classes(3)
     assert len(classes) == 15
     calls = _counting(monkeypatch, weightsys.WeightSystem, "chord")
     for d in classes.values():
         fresh.interval_scalar(d)
     # 19,008 state keys when every cup was opened before the first chord
     assert sum(len(args[1]) for args in calls) <= 9424
+
+
+def test_station_walk_over_q_alpha_builds_no_fraction(monkeypatch):
+    fresh = weightsys.WeightSystem(*weightsys.lg_data())
+    classes = _interval_classes(3)
+    made = _counting(monkeypatch, Fraction, "__new__")
+    for d in classes.values():
+        fresh.interval_scalar(d)
+    # 152,144 when Poly kept its coefficients as Fractions
+    assert made == []
+
+
+def test_slice_engine_over_q_alpha_builds_few_fractions(monkeypatch):
+    rep, tensor = weightsys.named_system("valpha")
+    word = ("obj: +\nslice: id(+) cup(+-)\nslice: X+ id(-)\n"
+            "slice: X- id(-)\nslice: X+ id(-)\nslice: id(+) cap(+-)")
+    expected = wz_eval(word, rep, tensor, 3)  # builds the associator
+    made = _counting(monkeypatch, Fraction, "__new__")
+    assert wz_eval(word, rep, tensor, 3) == expected
+    # 33,780 when Poly kept its coefficients as Fractions; what is left
+    # is the (s/2)^k / k! of the crossing exponentials (kontsevich)
+    assert len(made) <= 30

@@ -1,5 +1,7 @@
+import operator
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -250,3 +252,353 @@ def test_series_inverse_at_every_step_count():
             c = [c0] + [base.coerce(rng.randint(-5, 5)) for _ in range(order)]
             s = HSeries(R, c)
             assert s * series_inverse(s) == R.one, (order, base)
+
+
+# Equal values hash alike, across the three levels.
+
+def test_equal_constants_hash_alike():
+    R, RA = SeriesRing(QQ, 2), SeriesRing(QALPHA, 2)
+    for c in (0, 3, Fraction(-5, 2)):
+        values = (c, Fraction(c), AlphaScalar(c), R.coerce(c), RA.coerce(c))
+        assert all(v == c for v in values)
+        assert len({hash(v) for v in values}) == 1
+        assert len(set(values)) == 1
+    s, t = HSeries(R, [1, 2, 0]), HSeries(RA, [1, 2, 0])
+    assert s == t and hash(s) == hash(t) and len({s, t}) == 1
+    a = alpha()
+    assert RA.coerce(a) == a and hash(RA.coerce(a)) == hash(a)
+    assert AlphaScalar(3) != alpha() and AlphaScalar(3) != 4
+
+
+def test_bools_are_not_scalars():
+    for make in (QQ.coerce, QALPHA.coerce, AlphaScalar.coerce, AlphaScalar,
+                 Poly.const, SeriesRing(QQ, 1).coerce,
+                 lambda v: Poly([1, v]), lambda v: Poly([v]).eval(2),
+                 lambda v: Poly([1, 1]).eval(v), lambda v: alpha() + v,
+                 lambda v: alpha() * v):
+        for v in (True, False):
+            with pytest.raises(ScalarError):
+                make(v)
+
+
+# Oracle: the Fraction-tuple Poly and AlphaScalar that the int-pair
+# kernel replaced, copied verbatim but for the names.
+
+def _as_fraction_ref(v):
+    if isinstance(v, Fraction):
+        return v
+    if isinstance(v, int):
+        return Fraction(v)
+    raise ScalarError("expected an exact rational, got %r" % (v,))
+
+
+def _poly_ref(cs):
+    """Poly from coefficients already known to be Fractions.
+
+    Internal arithmetic only; the public constructor checks every entry.
+    """
+    n = len(cs)
+    while n and not cs[n - 1]:
+        n -= 1
+    p = PolyRef.__new__(PolyRef)
+    p.c = tuple(cs[:n])
+    return p
+
+
+class PolyRef:
+    """Dense univariate polynomial over Q, coefficients in ascending degree."""
+
+    __slots__ = ("c",)
+
+    def __init__(self, coeffs=()):
+        cs = [_as_fraction_ref(v) for v in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.c = tuple(cs)
+
+    @staticmethod
+    def const(v):
+        return PolyRef([_as_fraction_ref(v)])
+
+    @staticmethod
+    def x():
+        return PolyRef([0, 1])
+
+    def degree(self):
+        # degree of the zero polynomial is -1 by convention
+        return len(self.c) - 1
+
+    def is_zero(self):
+        return not self.c
+
+    def __eq__(self, other):
+        return isinstance(other, PolyRef) and self.c == other.c
+
+    def __hash__(self):
+        return hash(self.c)
+
+    def __add__(self, other):
+        a, b = self.c, other.c
+        if len(a) < len(b):
+            a, b = b, a
+        return _poly_ref([x + y for x, y in zip(a, b)] + list(a[len(b):]))
+
+    def __neg__(self):
+        return _poly_ref([-v for v in self.c])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = PolyRef.const(other)
+        a, b = self.c, other.c
+        if not a or not b:
+            return PolyRef()
+        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        for i, av in enumerate(a):
+            if av:
+                for j, bv in enumerate(b):
+                    if bv:
+                        out[i + j] += av * bv
+        return _poly_ref(out)
+
+    __rmul__ = __mul__
+
+    def divmod(self, other):
+        if other.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        rem = list(self.c)
+        div = other.c
+        dd = len(div) - 1
+        lead = div[-1]
+        q = [Fraction(0)] * max(0, len(rem) - dd)
+        while len(rem) - 1 >= dd and any(rem):
+            while rem and rem[-1] == 0:
+                rem.pop()
+            if len(rem) - 1 < dd:
+                break
+            k = len(rem) - 1 - dd
+            f = rem[-1] / lead
+            q[k] = f
+            for i in range(len(div)):
+                rem[k + i] -= f * div[i]
+            rem.pop()
+        return _poly_ref(q), _poly_ref(rem)
+
+    def gcd(self, other):
+        a, b = self, other
+        while not b.is_zero():
+            a, b = b, a.divmod(b)[1]
+        if a.is_zero():
+            return a
+        return a * PolyRef.const(1 / a.c[-1])
+
+    def eval(self, v):
+        v = _as_fraction_ref(v)
+        acc = Fraction(0)
+        for coef in reversed(self.c):
+            acc = acc * v + coef
+        return acc
+
+    def __repr__(self):
+        if not self.c:
+            return "Poly(0)"
+        parts = []
+        for i, v in enumerate(self.c):
+            if v:
+                parts.append("%s*a^%d" % (v, i))
+        return "Poly(%s)" % " + ".join(parts)
+
+
+_PZERO_REF = PolyRef()
+_PONE_REF = PolyRef.const(1)
+
+
+class AlphaScalarRef:
+    """Reduced fraction of two polynomials in alpha; denominator is monic."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den=None):
+        if isinstance(num, (int, Fraction)):
+            num = PolyRef.const(num)
+        if den is None:
+            den = _PONE_REF
+        elif isinstance(den, (int, Fraction)):
+            den = PolyRef.const(den)
+        if den.is_zero():
+            raise ZeroDivisionError("zero denominator in AlphaScalar")
+        if num.is_zero():
+            self.num, self.den = _PZERO_REF, _PONE_REF
+            return
+        dc = den.c
+        k = len(dc) - 1
+        if not any(dc[:k]):
+            # den = c alpha^k: the gcd is alpha^min(k, v), v the lowest
+            # degree present in num
+            nc = num.c
+            s = 0
+            while s < k and not nc[s]:
+                s += 1
+            if s:
+                num, den = _poly_ref(nc[s:]), _poly_ref(dc[s:])
+        else:
+            g = num.gcd(den)
+            if g.degree() > 0:
+                num = num.divmod(g)[0]
+                den = den.divmod(g)[0]
+        lead = den.c[-1]
+        if lead != 1:
+            inv = 1 / lead
+            num = _poly_ref([v * inv for v in num.c])
+            den = _poly_ref([v * inv for v in den.c])
+        # reduced polynomials share _PONE, so products can test identity
+        self.num, self.den = num, _PONE_REF if len(den.c) == 1 else den
+
+    @staticmethod
+    def coerce(v):
+        if isinstance(v, AlphaScalarRef):
+            return v
+        if isinstance(v, (int, Fraction)):
+            return AlphaScalarRef(v)
+        raise ScalarError("cannot coerce %r into Q(alpha)" % (v,))
+
+    def is_zero(self):
+        return self.num.is_zero()
+
+    def is_polynomial(self):
+        """True when the reduced denominator is the constant 1."""
+        return self.den == _PONE_REF
+
+    def as_poly(self):
+        if not self.is_polynomial():
+            raise ScalarError("not a polynomial: %r" % (self,))
+        return self.num
+
+    def __bool__(self):
+        return not self.is_zero()
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = AlphaScalarRef(other)
+        if not isinstance(other, AlphaScalarRef):
+            return NotImplemented
+        return self.num == other.num and self.den == other.den
+
+    def __hash__(self):
+        return hash((self.num, self.den))
+
+    def __add__(self, other):
+        other = AlphaScalarRef.coerce(other)
+        if self.den == other.den:
+            return AlphaScalarRef(self.num + other.num, self.den)
+        return AlphaScalarRef(self.num * other.den + other.num * self.den,
+                           self.den * other.den)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return AlphaScalarRef(-self.num, self.den)
+
+    def __sub__(self, other):
+        return self + (-AlphaScalarRef.coerce(other))
+
+    def __rsub__(self, other):
+        return AlphaScalarRef.coerce(other) + (-self)
+
+    def __mul__(self, other):
+        other = AlphaScalarRef.coerce(other)
+        if self.den is _PONE_REF and other.den is _PONE_REF:
+            return AlphaScalarRef(self.num * other.num)
+        return AlphaScalarRef(self.num * other.num, self.den * other.den)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = AlphaScalarRef.coerce(other)
+        if other.is_zero():
+            raise ZeroDivisionError("division by zero in Q(alpha)")
+        return AlphaScalarRef(self.num * other.den, self.den * other.num)
+
+    def __rtruediv__(self, other):
+        return AlphaScalarRef.coerce(other) / self
+
+    def substitute(self, v):
+        v = _as_fraction_ref(v)
+        d = self.den.eval(v)
+        if d == 0:
+            raise ZeroDivisionError("denominator vanishes at alpha=%s" % v)
+        return self.num.eval(v) / d
+
+    def __repr__(self):
+        if self.den == _PONE_REF:
+            return "AlphaScalar(%r)" % (self.num,)
+        return "AlphaScalar(%r / %r)" % (self.num, self.den)
+
+
+small = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+coeff_lists = st.lists(small, max_size=4)
+points = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def laurent_pairs(draw):
+    """(num, c alpha^k): the denominators reduced without Euclid."""
+    num = [0] * draw(st.integers(0, 3)) + draw(coeff_lists)
+    return num, [0] * draw(st.integers(0, 3)) + [draw(nonzero)]
+
+
+general_pairs = st.tuples(coeff_lists, coeff_lists.filter(any))
+pairs = st.one_of(laurent_pairs(), general_pairs)
+
+
+def both(pair):
+    num, den = pair
+    return (AlphaScalar(Poly(num), Poly(den)),
+            AlphaScalarRef(PolyRef(num), PolyRef(den)))
+
+
+def assert_like_reference(v, ref):
+    for p, q in ((v.num, ref.num), (v.den, ref.den)):
+        assert p.d > 0 and gcd(p.d, *p.n) == 1
+        assert not p.n or p.n[-1]
+        assert p.c == q.c
+        assert p.degree() == q.degree()
+    assert v.den.n[-1] == v.den.d
+    assert v.is_polynomial() == ref.is_polynomial()
+
+
+def same_or_both_raise(f, g):
+    try:
+        expected = g()
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            f()
+        return
+    assert f() == expected
+
+
+oracle = settings(derandomize=True, max_examples=200, deadline=None)
+
+
+@oracle
+@given(pairs, pairs, points)
+def test_int_kernel_matches_fraction_reference(p1, p2, pt):
+    (x, xr), (y, yr) = both(p1), both(p2)
+    assert_like_reference(x, xr)
+    for op in (operator.add, operator.sub, operator.mul):
+        assert_like_reference(op(x, y), op(xr, yr))
+        assert_like_reference(op(x, pt), op(xr, pt))
+        assert_like_reference(op(pt, x), op(pt, xr))
+    if y:
+        assert_like_reference(x / y, xr / yr)
+    if pt:
+        assert_like_reference(x / pt, xr / pt)
+    if x:
+        assert_like_reference(pt / x, pt / xr)
+    assert (x == y) == (xr == yr)
+    assert (x == pt) == (xr == pt)
+    assert x - y + y == x and hash(x - y + y) == hash(x)
+    assert x.num.eval(pt) == xr.num.eval(pt)
+    same_or_both_raise(lambda: x.substitute(pt), lambda: xr.substitute(pt))
