@@ -11,15 +11,21 @@ braiding exp(t/2) convention) and the pentagon equation on four strands:
         = Phi(t23, t34) Phi(t12 + t13, t24 + t34) Phi(t12, t23)
 
 with A = t12, B = t23, C = t13 on three strands, products written in
-operator order (the rightmost factor acts first).  All identities are
-checked in the quotient by the two-sided ideal of infinitesimal braid
-relations ([t_ij, t_kl] = 0 for disjoint pairs, [t_ij, t_ik + t_jk] = 0),
-reduced per degree by exact row elimination in a `LinearSpan`.
+operator order (the rightmost factor acts first).  All identities hold
+in U(t_n), the quotient of the free algebra on the t_ij by the
+infinitesimal braid relations ([t_ij, t_kl] = 0 for disjoint pairs,
+[t_ij, t_ik + t_jk] = 0).  The t_kn (k < n) generate an ideal of t_n,
+free on them, with quotient t_{n-1}; so t_n is a semidirect product and
+U(t_n) = T(t_1n, ..., t_{n-1,n}) (x) U(t_{n-1}) as graded spaces
+(Drinfeld 1991).  A residual is therefore reduced to a normal form, the
+t_kn letters first and the rest in normal form on n - 1 strands, and it
+vanishes in U(t_n) exactly when its normal form is zero.
 
 Degrees are solved one at a time; the equations are affine in the unknown
-top-degree part, odd degrees are consistently set to zero (the even
-gauge), and leftover free coefficients are fixed to zero.  The resulting
-degree-2 part is [A, B]/24.
+top-degree part, with a linear part that does not depend on the lower
+degrees.  Odd degrees are consistently set to zero (the even gauge), and
+leftover free coefficients are fixed to zero by the exact elimination of
+`_solve_affine`.  The resulting degree-2 part is [A, B]/24.
 """
 
 from fractions import Fraction
@@ -84,71 +90,46 @@ def _winv(x, order):
     return out
 
 
-def _component(x, degree):
-    return {w: c for w, c in x.items() if len(w) == degree}
-
-
-class _BraidIdeal:
-    """Degree-graded infinitesimal braid ideal on n strands.
-
-    Each degree's span is built on first use and depends only on n and the
-    degree, so every order shares `_braid_ideal(n)`; `order` is unused.
-    """
-
-    def __init__(self, n, order=None):
-        self.n = n
-        self.gens = [(i, j) for i in range(1, n + 1)
-                     for j in range(i + 1, n + 1)]
-        self.gi = {g: k for k, g in enumerate(self.gens)}
-        self._spans = {}
-
-    def generator(self, i, j):
-        return {(self.gi[(i, j)],): _ONE}
-
-    def _relators(self):
-        rels = []
-        for a in range(len(self.gens)):
-            for b in range(a + 1, len(self.gens)):
-                (i, j), (k, l) = self.gens[a], self.gens[b]
-                if len({i, j, k, l}) == 4:
-                    rels.append({(a, b): _ONE, (b, a): -_ONE})
-        for trip in product(range(1, self.n + 1), repeat=3):
-            i, j, k = trip
-            if len({i, j, k}) != 3 or not i < j:
-                continue
-            ij = self.gi[tuple(sorted((i, j)))]
-            ik = self.gi[tuple(sorted((i, k)))]
-            jk = self.gi[tuple(sorted((j, k)))]
-            rels.append({(ij, ik): _ONE, (ik, ij): -_ONE,
-                         (ij, jk): _ONE, (jk, ij): -_ONE})
-        return rels
-
-    def _span(self, degree):
-        if degree in self._spans:
-            return self._spans[degree]
-        span = LinearSpan()
-        ng = len(self.gens)
-        for rel in self._relators():
-            for lu in range(degree - 2 + 1):
-                lv = degree - 2 - lu
-                for u in product(range(ng), repeat=lu):
-                    for v in product(range(ng), repeat=lv):
-                        vec = {u + w + v: c for w, c in rel.items()}
-                        span.add(vec)
-        self._spans[degree] = span
-        return span
-
-    def reduce_degree(self, x, degree):
-        """Residual of the degree-d component modulo the ideal."""
-        comp = _component(x, degree)
-        if degree < 2 or not comp:
-            return comp
-        return self._span(degree).residual(comp)
-
-
 @lru_cache(maxsize=None)
-def _braid_ideal(n):
-    return _BraidIdeal(n)
+def _normal_form(word):
+    """Normal form of a word of U(t_n) as an {word: int} combination.
+
+    Letters are pairs (i, j), i < j, and n is the largest strand in the
+    word.  The t_kn letters come first and the rest is in normal form on
+    n - 1 strands.  Moving t_ij (j < n) right past t_kn commutes, except
+    that [t_ij, t_kn] = [t_kn, t_ln] for {k, l} = {i, j}.  The cached
+    dict is shared, so callers must not mutate it.
+    """
+    if not word:
+        return {(): 1}
+    n = max(j for _i, j in word)
+    for p in range(len(word) - 1):
+        (i, j), (k, l) = word[p], word[p + 1]
+        if j < n and l == n:
+            head, tail = word[:p], word[p + 2:]
+            out = dict(_normal_form(head + ((k, n), (i, j)) + tail))
+            if k in (i, j):
+                a, b = (k, n), (i + j - k, n)
+                for sign, mid in ((1, (a, b)), (-1, (b, a))):
+                    for w, c in _normal_form(head + mid + tail).items():
+                        add_term(out, w, sign * c)
+            return out
+    s = sum(1 for _i, j in word if j == n)
+    return {word[:s] + w: c for w, c in _normal_form(word[s:]).items()}
+
+
+def _reduce(x, degree):
+    """Degree-d component of x in normal form: 0 iff it is in the ideal."""
+    out = {}
+    for w, c in x.items():
+        if len(w) == degree:
+            for v, k in _normal_form(w).items():
+                add_term(out, v, c * k)
+    return out
+
+
+def _t(i, j):
+    return {((i, j),): _ONE}
 
 
 def _phi_element(terms, arg0, arg1, order, invert=False):
@@ -165,19 +146,21 @@ def _phi_element(terms, arg0, arg1, order, invert=False):
     return out
 
 
-def _hexagon_residuals(terms, degree, ideal):
+@lru_cache(maxsize=None)
+def _hexagon_exponentials(order):
+    """e^{A/2}, e^{B/2}, e^{C/2}, e^{(A+C)/2}, e^{(C+B)/2}, truncated."""
+    A, B, C = _t(1, 2), _t(2, 3), _t(1, 3)
+    half = Fraction(1, 2)
+    return tuple(_wexp(_wscale(x, half), order)
+                 for x in (A, B, C, _wadd(A, C), _wadd(C, B)))
+
+
+def _hexagon_residuals(terms, degree):
     # Strand labels stay fixed under braiding, products are in operator
     # order (rightmost factor acts first), A = t12, B = t23, C = t13.
-    A = ideal.generator(1, 2)
-    B = ideal.generator(2, 3)
-    C = ideal.generator(1, 3)
+    A, B, C = _t(1, 2), _t(2, 3), _t(1, 3)
     order = degree
-    half = Fraction(1, 2)
-    eA = _wexp(_wscale(A, half), order)
-    eB = _wexp(_wscale(B, half), order)
-    eC = _wexp(_wscale(C, half), order)
-    eAC = _wexp(_wscale(_wadd(A, C), half), order)
-    eCB = _wexp(_wscale(_wadd(C, B), half), order)
+    eA, eB, eC, eAC, eCB = _hexagon_exponentials(order)
 
     pAB = _phi_element(terms, A, B, order)
     pBC = _phi_element(terms, B, C, order)
@@ -192,16 +175,15 @@ def _hexagon_residuals(terms, degree, ideal):
     right2 = _wmul(_wmul(eC, iCB, order), eB, order)
 
     return [
-        ideal.reduce_degree(_wadd(left1, _wscale(right1, -1)), degree),
-        ideal.reduce_degree(_wadd(left2, _wscale(right2, -1)), degree),
+        _reduce(_wadd(left1, _wscale(right1, -1)), degree),
+        _reduce(_wadd(left2, _wscale(right2, -1)), degree),
     ]
 
 
-def _pentagon_residual(terms, degree, ideal):
+def _pentagon_residual(terms, degree):
     order = degree
-    g = ideal.generator
-    t12, t13, t14 = g(1, 2), g(1, 3), g(1, 4)
-    t23, t24, t34 = g(2, 3), g(2, 4), g(3, 4)
+    t12, t13, t14 = _t(1, 2), _t(1, 3), _t(1, 4)
+    t23, t24, t34 = _t(2, 3), _t(2, 4), _t(3, 4)
     left = _wmul(
         _phi_element(terms, t12, _wadd(t23, t24), order),
         _phi_element(terms, _wadd(t13, t23), t34, order), order)
@@ -210,13 +192,12 @@ def _pentagon_residual(terms, degree, ideal):
         _phi_element(terms, _wadd(t12, t13), _wadd(t24, t34), order),
         order),
         _phi_element(terms, t12, t23, order), order)
-    return ideal.reduce_degree(_wadd(left, _wscale(right, -1)), degree)
+    return _reduce(_wadd(left, _wscale(right, -1)), degree)
 
 
-def _all_residuals(terms, degree, ideal3, ideal4):
-    out = _hexagon_residuals(terms, degree, ideal3)
-    out.append(_pentagon_residual(terms, degree, ideal4))
-    return out
+def _all_residuals(terms, degree):
+    return _hexagon_residuals(terms, degree) + [
+        _pentagon_residual(terms, degree)]
 
 
 def _solve_affine(base, cols, nunknowns):
@@ -272,39 +253,34 @@ def build_associator(order=3):
     """Solve the hexagons and pentagon through the given total degree."""
     if order < 2:
         raise ValueError("the associator starts in degree 2")
-    ideal3, ideal4 = _braid_ideal(3), _braid_ideal(4)
     terms = {}
     for m in range(1, order + 1):
-        base = _all_residuals(terms, m, ideal3, ideal4)
+        base = _all_residuals(terms, m)
         if m % 2 == 1:
             if any(base):
                 raise ValueError(
                     "odd degree %d is inconsistent with the even gauge" % m)
             continue
+        # Phi_m meets only the unit parts of the other factors in degree
+        # m, so the residual's linear part in Phi_m does not depend on
+        # Phi_<m: the column of w is its effect on Phi = 1.
+        unit = _all_residuals({}, m)
         words_m = list(product((0, 1), repeat=m))
-        cols = []
-        for w in words_m:
-            trial = dict(terms)
-            trial[m] = {w: _ONE}
-            res = _all_residuals(trial, m, ideal3, ideal4)
-            cols.append([_wadd(r, _wscale(b, -1)) for r, b in zip(res, base)])
+        cols = [[_wadd(r, _wscale(u, -1)) for r, u in
+                 zip(_all_residuals({m: {w: _ONE}}, m), unit)]
+                for w in words_m]
         sol = _solve_affine(base, cols, len(words_m))
-        part = {w: c for w, c in zip(words_m, sol) if c}
-        terms[m] = part
-        final = dict(terms)
-        check = _all_residuals(final, m, ideal3, ideal4)
-        if any(check):
+        terms[m] = {w: c for w, c in zip(words_m, sol) if c}
+        if any(_all_residuals(terms, m)):
             raise ValueError("degree %d resubstitution failed" % m)
     return Associator(order, {m: ws for m, ws in terms.items() if ws})
 
 
 def associator_checks(assoc):
     """Named exact checks of the solved associator, for reporting."""
-    ideal3, ideal4 = _braid_ideal(3), _braid_ideal(4)
     hex1_ok = hex2_ok = pent_ok = True
     for m in range(1, assoc.order + 1):
-        h1, h2 = _hexagon_residuals(assoc.terms, m, ideal3)
-        p = _pentagon_residual(assoc.terms, m, ideal4)
+        h1, h2, p = _all_residuals(assoc.terms, m)
         hex1_ok = hex1_ok and not h1
         hex2_ok = hex2_ok and not h2
         pent_ok = pent_ok and not p

@@ -52,6 +52,16 @@ def test_associator_checks_reuse_the_built_ideal_spans(monkeypatch):
     assert calls == []
 
 
+def test_associator_solve_builds_no_relator_span(monkeypatch):
+    spans = _counting(monkeypatch, diagrams.LinearSpan, "__init__")
+    rows = _counting(monkeypatch, diagrams.LinearSpan, "add")
+    build_associator.__wrapped__(4)
+    # one affine solve per even degree, 2 and 4; its rows are keyed by
+    # unknowns, never by words of a relator
+    assert len(spans) == 2
+    assert rows and all(isinstance(k, int) for args in rows for k in args[1])
+
+
 def test_lg_invariant_weighs_quotient_basis_classes_only(monkeypatch):
     fresh = weightsys.WeightSystem(*weightsys.lg_data())
     monkeypatch.setattr(weightsys, "_lg_system", lambda: fresh)
