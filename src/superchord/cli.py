@@ -3,14 +3,15 @@
 Subcommands: ws (weight of a diagram), z (integral of a word), wz
 (fused weight-system evaluation), lg (Links-Gould series), rt
 (Reshetikhin-Turaev evaluation), verify (named identity suites).
-Inputs dispatch on suffix: .tw words, .cd diagrams, .ribbon data.
+Each subcommand reads fixed kinds of file, whatever their suffix: ws a
+.cd diagram; z, wz and lg a .tw word; rt a .tw word and, with --data,
+.ribbon data.  verify reads no file.
 """
 
 import argparse
 import json
 import sys
 
-from .diagrams import CIRCLE, INTERVAL
 from .jsonio import (
     load_diagram, load_ribbon, load_word, scalar_to_json, series_to_json,
     zvalue_to_json)
@@ -18,8 +19,7 @@ from .kontsevich import lg_invariant, wz_eval, z_eval
 from .ribbon import ribbon_trivial, rt_invariant
 from .scalars import AlphaScalar
 from .verify import SUITES, run_all, run_suite
-from .weightsys import (
-    named_system, scalar_of_endo, wlg, ws_link, ws_tangle11)
+from .weightsys import named_system, weight_system
 
 
 _ALG_REP = {("gl2_1", "defining"): "gl21",
@@ -94,17 +94,7 @@ def _emit_series(value, fmt):
 
 def _cmd_ws(args):
     d = load_diagram(args.file)
-    if args.system == "lg":
-        _emit_scalar(wlg(d), args.format)
-        return 0
-    rep, tv = named_system(args.system)
-    if all(k == CIRCLE for k in d.skeleton):
-        value = ws_link(d, rep, tv)
-    elif sum(1 for k in d.skeleton if k == INTERVAL) == 1:
-        value = scalar_of_endo(ws_tangle11(d, rep, tv))
-    else:
-        raise ValueError("need an all-circle or one-interval skeleton")
-    _emit_scalar(value, args.format)
+    _emit_scalar(weight_system(*named_system(args.system))(d), args.format)
     return 0
 
 

@@ -64,15 +64,25 @@ def scalar_to_json(v):
     raise TypeError("no JSON form for %r" % (v,))
 
 
+def _coefficients(arr):
+    """A Q(alpha) coefficient array: "p/q" strings or JSON integers."""
+    if not isinstance(arr, list):
+        raise ValueError("coefficients must be a JSON array, got %r"
+                         % (arr,))
+    return [Fraction(c) if isinstance(c, str)
+            else _json_int(c, "coefficient") for c in arr]
+
+
 def scalar_from_json(obj):
-    """A Fraction, AlphaScalar or HSeries; a zero denominator raises
+    """A Fraction, AlphaScalar or HSeries; a zero denominator, or a
+    coefficient that is neither a "p/q" string nor a JSON integer, raises
     ValueError."""
     try:
         if isinstance(obj, str):
             return Fraction(obj)
         if isinstance(obj, dict) and "num" in obj:
-            num = Poly([Fraction(c) for c in obj["num"]])
-            den = Poly([Fraction(c) for c in obj.get("den", ["1"])])
+            num = Poly(_coefficients(obj["num"]))
+            den = Poly(_coefficients(obj.get("den", ["1"])))
             return AlphaScalar(num, den)
     except ZeroDivisionError as e:
         raise ValueError("zero denominator in scalar %r" % (obj,)) from e

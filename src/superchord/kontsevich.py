@@ -43,7 +43,7 @@ from .diagrams import (
 from .scalars import (
     QALPHA, QQ, HSeries, ScalarError, SeriesRing, add_term, series_inverse)
 from .supergraded import SuperMap
-from .weightsys import WeightSystem, wlg
+from .weightsys import weight_system, wlg
 from .words import PathTracer, TangleWord, parse_word, resolve_singular
 
 
@@ -260,7 +260,7 @@ class _MatrixBackend:
 
     def __init__(self, word, order, rep, tensor):
         self.order = order
-        self.ws = WeightSystem(rep, tensor)
+        self.ws = weight_system(rep, tensor)
         self.ring = rep.ring
         self.deg = [self.ws.identity(len(word.source))]
         self.deg += [dict() for _ in range(order)]

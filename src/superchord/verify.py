@@ -17,7 +17,7 @@ from .diagrams import (
 from .kontsevich import paired_invariant, vassiliev_defect, z_eval
 from .liesuper import rep_combine
 from .scalars import QALPHA, QQ, SeriesRing, add_term, series_exp
-from .weightsys import WeightSystem, named_system, wlg
+from .weightsys import named_system, weight_system, wlg
 from .words import diagram_of_singular, parse_word, resolve_singular
 
 
@@ -70,14 +70,14 @@ def verify_fourterm(order=3, seed=0):
     before weighing, which is sound only where they vanish.
     """
     report = VerifyReport("fourterm")
-    systems = (("gl21", WeightSystem(*named_system("gl21"))),
-               ("gl11", WeightSystem(*named_system("gl11"))))
+    systems = [(name, weight_system(*named_system(name)))
+               for name in ("gl21", "gl11")]
     cases = [((CIRCLE,), 2), ((CIRCLE,), 3),
              ((CIRCLE, CIRCLE), 2), ((CIRCLE, CIRCLE), 3)]
     for skeleton, degree in cases:
         rels = four_term_relators(skeleton, degree)
         for name, ws in systems:
-            ok = all(sum((ws.link(d) * s for s, d in r),
+            ok = all(sum((ws(d) * s for s, d in r),
                          Fraction(0)) == 0 for r in rels)
             report.add("%s_%dcircle_deg%d" % (name, len(skeleton), degree),
                        ok, "%d relators" % len(rels))
@@ -145,10 +145,9 @@ def _singular_defects(order):
 def verify_corollary(order=3, seed=0):
     """Degree-m defect coefficient equals the weight of the diagram."""
     report = VerifyReport("corollary")
-    rep, tv = named_system("gl21")
-    ws = WeightSystem(rep, tv)
+    ws = weight_system(*named_system("gl21"))
     for m, label, text, v in _singular_defects(order):
-        target = ws.link(diagram_of_singular(parse_word(text)))
+        target = ws(diagram_of_singular(parse_word(text)))
         report.add("defect_matches_weight_%s" % label, v.coeff(m) == target)
     return report
 
@@ -172,14 +171,14 @@ def verify_cabling(order=3, seed=0, samples=50):
     """Tensor square against the sum over two-cable lifts."""
     report = VerifyReport("cabling")
     rep, tv = named_system("gl11")
-    ws = WeightSystem(rep, tv)
-    square = WeightSystem(rep_combine("tensor", rep, rep), tv)
+    ws = weight_system(rep, tv)
+    square = weight_system(rep_combine("tensor", rep, rep), tv)
     rng = random.Random(seed)
     bad = 0
     for _ in range(samples):
         d = random_diagram((CIRCLE,), rng.choice([1, 2]), rng)
-        lhs = square.link(d)
-        rhs = sum((ws.link(l) for l in cable_diagram(d, 0, 2)),
+        lhs = square(d)
+        rhs = sum((ws(l) for l in cable_diagram(d, 0, 2)),
                   Fraction(0))
         if lhs != rhs:
             bad += 1
@@ -191,7 +190,7 @@ def verify_cabling(order=3, seed=0, samples=50):
 def verify_slitting(order=3, seed=0, samples=20):
     """Closing a slit component back up recovers the supertrace."""
     report = VerifyReport("slitting")
-    ws = WeightSystem(*named_system("gl21"))
+    ws = weight_system(*named_system("gl21"))
     rng = random.Random(seed)
     bad = 0
     for _ in range(samples):
@@ -201,7 +200,7 @@ def verify_slitting(order=3, seed=0, samples=20):
         npts = sum(1 for a, b in d.chords for pt in (a, b) if pt[0] == comp)
         cut = rng.randrange(npts + 1)
         endo = ws.tangle11(slit_component(d, comp, cut))
-        if endo.supertrace() != ws.link(d):
+        if endo.supertrace() != ws(d):
             bad += 1
     report.add("supertrace_of_slit_matches", bad == 0,
                "%d random diagrams" % samples)
@@ -225,7 +224,7 @@ def verify_conway(order=3, seed=0):
     """
     report = VerifyReport("conway")
     rep, tv = named_system("gl11")
-    weight = WeightSystem(rep, tv).interval_scalar
+    weight = weight_system(rep, tv)
     sr = SeriesRing(QQ, order)
     half = sr.monomial(1, Fraction(1, 2))
     z = series_exp(half) - series_exp(-half)

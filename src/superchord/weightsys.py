@@ -29,22 +29,20 @@ so it is applied once to the result.  The slice engine of
 `kontsevich.wz_eval` drives the same operations, slice by slice, over
 one state per h degree.
 
-A `WeightSystem(rep, tensor)` holds one system: the dual representation,
-built once, and the chord matrices, built on first use for each pair of
-strand roles.  `link` closes every component and returns a scalar;
-`tangle11` leaves the single interval component open and returns an
-endomorphism of V; `interval_scalar` is the scalar by which that
-endomorphism acts, after checking that it is a multiple of the identity.
-`link` and `interval_scalar` are memoised by `canonical_form`, so each
-diagram class is evaluated once per instance; this relies on the value
-being invariant under rotating circles and permuting components, which
-holds because the tensor is invariant.  `ws_link` and `ws_tangle11`
-evaluate one diagram on a fresh instance and keep nothing between calls.
-`named_system` builds the named (rep, tensor) pairs of the command line
-and the verify suites.  `wlg` is the Links-Gould weight system on the
-2|2 dimensional gl(2|1) module V_alpha with the one-term tensor
-s = a (I x I) + t_sl; with the default a it uses one process-wide
-instance.
+`weight_system(rep, tensor)` gives the one `WeightSystem` of a pair:
+its dual representation, its chord matrices, built on first use for
+each pair of strand roles, and its memo.  `ws(d)` is the closed value of
+an all-circle diagram, or the scalar by which the endomorphism of a
+one-interval diagram acts (`scalar_of_endo`); other skeletons raise
+ValueError.  It is memoised by `canonical_form`, so each diagram class
+is evaluated once per (rep, tensor); this relies on the value being
+invariant under rotating circles and permuting components, which holds
+because the tensor is ad-invariant.  `ws_link`, `ws_tangle11` (not
+memoised) and `wlg` use the shared instance.  `named_system` gives the
+named (rep, tensor) pairs of the command line and the verify suites;
+`wlg` is the Links-Gould weight system on the 2|2 dimensional gl(2|1)
+module V_alpha with the one-term tensor s = a (I x I) + t_sl
+(`lg_data`).
 """
 
 from bisect import bisect
@@ -162,9 +160,10 @@ class WeightSystem:
     `flip` are the only operations on it, shared by the station walk here
     and the slice engine of `kontsevich.wz_eval`.  The dual representation
     is built once, and the unsigned chord matrix for each pair of strand
-    roles on first use.  `link` and `interval_scalar` evaluate each
-    canonical_form class once and answer repeats from a memo; `tangle11`
-    evaluates afresh every time.
+    roles on first use.  Calling the system on a diagram evaluates each
+    canonical_form class once and answers repeats from a memo; `tangle11`
+    evaluates afresh every time.  Build one through `weight_system`, so
+    that its callers share it.
     """
 
     def __init__(self, rep, tensor):
@@ -246,20 +245,21 @@ class WeightSystem:
             state = {k: -v for k, v in state.items()}
         return state if with_source else state.get((), self.ring.zero)
 
-    def _once(self, diagram, evaluate):
+    def __call__(self, diagram):
+        """Weight of a diagram: the closed value of an all-circle skeleton,
+        or the scalar action of a one-interval one.  Memoised by
+        canonical_form."""
         key = canonical_form(diagram)
         if key not in self._memo:
-            self._memo[key] = evaluate(diagram)
+            intervals = diagram.skeleton.count(INTERVAL)
+            if intervals == 0:
+                self._memo[key] = self._evaluate(diagram, False)
+            elif intervals == 1:
+                self._memo[key] = scalar_of_endo(self.tangle11(diagram))
+            else:
+                raise ValueError(
+                    "need an all-circle or one-interval skeleton")
         return self._memo[key]
-
-    def _link(self, diagram):
-        if any(kind != CIRCLE for kind in diagram.skeleton):
-            raise ValueError("ws_link needs a closed skeleton")
-        return self._evaluate(diagram, False)
-
-    def link(self, diagram):
-        """Scalar value of a diagram whose components are all circles."""
-        return self._once(diagram, self._link)
 
     def tangle11(self, diagram):
         """Endomorphism of V for a skeleton with exactly one interval."""
@@ -269,21 +269,27 @@ class WeightSystem:
         entries = self._evaluate(diagram, True)
         return SuperMap(self.rep.space, self.rep.space, entries, self.ring)
 
-    def interval_scalar(self, diagram):
-        """The scalar by which tangle11(diagram) acts; raises if it is not
-        a multiple of the identity."""
-        return self._once(diagram,
-                          lambda d: scalar_of_endo(self.tangle11(d)))
+
+@lru_cache(maxsize=None)
+def weight_system(rep, tensor):
+    """The one WeightSystem of a representation and an invariant tensor.
+
+    Both hash by identity, so every caller holding the same pair shares
+    one instance: its dual, its chord matrices and its memo.
+    """
+    return WeightSystem(rep, tensor)
 
 
 def ws_link(diagram, rep, tensor):
     """Scalar value of a diagram whose components are all circles."""
-    return WeightSystem(rep, tensor)._link(diagram)
+    if any(kind != CIRCLE for kind in diagram.skeleton):
+        raise ValueError("ws_link needs a closed skeleton")
+    return weight_system(rep, tensor)(diagram)
 
 
 def ws_tangle11(diagram, rep, tensor):
     """Endomorphism of V for a skeleton with exactly one interval."""
-    return WeightSystem(rep, tensor).tangle11(diagram)
+    return weight_system(rep, tensor).tangle11(diagram)
 
 
 def scalar_of_endo(endo):
@@ -319,29 +325,23 @@ _SYSTEMS = {"gl21": ((2, 1), "defining", "gl"),
             "valpha": ((2, 1), "v_alpha", "sl")}
 
 
+@lru_cache(maxsize=None)
 def named_system(name):
     """(rep, tensor) of a named system: the defining gl(2|1) or gl(1|1)
-    module with t_gl, or V_alpha with t_sl."""
+    module with t_gl, V_alpha with t_sl, or "lg", the Links-Gould pair
+    lg_data().  Memoised, so a name always gives the same pair."""
+    if name == "lg":
+        return lg_data()
     (m, n), rep, tensor = _SYSTEMS[name]
     g = build_gl(m, n)
     return standard_rep(g, rep), casimir_tensor(g, tensor)
 
 
-@lru_cache(maxsize=None)
-def _lg_system():
-    return WeightSystem(*lg_data())
-
-
-def wlg(diagram, a=None):
+def wlg(diagram):
     """Links-Gould weight of a diagram: scalar action on V_alpha.
 
     Closed skeletons give the plain link value (a multiple of the
     superdimension 0); skeletons with one interval give the scalar by
-    which the invariant endomorphism acts.  The default constant uses one
-    process-wide WeightSystem, so each class is evaluated once; an
-    explicit a gets a fresh one.
+    which the invariant endomorphism acts.
     """
-    ws = _lg_system() if a is None else WeightSystem(*lg_data(a))
-    if any(kind == INTERVAL for kind in diagram.skeleton):
-        return ws.interval_scalar(diagram)
-    return ws.link(diagram)
+    return weight_system(*lg_data())(diagram)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from superchord.cli import main
-from superchord.diagrams import ChordDiagram, INTERVAL
+from superchord.diagrams import CIRCLE, ChordDiagram, INTERVAL
 from superchord.jsonio import diagram_to_json, ribbon_to_json
 from superchord.ribbon import ribbon_diagonal
 
@@ -48,6 +48,32 @@ def test_ws_crossed_diagram(tmp_path, capsys):
     assert main(["ws", path, "--format", "json"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out == {"num": ["0", "2", "2"]}
+
+
+@pytest.mark.parametrize("system, on_circle, on_interval", [
+    ("lg", "0", "2 a + 2 a^2"),
+    ("gl21", "1", "1"),
+    ("gl11", "0", "1"),
+    ("valpha", "0", "2 a + 6 a^2 + 8 a^3 + 4 a^4"),
+])
+def test_ws_crossed_circle_and_interval(tmp_path, capsys, system, on_circle,
+                                        on_interval):
+    for kind, want in ((CIRCLE, on_circle), (INTERVAL, on_interval)):
+        d = ChordDiagram([kind], [((0, 0), (0, 2)), ((0, 1), (0, 3))])
+        path = write(tmp_path, kind + ".cd", json.dumps(diagram_to_json(d)))
+        assert main(["ws", path, "--system", system]) == 0
+        assert capsys.readouterr().out.strip() == want
+
+
+@pytest.mark.parametrize("system", ["lg", "gl21", "gl11", "valpha"])
+def test_ws_two_intervals_is_clean_error(tmp_path, capsys, system):
+    d = ChordDiagram([INTERVAL, INTERVAL], [((0, 0), (1, 0))])
+    path = write(tmp_path, "two.cd", json.dumps(diagram_to_json(d)))
+    assert main(["ws", path, "--system", system]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: need an all-circle or one-interval skeleton\n")
 
 
 def test_z_text_and_json(tmp_path, capsys):
@@ -186,3 +212,16 @@ def test_rt_float_entry_index_is_clean_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: entry index must be a JSON integer")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("bad", [0.5, True, 1e300])
+def test_rt_non_integer_coefficient_is_clean_error(tmp_path, capsys, bad):
+    obj = ribbon_to_json(ribbon_diagonal([[2, 5], [7, 3]]))
+    obj["braiding"][0][2] = {"num": [bad]}
+    dpath = write(tmp_path, "bad.ribbon", json.dumps(obj))
+    path = write(tmp_path, "trefoil.tw", TREFOIL)
+    assert main(["rt", path, "--data", dpath]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: coefficient must be a JSON integer")
+    assert "Traceback" not in captured.err

@@ -30,6 +30,30 @@ def test_scalar_rejects_garbage():
         scalar_from_json({"weird": 1})
 
 
+NON_COEFFICIENTS = [1.5, 0.5, 1.0, True, 1e300, None, [1]]
+
+
+@pytest.mark.parametrize("bad", NON_COEFFICIENTS)
+def test_alpha_coefficients_reject_non_integers(bad):
+    for obj in ({"num": [bad]}, {"num": ["1"], "den": ["1", bad]}):
+        with pytest.raises(ValueError, match="coefficient must be a JSON int"):
+            scalar_from_json(obj)
+        with pytest.raises(ValueError, match="coefficient must be a JSON int"):
+            series_from_json({"h_order": 1, "coeffs": ["1", obj]})
+
+
+@pytest.mark.parametrize("bad", [5, "1", {"0": 1}, None])
+def test_alpha_coefficients_must_be_an_array(bad):
+    for obj in ({"num": bad}, {"num": ["1"], "den": bad}):
+        with pytest.raises(ValueError, match="must be a JSON array"):
+            scalar_from_json(obj)
+
+
+def test_alpha_coefficients_take_integers_and_strings():
+    assert scalar_from_json({"num": [2, "1/2"], "den": [3]}) == (
+        (alpha() / 2 + 2) / 3)
+
+
 def test_series_round_trip_keeps_order_tag():
     s = lg_invariant("braid[2]: s1 s1 s1 t1^-3 ; close", 3)
     j = series_to_json(s)

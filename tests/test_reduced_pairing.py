@@ -10,7 +10,7 @@ from superchord.kontsevich import (
     ZValue, hump_factor, lg_invariant, paired_invariant, reduce_fourterm,
     z_eval)
 from superchord.scalars import QALPHA, series_inverse
-from superchord.weightsys import WeightSystem, named_system, wlg
+from superchord.weightsys import named_system, weight_system, wlg
 from superchord.words import parse_word
 
 TREFOIL = "braid[2]: s1 s1 s1 t1^-3 ; close"
@@ -65,7 +65,7 @@ def test_lg_reduced_equals_direct_on_generated_knots():
 @pytest.mark.parametrize("text", [TREFOIL, FIG8])
 def test_gl_reduced_equals_direct_at_order_four(name, text):
     rep, tv = named_system(name)
-    weight = WeightSystem(rep, tv).interval_scalar
+    weight = weight_system(rep, tv)
     assert (paired_invariant(text, weight, rep.ring, 4)
             == direct_pairing(text, weight, rep.ring, 4))
 

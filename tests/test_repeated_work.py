@@ -63,8 +63,7 @@ def test_associator_solve_builds_no_relator_span(monkeypatch):
 
 
 def test_lg_invariant_weighs_quotient_basis_classes_only(monkeypatch):
-    fresh = weightsys.WeightSystem(*weightsys.lg_data())
-    monkeypatch.setattr(weightsys, "_lg_system", lambda: fresh)
+    weightsys.weight_system.cache_clear()
     calls = _counting(monkeypatch, weightsys.WeightSystem, "tangle11")
     for text in LG_KNOTS_SEED0:
         lg_invariant(text, 3)
@@ -86,7 +85,7 @@ def test_station_walk_applies_chords_on_partial_states(monkeypatch):
     assert len(classes) == 15
     calls = _counting(monkeypatch, weightsys.WeightSystem, "chord")
     for d in classes.values():
-        fresh.interval_scalar(d)
+        fresh(d)
     # 19,008 state keys when every cup was opened before the first chord
     assert sum(len(args[1]) for args in calls) <= 9424
 
@@ -96,7 +95,7 @@ def test_station_walk_over_q_alpha_builds_no_fraction(monkeypatch):
     classes = _interval_classes(3)
     made = _counting(monkeypatch, Fraction, "__new__")
     for d in classes.values():
-        fresh.interval_scalar(d)
+        fresh(d)
     # 152,144 when Poly kept its coefficients as Fractions
     assert made == []
 

@@ -1,23 +1,25 @@
-"""Truncation consistency of wz_eval: order n is order n + 1 cut at h^n.
+"""Properties of wz_eval on generated closed braid words.
 
-The slice engine carries each chord product only on the degree layers
-its least-degree completion can still reach, so a bound that is off by
-one shows up here at the first word that needs the top layer.
+Truncation consistency: order n is order n + 1 cut at h^n.  The slice
+engine carries each chord product only on the degree layers its
+least-degree completion can still reach, so a bound that is off by one
+shows up here at the first word that needs the top layer.
+
+Two-path agreement: the diagram integral z_eval paired with ws_link
+equals the fused slice engine wz_eval, for the defining gl(m|n) module.
+Both draw on the one memoised weight system of their (rep, tensor)
+pair.
 """
 
 from functools import lru_cache
 
 from hypothesis import given, settings, strategies as st
 
-from superchord.kontsevich import wz_eval
-from superchord.weightsys import named_system
+from superchord.kontsevich import wz_eval, z_eval
+from superchord.liesuper import build_gl, casimir_tensor, standard_rep
+from superchord.weightsys import named_system, ws_link
 
 fast = settings(derandomize=True, max_examples=30, deadline=None)
-
-
-@lru_cache(maxsize=None)
-def system(name):
-    return named_system(name)
 
 
 @st.composite
@@ -36,10 +38,26 @@ def closed_braids(draw):
 @given(word=closed_braids(), name=st.sampled_from(("gl21", "gl11")),
        n=st.integers(0, 3))
 def test_closed_words_truncate_consistently(word, name, n):
-    rep, tensor = system(name)
+    rep, tensor = named_system(name)
     low = wz_eval(word, rep, tensor, n)
     high = wz_eval(word, rep, tensor, n + 1)
     assert low.c == high.c[:n + 1]
+
+
+@lru_cache(maxsize=None)
+def gl_defining(m, n):
+    g = build_gl(m, n)
+    return standard_rep(g, "defining"), casimir_tensor(g, "gl")
+
+
+@fast
+@given(word=closed_braids(), mn=st.sampled_from(((2, 1), (1, 1), (3, 1))))
+def test_closed_words_agree_on_both_paths(word, mn):
+    # gl(2|1) and gl(1|1) weigh every closed diagram (m - n)^cycles, that is
+    # 1 or 0, so only gl(3|1) sees a memo that mixes up diagram classes
+    rep, tensor = gl_defining(*mn)
+    paired = z_eval(word, 3).pair(lambda d: ws_link(d, rep, tensor), rep.ring)
+    assert paired == wz_eval(word, rep, tensor, 3)
 
 
 def test_valpha_tangle_truncates_consistently():
@@ -47,7 +65,7 @@ def test_valpha_tangle_truncates_consistently():
     word = "\n".join(["obj: +", "slice: id(+) cup(+-)",
                       "slice: X+ id(-)", "slice: X- id(-)",
                       "slice: X+ id(-)", "slice: id(+) cap(+-)"])
-    rep, tensor = system("valpha")
+    rep, tensor = named_system("valpha")
     low = wz_eval(word, rep, tensor, 2)
     high = wz_eval(word, rep, tensor, 3)
     assert len(low) == 3 and len(high) == 4

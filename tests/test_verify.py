@@ -4,7 +4,7 @@ import pytest
 
 from superchord import verify
 from superchord.verify import SUITES, VerifyReport, run_all, run_suite
-from superchord.weightsys import WeightSystem, named_system
+from superchord.weightsys import named_system, weight_system
 
 
 def test_all_suites_green():
@@ -32,7 +32,7 @@ def test_report_lines_mark_failures():
 def test_fourterm_checks_lg_interval_relators_through_the_order(monkeypatch):
     # a cheap stand-in for wlg: the check names and relator counts matter
     monkeypatch.setattr(verify, "wlg",
-                        WeightSystem(*named_system("gl11")).interval_scalar)
+                        weight_system(*named_system("gl11")))
     names = {o: [n for n, _ok, _d in run_suite("fourterm", order=o).checks]
              for o in (2, 3)}
     assert names[2] == names[3]

@@ -16,8 +16,8 @@ from superchord.scalars import QALPHA, alpha
 from superchord.supergraded import (
     SuperMap, copair_left, pair_dual_left, pair_dual_right, tensor_space)
 from superchord.weightsys import (
-    WeightSystem, lg_constant, lg_data, named_system, scalar_of_endo, wlg,
-    ws_link, ws_tangle11)
+    WeightSystem, lg_constant, lg_data, named_system, scalar_of_endo,
+    weight_system, wlg, ws_link, ws_tangle11)
 
 
 def brute_eval(diagram, rep, tensor):
@@ -250,7 +250,7 @@ def test_lg_one_term_relation_frozen():
     # nearby constant 2 + 2 alpha it acts by 2 alpha^3 - 2 alpha.
     d = interval(((0, 0), (0, 1)))
     assert wlg(d) == QALPHA.zero
-    bad = wlg(d, a=alpha() * 2 + 2)
+    bad = weight_system(*lg_data(alpha() * 2 + 2))(d)
     want = alpha() * alpha() * alpha() * 2 - alpha() * 2
     assert bad == want
 
@@ -295,6 +295,9 @@ def test_ws_link_rejects_intervals():
         ws_link(interval(), rep, t)
     with pytest.raises(ValueError):
         ws_tangle11(circle(), rep, t)
+    two = ChordDiagram(("interval", "interval"), [])
+    with pytest.raises(ValueError, match="need an all-circle or one-interval"):
+        weight_system(rep, t)(two)
 
 
 def _relabellings(d):
@@ -305,24 +308,25 @@ def _relabellings(d):
 
 
 def test_ws_link_is_invariant_under_relabelling():
-    # WeightSystem memoises by canonical_form, which relabels circles
+    # the memo is keyed by canonical_form, which relabels circles; every
+    # relabelling is evaluated on a fresh WeightSystem, not served from it
     cases = [(("circle",), m) for m in range(4)]
     cases += [(("circle", "circle"), m) for m in range(3)]
     for rep, t in _setups():
         for skeleton, m in cases:
             for d in enumerate_diagrams(skeleton, m):
-                want = ws_link(d, rep, t)
+                want = WeightSystem(rep, t)(d)
                 for r in _relabellings(d):
-                    assert ws_link(r, rep, t) == want, (d, r)
+                    assert WeightSystem(rep, t)(r) == want, (d, r)
 
 
 def test_weight_system_memo_matches_fresh_evaluation():
     for rep, t in _setups():
-        ws = WeightSystem(rep, t)
+        ws = weight_system(rep, t)
         for m in (2, 3):
             for rel in four_term_relators(("circle",), m):
                 for _sign, d in rel:
-                    assert ws.link(d) == ws_link(d, rep, t), d
+                    assert ws(d) == WeightSystem(rep, t)(d), d
 
 
 def test_memoised_wlg_matches_tangle_scalar():
@@ -338,7 +342,7 @@ def test_explicit_constant_is_not_served_from_default_memo():
     a = alpha() * 2 + 2
     d = interval(((0, 0), (0, 2)), ((0, 1), (0, 3)))
     default = wlg(d)
-    other = wlg(d, a=a)
+    other = weight_system(*lg_data(a))(d)
     assert other == scalar_of_endo(ws_tangle11(d, *lg_data(a)))
     assert other != default
     assert wlg(d) == default
