@@ -33,10 +33,22 @@ from functools import lru_cache
 from itertools import product
 
 from .diagrams import LinearSpan
-from .scalars import add_term
+from .scalars import ScalarError, add_term
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+# The largest truncation order that z_eval, wz_eval, paired_invariant,
+# the verify suites and the command line serve.  Order 6 waits on a
+# degree-6 interval four-term reduction that does not take minutes.
+MAX_ORDER = 5
+
+
+def check_order(order, least=0, most=MAX_ORDER):
+    """Refuse a truncation order outside least..most before any work."""
+    if type(order) is not int or not least <= order <= most:
+        raise ScalarError("order must be an int from %d to %d, got %r"
+                          % (least, most, order))
 
 
 def _wadd(x, y):
@@ -250,9 +262,12 @@ class Associator:
 
 @lru_cache(maxsize=None)
 def build_associator(order=3):
-    """Solve the hexagons and pentagon through the given total degree."""
-    if order < 2:
-        raise ValueError("the associator starts in degree 2")
+    """Solve the hexagons and pentagon through the given total degree.
+
+    The associator starts in degree 2, and is solved one degree past
+    MAX_ORDER: its degree-6 terms are the first thing order 6 needs.
+    """
+    check_order(order, 2, MAX_ORDER + 1)
     terms = {}
     for m in range(1, order + 1):
         base = _all_residuals(terms, m)
@@ -273,6 +288,9 @@ def build_associator(order=3):
         terms[m] = {w: c for w, c in zip(words_m, sol) if c}
         if any(_all_residuals(terms, m)):
             raise ValueError("degree %d resubstitution failed" % m)
+    # the solved series is memoised itself; the normal forms of its
+    # residual words are not needed again
+    _normal_form.cache_clear()
     return Associator(order, {m: ws for m, ws in terms.items() if ws})
 
 

@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 
+from .associator import MAX_ORDER, check_order
 from .jsonio import (
     load_diagram, load_ribbon, load_word, scalar_to_json, series_to_json,
     zvalue_to_json)
@@ -165,7 +166,8 @@ def _parser():
                        help="same as the positional file")
         if order:
             p.add_argument("--order", type=int, default=3,
-                           help="truncation degree, 1 to 4 (default 3)")
+                           help="truncation degree, 0 to %d (default 3)"
+                                % MAX_ORDER)
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("ws", help="weight of a .cd diagram")
@@ -201,7 +203,7 @@ def _parser():
     p.add_argument("--suite", dest="suite_flag", choices=suites)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--order", "--degree", type=int, default=3,
-                   help="truncation degree, 1 to 4 (default 3)")
+                   help="truncation degree, 0 to %d (default 3)" % MAX_ORDER)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(run=_cmd_verify)
     return top
@@ -210,13 +212,13 @@ def _parser():
 def main(argv=None):
     top = _parser()
     args = top.parse_args(argv)
-    if getattr(args, "order", 3) not in (1, 2, 3, 4):
-        top.error("--order must be between 1 and 4")
     if hasattr(args, "file"):
         args.file = args.file_flag or args.file
         if args.file is None:
             top.error("an input file is required")
     try:
+        if hasattr(args, "order"):
+            check_order(args.order)
         return args.run(args)
     except (ValueError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)

@@ -19,7 +19,14 @@ acts first, lowest on the page.
 Two backends walk the same slices: one accumulates chord diagrams on the
 traced skeleton (z_eval), one drives the WeightSystem state operations
 (cup, chord, cap, flip) over one state per h degree (wz_eval), the same
-operations that evaluate single diagrams.  Both truncate as they go.
+operations that evaluate single diagrams.  Both truncate as they go,
+and both keep rational values as Python ints over one int denominator
+per h degree (per chord count for diagrams): a crossing term
+(s/2)^k/k!, or an associator coefficient p/q, is added in with an int
+multiplier, and a target's denominator widens to the lcm only when it
+must.  A denominator is thus an lcm of products of the fixed crossing
+and associator denominators, bounded whatever the word's length, and a
+Fraction is built only at the output, once per layer or diagram class.
 The diagram backend never builds a term of more than order chords.  The
 matrix backend carries a product of letters, or a power of a crossing
 chord, only on the layers that its least-degree completion can still
@@ -35,13 +42,15 @@ double points.
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
+from math import lcm
 
-from .associator import build_associator
+from .associator import build_associator, check_order
 from .diagrams import (
     CIRCLE, INTERVAL, ChordDiagram, LinearSpan, canonical_form,
     four_term_relators, relator_vector, slit_component)
 from .scalars import (
-    QALPHA, QQ, HSeries, ScalarError, SeriesRing, add_term, series_inverse)
+    QALPHA, QQ, HSeries, SeriesRing, add_term, series_inverse)
 from .supergraded import SuperMap
 from .weightsys import weight_system, wlg
 from .words import PathTracer, TangleWord, parse_word, resolve_singular
@@ -65,12 +74,6 @@ def _suffix_tops(order, sign):
         for l in range(deg):
             tops[w[l:]] = max(tops.get(w[l:], -1), order - deg)
     return tops
-
-
-def _check_order(order):
-    """Refuse a negative truncation order before any work starts."""
-    if order < 0:
-        raise ScalarError("order must be >= 0, got %r" % (order,))
 
 
 def _as_word(word):
@@ -148,12 +151,14 @@ class ZValue:
 
 
 class _DiagramBackend:
-    """States are chord sets over stamped anchor tokens, with coefficients."""
+    """States are chord sets over stamped anchor tokens, with int
+    coefficients over one int denominator per chord count (den)."""
 
     def __init__(self, word, order):
         self.order = order
         self.tracer = PathTracer(word.source)
-        self.terms = {frozenset(): Fraction(1)}
+        self.terms = {frozenset(): 1}
+        self.den = [1] * (order + 1)
         self.event = 0
 
     def _stamp_layers(self, positions):
@@ -164,16 +169,35 @@ class _DiagramBackend:
                 self.tracer.stamp(p, ("a", e, j, p))
         return e
 
+    def _grow_den(self, steps):
+        """Widen den for n-chord terms that gain k chords with a coefficient
+        over q, for each (k, q) in steps; return the old den by size of
+        each present term."""
+        old = {len(key): self.den[len(key)] for key in self.terms}
+        den = [old.get(n, 1) for n in range(self.order + 1)]
+        for n, d in old.items():
+            for k, q in steps:
+                if n + k <= self.order:
+                    den[n + k] = lcm(den[n + k], d * q)
+        self.den = den
+        return old
+
     def crossing(self, p, s, signs):
         e = self._stamp_layers((p, p + 1))
-        half = Fraction(s * signs[p] * signs[p + 1], 2)
+        sign = s * signs[p] * signs[p + 1]
+        # the k-th term of the exponential is (sign/2)^k / k!
+        qs = [1]
+        for k in range(1, self.order + 1):
+            qs.append(qs[-1] * 2 * k)
+        old = self._grow_den(list(enumerate(qs)))
+        scale = {n: [sign ** k * self.den[n + k] // (d * qs[k])
+                     for k in range(self.order - n + 1)]
+                 for n, d in old.items()}
         new = {}
         for key, c in self.terms.items():
-            f = Fraction(1)
             chords = []
-            for k in range(self.order - len(key) + 1):
+            for k, f in enumerate(scale[len(key)]):
                 if k:
-                    f = f * half / k
                     chords.append((("a", e, k - 1, p), ("a", e, k - 1, p + 1)))
                 add_term(new, key.union(chords), c * f)
         self.terms = new
@@ -186,28 +210,32 @@ class _DiagramBackend:
         e = self._stamp_layers(range(p + 2))
         tuv = [(a, p, signs[a] * signs[p]) for a in range(p)]
         tvw = [(p, p + 1, signs[p] * signs[p + 1])]
-        new = dict(self.terms)
+        old = self._grow_den(
+            [(0, 1)] + [(deg, coeff.denominator) for deg, _, coeff in words_])
+        den = self.den
+        new = {key: c * (den[len(key)] // old[len(key)])
+               for key, c in self.terms.items()}
+        scale = {n: [(deg, w, coeff.numerator * den[n + deg]
+                      // (d * coeff.denominator))
+                     for deg, w, coeff in words_ if n + deg <= self.order]
+                 for n, d in old.items()}
         for key, c in self.terms.items():
-            room = self.order - len(key)
-            for deg, w, coeff in words_:
-                if deg > room:
-                    continue
-                self._letters(new, key, c * coeff, w, tuv, tvw, e)
+            for deg, w, f in scale[len(key)]:
+                self._letters(new, key, c * f, w, tuv, tvw, e)
         self.terms = new
 
     def _letters(self, out, key, base, w, tuv, tvw, e):
+        """Add base times every chord choice of the word w to key: letter
+        l picks one pair of tuv (letter 0) or tvw on layer len(w) - 1 - l."""
         deg = len(w)
-
-        def rec(l, chords, sgn):
-            if l == deg:
-                add_term(out, key.union(chords), base * sgn)
-                return
-            j = deg - 1 - l
-            for (a, b, s) in (tuv if w[l] == 0 else tvw):
-                rec(l + 1, chords + [(("a", e, j, a), ("a", e, j, b))],
-                    sgn * s)
-
-        rec(0, [], 1)
+        for picks in product(*(tuv if x == 0 else tvw for x in w)):
+            chords = []
+            c = base
+            for l, (a, b, s) in enumerate(picks):
+                j = deg - 1 - l
+                chords.append((("a", e, j, a), ("a", e, j, b)))
+                c = c * s
+            add_term(out, key.union(chords), c)
 
     def cup(self, p, sign):
         self.tracer.cup(p, sign)
@@ -232,15 +260,33 @@ class _DiagramBackend:
             e = canonical_form(d)
             add_term(agg, e, c)
             reps.setdefault(e, d)
-        return out.kinds, agg, reps
+        terms = {e: Fraction(c, self.den[len(e[1])]) for e, c in agg.items()}
+        return out.kinds, terms, reps
 
 
 def z_eval(word, order):
     """Kontsevich integral of a word through the given chord degree."""
-    _check_order(order)
+    check_order(order)
     word = _as_word(word)
     skeleton, terms, reps = _walk(word, _DiagramBackend(word, order))
     return ZValue(skeleton, terms, reps, order)
+
+
+def _add_scaled(total, dens, t, layer, p, q):
+    """total[t] += layer * p / q, with int q: the values of total[t] stay
+    over dens[t], which grows to the lcm with q, and the target is
+    rescaled only when it does."""
+    tgt = total[t]
+    old = dens[t] if tgt else 1
+    den = lcm(old, q)
+    if den != old and tgt:
+        r = den // old
+        for key, v in tgt.items():
+            tgt[key] = v * r
+    dens[t] = den
+    f = p * (den // q)
+    for key, v in layer.items():
+        add_term(tgt, key, v if f == 1 else v * f)
 
 
 class _MatrixBackend:
@@ -249,7 +295,9 @@ class _MatrixBackend:
     Every slice maps the WeightSystem operations (cup, chord, cap, flip)
     over the degree layers; a strand's role is its sign, so an upward
     strand acts through the dual.  The frozen source indices make open
-    words come out as one map per degree.
+    words come out as one map per degree.  Layer m holds its values over
+    one int denominator den[m]: ints over Q, so the walk builds no
+    Fraction, and finish divides each layer once.
 
     A product of letters, or a power of a crossing chord, is carried only
     on the layers that its least-degree completion can still reach: for
@@ -261,28 +309,30 @@ class _MatrixBackend:
     def __init__(self, word, order, rep, tensor):
         self.order = order
         self.ws = weight_system(rep, tensor)
-        self.ring = rep.ring
         self.deg = [self.ws.identity(len(word.source))]
         self.deg += [dict() for _ in range(order)]
+        self.den = [1] * (order + 1)
 
     def _chord(self, states, a, b, signs):
         return [self.ws.chord(s, a, b, (signs[a], signs[b])) for s in states]
 
     def crossing(self, p, s, signs):
         total = [dict(d) for d in self.deg]
+        dens = list(self.den)
         acc = self.deg
-        f = Fraction(1)
+        q = 1
         for k in range(1, self.order + 1):
-            f = f * Fraction(s, 2) / k
+            # (s/2)^k / k!, and chord_den from each chord
+            q *= 2 * k * self.ws.chord_den
             acc = self._chord(acc[:self.order + 1 - k], p, p + 1, signs)
             if not any(acc):
                 break
-            fc = self.ring.coerce(f)
             for m, layer in enumerate(acc):
-                tgt = total[m + k]
-                for key, v in layer.items():
-                    add_term(tgt, key, fc * v)
+                if layer:
+                    _add_scaled(total, dens, m + k, layer, s ** k,
+                                self.den[m] * q)
         self.deg = [self.ws.flip(layer, p) for layer in total]
+        self.den = dens
 
     def associate(self, p, sign, signs):
         words_ = _phi_terms(self.order, sign)
@@ -291,6 +341,7 @@ class _MatrixBackend:
         tops = _suffix_tops(self.order, sign)
         base = self.deg
         total = [dict(d) for d in base]
+        dens = list(self.den)
         cache = {}
         for deg, w, coeff in words_:
             acc = base
@@ -305,12 +356,13 @@ class _MatrixBackend:
                     break
             if not any(acc):
                 continue
-            fc = self.ring.coerce(coeff)
+            q = coeff.denominator * self.ws.chord_den ** deg
             for m, layer in enumerate(acc):
-                tgt = total[m + deg]
-                for key, v in layer.items():
-                    add_term(tgt, key, fc * v)
+                if layer:
+                    _add_scaled(total, dens, m + deg, layer,
+                                coeff.numerator, self.den[m] * q)
         self.deg = total
+        self.den = dens
 
     def _letter(self, states, letter, p, signs):
         out = [dict() for _ in states]
@@ -330,7 +382,11 @@ class _MatrixBackend:
         self.deg = [self.ws.cap(layer, p, sign) for layer in self.deg]
 
     def finish(self):
-        return self.deg
+        out = []
+        for layer, den in zip(self.deg, self.den):
+            unit = self.ws.ring.reciprocal(den)
+            out.append({key: v * unit for key, v in layer.items()})
+        return out
 
 
 def wz_eval(word, rep, tensor, order):
@@ -340,7 +396,7 @@ def wz_eval(word, rep, tensor, order):
     give a list of endomorphisms of V, one per degree.  Other boundaries
     give raw per-degree dicts keyed by (target indices, source indices).
     """
-    _check_order(order)
+    check_order(order)
     word = _as_word(word)
     backend = _MatrixBackend(word, order, rep, tensor)
     deg = _walk(word, backend)
@@ -427,6 +483,7 @@ def paired_invariant(word, weight, ring, order):
     result a framed invariant of the knot, independent of the sliced
     presentation.
     """
+    check_order(order)
     word = _as_word(word)
     if not word.is_closed or word.components != (CIRCLE,):
         raise ValueError("paired invariants need a closed knot word")
@@ -451,6 +508,7 @@ def vassiliev_defect(word, rep, tensor, order):
     The word must be closed and every resolution must have even framings
     on all components.
     """
+    check_order(order)
     word = _as_word(word)
     if not word.is_closed:
         raise ValueError("the defect needs a closed word")

@@ -2,7 +2,10 @@
 
 Three levels are used throughout the package:
 
-* plain rationals (``fractions.Fraction``),
+* plain rationals (``fractions.Fraction``) at every interface; inside
+  both chord engines a rational state is Python ints over one int
+  denominator per state or h-degree layer, and ``Ring.split`` and
+  ``Ring.reciprocal`` convert at the two ends,
 * rational functions in one variable ``alpha`` with rational coefficients
   (:class:`AlphaScalar`), kept reduced with a monic denominator,
 * truncated power series in a formal variable ``h`` over either of the
@@ -409,6 +412,10 @@ class Ring:
     def coerce(self, v):
         raise NotImplementedError
 
+    def reciprocal(self, d):
+        """1/d as a value of the ring, for a positive int d."""
+        return self.one if d == 1 else self.coerce(Fraction(1, d))
+
 
 class _RationalRing(Ring):
     def __init__(self):
@@ -425,6 +432,10 @@ class _RationalRing(Ring):
             return Fraction(*c)
         return _as_fraction(v)
 
+    def split(self, v):
+        """(n, d) with v = n / d: int n over a positive int d."""
+        return _ratio(self.coerce(v))
+
 
 class _AlphaRing(Ring):
     def __init__(self):
@@ -434,6 +445,10 @@ class _AlphaRing(Ring):
 
     def coerce(self, v):
         return AlphaScalar.coerce(v)
+
+    def split(self, v):
+        """(v, 1): a Q(alpha) value keeps its own denominator."""
+        return self.coerce(v), 1
 
 
 QQ = _RationalRing()

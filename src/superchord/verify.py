@@ -9,15 +9,14 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
-from .associator import associator_checks, build_associator
+from .associator import associator_checks, build_associator, check_order
 from .conway import conway_polynomial
 from .diagrams import (
     CIRCLE, INTERVAL, cable_diagram, canonical_form, enumerate_diagrams,
     four_term_relators, random_diagram, slit_component)
 from .kontsevich import paired_invariant, vassiliev_defect, z_eval
-from .liesuper import rep_combine
 from .scalars import QALPHA, QQ, SeriesRing, add_term, series_exp
-from .weightsys import named_system, weight_system, wlg
+from .weightsys import named_system, squared_system, weight_system, wlg
 from .words import diagram_of_singular, parse_word, resolve_singular
 
 
@@ -172,7 +171,7 @@ def verify_cabling(order=3, seed=0, samples=50):
     report = VerifyReport("cabling")
     rep, tv = named_system("gl11")
     ws = weight_system(rep, tv)
-    square = weight_system(rep_combine("tensor", rep, rep), tv)
+    square = weight_system(*squared_system("gl11"))
     rng = random.Random(seed)
     bad = 0
     for _ in range(samples):
@@ -252,6 +251,7 @@ SUITES = {
 
 
 def run_suite(name, order=3, seed=0):
+    check_order(order)
     if name not in SUITES:
         raise ValueError("unknown suite %r; have %s"
                          % (name, ", ".join(sorted(SUITES))))

@@ -3,14 +3,19 @@
 One state machine evaluates both diagrams and tangle words.  A state is
 a sparse dict keyed by the live basis indices, one per strand, followed
 by the frozen source indices; `WeightSystem` gives the only operations
-on it.  A strand of role +1 runs downward through V, one of role -1
-upward through V*.  `cup(+-)` (k -> V x V*) and `cap(-+)` (V* x V -> k)
-are plain; `cap(+-)`, the right pairing V x V* -> k, and `cup(-+)` sign
-odd indices, which gives the supertrace sign.  `chord` inserts the
-invariant tensor sum t^{ij} e_i x e_j at two strands, acting through
-the representation or its dual by role, with Koszul transport signs from
-the parities of the indices to the left of each insertion; `flip` is the
-super flip of a crossing.
+on it.  Its values carry no denominator: Python ints over Q, ring values
+over Q(alpha).  The chord matrices are held over one common int
+denominator, `chord_den` (1 for the gl(m|n) defining modules with t_gl),
+so a state after c chords stands for itself over chord_den^c, and
+whoever walks it divides once at the end.  A strand of role +1 runs
+downward through V, one of role -1 upward through V*.  `cup(+-)`
+(k -> V x V*) and `cap(-+)` (V* x V -> k) are plain; `cap(+-)`, the
+right pairing V x V* -> k, and `cup(-+)` sign odd indices, which gives
+the supertrace sign.  `chord` inserts the invariant tensor sum
+t^{ij} e_i x e_j at two strands, acting through the representation or
+its dual by role, with Koszul transport signs from the parities of the
+indices to the left of each insertion; `flip` is the super flip of a
+crossing.
 
 A diagram is walked as a planar picture: each component is a serpentine
 of stations, one chord endpoint per station, alternating roles +1 and
@@ -25,13 +30,13 @@ does not change the value: a cup or cap inserts or removes a pair
 those of opening every cup first, and chords on distinct stations
 commute because the tensor is even.  The chord matrices are unsigned;
 each upward endpoint contributes one factor -1, uniform over the state,
-so it is applied once to the result.  The slice engine of
-`kontsevich.wz_eval` drives the same operations, slice by slice, over
-one state per h degree.
+so it is applied once to the result, with the division by chord_den.
+The slice engine of `kontsevich.wz_eval` drives the same operations,
+slice by slice, over one state per h degree.
 
 `weight_system(rep, tensor)` gives the one `WeightSystem` of a pair:
-its dual representation, its chord matrices, built on first use for
-each pair of strand roles, and its memo.  `ws(d)` is the closed value of
+its dual representation, its chord matrices, one for each pair of
+strand roles, and its memo.  `ws(d)` is the closed value of
 an all-circle diagram, or the scalar by which the endomorphism of a
 one-interval diagram acts (`scalar_of_endo`); other skeletons raise
 ValueError.  It is memoised by `canonical_form`, so each diagram class
@@ -48,6 +53,7 @@ module V_alpha with the one-term tensor s = a (I x I) + t_sl
 from bisect import bisect
 from functools import lru_cache
 from itertools import product
+from math import lcm
 
 from .diagrams import CIRCLE, INTERVAL, canonical_form
 from .liesuper import (
@@ -112,8 +118,8 @@ def _sweep(diagram):
 def _chord_matrix(mats_a, mats_b, terms, ring):
     """Column-indexed two-site matrix of sum c A_i x B_j over terms (c, i, j).
 
-    `WeightSystem.chord` builds one per pair of strand roles, unsigned;
-    the station walk applies its upward-endpoint signs to the result.
+    `WeightSystem` builds one per pair of strand roles, unsigned; the
+    station walk applies its upward-endpoint signs to the result.
     """
     by_col = {}
     for c, i, j in terms:
@@ -123,6 +129,20 @@ def _chord_matrix(mats_a, mats_b, terms, ring):
             for (rb, cb), vb in mats_b[j].m.items():
                 add_term(by_col.setdefault((ca, cb), {}), (ra, rb), cva * vb)
     return {col: sorted(cell.items()) for col, cell in by_col.items() if cell}
+
+
+def _over_one_denominator(matrices, ring):
+    """The matrices as values over one common int denominator: ints over Q,
+    where the gl(m|n) defining matrices with t_gl need none, and the
+    ring values themselves over Q(alpha)."""
+    split = {v: ring.split(v) for m in matrices.values()
+             for cell in m.values() for _, v in cell}
+    den = lcm(1, *(d for _, d in split.values()))
+    scaled = {v: n if d == den else n * (den // d)
+              for v, (n, d) in split.items()}
+    return {roles: {col: [(rows, scaled[v]) for rows, v in cell]
+                    for col, cell in m.items()}
+            for roles, m in matrices.items()}, den
 
 
 def _apply_chord(state, a, b, matrix, par):
@@ -159,11 +179,12 @@ class WeightSystem:
     the frozen source indices; `identity`, `cup`, `chord`, `cap` and
     `flip` are the only operations on it, shared by the station walk here
     and the slice engine of `kontsevich.wz_eval`.  The dual representation
-    is built once, and the unsigned chord matrix for each pair of strand
-    roles on first use.  Calling the system on a diagram evaluates each
-    canonical_form class once and answers repeats from a memo; `tangle11`
-    evaluates afresh every time.  Build one through `weight_system`, so
-    that its callers share it.
+    and the unsigned chord matrix for each pair of strand roles are built
+    once, over one int denominator chord_den; a state holds ints over Q.
+    Calling the system on a diagram evaluates each canonical_form class
+    once and answers repeats from a memo; `tangle11` evaluates afresh
+    every time.  Build one through `weight_system`, so that its callers
+    share it.
     """
 
     def __init__(self, rep, tensor):
@@ -173,13 +194,17 @@ class WeightSystem:
         self.par = rep.space.parities
         self.dim = rep.space.dim
         self.dual = rep_combine("dual", rep)
-        self._matrices = {}
+        mats = {1: rep.mats, -1: self.dual.mats}
+        terms = tensor.as_pair_terms()
+        self._matrices, self.chord_den = _over_one_denominator(
+            {roles: _chord_matrix(mats[roles[0]], mats[roles[1]], terms,
+                                  self.ring)
+             for roles in product((1, -1), repeat=2)}, self.ring)
         self._memo = {}
 
     def identity(self, n):
         """The identity on n strands: live indices equal to the sources."""
-        return {key + key: self.ring.one
-                for key in product(range(self.dim), repeat=n)}
+        return {key + key: 1 for key in product(range(self.dim), repeat=n)}
 
     def cup(self, state, p, sign):
         """Insert a cup at positions p, p + 1; cup(-+) signs odd indices."""
@@ -192,12 +217,8 @@ class WeightSystem:
 
     def chord(self, state, a, b, roles):
         """Insert the tensor at positions a < b, unsigned: a strand of role
-        +1 acts through V, one of role -1 through the dual."""
-        if roles not in self._matrices:
-            mats = {1: self.rep.mats, -1: self.dual.mats}
-            self._matrices[roles] = _chord_matrix(
-                mats[roles[0]], mats[roles[1]],
-                self.tensor.as_pair_terms(), self.ring)
+        +1 acts through V, one of role -1 through the dual.  The values
+        come out chord_den times too large."""
         return _apply_chord(state, a, b, self._matrices[roles], self.par)
 
     def cap(self, state, p, sign):
@@ -227,10 +248,11 @@ class WeightSystem:
         first chord: a cup or cap inserts or removes a pair (i, i) of
         even total parity, so it leaves the Koszul signs of the chords
         unchanged, and chords on distinct stations commute because the
-        tensor is even.  An empty state ends the walk early.
+        tensor is even.  An empty state ends the walk early.  The state
+        is divided by chord_den once per chord, at the end.
         """
         state = self.identity(1 if with_source else 0)
-        ups = 0
+        ups = chords = 0
         for step in _sweep(diagram):
             if step[0] == "cup":
                 state = self.cup(state, step[1], 1)
@@ -238,12 +260,16 @@ class WeightSystem:
                 state = self.cap(state, step[1], step[2])
             else:
                 ups += step[3].count(-1)
+                chords += 1
                 state = self.chord(state, *step[1:])
             if not state:
                 break
+        unit = self.ring.reciprocal(self.chord_den ** chords)
         if ups % 2:
-            state = {k: -v for k, v in state.items()}
-        return state if with_source else state.get((), self.ring.zero)
+            unit = -unit
+        if with_source:
+            return {k: v * unit for k, v in state.items()}
+        return state.get((), 0) * unit
 
     def __call__(self, diagram):
         """Weight of a diagram: the closed value of an all-circle skeleton,
@@ -335,6 +361,15 @@ def named_system(name):
     (m, n), rep, tensor = _SYSTEMS[name]
     g = build_gl(m, n)
     return standard_rep(g, rep), casimir_tensor(g, tensor)
+
+
+@lru_cache(maxsize=None)
+def squared_system(name):
+    """(V x V, tensor) of a named system (V, tensor): the tensor square
+    that the cabling check weighs.  Memoised like named_system, so its
+    weight_system is built once."""
+    rep, tensor = named_system(name)
+    return rep_combine("tensor", rep, rep), tensor
 
 
 def wlg(diagram):

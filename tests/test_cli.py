@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -140,9 +141,33 @@ def test_verify_positional_suite(capsys):
     assert "fourterm" in out and "FAIL" not in out
 
 
-def test_order_cap():
-    with pytest.raises(SystemExit):
-        main(["lg", "missing.tw", "--order", "5"])
+def test_order_cap(capsys):
+    start = time.perf_counter()
+    assert main(["lg", "missing.tw", "--order", "6"]) == 1
+    assert time.perf_counter() - start < 0.1
+    err = capsys.readouterr().err
+    assert err == "error: order must be an int from 0 to 5, got 6\n"
+
+
+def test_order_cap_exits_1_without_traceback(tmp_path):
+    path = write(tmp_path, "trefoil.tw", TREFOIL)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    for args in (["lg", path, "--order", "6"], ["verify", "--order", "6"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "superchord"] + args,
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: order must be")
+        assert "Traceback" not in proc.stderr
+
+
+def test_order_five_accepted(tmp_path, capsys):
+    path = write(tmp_path, "unknot.tw", "braid[1]: ; close")
+    assert main(["z", path, "--order", "5", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["h_order"] == 5
 
 
 def test_missing_input_argument():

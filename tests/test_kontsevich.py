@@ -1,21 +1,26 @@
 """Truncated Kontsevich integral: anchors, coherence, and composites."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from superchord import kontsevich, verify
+from superchord.associator import MAX_ORDER
 from superchord.diagrams import (
     CIRCLE, ChordDiagram, INTERVAL, LinearSpan, cable_diagram, canonical_form,
     four_term_relators, random_diagram, relator_vector)
 from superchord.kontsevich import (
-    hump_factor, lg_invariant, paired_invariant, vassiliev_defect, wz_eval,
-    z_eval)
+    _DiagramBackend, _MatrixBackend, _phi_terms, hump_factor, lg_invariant,
+    paired_invariant, vassiliev_defect, wz_eval, z_eval)
 from superchord.liesuper import (
     build_gl, casimir_tensor, rep_combine, standard_rep)
 from superchord.scalars import QALPHA, ScalarError, alpha
 from superchord.supergraded import SuperMap
-from superchord.weightsys import scalar_of_endo, wlg, ws_link, ws_tangle11
+from superchord.verify import run_all, run_suite
+from superchord.weightsys import (
+    scalar_of_endo, weight_system, wlg, ws_link, ws_tangle11)
 from superchord.words import diagram_of_singular, parse_word, resolve_singular
 
 F = Fraction
@@ -258,3 +263,83 @@ def test_negative_order_rejected_before_work():
         z_eval("not a word", -1)
     with pytest.raises(ScalarError, match="order"):
         wz_eval("not a word", rep, tensor, -1)
+
+
+def test_order_above_the_cap_refused_before_the_associator(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(kontsevich, "build_associator", counted)
+    monkeypatch.setattr(verify, "build_associator", counted)
+    monkeypatch.setattr(verify, "SUITES",
+                        {name: counted for name in verify.SUITES})
+    rep, tensor = gl21_defining()
+    order = MAX_ORDER + 1
+    refused = [
+        lambda: z_eval(TREFOIL, order),
+        lambda: wz_eval(TREFOIL, rep, tensor, order),
+        lambda: paired_invariant(TREFOIL, wlg, QALPHA, order),
+        lambda: lg_invariant(TREFOIL, order),
+        lambda: vassiliev_defect(TREFOIL, rep, tensor, order),
+        lambda: run_suite("conway", order=order),
+        lambda: run_all(order=order),
+    ]
+    for call in refused:
+        with pytest.raises(ScalarError,
+                           match="order must be an int from 0 to 5, got 6"):
+            call()
+    assert calls == []
+
+
+def _den_bound(order):
+    """Per degree m, the lcm over the ways to reach m of the product of
+    the crossing (2^k k!) and associator-word denominators on the way."""
+    part = [1] + [2 ** k * math.factorial(k) for k in range(1, order + 1)]
+    for sign in (1, -1):
+        for m, _w, c in _phi_terms(order, sign):
+            part[m] = math.lcm(part[m], c.denominator)
+    bound = [1]
+    for m in range(1, order + 1):
+        bound.append(math.lcm(*(bound[m - j] * part[j]
+                                for j in range(1, m + 1))))
+    return bound
+
+
+def _record_dens(monkeypatch, backend, bound):
+    """Check the layer denominators against bound after every crossing
+    and associator move of backend; return the list they are kept in."""
+    seen = []
+    for name in ("crossing", "associate"):
+        def checked(self, *args, _step=getattr(backend, name)):
+            _step(self, *args)
+            assert all(b % d == 0 for d, b in zip(self.den, bound)), self.den
+            seen.append(list(self.den))
+
+        monkeypatch.setattr(backend, name, checked)
+    return seen
+
+
+def test_layer_denominators_stay_bounded_on_a_long_word(monkeypatch):
+    rng = random.Random(2)
+    letters = [rng.choice(("s1", "s2", "s1^-1", "s2^-1")) for _ in range(20)]
+    word = "braid[3]: %s ; close" % " ".join(letters)
+    # the bound does not depend on the word
+    bound = _den_bound(4)
+    assert bound == [1, 2, 24, 48, 5760]
+    diagram_dens = _record_dens(monkeypatch, _DiagramBackend, bound)
+    matrix_dens = _record_dens(monkeypatch, _MatrixBackend, bound)
+    z = z_eval(word, 4)
+    for rep, tensor in (gl21_defining(), gl11_defining()):
+        # the t_gl chord matrices are integers, so crossings and
+        # associator words alone set the denominators
+        assert weight_system(rep, tensor).chord_den == 1
+        assert wz_eval(word, rep, tensor, 4) == z.pair(
+            lambda d: ws_link(d, rep, tensor), rep.ring)
+    # a crossing per letter and two associator moves per s2, walked once
+    # by z_eval and once per system by wz_eval
+    assert 2 * len(diagram_dens) == len(matrix_dens)
+    assert len(diagram_dens) > 20
+    assert diagram_dens[-1][4] > 1 and matrix_dens[-1][4] > 1

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 from superchord import diagrams, ribbon, weightsys
 from superchord.associator import associator_checks, build_associator
-from superchord.kontsevich import lg_invariant, wz_eval
+from superchord.kontsevich import lg_invariant, wz_eval, z_eval
 
 # the lg-knots benchmark inputs of seed 0
 LG_KNOTS_SEED0 = (
@@ -110,3 +110,17 @@ def test_slice_engine_over_q_alpha_builds_few_fractions(monkeypatch):
     # 33,780 when Poly kept its coefficients as Fractions; what is left
     # is the (s/2)^k / k! of the crossing exponentials (kontsevich)
     assert len(made) <= 30
+
+
+def test_chord_engines_over_q_build_few_fractions(monkeypatch):
+    # the first 3-strand rational-links input of seed 0
+    word = "braid[3]: s1 s2^-1 s1^-1 s2 ; close"
+    rep, tensor = weightsys.named_system("gl21")
+    expected = (z_eval(word, 4), wz_eval(word, rep, tensor, 4))
+    made = _counting(monkeypatch, Fraction, "__new__")
+    got = (z_eval(word, 4), wz_eval(word, rep, tensor, 4))
+    count = len(made)
+    assert got == expected
+    # 37,812 when both engines held Fraction states; what is left is one
+    # Fraction per diagram class and one 1/den per h-degree layer
+    assert count <= 26

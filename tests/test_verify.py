@@ -54,3 +54,11 @@ def test_conway_suite_sees_a_wrong_polynomial(monkeypatch):
     monkeypatch.setattr(verify, "conway_polynomial", off_in_z2)
     report = run_suite("conway", order=3)
     assert not any(ok for _n, ok, _d in report.checks)
+
+
+def test_cabling_builds_its_square_system_once():
+    run_suite("cabling", seed=0)
+    size = weight_system.cache_info().currsize
+    for seed in (1, 2):
+        run_suite("cabling", seed=seed)
+        assert weight_system.cache_info().currsize == size
