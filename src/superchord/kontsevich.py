@@ -19,18 +19,22 @@ acts first, lowest on the page.
 Two backends walk the same slices: one accumulates chord diagrams on the
 traced skeleton (z_eval), one drives the WeightSystem state operations
 (cup, chord, cap, flip) over one state per h degree (wz_eval), the same
-operations that evaluate single diagrams.  Both truncate as they go,
-and both keep rational values as Python ints over one int denominator
-per h degree (per chord count for diagrams): a crossing term
-(s/2)^k/k!, or an associator coefficient p/q, is added in with an int
-multiplier, and a target's denominator widens to the lcm only when it
-must.  A denominator is thus an lcm of products of the fixed crossing
-and associator denominators, bounded whatever the word's length, and a
-Fraction is built only at the output, once per layer or diagram class.
-The diagram backend never builds a term of more than order chords.  The
-matrix backend carries a product of letters, or a power of a crossing
-chord, only on the layers that its least-degree completion can still
-reach, so a word of degree d acts on layers 0..order-d.
+operations that evaluate single diagrams.  Both apply a crossing and an
+associator move as one kind of step, a word series: the crossing's
+exponential is the powers of letter 1, the chord on its two strands,
+with coefficients (s/2)^k/k!.  Both keep rational values as Python ints
+over one constant denominator per h degree (per chord count for
+diagrams), the table D of _layer_dens: D[0] = 1, and D[m] is the lcm of
+D[m - k] q over every crossing term and associator coefficient p/q of
+degree k, of either sign; at order 4 it is [1, 2, 24, 48, 5760].  A
+term adds layer n into layer n + k with the int multiplier
+p D[n + k] / (D[n] q) of one cached table (_word_series), so no value
+is ever rescaled, and a Fraction is built only at the output, once per
+layer or diagram class.  Both truncate as they go.  The diagram backend
+never builds a term of more than order chords.  The matrix backend
+carries a product of letters only on the layers that its least-degree
+completion can still reach, so a word of degree d acts on layers
+0..order-d.
 
 Composites: paired_invariant slits z_eval at the basepoint, reduces it
 modulo the interval four-term relations (reduce_fourterm) and pairs the
@@ -43,7 +47,7 @@ double points.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import lcm
+from math import factorial, lcm
 
 from .associator import build_associator, check_order
 from .diagrams import (
@@ -66,14 +70,48 @@ def _phi_terms(order, sign):
 
 
 @lru_cache(maxsize=None)
-def _suffix_tops(order, sign):
-    """Top h-degree layer on which each suffix of a _phi_terms word is
-    needed: order minus the least degree of a word that ends in it."""
+def _crossing_terms(order, sign):
+    """exp(sign chord / 2) as a word series: (sign/2)^k / k! times letter
+    1, the chord on the crossing strands, to the k."""
+    return tuple((k, (1,) * k, Fraction(sign ** k, 2 ** k * factorial(k)))
+                 for k in range(1, order + 1))
+
+
+@lru_cache(maxsize=None)
+def _layer_dens(order):
+    """D[m], the one denominator of h-degree layer m: the lcm of D[m - k] q
+    over every crossing and associator term of degree k, with coefficient
+    p/q, of either sign."""
+    terms = [t for sign in (1, -1)
+             for t in _crossing_terms(order, sign) + _phi_terms(order, sign)]
+    dens = [1]
+    for m in range(1, order + 1):
+        dens.append(lcm(*(dens[m - k] * c.denominator
+                          for k, _, c in terms if k <= m)))
+    return tuple(dens)
+
+
+@lru_cache(maxsize=None)
+def _word_series(order, crossing, sign):
+    """A crossing's or an associator move's word series, ready for layers.
+
+    Each term is (degree k, word, multipliers): multiplier n is the int
+    p D[n + k] / (D[n] q) that takes a layer n value over D[n] to layer
+    n + k over D[n + k], with the term's coefficient p/q.  tops maps each
+    suffix of a word to the top layer on which it is needed: order minus
+    the least degree of a word that ends in it.
+    """
+    dens = _layer_dens(order)
+    words = (_crossing_terms if crossing else _phi_terms)(order, sign)
+    terms = tuple(
+        (k, w, tuple(c.numerator * dens[n + k] // (dens[n] * c.denominator)
+                     for n in range(order - k + 1)))
+        for k, w, c in words)
     tops = {}
-    for deg, w, _ in _phi_terms(order, sign):
-        for l in range(deg):
-            tops[w[l:]] = max(tops.get(w[l:], -1), order - deg)
-    return tops
+    for k, w, _ in terms:
+        for l in range(k):
+            tops[w[l:]] = max(tops.get(w[l:], -1), order - k)
+    return terms, tops
 
 
 def _as_word(word):
@@ -152,13 +190,12 @@ class ZValue:
 
 class _DiagramBackend:
     """States are chord sets over stamped anchor tokens, with int
-    coefficients over one int denominator per chord count (den)."""
+    coefficients over D[m] for m chords (_layer_dens)."""
 
     def __init__(self, word, order):
         self.order = order
         self.tracer = PathTracer(word.source)
         self.terms = {frozenset(): 1}
-        self.den = [1] * (order + 1)
         self.event = 0
 
     def _stamp_layers(self, positions):
@@ -169,73 +206,60 @@ class _DiagramBackend:
                 self.tracer.stamp(p, ("a", e, j, p))
         return e
 
-    def _grow_den(self, steps):
-        """Widen den for n-chord terms that gain k chords with a coefficient
-        over q, for each (k, q) in steps; return the old den by size of
-        each present term."""
-        old = {len(key): self.den[len(key)] for key in self.terms}
-        den = [old.get(n, 1) for n in range(self.order + 1)]
-        for n, d in old.items():
-            for k, q in steps:
-                if n + k <= self.order:
-                    den[n + k] = lcm(den[n + k], d * q)
-        self.den = den
-        return old
-
     def crossing(self, p, s, signs):
         e = self._stamp_layers((p, p + 1))
-        sign = s * signs[p] * signs[p + 1]
-        # the k-th term of the exponential is (sign/2)^k / k!
-        qs = [1]
-        for k in range(1, self.order + 1):
-            qs.append(qs[-1] * 2 * k)
-        old = self._grow_den(list(enumerate(qs)))
-        scale = {n: [sign ** k * self.den[n + k] // (d * qs[k])
-                     for k in range(self.order - n + 1)]
-                 for n, d in old.items()}
+        tvw = [(p, p + 1, signs[p] * signs[p + 1])]
+        terms, _ = _word_series(self.order, True, s)
+        series = self._expand(terms, (), tvw, e)
         new = {}
         for key, c in self.terms.items():
-            chords = []
-            for k, f in enumerate(scale[len(key)]):
-                if k:
-                    chords.append((("a", e, k - 1, p), ("a", e, k - 1, p + 1)))
-                add_term(new, key.union(chords), c * f)
+            add_term(new, key, c)
+            self._add_series(new, key, c, series)
         self.terms = new
         self.tracer.cross(p)
 
     def associate(self, p, sign, signs):
-        words_ = _phi_terms(self.order, sign)
-        if not words_:
+        terms, _ = _word_series(self.order, False, sign)
+        if not terms:
             return
         e = self._stamp_layers(range(p + 2))
         tuv = [(a, p, signs[a] * signs[p]) for a in range(p)]
         tvw = [(p, p + 1, signs[p] * signs[p + 1])]
-        old = self._grow_den(
-            [(0, 1)] + [(deg, coeff.denominator) for deg, _, coeff in words_])
-        den = self.den
-        new = {key: c * (den[len(key)] // old[len(key)])
-               for key, c in self.terms.items()}
-        scale = {n: [(deg, w, coeff.numerator * den[n + deg]
-                      // (d * coeff.denominator))
-                     for deg, w, coeff in words_ if n + deg <= self.order]
-                 for n, d in old.items()}
+        series = self._expand(terms, tuv, tvw, e)
+        new = dict(self.terms)
         for key, c in self.terms.items():
-            for deg, w, f in scale[len(key)]:
-                self._letters(new, key, c * f, w, tuv, tvw, e)
+            self._add_series(new, key, c, series)
         self.terms = new
 
-    def _letters(self, out, key, base, w, tuv, tvw, e):
-        """Add base times every chord choice of the word w to key: letter
-        l picks one pair of tuv (letter 0) or tvw on layer len(w) - 1 - l."""
-        deg = len(w)
-        for picks in product(*(tuv if x == 0 else tvw for x in w)):
-            chords = []
-            c = base
-            for l, (a, b, s) in enumerate(picks):
-                j = deg - 1 - l
-                chords.append((("a", e, j, a), ("a", e, j, b)))
-                c = c * s
-            add_term(out, key.union(chords), c)
+    @staticmethod
+    def _expand(terms, tuv, tvw, e):
+        """Each word series term as (degree, multipliers, choices), one
+        (chord set, sign) per choice of a pair for every letter: letter l
+        of a word w picks one pair of tuv (letter 0) or tvw, and anchors
+        its chord on layer len(w) - 1 - l of event e."""
+        out = []
+        for deg, w, mults in terms:
+            choices = []
+            for picks in product(*(tuv if x == 0 else tvw for x in w)):
+                chords = []
+                sign = 1
+                for l, (a, b, sg) in enumerate(picks):
+                    j = deg - 1 - l
+                    chords.append((("a", e, j, a), ("a", e, j, b)))
+                    sign *= sg
+                choices.append((frozenset(chords), sign))
+            out.append((deg, mults, choices))
+        return out
+
+    def _add_series(self, out, key, c, series):
+        """Add c times every non-unit term of a series of _expand to key."""
+        n = len(key)
+        for deg, mults, choices in series:
+            if n + deg > self.order:
+                break
+            base = c * mults[n]
+            for chords, sign in choices:
+                add_term(out, key | chords, base if sign > 0 else -base)
 
     def cup(self, p, sign):
         self.tracer.cup(p, sign)
@@ -260,7 +284,8 @@ class _DiagramBackend:
             e = canonical_form(d)
             add_term(agg, e, c)
             reps.setdefault(e, d)
-        terms = {e: Fraction(c, self.den[len(e[1])]) for e, c in agg.items()}
+        dens = _layer_dens(self.order)
+        terms = {e: Fraction(c, dens[len(e[1])]) for e, c in agg.items()}
         return out.kinds, terms, reps
 
 
@@ -272,23 +297,6 @@ def z_eval(word, order):
     return ZValue(skeleton, terms, reps, order)
 
 
-def _add_scaled(total, dens, t, layer, p, q):
-    """total[t] += layer * p / q, with int q: the values of total[t] stay
-    over dens[t], which grows to the lcm with q, and the target is
-    rescaled only when it does."""
-    tgt = total[t]
-    old = dens[t] if tgt else 1
-    den = lcm(old, q)
-    if den != old and tgt:
-        r = den // old
-        for key, v in tgt.items():
-            tgt[key] = v * r
-    dens[t] = den
-    f = p * (den // q)
-    for key, v in layer.items():
-        add_term(tgt, key, v if f == 1 else v * f)
-
-
 class _MatrixBackend:
     """States are one WeightSystem state per h degree, walked slice by slice.
 
@@ -296,14 +304,15 @@ class _MatrixBackend:
     over the degree layers; a strand's role is its sign, so an upward
     strand acts through the dual.  The frozen source indices make open
     words come out as one map per degree.  Layer m holds its values over
-    one int denominator den[m]: ints over Q, so the walk builds no
-    Fraction, and finish divides each layer once.
+    the fixed denominator D[m] chord_den^m (_layer_dens): ints over Q, so
+    the walk builds no Fraction, and finish divides each layer once.
 
-    A product of letters, or a power of a crossing chord, is carried only
-    on the layers that its least-degree completion can still reach: for
-    the k-th power of a crossing chord, layers 0..order-k; for a suffix
-    of associator words, layers up to order minus the least degree of a
-    word that ends in it (_suffix_tops).  Higher layers are never built.
+    A crossing and an associator move are both a word series applied by
+    _series: a crossing is exp(s chord / 2), the powers of letter 1,
+    followed by a flip.  A product of letters is carried only on the
+    layers that its least-degree completion can still reach, up to order
+    minus the least degree of a word that ends in it; higher layers are
+    never built.
     """
 
     def __init__(self, word, order, rep, tensor):
@@ -311,39 +320,26 @@ class _MatrixBackend:
         self.ws = weight_system(rep, tensor)
         self.deg = [self.ws.identity(len(word.source))]
         self.deg += [dict() for _ in range(order)]
-        self.den = [1] * (order + 1)
 
     def _chord(self, states, a, b, signs):
         return [self.ws.chord(s, a, b, (signs[a], signs[b])) for s in states]
 
     def crossing(self, p, s, signs):
-        total = [dict(d) for d in self.deg]
-        dens = list(self.den)
-        acc = self.deg
-        q = 1
-        for k in range(1, self.order + 1):
-            # (s/2)^k / k!, and chord_den from each chord
-            q *= 2 * k * self.ws.chord_den
-            acc = self._chord(acc[:self.order + 1 - k], p, p + 1, signs)
-            if not any(acc):
-                break
-            for m, layer in enumerate(acc):
-                if layer:
-                    _add_scaled(total, dens, m + k, layer, s ** k,
-                                self.den[m] * q)
+        total = self._series(p, True, s, signs)
         self.deg = [self.ws.flip(layer, p) for layer in total]
-        self.den = dens
 
     def associate(self, p, sign, signs):
-        words_ = _phi_terms(self.order, sign)
-        if not words_:
-            return
-        tops = _suffix_tops(self.order, sign)
+        if _phi_terms(self.order, sign):
+            self.deg = self._series(p, False, sign, signs)
+
+    def _series(self, p, crossing, sign, signs):
+        """The layers plus every word term of the move applied to them,
+        each suffix of a word applied once and cached."""
+        terms, tops = _word_series(self.order, crossing, sign)
         base = self.deg
         total = [dict(d) for d in base]
-        dens = list(self.den)
         cache = {}
-        for deg, w, coeff in words_:
+        for deg, w, mults in terms:
             acc = base
             for l in range(deg - 1, -1, -1):
                 suffix = w[l:]
@@ -356,21 +352,20 @@ class _MatrixBackend:
                     break
             if not any(acc):
                 continue
-            q = coeff.denominator * self.ws.chord_den ** deg
             for m, layer in enumerate(acc):
-                if layer:
-                    _add_scaled(total, dens, m + deg, layer,
-                                coeff.numerator, self.den[m] * q)
-        self.deg = total
-        self.den = dens
+                f = mults[m]
+                tgt = total[m + deg]
+                for key, v in layer.items():
+                    add_term(tgt, key, v if f == 1 else v * f)
+        return total
 
     def _letter(self, states, letter, p, signs):
-        out = [dict() for _ in states]
-        pairs = ([(a, p) for a in range(p)] if letter == 0 else [(p, p + 1)])
-        for a, b in pairs:
-            part = self._chord(states, a, b, signs)
-            for m, layer in enumerate(part):
-                tgt = out[m]
+        """Letter 1 is the chord on (p, p + 1); letter 0 sums the chords
+        (a, p) over a < p."""
+        pairs = [(a, p) for a in range(p)] if letter == 0 else [(p, p + 1)]
+        out = self._chord(states, *pairs[0], signs)
+        for a, b in pairs[1:]:
+            for tgt, layer in zip(out, self._chord(states, a, b, signs)):
                 for key, v in layer.items():
                     add_term(tgt, key, v)
         return out
@@ -382,9 +377,10 @@ class _MatrixBackend:
         self.deg = [self.ws.cap(layer, p, sign) for layer in self.deg]
 
     def finish(self):
+        dens = _layer_dens(self.order)
         out = []
-        for layer, den in zip(self.deg, self.den):
-            unit = self.ws.ring.reciprocal(den)
+        for m, layer in enumerate(self.deg):
+            unit = self.ws.ring.reciprocal(dens[m] * self.ws.chord_den ** m)
             out.append({key: v * unit for key, v in layer.items()})
         return out
 

@@ -339,20 +339,6 @@ def _matrix_unit_rep(alg):
     return Representation(alg, space, mats, QQ, "defining")
 
 
-def _weight_rep(alg, weights, ring, name):
-    """One dimensional even module with prescribed diagonal weights."""
-    space = SuperSpace((0,), ("w",))
-    mats = {}
-    for i, lab in enumerate(alg.labels):
-        a, b = lab
-        if a == b and weights.get(a):
-            mats[i] = SuperMap(space, space,
-                               {(0, 0): ring.coerce(weights[a])}, ring)
-        else:
-            mats[i] = SuperMap.zero(space, space, ring)
-    return Representation(alg, space, mats, ring, name)
-
-
 def _kac_module(alg):
     """The 2|2 dimensional gl(2|1) module with highest weight (0, 0 | alpha).
 
@@ -407,17 +393,11 @@ def _kac_module(alg):
     return Representation(alg, space, mats, QALPHA, "v_alpha")
 
 
-def standard_rep(alg, which, beta=None):
-    """Built-in modules: 'defining', 'n_beta' (needs beta), 'v_alpha'."""
+def standard_rep(alg, which):
+    """Built-in modules: 'defining', the matrix units on C^{m|n}, and
+    'v_alpha', the 2|2 dimensional Kac module of gl(2|1)."""
     if which == "defining":
         rep = _matrix_unit_rep(alg)
-    elif which == "n_beta":
-        if beta is None:
-            raise ValueError("n_beta needs the weight parameter beta")
-        if (alg.m, alg.n) != (2, 1):
-            raise ValueError("n_beta is a gl(2|1) module")
-        b = QALPHA.coerce(beta)
-        rep = _weight_rep(alg, {1: b, 2: b, 3: -b}, QALPHA, "n_beta")
     elif which == "v_alpha":
         rep = _kac_module(alg)
     else:

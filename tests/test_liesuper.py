@@ -216,21 +216,6 @@ def test_v_alpha_one_term_constant_kills_casimir():
     assert not rep.casimir(s_bad).is_zero()
 
 
-def test_n_beta_trivial_at_zero():
-    g = build_gl(2, 1)
-    rep = standard_rep(g, "n_beta", beta=0)
-    assert all(rep.act(i).is_zero() for i in range(g.dim))
-
-
-def test_n_beta_weights():
-    g = build_gl(2, 1)
-    ix = g.index
-    rep = standard_rep(g, "n_beta", beta=Fraction(5))
-    assert rep.act(ix[(1, 1)]).m == {(0, 0): QALPHA.coerce(5)}
-    assert rep.act(ix[(3, 3)]).m == {(0, 0): QALPHA.coerce(-5)}
-    assert rep.act(ix[(1, 2)]).is_zero()
-
-
 def test_dual_rep_satisfies_axioms():
     g = build_gl(2, 1)
     rep = standard_rep(g, "defining")
