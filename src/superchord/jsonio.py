@@ -131,15 +131,31 @@ def zvalue_to_json(z):
 
 @_loader("integral value")
 def zvalue_from_json(obj):
+    """A ZValue; a negative h_order, a term whose degree is not its chord
+    count or exceeds h_order, or two terms of one diagram class raise
+    ValueError."""
+    order = _json_int(obj["h_order"], "h_order")
+    if order < 0:
+        raise ValueError("h_order must be at least 0, got %d" % order)
     skeleton = tuple(diagram_from_json(
         {"skeleton": obj["skeleton"], "chords": []}).skeleton)
     terms, reps = {}, {}
     for t in obj["terms"]:
         d = ChordDiagram(skeleton, _chords_from_json(t["chords"]))
+        degree = _json_int(t["degree"], "degree")
+        if degree != d.degree:
+            raise ValueError("term of degree %d has %d chords"
+                             % (degree, d.degree))
+        if degree > order:
+            raise ValueError("term of degree %d above h_order %d"
+                             % (degree, order))
         e = canonical_form(d)
+        if e in terms:
+            raise ValueError("two terms of one diagram class: %r"
+                             % (d.chords,))
         terms[e] = scalar_from_json(t["coeff"])
         reps[e] = d
-    return ZValue(skeleton, terms, reps, _json_int(obj["h_order"], "h_order"))
+    return ZValue(skeleton, terms, reps, order)
 
 
 def _entries_to_json(m):

@@ -19,7 +19,10 @@ acts first, lowest on the page.
 Two backends walk the same slices: one accumulates chord diagrams on the
 traced skeleton (z_eval), one drives the WeightSystem state operations
 (cup, chord, cap, flip) over one state per h degree (wz_eval), the same
-operations that evaluate single diagrams.  Both apply a crossing and an
+operations that evaluate single diagrams.  The diagram backend keys its
+terms by chord sets on anchor tokens; many keys land on one positioned
+diagram, so at the end it sums the keys per positioned diagram and
+canonicalises each positioned diagram once.  Both apply a crossing and an
 associator move as one kind of step, a word series: the crossing's
 exponential is the powers of letter 1, the chord on its two strands,
 with coefficients (s/2)^k/k!.  Both keep rational values as Python ints
@@ -190,7 +193,13 @@ class ZValue:
 
 class _DiagramBackend:
     """States are chord sets over stamped anchor tokens, with int
-    coefficients over D[m] for m chords (_layer_dens)."""
+    coefficients over D[m] for m chords (_layer_dens).
+
+    finish places the tokens on the traced skeleton, sums the keys per
+    positioned diagram, and builds and canonicalises each distinct
+    positioned diagram once.  A class keeps as representative the
+    diagram of its first key.
+    """
 
     def __init__(self, word, order):
         self.order = order
@@ -269,8 +278,7 @@ class _DiagramBackend:
 
     def finish(self):
         out = self.tracer.finish()
-        agg = {}
-        reps = {}
+        raw = {}
         for key, c in self.terms.items():
             toks = sorted((t for ch in key for t in ch),
                           key=lambda t: out.token_pos[t])
@@ -280,7 +288,15 @@ class _DiagramBackend:
                 comp, _ = out.token_pos[t]
                 pos[t] = (comp, counters.get(comp, 0))
                 counters[comp] = counters.get(comp, 0) + 1
-            d = ChordDiagram(out.kinds, [(pos[a], pos[b]) for a, b in key])
+            chords = tuple(sorted(tuple(sorted((pos[a], pos[b])))
+                                  for a, b in key))
+            # a sum that cancels stays: its diagram may still be the
+            # first of its class, the class's representative
+            raw[chords] = raw.get(chords, 0) + c
+        agg = {}
+        reps = {}
+        for chords, c in raw.items():
+            d = ChordDiagram(out.kinds, chords)
             e = canonical_form(d)
             add_term(agg, e, c)
             reps.setdefault(e, d)

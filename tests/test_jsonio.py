@@ -78,6 +78,38 @@ def test_zvalue_json_lists_degrees_and_coeffs():
     assert zvalue_from_json(j) == z
 
 
+def _negative_order(z):
+    z["h_order"] = -1
+
+
+def _term_above_order(z):
+    # a degree-2 term under h_order 1: ZValue.pair would index past the end
+    z["h_order"] = 1
+
+
+def _degree_not_chord_count(z):
+    next(t for t in z["terms"] if t["degree"] == 1)["degree"] = 2
+
+
+def _class_given_twice(z):
+    t = next(t for t in z["terms"] if t["degree"] == 1)
+    z["terms"].append(dict(t, coeff="5"))
+
+
+@pytest.mark.parametrize("spoil, message", [
+    (_negative_order, "h_order must be at least 0"),
+    (_term_above_order, "degree 2 above h_order 1"),
+    (_degree_not_chord_count, "degree 2 has 1 chords"),
+    (_class_given_twice, "two terms of one diagram class"),
+])
+def test_zvalue_rejects_inconsistent_terms(spoil, message):
+    z = round_trip(zvalue_to_json(z_eval("braid[2]: s1 ; close", 2)))
+    assert zvalue_from_json(z).order == 2
+    spoil(z)
+    with pytest.raises(ValueError, match=message):
+        zvalue_from_json(z)
+
+
 def test_ribbon_round_trip_and_axiom_gate():
     data = ribbon_diagonal([[2, 5], [7, 3]])
     back = ribbon_from_json(round_trip(ribbon_to_json(data)))

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from superchord import diagrams, ribbon, weightsys
+from superchord import diagrams, kontsevich, ribbon, weightsys
 from superchord.associator import associator_checks, build_associator
 from superchord.kontsevich import lg_invariant, wz_eval, z_eval
 
@@ -124,3 +124,14 @@ def test_chord_engines_over_q_build_few_fractions(monkeypatch):
     # 37,812 when both engines held Fraction states; what is left is one
     # Fraction per diagram class and one 1/den per h-degree layer
     assert count <= 26
+
+
+def test_z_eval_canonicalises_each_positioned_diagram_once(monkeypatch):
+    word = ("braid[3]: s2 s2 s1^-1 s2^-1 s1 s1 s2^-1 s1^-1 s2 s2 s2^-1 "
+            "s2^-1 s2^-1 s2 s2 s2 s2^-1 s1 s1 s2 ; close")
+    calls = _counting(monkeypatch, kontsevich, "canonical_form")
+    z = z_eval(word, 4)
+    assert len(z.terms) == 29
+    # 29,118 when every term key was canonicalised; now one call per
+    # distinct positioned diagram
+    assert len(calls) <= 319
