@@ -80,25 +80,6 @@ class ChordDiagram:
         kinds = tuple(_KIND_CODE[k] for k in self.skeleton)
         return (kinds, self.chords)
 
-    def relabel(self, perm, rotations):
-        """New diagram with components permuted and circles rotated.
-
-        perm[c] is the new index of old component c; rotations[c] shifts
-        positions on old component c (ignored for intervals).
-        """
-        chords = []
-        for (a, b) in self.chords:
-            out = []
-            for (c, p) in (a, b):
-                if self.skeleton[c] == CIRCLE and self.counts[c]:
-                    p = (p + rotations[c]) % self.counts[c]
-                out.append((perm[c], p))
-            chords.append(tuple(out))
-        skeleton = [None] * len(self.skeleton)
-        for c, kind in enumerate(self.skeleton):
-            skeleton[perm[c]] = kind
-        return ChordDiagram(skeleton, chords)
-
     def __eq__(self, other):
         return (isinstance(other, ChordDiagram)
                 and self.encoding() == other.encoding())
@@ -127,7 +108,7 @@ def canonical_form(diagram):
     best = None
     for perm in _kind_preserving_perms(diagram.skeleton):
         for rots in product(*rot_ranges):
-            # relabel(perm, rots).chords, without building the diagram
+            # the chords with components permuted and circles rotated
             chords = []
             for (c1, p1), (c2, p2) in diagram.chords:
                 a = (perm[c1], (p1 + rots[c1]) % counts[c1])

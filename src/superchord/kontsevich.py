@@ -174,10 +174,6 @@ class ZValue:
     def coeff(self, diagram):
         return self.terms.get(canonical_form(diagram), Fraction(0))
 
-    def terms_at(self, m):
-        return [(self.reps[e], c) for e, c in sorted(self.terms.items())
-                if len(e[1]) == m]
-
     def pair(self, weight, ring):
         """HSeries of weights: coefficient m sums weight(d) c over degree m."""
         sr = SeriesRing(ring, self.order)

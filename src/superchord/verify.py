@@ -109,7 +109,7 @@ def verify_oneterm(order=3, seed=0):
 def verify_associator(order=3, seed=0):
     """Pentagon, hexagons, and the normalization of the even associator."""
     report = VerifyReport("associator")
-    assoc = build_associator(max(3, min(order, 4)))
+    assoc = build_associator(max(3, order))
     for name, ok in associator_checks(assoc).items():
         report.add(name, ok)
     return report

@@ -1,4 +1,4 @@
-"""Tests for the degree-by-degree associator solver."""
+"""Tests for the stored associator, its load check and the solver oracle."""
 
 import random
 from fractions import Fraction
@@ -7,10 +7,74 @@ from itertools import combinations, permutations, product
 
 import pytest
 
+from superchord import associator
 from superchord.associator import (Associator, build_associator,
-                                   associator_checks, _normal_form, _reduce,
-                                   _wexp, _wmul, _winv)
+                                   associator_checks, _all_residuals,
+                                   _normal_form, _reduce, _wadd, _wexp, _wmul,
+                                   _winv, _wscale)
 from superchord.diagrams import LinearSpan
+
+
+# Oracle: the degree-by-degree solve that produced the stored table.
+
+def _solve_affine(base, cols, nunknowns):
+    """Solve sum_w c_w col_w = -base exactly; free unknowns become zero.
+
+    Each equation is a LinearSpan row keyed nunknowns - idx for unknown
+    idx, so lower indices pivot first, and 0 for the constant.  It is
+    inconsistent iff the span holds {0: 1}; else unknown idx is the
+    constant left in the residual of its key.
+    """
+    span = LinearSpan()
+    for e, b in enumerate(base):
+        rows = {k: {0: c} for k, c in b.items()}
+        for idx, col in enumerate(cols):
+            for k, c in col[e].items():
+                rows.setdefault(k, {})[nunknowns - idx] = c
+        for row in rows.values():
+            span.add(row)
+    if span.contains({0: Fraction(1)}):
+        raise ValueError("inconsistent associator equations")
+    return [span.residual({nunknowns - idx: Fraction(1)}).get(0, Fraction(0))
+            for idx in range(nunknowns)]
+
+
+def _solve_associator(order):
+    """Solve the hexagons and pentagon through the given total degree.
+
+    Degrees are solved one at a time; the equations are affine in the
+    unknown top-degree part.  Odd degrees are set to zero (the even
+    gauge) and leftover free coefficients to zero by `_solve_affine`.
+    """
+    terms = {}
+    for m in range(1, order + 1):
+        base = _all_residuals(terms, m)
+        if m % 2 == 1:
+            if any(base):
+                raise ValueError(
+                    "odd degree %d is inconsistent with the even gauge" % m)
+            continue
+        # Phi_m meets only the unit parts of the other factors in degree
+        # m, so the residual's linear part in Phi_m does not depend on
+        # Phi_<m: the column of w is its effect on Phi = 1.
+        unit = _all_residuals({}, m)
+        words_m = list(product((0, 1), repeat=m))
+        cols = [[_wadd(r, _wscale(u, -1)) for r, u in
+                 zip(_all_residuals({m: {w: Fraction(1)}}, m), unit)]
+                for w in words_m]
+        sol = _solve_affine(base, cols, len(words_m))
+        terms[m] = {w: c for w, c in zip(words_m, sol) if c}
+        if any(_all_residuals(terms, m)):
+            raise ValueError("degree %d resubstitution failed" % m)
+    _normal_form.cache_clear()
+    return Associator(order, {m: ws for m, ws in terms.items() if ws})
+
+
+def assert_stored_table_is_the_solve(order):
+    """The oracle's solve equals the stored, checked table exactly."""
+    solved, stored = _solve_associator(order), build_associator(order)
+    assert solved.terms == stored.terms
+    assert solved.inverse == stored.inverse
 
 
 # Oracle: the infinitesimal braid ideal as a span of placed relators, the
@@ -69,6 +133,14 @@ NORMAL_FORM_CASES = ((3, 5), (4, 4))
 def test_order_too_small_rejected():
     with pytest.raises(ValueError):
         build_associator(1)
+
+
+def test_order_past_the_stored_table_rejected(monkeypatch):
+    # refused before the table is read or any residual is formed
+    monkeypatch.setattr(associator, "_all_residuals", None)
+    monkeypatch.setattr(associator, "_STORED", None)
+    with pytest.raises(ValueError, match="from 2 to 6"):
+        build_associator.__wrapped__(7)
 
 
 def test_word_exp_inverse_round_trip():
@@ -287,3 +359,30 @@ def test_order6_degree6_terms_frozen_and_checks_pass():
         (1, 1, 1, 1, 1, 0): Fraction(-1, 60480),
     }
     assert all(associator_checks(a).values())
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5])
+def test_stored_table_is_the_solve(order):
+    # order 6 takes about 11 s; CI compares it outside tier-1
+    assert_stored_table_is_the_solve(order)
+
+
+@pytest.fixture
+def uncached_build():
+    build_associator.cache_clear()
+    yield
+    build_associator.cache_clear()
+
+
+@pytest.mark.parametrize("word", ["0110", "010110"])
+def test_load_check_refuses_a_changed_coefficient(monkeypatch, uncached_build,
+                                                  word):
+    order = len(word)
+    p, q = associator._STORED[word]
+    # the table as stored passes its check
+    assert build_associator(order).terms[order][
+        tuple(map(int, word))] == Fraction(p, q)
+    monkeypatch.setitem(associator._STORED, word, (p + 1, q))
+    build_associator.cache_clear()
+    with pytest.raises(ValueError, match="degree %d" % order):
+        build_associator(order)

@@ -8,12 +8,12 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from superchord.associator import _solve_affine
 from superchord.diagrams import LinearSpan, invert_matrix
 from superchord.liesuper import _invert_form
 from superchord.ribbon import invert_supermap
 from superchord.scalars import QALPHA, QQ, Poly, AlphaScalar, alpha
 from superchord.supergraded import SuperMap, SuperSpace
+from test_associator import _solve_affine
 
 fast = settings(derandomize=True, max_examples=150, deadline=None)
 slow = settings(derandomize=True, max_examples=40, deadline=None)

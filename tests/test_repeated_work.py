@@ -5,6 +5,7 @@ from fractions import Fraction
 from superchord import diagrams, kontsevich, ribbon, weightsys
 from superchord.associator import associator_checks, build_associator
 from superchord.kontsevich import lg_invariant, wz_eval, z_eval
+from test_associator import _solve_associator
 
 # the lg-knots benchmark inputs of seed 0
 LG_KNOTS_SEED0 = (
@@ -55,11 +56,17 @@ def test_associator_checks_reuse_the_built_ideal_spans(monkeypatch):
 def test_associator_solve_builds_no_relator_span(monkeypatch):
     spans = _counting(monkeypatch, diagrams.LinearSpan, "__init__")
     rows = _counting(monkeypatch, diagrams.LinearSpan, "add")
-    build_associator.__wrapped__(4)
+    _solve_associator(4)
     # one affine solve per even degree, 2 and 4; its rows are keyed by
     # unknowns, never by words of a relator
     assert len(spans) == 2
     assert rows and all(isinstance(k, int) for args in rows for k in args[1])
+
+
+def test_associator_load_builds_no_span(monkeypatch):
+    spans = _counting(monkeypatch, diagrams.LinearSpan, "__init__")
+    build_associator.__wrapped__(6)
+    assert spans == []
 
 
 def test_lg_invariant_weighs_quotient_basis_classes_only(monkeypatch):

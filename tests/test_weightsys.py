@@ -300,11 +300,31 @@ def test_ws_link_rejects_intervals():
         weight_system(rep, t)(two)
 
 
+def _relabel(d, perm, rotations):
+    """New diagram with components permuted and circles rotated.
+
+    perm[c] is the new index of old component c; rotations[c] shifts
+    positions on old component c (ignored for intervals).
+    """
+    chords = []
+    for (a, b) in d.chords:
+        out = []
+        for (c, p) in (a, b):
+            if d.skeleton[c] == "circle" and d.counts[c]:
+                p = (p + rotations[c]) % d.counts[c]
+            out.append((perm[c], p))
+        chords.append(tuple(out))
+    skeleton = [None] * len(d.skeleton)
+    for c, kind in enumerate(d.skeleton):
+        skeleton[perm[c]] = kind
+    return ChordDiagram(skeleton, chords)
+
+
 def _relabellings(d):
     rots = [range(max(1, k)) for k in d.counts]
     for perm in permutations(range(len(d.skeleton))):
         for rot in product(*rots):
-            yield d.relabel(perm, rot)
+            yield _relabel(d, perm, rot)
 
 
 def test_ws_link_is_invariant_under_relabelling():
