@@ -27,12 +27,14 @@ degree by degree; the equations are affine in the unknown top-degree
 part, odd degrees are zero (the even gauge), and free coefficients are
 fixed to zero.  `build_associator` solves nothing: it truncates the
 table and raises ValueError unless both hexagon residuals and the
-pentagon residual vanish in every degree it serves.  The solve itself
-is kept in the tests as the oracle the table must equal.
+pentagon residual vanish in every degree it serves.  That check runs
+once per associator (`Associator.holds`), and `associator_checks`
+reports its result.  The solve itself is kept in the tests as the oracle
+the table must equal.
 """
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm
 
 from .scalars import ScalarError, add_term
@@ -309,6 +311,13 @@ class Associator:
         self.terms = terms
         self.inverse = self._free_inverse()
 
+    @cached_property
+    def holds(self):
+        """Whether the (hexagon1, hexagon2, pentagon) residuals vanish,
+        one triple per degree 1..order; computed once, on first use."""
+        return [tuple(not r for r in _all_residuals(self.terms, m))
+                for m in range(1, self.order + 1)]
+
     def _free_inverse(self):
         series = {(): _ONE}
         for words in self.terms.values():
@@ -342,25 +351,21 @@ def build_associator(order=3):
         if len(word) <= order:
             terms.setdefault(len(word), {})[tuple(map(int, word))] = (
                 Fraction(p, q))
-    for m in range(1, order + 1):
-        if any(_all_residuals(terms, m)):
+    assoc = Associator(order, terms)
+    for m, holds in enumerate(assoc.holds, 1):
+        if not all(holds):
             raise ValueError(
                 "stored associator fails a hexagon or the pentagon in "
                 "degree %d" % m)
     # the series is memoised itself; the normal forms of its residual
     # words are not needed again
     _normal_form.cache_clear()
-    return Associator(order, terms)
+    return assoc
 
 
 def associator_checks(assoc):
     """Named exact checks of the associator, for reporting."""
-    hex1_ok = hex2_ok = pent_ok = True
-    for m in range(1, assoc.order + 1):
-        h1, h2, p = _all_residuals(assoc.terms, m)
-        hex1_ok = hex1_ok and not h1
-        hex2_ok = hex2_ok and not h2
-        pent_ok = pent_ok and not p
+    hex1_ok, hex2_ok, pent_ok = (all(col) for col in zip(*assoc.holds))
     deg1_zero = not assoc.terms.get(1)
     deg2 = assoc.terms.get(2, {})
     c = deg2.get((0, 1), _ZERO)

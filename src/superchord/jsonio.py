@@ -2,11 +2,12 @@
 
 Rationals travel as "p/q" strings, alpha scalars as numerator and
 denominator coefficient arrays, series tagged with their truncation
-order.  Tangle words stay in the text grammar.  Loaders dispatch on the
-.tw, .cd and .ribbon suffixes, and the ribbon loader refuses data that
-fails an axiom check.  Integer fields (chord endpoints, truncation
-orders, matrix indices, parities) must be JSON integers: a float, a
-string or a boolean there is a ValueError, never rounded.
+order.  Tangle words stay in the text grammar.  Each loader reads one
+kind of file: load_word a .tw word, load_diagram a .cd diagram and
+load_ribbon .ribbon data, which it refuses if an axiom check fails.
+Integer fields (chord endpoints, truncation orders, matrix indices,
+parities) must be JSON integers: a float, a string or a boolean there is
+a ValueError, never rounded.
 """
 
 import functools
@@ -221,14 +222,3 @@ def load_diagram(path):
 def load_ribbon(path, ring=QQ):
     with open(path) as f:
         return ribbon_from_json(json.load(f), ring)
-
-
-def load_path(path):
-    """Dispatch on suffix: .tw words, .cd diagrams, .ribbon ribbon data."""
-    if path.endswith(".tw"):
-        return load_word(path)
-    if path.endswith(".cd"):
-        return load_diagram(path)
-    if path.endswith(".ribbon"):
-        return load_ribbon(path)
-    raise ValueError("unknown file type: %s" % path)

@@ -276,14 +276,6 @@ class Representation:
                             self.algebra.labels[i], self.algebra.labels[j]))
         return True
 
-    def casimir(self, tensor):
-        """Action of a 2-tensor by multiplication, sum t^{ij} rho_i rho_j."""
-        out = SuperMap.zero(self.space, self.space, self.ring)
-        for c, i, j in tensor.as_pair_terms():
-            term = self.mats[i].compose(self.mats[j])
-            out = out + term.scale(self.ring.coerce(c))
-        return out
-
     def __repr__(self):
         return "Representation(%s on %d|%d, %s)" % (
             self.name, sum(1 for p in self.space.parities if p == 0),

@@ -104,16 +104,15 @@ def _token_map(tok, signs, p, data):
     return data.cap_pm if tok[1] > 0 else data.cap_mp
 
 
-def rt_invariant(word, data, validate=True):
+def rt_invariant(word, data):
     """Scalar of a closed word, or the boundary map of an open one.
 
-    With validate on, any failed ribbon axiom raises before evaluation.
+    Any failed ribbon axiom raises before evaluation.
     """
-    if validate:
-        checks = ribbon_checks(data)
-        failed = [n for n in _CHECK_ORDER if not checks[n]]
-        if failed:
-            raise ValueError("ribbon axioms fail: %s" % ", ".join(failed))
+    checks = ribbon_checks(data)
+    failed = [n for n in _CHECK_ORDER if not checks[n]]
+    if failed:
+        raise ValueError("ribbon axioms fail: %s" % ", ".join(failed))
     if isinstance(word, str):
         word = parse_word(word)
     if word.sing_count:

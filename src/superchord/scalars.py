@@ -222,15 +222,6 @@ class Poly:
             a, b = b, a.divmod(b)[1]
         return _monic(a)[0]
 
-    def eval(self, v):
-        p, q = _ratio(v)
-        acc, qk = 0, 1
-        for x in reversed(self.n):
-            acc = acc * p + x * qk
-            qk *= q
-        # acc = sum n_i p^i q^(deg - i), and qk = q^(deg + 1)
-        return Fraction(acc * q, qk * self.d)
-
     def __repr__(self):
         if not self.n:
             return "Poly(0)"
@@ -382,13 +373,6 @@ class AlphaScalar:
 
     def __rtruediv__(self, other):
         return AlphaScalar.coerce(other) / self
-
-    def substitute(self, v):
-        v = _as_fraction(v)
-        d = self.den.eval(v)
-        if d == 0:
-            raise ZeroDivisionError("denominator vanishes at alpha=%s" % v)
-        return self.num.eval(v) / d
 
     def __repr__(self):
         if self.den is _PONE:
@@ -556,16 +540,6 @@ class HSeries:
         return HSeries(self.ring, [a * s for a in self.c])
 
     __rmul__ = __mul__
-
-    def shift(self, k):
-        """Multiply by h^k, truncating at the ring order."""
-        zero = self.ring.base.zero
-        n = self.ring.order
-        out = [zero] * (n + 1)
-        for i, a in enumerate(self.c):
-            if i + k <= n and a:
-                out[i + k] = a
-        return HSeries(self.ring, out)
 
     def __repr__(self):
         return "HSeries(%s)" % (list(self.c),)

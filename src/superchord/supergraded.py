@@ -78,22 +78,6 @@ def tensor_space(spaces):
     return acc
 
 
-def tensor_index(dims, multi):
-    idx = 0
-    for d, i in zip(dims, multi):
-        idx = idx * d + i
-    return idx
-
-
-def tensor_unindex(dims, idx):
-    out = []
-    for d in reversed(dims):
-        out.append(idx % d)
-        idx //= d
-    out.reverse()
-    return tuple(out)
-
-
 class SuperMap:
     """Sparse matrix (column convention: f(e_j) = sum_i M[i,j] e_i)."""
 
@@ -283,53 +267,3 @@ def copair_right(v, ring=QQ):
     for i, p in enumerate(v.parities):
         entries[(i * d + i, 0)] = -ring.one if p else ring.one
     return SuperMap(UNIT, v.dual().tensor(v), entries, ring)
-
-
-def partial_supertrace(f, dims, site):
-    """Close strand `site` of an even map on a tensor product of spaces.
-
-    `dims` lists the factor dimensions of both source and target; the
-    closed site is contracted with the sign (-1)^{|i|}, which equals the
-    categorical right trace for even maps.
-    """
-    if f.source != f.target:
-        raise ValueError("partial trace needs equal source and target")
-    rest = [d for k, d in enumerate(dims) if k != site]
-    spaces = _split_parities(f.source, dims)
-    sub = [spaces[k] for k in range(len(dims)) if k != site]
-    kept_space = tensor_space(sub)
-    out = SuperMap(kept_space, kept_space, None, f.ring)
-    m = {}
-    for (i, j), v in f.m.items():
-        mi = tensor_unindex(dims, i)
-        mj = tensor_unindex(dims, j)
-        if mi[site] != mj[site]:
-            continue
-        p = spaces[site].parities[mi[site]]
-        ri = tensor_index(rest, tuple(x for k, x in enumerate(mi) if k != site))
-        rj = tensor_index(rest, tuple(x for k, x in enumerate(mj) if k != site))
-        add_term(m, (ri, rj), -v if p else v)
-    out.m = m
-    return out
-
-
-def _split_parities(space, dims):
-    """Recover per-factor parities of a product space from slot dims.
-
-    Only valid when the space actually is a product in row-major order;
-    parities of factor k are read off along the k-th index axis.
-    """
-    total = 1
-    for d in dims:
-        total *= d
-    if total != space.dim:
-        raise ValueError("dims do not factor the space dimension")
-    spaces = []
-    for k, d in enumerate(dims):
-        ps = []
-        for i in range(d):
-            multi = [0] * len(dims)
-            multi[k] = i
-            ps.append(space.parities[tensor_index(dims, multi)])
-        spaces.append(SuperSpace(ps))
-    return spaces

@@ -166,15 +166,16 @@ def verify_vassiliev(order=3, seed=0):
     return report
 
 
-def verify_cabling(order=3, seed=0, samples=50):
-    """Tensor square against the sum over two-cable lifts."""
+def verify_cabling(order=3, seed=0):
+    """Tensor square against the sum over two-cable lifts, on 50 random
+    diagrams."""
     report = VerifyReport("cabling")
     rep, tv = named_system("gl11")
     ws = weight_system(rep, tv)
     square = weight_system(*squared_system("gl11"))
     rng = random.Random(seed)
     bad = 0
-    for _ in range(samples):
+    for _ in range(50):
         d = random_diagram((CIRCLE,), rng.choice([1, 2]), rng)
         lhs = square(d)
         rhs = sum((ws(l) for l in cable_diagram(d, 0, 2)),
@@ -182,17 +183,18 @@ def verify_cabling(order=3, seed=0, samples=50):
         if lhs != rhs:
             bad += 1
     report.add("tensor_square_matches_lifts", bad == 0,
-               "%d random diagrams" % samples)
+               "50 random diagrams")
     return report
 
 
-def verify_slitting(order=3, seed=0, samples=20):
-    """Closing a slit component back up recovers the supertrace."""
+def verify_slitting(order=3, seed=0):
+    """Closing a slit component back up recovers the supertrace, on 20
+    random diagrams."""
     report = VerifyReport("slitting")
     ws = weight_system(*named_system("gl21"))
     rng = random.Random(seed)
     bad = 0
-    for _ in range(samples):
+    for _ in range(20):
         skeleton = rng.choice([(CIRCLE,), (CIRCLE, CIRCLE)])
         d = random_diagram(skeleton, rng.choice([1, 2]), rng)
         comp = rng.randrange(len(skeleton))
@@ -202,7 +204,7 @@ def verify_slitting(order=3, seed=0, samples=20):
         if endo.supertrace() != ws(d):
             bad += 1
     report.add("supertrace_of_slit_matches", bad == 0,
-               "%d random diagrams" % samples)
+               "20 random diagrams")
     return report
 
 

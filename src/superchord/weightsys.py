@@ -335,15 +335,13 @@ def lg_constant():
 
 
 @lru_cache(maxsize=None)
-def lg_data(a=None):
-    """Representation V_alpha and tensor a (I x I) + t_sl; a defaults to
-    the unique constant satisfying the one-term relation.  Memoised, so
-    equal arguments share one (rep, tensor) pair."""
+def lg_data():
+    """Representation V_alpha and tensor a (I x I) + t_sl, with a =
+    lg_constant() the unique constant satisfying the one-term relation.
+    Memoised, so every caller shares one (rep, tensor) pair."""
     g = build_gl(2, 1)
     rep = standard_rep(g, "v_alpha")
-    tensor = extend_identity(casimir_tensor(g, "sl"),
-                             lg_constant() if a is None else a)
-    return rep, tensor
+    return rep, extend_identity(casimir_tensor(g, "sl"), lg_constant())
 
 
 _SYSTEMS = {"gl21": ((2, 1), "defining", "gl"),

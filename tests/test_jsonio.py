@@ -1,4 +1,4 @@
-"""JSON round trips and the suffix-dispatching loaders."""
+"""JSON round trips and the file loaders."""
 
 import json
 from fractions import Fraction
@@ -7,9 +7,9 @@ import pytest
 
 from superchord.diagrams import CIRCLE, ChordDiagram, canonical_form
 from superchord.jsonio import (
-    diagram_from_json, diagram_to_json, load_path, ribbon_from_json,
-    ribbon_to_json, scalar_from_json, scalar_to_json, series_from_json,
-    series_to_json, zvalue_from_json, zvalue_to_json)
+    diagram_from_json, diagram_to_json, load_diagram, load_ribbon, load_word,
+    ribbon_from_json, ribbon_to_json, scalar_from_json, scalar_to_json,
+    series_from_json, series_to_json, zvalue_from_json, zvalue_to_json)
 from superchord.kontsevich import lg_invariant, z_eval
 from superchord.ribbon import ribbon_diagonal, ribbon_superflip, rt_invariant
 from superchord.scalars import alpha
@@ -121,22 +121,19 @@ def test_ribbon_round_trip_and_axiom_gate():
         ribbon_from_json(bad)
 
 
-def test_load_path_dispatches_on_suffix(tmp_path):
+def test_loaders_read_their_files(tmp_path):
     wp = tmp_path / "knot.tw"
     wp.write_text("braid[2]: s1 s1 s1 ; close\n")
-    assert load_path(str(wp)).is_closed
+    assert load_word(str(wp)).is_closed
 
     dp = tmp_path / "theta.cd"
     theta = ChordDiagram((CIRCLE,), [((0, 0), (0, 1))])
     dp.write_text(json.dumps(diagram_to_json(theta)))
-    assert canonical_form(load_path(str(dp))) == canonical_form(theta)
+    assert canonical_form(load_diagram(str(dp))) == canonical_form(theta)
 
     rp = tmp_path / "colours.ribbon"
     rp.write_text(json.dumps(ribbon_to_json(ribbon_diagonal([[2, 5], [7, 3]]))))
-    assert rt_invariant("braid[1]: ; close", load_path(str(rp))) == 2
-
-    with pytest.raises(ValueError):
-        load_path(str(tmp_path / "stuff.txt"))
+    assert rt_invariant("braid[1]: ; close", load_ribbon(str(rp))) == 2
 
 
 @pytest.mark.parametrize("load, obj", [

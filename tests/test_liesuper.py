@@ -15,6 +15,15 @@ def frac(x):
     return Fraction(x)
 
 
+def casimir(rep, tensor):
+    """Action of a 2-tensor by multiplication, sum t^{ij} rho_i rho_j."""
+    out = SuperMap.zero(rep.space, rep.space, rep.ring)
+    for c, i, j in tensor.as_pair_terms():
+        term = rep.mats[i].compose(rep.mats[j])
+        out = out + term.scale(rep.ring.coerce(c))
+    return out
+
+
 def test_gl11_basis_and_parities():
     g = build_gl(1, 1)
     assert g.dim == 4
@@ -155,14 +164,14 @@ def test_defining_rep_gl21():
     assert rep.space.parities == (0, 0, 1)
     ix = g.index
     assert rep.act(ix[(1, 2)]).m == {(0, 1): 1}
-    omega = rep.casimir(casimir_tensor(g, "gl"))
+    omega = casimir(rep, casimir_tensor(g, "gl"))
     assert omega == SuperMap.identity(rep.space, rep.ring)
 
 
 def test_defining_casimir_gl11_vanishes():
     g = build_gl(1, 1)
     rep = standard_rep(g, "defining")
-    omega = rep.casimir(casimir_tensor(g, "gl"))
+    omega = casimir(rep, casimir_tensor(g, "gl"))
     assert omega.is_zero()
 
 
@@ -195,8 +204,8 @@ def test_v_alpha_casimir_eigenvalues():
     g = build_gl(2, 1)
     rep = standard_rep(g, "v_alpha")
     a = alpha()
-    omega_gl = rep.casimir(casimir_tensor(g, "gl"))
-    omega_sl = rep.casimir(casimir_tensor(g, "sl"))
+    omega_gl = casimir(rep, casimir_tensor(g, "gl"))
+    omega_sl = casimir(rep, casimir_tensor(g, "sl"))
     ident = SuperMap.identity(rep.space, rep.ring)
     assert omega_gl == ident.scale(-(a * a + a * 2))
     assert omega_sl == ident.scale(-(a * a * 2 + a * 2))
@@ -210,10 +219,10 @@ def test_v_alpha_one_term_constant_kills_casimir():
     t = casimir_tensor(g, "sl")
     a_lg = (alpha() * 2 + 2) / alpha()
     s = extend_identity(t, a_lg)
-    assert rep.casimir(s).is_zero()
+    assert casimir(rep, s).is_zero()
     # The nearby polynomial constant does not work.
     s_bad = extend_identity(t, alpha() * 2 + 2)
-    assert not rep.casimir(s_bad).is_zero()
+    assert not casimir(rep, s_bad).is_zero()
 
 
 def test_dual_rep_satisfies_axioms():

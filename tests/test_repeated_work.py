@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from superchord import diagrams, kontsevich, ribbon, weightsys
+from superchord import associator, diagrams, kontsevich, ribbon, weightsys
 from superchord.associator import associator_checks, build_associator
 from superchord.kontsevich import lg_invariant, wz_eval, z_eval
 from test_associator import _solve_associator
@@ -40,7 +40,7 @@ def _interval_classes(degree):
 def test_rt_invariant_checks_the_axioms_once(monkeypatch):
     data = ribbon.ribbon_diagonal([[2, 5], [7, 3]])
     word = "braid[2]: s1 s1 ; close"
-    expected = ribbon.rt_invariant(word, data, validate=False)
+    expected = ribbon.rt_invariant(word, data)
     calls = _counting(monkeypatch, ribbon, "ribbon_checks")
     assert ribbon.rt_invariant(word, data) == expected
     assert len(calls) == 1
@@ -51,6 +51,12 @@ def test_associator_checks_reuse_the_built_ideal_spans(monkeypatch):
     calls = _counting(monkeypatch, diagrams.LinearSpan, "add")
     assert all(associator_checks(assoc).values())
     assert calls == []
+
+
+def test_associator_residuals_computed_once_per_degree(monkeypatch):
+    calls = _counting(monkeypatch, associator, "_all_residuals")
+    assert all(associator_checks(build_associator.__wrapped__(4)).values())
+    assert len(calls) == 4
 
 
 def test_associator_solve_builds_no_relator_span(monkeypatch):

@@ -8,7 +8,27 @@ from hypothesis import given, settings, strategies as st
 
 from superchord.scalars import (AlphaScalar, HSeries, Poly, QALPHA, QQ,
                                 RingMismatchError, ScalarError, SeriesRing,
-                                alpha, series_exp, series_inverse)
+                                _ratio, alpha, series_exp, series_inverse)
+
+
+# Oracles: a polynomial's value and a Q(alpha) scalar's value at a
+# rational point, over the int-pair kernel.
+
+def poly_eval(p, v):
+    a, q = _ratio(v)
+    acc, qk = 0, 1
+    for x in reversed(p.n):
+        acc = acc * a + x * qk
+        qk *= q
+    # acc = sum n_i a^i q^(deg - i), and qk = q^(deg + 1)
+    return Fraction(acc * q, qk * p.d)
+
+
+def substitute(x, v):
+    d = poly_eval(x.den, v)
+    if d == 0:
+        raise ZeroDivisionError("denominator vanishes at alpha=%s" % v)
+    return poly_eval(x.num, v) / d
 
 
 def rand_poly(rng, deg):
@@ -22,7 +42,7 @@ def test_poly_basic():
     assert p.degree() == 2
     assert (p * q).c == (0, 1, 2, 3)
     assert (p + (-p)).is_zero()
-    assert p.eval(2) == 1 + 4 + 12
+    assert poly_eval(p, 2) == 1 + 4 + 12
 
 
 def test_poly_divmod_roundtrip():
@@ -87,8 +107,8 @@ def test_alpha_substitute_commutes_with_arithmetic():
     for _ in range(30):
         x = AlphaScalar(rand_poly(rng, 2), Poly([1, 1]))
         y = AlphaScalar(rand_poly(rng, 2), Poly([2, 0, 1]))
-        assert (x * y).substitute(pt) == x.substitute(pt) * y.substitute(pt)
-        assert (x + y).substitute(pt) == x.substitute(pt) + y.substitute(pt)
+        assert substitute(x * y, pt) == substitute(x, pt) * substitute(y, pt)
+        assert substitute(x + y, pt) == substitute(x, pt) + substitute(y, pt)
 
 
 def test_ring_coercion():
@@ -159,13 +179,6 @@ def test_series_ring_mismatch():
     R3 = SeriesRing(QQ, 3)
     with pytest.raises(RingMismatchError):
         R2.coerce(R3.one)
-
-
-def test_series_shift():
-    R = SeriesRing(QQ, 3)
-    s = R.one + R.monomial(1, 5)
-    t = s.shift(2)
-    assert t.c == (Fraction(0), Fraction(0), Fraction(1), Fraction(5))
 
 
 # Fast paths: denominators c*alpha^k reduce without Euclid; sums over a
@@ -273,8 +286,8 @@ def test_equal_constants_hash_alike():
 def test_bools_are_not_scalars():
     for make in (QQ.coerce, QALPHA.coerce, AlphaScalar.coerce, AlphaScalar,
                  Poly.const, SeriesRing(QQ, 1).coerce,
-                 lambda v: Poly([1, v]), lambda v: Poly([v]).eval(2),
-                 lambda v: Poly([1, 1]).eval(v), lambda v: alpha() + v,
+                 lambda v: Poly([1, v]), lambda v: poly_eval(Poly([v]), 2),
+                 lambda v: poly_eval(Poly([1, 1]), v), lambda v: alpha() + v,
                  lambda v: alpha() * v):
         for v in (True, False):
             with pytest.raises(ScalarError):
@@ -600,5 +613,5 @@ def test_int_kernel_matches_fraction_reference(p1, p2, pt):
     assert (x == y) == (xr == yr)
     assert (x == pt) == (xr == pt)
     assert x - y + y == x and hash(x - y + y) == hash(x)
-    assert x.num.eval(pt) == xr.num.eval(pt)
-    same_or_both_raise(lambda: x.substitute(pt), lambda: xr.substitute(pt))
+    assert poly_eval(x.num, pt) == xr.num.eval(pt)
+    same_or_both_raise(lambda: substitute(x, pt), lambda: xr.substitute(pt))

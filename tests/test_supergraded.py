@@ -6,9 +6,7 @@ import pytest
 from superchord.scalars import QQ
 from superchord.supergraded import (SuperMap, SuperSpace, UNIT, copair_left,
                                     copair_right, koszul_flip, pair_dual_left,
-                                    pair_dual_right, partial_supertrace,
-                                    tensor_index, tensor_space,
-                                    tensor_unindex)
+                                    pair_dual_right)
 
 
 V21 = SuperSpace((0, 0, 1))
@@ -29,12 +27,6 @@ def test_superdim():
     assert V21.superdim() == 1
     assert SuperSpace((0, 1)).superdim() == 0
     assert V21.tensor(V21).superdim() == 1
-
-
-def test_tensor_index_roundtrip():
-    dims = [3, 2, 4]
-    for idx in range(24):
-        assert tensor_index(dims, tensor_unindex(dims, idx)) == idx
 
 
 def test_compose_identity():
@@ -128,18 +120,6 @@ def test_supertrace_multiplicative_on_tensor():
     f = rand_map(rng, V21, V21, 0)
     g = rand_map(rng, W, W, 0)
     assert f.tensor(g).supertrace() == f.supertrace() * g.supertrace()
-
-
-def test_partial_supertrace_consistency():
-    rng = random.Random(77)
-    W = SuperSpace((0, 1))
-    sp = tensor_space([V21, W])
-    f = rand_map(rng, sp, sp, 0)
-    g = partial_supertrace(f, [V21.dim, W.dim], 1)
-    assert g.source == V21
-    assert g.supertrace() == f.supertrace()
-    h = partial_supertrace(f, [V21.dim, W.dim], 0)
-    assert h.supertrace() == f.supertrace()
 
 
 def test_unit_space():

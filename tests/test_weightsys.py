@@ -245,12 +245,18 @@ def test_four_term_on_degree_four_interval_for_links_gould():
     assert nonzero
 
 
+def lg_pair(a):
+    """lg_data()'s V_alpha with the tensor a (I x I) + t_sl."""
+    rep, _tensor = lg_data()
+    return rep, extend_identity(casimir_tensor(rep.algebra, "sl"), a)
+
+
 def test_lg_one_term_relation_frozen():
     # A single chord acts by zero with the canonical constant; with the
     # nearby constant 2 + 2 alpha it acts by 2 alpha^3 - 2 alpha.
     d = interval(((0, 0), (0, 1)))
     assert wlg(d) == QALPHA.zero
-    bad = weight_system(*lg_data(alpha() * 2 + 2))(d)
+    bad = weight_system(*lg_pair(alpha() * 2 + 2))(d)
     want = alpha() * alpha() * alpha() * 2 - alpha() * 2
     assert bad == want
 
@@ -359,11 +365,11 @@ def test_memoised_wlg_matches_tangle_scalar():
 
 
 def test_explicit_constant_is_not_served_from_default_memo():
-    a = alpha() * 2 + 2
+    pair = lg_pair(alpha() * 2 + 2)
     d = interval(((0, 0), (0, 2)), ((0, 1), (0, 3)))
     default = wlg(d)
-    other = weight_system(*lg_data(a))(d)
-    assert other == scalar_of_endo(ws_tangle11(d, *lg_data(a)))
+    other = weight_system(*pair)(d)
+    assert other == scalar_of_endo(ws_tangle11(d, *pair))
     assert other != default
     assert wlg(d) == default
 
