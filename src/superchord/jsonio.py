@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .diagrams import CIRCLE, INTERVAL, ChordDiagram, canonical_form
 from .kontsevich import ZValue
-from .ribbon import RibbonData, ribbon_checks
+from .ribbon import RibbonData
 from .scalars import AlphaScalar, HSeries, Poly, QALPHA, QQ, SeriesRing
 from .supergraded import SuperMap, SuperSpace, UNIT
 from .words import parse_word
@@ -203,9 +203,7 @@ def ribbon_from_json(obj, ring=QQ):
             src, tgt = shapes[name]
             bends[name] = _entries_from_json(obj[name], src, tgt, ring)
     data = RibbonData(v, braiding, twist, ring, **bends)
-    failed = [n for n, ok in ribbon_checks(data).items() if not ok]
-    if failed:
-        raise ValueError("ribbon axioms fail: %s" % ", ".join(failed))
+    data.require_axioms()
     return data
 
 

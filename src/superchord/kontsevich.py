@@ -274,18 +274,21 @@ class _DiagramBackend:
 
     def finish(self):
         out = self.tracer.finish()
+        where = out.token_pos
         raw = {}
         for key, c in self.terms.items():
-            toks = sorted((t for ch in key for t in ch),
-                          key=lambda t: out.token_pos[t])
+            # each token's (component, place on the traced path), and
+            # its rank among the key's ends on that component
+            pairs = [(where[a], where[b]) for a, b in key]
             pos = {}
-            counters = {}
-            for t in toks:
-                comp, _ = out.token_pos[t]
-                pos[t] = (comp, counters.get(comp, 0))
-                counters[comp] = counters.get(comp, 0) + 1
-            chords = tuple(sorted(tuple(sorted((pos[a], pos[b])))
-                                  for a, b in key))
+            comp = start = None
+            for n, end in enumerate(sorted([e for pair in pairs
+                                            for e in pair])):
+                if end[0] != comp:
+                    comp, start = end[0], n
+                pos[end] = (comp, n - start)
+            chords = tuple(sorted((pos[x], pos[y]) if x < y
+                                  else (pos[y], pos[x]) for x, y in pairs))
             # a sum that cancels stays: its diagram may still be the
             # first of its class, the class's representative
             raw[chords] = raw.get(chords, 0) + c
@@ -315,9 +318,12 @@ class _MatrixBackend:
     Every slice maps the WeightSystem operations (cup, chord, cap, flip)
     over the degree layers; a strand's role is its sign, so an upward
     strand acts through the dual.  The frozen source indices make open
-    words come out as one map per degree.  Layer m holds its values over
-    the fixed denominator D[m] chord_den^m (_layer_dens): ints over Q, so
-    the walk builds no Fraction, and finish divides each layer once.
+    words come out as one map per degree.  A layer is keyed by the
+    WeightSystem's int-coded keys; wz_eval decodes them to index tuples
+    only for open words.  Letter 0 adds its chords (a, p) into one
+    state per layer.  Layer m holds its values over the fixed
+    denominator D[m] chord_den^m (_layer_dens): ints over Q, so the walk
+    builds no Fraction, and finish divides each layer once.
 
     A crossing and an associator move are both a word series applied by
     _series: a crossing is exp(s chord / 2), the powers of letter 1,
@@ -332,9 +338,6 @@ class _MatrixBackend:
         self.ws = weight_system(rep, tensor)
         self.deg = [self.ws.identity(len(word.source))]
         self.deg += [dict() for _ in range(order)]
-
-    def _chord(self, states, a, b, signs):
-        return [self.ws.chord(s, a, b, (signs[a], signs[b])) for s in states]
 
     def crossing(self, p, s, signs):
         total = self._series(p, True, s, signs)
@@ -375,11 +378,11 @@ class _MatrixBackend:
         """Letter 1 is the chord on (p, p + 1); letter 0 sums the chords
         (a, p) over a < p."""
         pairs = [(a, p) for a in range(p)] if letter == 0 else [(p, p + 1)]
-        out = self._chord(states, *pairs[0], signs)
-        for a, b in pairs[1:]:
-            for tgt, layer in zip(out, self._chord(states, a, b, signs)):
-                for key, v in layer.items():
-                    add_term(tgt, key, v)
+        out = [{} for _ in states]
+        for a, b in pairs:
+            roles = (signs[a], signs[b])
+            for state, tgt in zip(states, out):
+                self.ws.chord(state, a, b, roles, out=tgt)
         return out
 
     def cup(self, p, sign):
@@ -411,15 +414,20 @@ def wz_eval(word, rep, tensor, order):
     ring = rep.ring
     if word.is_closed:
         sr = SeriesRing(ring, order)
-        return HSeries(sr, [layer.get((), ring.zero) for layer in deg])
-    nt = len(word.target)
+        return HSeries(sr, [layer.get(0, ring.zero) for layer in deg])
+    decode = backend.ws.decode
     if (word.source, word.target) == ((1,), (1,)):
-        out = []
-        for layer in deg:
-            entries = {(k[0], k[1]): v for k, v in layer.items()}
-            out.append(SuperMap(rep.space, rep.space, entries, ring))
-        return out
-    return [{(k[:nt], k[nt:]): v for k, v in layer.items()} for layer in deg]
+        return [SuperMap(rep.space, rep.space,
+                         {decode(k, 2): v for k, v in layer.items()}, ring)
+                for layer in deg]
+    nt = len(word.target)
+    width = nt + len(word.source)
+
+    def split(key):
+        d = decode(key, width)
+        return d[:nt], d[nt:]
+
+    return [{split(k): v for k, v in layer.items()} for layer in deg]
 
 
 _HUMP_WORD = "obj: +\nslice: cup(+-) id(+)\nslice: id(+) cap(-+)"

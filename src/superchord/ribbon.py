@@ -6,6 +6,8 @@ named axiom checks are decidable by direct matrix identity: an inverse
 braiding, the Yang-Baxter equation, naturality of the twist, the snake
 identities, and consistency of the declared twist with the curl built
 from braiding and duality, mirroring how the word parser expands kinks.
+`RibbonData.checks` holds their results, computed once per instance, so
+loading data and then evaluating on it checks the axioms once.
 
 The evaluator is strict: it tensors one map per token and composes
 slice by slice, so no associativity bookkeeping is needed.  Crossings
@@ -13,14 +15,14 @@ are supported on two upward strands, which covers braid words and the
 kinks the parser produces on them.
 """
 
+from functools import cached_property
+
 from .diagrams import invert_matrix
 from .scalars import QQ
 from .supergraded import (
     SuperMap, SuperSpace, copair_left, copair_right, koszul_flip,
     pair_dual_left, pair_dual_right, tensor_space)
 from .words import parse_word
-
-_CHECK_ORDER = ("inverse", "yang_baxter", "twist_naturality", "snake", "curl")
 
 
 def invert_supermap(f):
@@ -51,6 +53,18 @@ class RibbonData:
             else pair_dual_right(space, ring)
         self.cap_mp = cap_mp if cap_mp is not None \
             else pair_dual_left(space, ring)
+
+    @cached_property
+    def checks(self):
+        """The named axiom results of `ribbon_checks`; computed once, on
+        first use."""
+        return ribbon_checks(self)
+
+    def require_axioms(self):
+        """Raise ValueError naming every failed axiom, in check order."""
+        failed = [n for n, ok in self.checks.items() if not ok]
+        if failed:
+            raise ValueError("ribbon axioms fail: %s" % ", ".join(failed))
 
 
 def _curl(data, r):
@@ -107,12 +121,10 @@ def _token_map(tok, signs, p, data):
 def rt_invariant(word, data):
     """Scalar of a closed word, or the boundary map of an open one.
 
-    Any failed ribbon axiom raises before evaluation.
+    Any failed ribbon axiom raises before evaluation; the axioms are
+    checked once per RibbonData.
     """
-    checks = ribbon_checks(data)
-    failed = [n for n in _CHECK_ORDER if not checks[n]]
-    if failed:
-        raise ValueError("ribbon axioms fail: %s" % ", ".join(failed))
+    data.require_axioms()
     if isinstance(word, str):
         word = parse_word(word)
     if word.sing_count:

@@ -1,21 +1,28 @@
 """Weight systems: exact evaluation of chord diagrams in a representation.
 
 One state machine evaluates both diagrams and tangle words.  A state is
-a sparse dict keyed by the live basis indices, one per strand, followed
-by the frozen source indices; `WeightSystem` gives the only operations
-on it.  Its values carry no denominator: Python ints over Q, ring values
-over Q(alpha).  The chord matrices are held over one common int
-denominator, `chord_den` (1 for the gl(m|n) defining modules with t_gl),
-so a state after c chords stands for itself over chord_den^c, and
-whoever walks it divides once at the end.  A strand of role +1 runs
-downward through V, one of role -1 upward through V*.  `cup(+-)`
-(k -> V x V*) and `cap(-+)` (V* x V -> k) are plain; `cap(+-)`, the
-right pairing V x V* -> k, and `cup(-+)` sign odd indices, which gives
-the supertrace sign.  `chord` inserts the invariant tensor sum
-t^{ij} e_i x e_j at two strands, acting through the representation or
-its dual by role, with Koszul transport signs from the parities of the
-indices to the left of each insertion; `flip` is the super flip of a
-crossing.
+a sparse dict keyed by one int that holds the live basis indices, one
+per strand, followed by the frozen source indices: strand r's index i
+sits in the bit field at offset bits * r as (i << 1) | parity(i), so
+the empty key is 0, a prefix parity is the popcount of the key under a
+mask, and cups, caps, flips and chords move fields by shifts and masks.
+`WeightSystem` gives the only operations on it; `WeightSystem.decode`
+turns a key back into its index tuple, which only outputs need (the
+endomorphism of a one-interval diagram, the open words of
+`kontsevich.wz_eval`).  Its values carry no denominator: Python ints
+over Q, ring values over Q(alpha).  The chord matrices are held over one
+common int denominator, `chord_den` (1 for the gl(m|n) defining modules
+with t_gl), so a state after c chords stands for itself over
+chord_den^c, and whoever walks it divides once at the end.  A strand of
+role +1 runs downward through V, one of role -1 upward through V*.
+`cup(+-)` (k -> V x V*) and `cap(-+)` (V* x V -> k) are plain;
+`cap(+-)`, the right pairing V x V* -> k, and `cup(-+)` sign odd
+indices, which gives the supertrace sign.  `chord` inserts the invariant
+tensor sum t^{ij} e_i x e_j at two strands, acting through the
+representation or its dual by role, with Koszul transport signs from the
+parities of the indices to the left of each insertion, read from a table
+signed by the parity between the two sites; `flip` is the super flip
+of a crossing.
 
 A diagram is walked as a planar picture: each component is a serpentine
 of stations, one chord endpoint per station, alternating roles +1 and
@@ -35,7 +42,7 @@ The slice engine of `kontsevich.wz_eval` drives the same operations,
 slice by slice, over one state per h degree.
 
 `weight_system(rep, tensor)` gives the one `WeightSystem` of a pair:
-its dual representation, its chord matrices, one for each pair of
+its dual representation, its chord tables, one for each pair of
 strand roles, and its memo.  `ws(d)` is the closed value of
 an all-circle diagram, or the scalar by which the endomorphism of a
 one-interval diagram acts (`scalar_of_endo`); other skeletons raise
@@ -118,8 +125,9 @@ def _sweep(diagram):
 def _chord_matrix(mats_a, mats_b, terms, ring):
     """Column-indexed two-site matrix of sum c A_i x B_j over terms (c, i, j).
 
-    `WeightSystem` builds one per pair of strand roles, unsigned; the
-    station walk applies its upward-endpoint signs to the result.
+    `WeightSystem` builds one per pair of strand roles, unsigned, and
+    keeps it only as its signed table (`_signed_cells`); the station walk
+    applies its upward-endpoint signs to the result.
     """
     by_col = {}
     for c, i, j in terms:
@@ -145,46 +153,56 @@ def _over_one_denominator(matrices, ring):
             for roles, m in matrices.items()}, den
 
 
-def _apply_chord(state, a, b, matrix, par):
-    out = {}
-    for key, coeff in state.items():
-        cell = matrix.get((key[a], key[b]))
-        if not cell:
-            continue
-        pa = 0
-        for r in range(a):
-            pa ^= par[key[r]]
-        pb = pa
-        for r in range(a, b):
-            pb ^= par[key[r]]
-        ca, cb = key[a], key[b]
+def _signed_cells(matrix, codes, bits):
+    """A chord matrix as a list indexed by the column code
+    code(ca) << bits | code(cb), None for an empty column.
+
+    The output takes code(ra) - code(ca) at the first site and
+    code(rb) - code(cb) at the second.  Each site whose parity changes
+    passes the indices to its left, with prefix parities pa and pb; the
+    tensor is even, so both sites change parity or neither does, and the
+    Koszul sign is (-1)^(pa + pb), the parity q of the fields from the
+    first site up to the second.  A column's cell is two tuples of
+    (da, db, value), signed for q = 0 and q = 1.  Raises ValueError on
+    an entry that changes the parity of one site only.
+    """
+    cells = [None] * (1 << 2 * bits)
+    # an entry, a whole cell or a negated value that recurs is held once
+    negated = {}
+    for (ca, cb), cell in matrix.items():
+        plain, signed = [], []
         for (ra, rb), val in cell:
-            s = 1
-            if (par[ra] ^ par[ca]) and pa:
-                s = -s
-            if (par[rb] ^ par[cb]) and pb:
-                s = -s
-            k2 = list(key)
-            k2[a] = ra
-            k2[b] = rb
-            add_term(out, tuple(k2),
-                     coeff * val if s > 0 else -(coeff * val))
-    return out
+            odd = (codes[ra] ^ codes[ca]) & 1
+            if odd != (codes[rb] ^ codes[cb]) & 1:
+                raise ValueError("weight systems need an even tensor")
+            entry = (codes[ra] - codes[ca], codes[rb] - codes[cb], val)
+            plain.append(entry)
+            if odd:
+                entry = entry[:2] + (negated.setdefault(val, -val),)
+            signed.append(entry)
+        plain = tuple(plain)
+        signed = plain if list(plain) == signed else tuple(signed)
+        cells[codes[ca] << bits | codes[cb]] = (plain, signed)
+    return cells
 
 
 class WeightSystem:
     """A representation and an invariant tensor, evaluated on diagrams.
 
-    A state is a sparse dict keyed by the live basis indices followed by
-    the frozen source indices; `identity`, `cup`, `chord`, `cap` and
-    `flip` are the only operations on it, shared by the station walk here
-    and the slice engine of `kontsevich.wz_eval`.  The dual representation
-    and the unsigned chord matrix for each pair of strand roles are built
-    once, over one int denominator chord_den; a state holds ints over Q.
-    Calling the system on a diagram evaluates each canonical_form class
-    once and answers repeats from a memo; `tangle11` evaluates afresh
-    every time.  Build one through `weight_system`, so that its callers
-    share it.
+    A state is a sparse dict keyed by ints: the live basis indices
+    followed by the frozen source indices, strand r in the bit field at
+    offset bits * r, coded as (i << 1) | parity(i), so the empty key is
+    0 and a parity of fields is a masked popcount.  `identity`, `cup`,
+    `chord`, `cap` and `flip` are the only operations on it, shared by
+    the station walk here and the slice engine of `kontsevich.wz_eval`;
+    `decode` gives a key's index tuple, which only outputs need.  The
+    dual representation and one chord table for each pair of strand
+    roles, unsigned by role and signed in advance for either parity of
+    the fields between its two sites, are built once, over one int
+    denominator chord_den; a state holds ints over Q.  Calling the
+    system on a diagram evaluates each canonical_form class once and
+    answers repeats from a memo; `tangle11` evaluates afresh every time.
+    Build one through `weight_system`, so that its callers share it.
     """
 
     def __init__(self, rep, tensor):
@@ -193,51 +211,99 @@ class WeightSystem:
         self.ring = rep.ring
         self.par = rep.space.parities
         self.dim = rep.space.dim
+        self.bits = (self.dim - 1).bit_length() + 1
+        self._field = (1 << self.bits) - 1
+        self._codes = [i << 1 | p for i, p in enumerate(self.par)]
         self.dual = rep_combine("dual", rep)
         mats = {1: rep.mats, -1: self.dual.mats}
         terms = tensor.as_pair_terms()
-        self._matrices, self.chord_den = _over_one_denominator(
+        matrices, self.chord_den = _over_one_denominator(
             {roles: _chord_matrix(mats[roles[0]], mats[roles[1]], terms,
                                   self.ring)
              for roles in product((1, -1), repeat=2)}, self.ring)
+        self._cells = {roles: _signed_cells(m, self._codes, self.bits)
+                       for roles, m in matrices.items()}
         self._memo = {}
+
+    def encode(self, indices):
+        """The key of a tuple of basis indices."""
+        key = 0
+        for r, i in enumerate(indices):
+            key |= self._codes[i] << self.bits * r
+        return key
+
+    def decode(self, key, width):
+        """The basis indices of a key of width strands, as a tuple."""
+        bits, field = self.bits, self._field
+        return tuple((key >> bits * r & field) >> 1 for r in range(width))
+
+    def _parity_mask(self, n):
+        """The parity bits of the first n fields."""
+        return ((1 << self.bits * n) - 1) // self._field
 
     def identity(self, n):
         """The identity on n strands: live indices equal to the sources."""
-        return {key + key: 1 for key in product(range(self.dim), repeat=n)}
+        return {self.encode(key + key): 1
+                for key in product(range(self.dim), repeat=n)}
 
     def cup(self, state, p, sign):
         """Insert a cup at positions p, p + 1; cup(-+) signs odd indices."""
+        sp = self.bits * p
+        low = (1 << sp) - 1
+        up = sp + 2 * self.bits
+        pairs = [((c | c << self.bits) << sp, sign < 0 and c & 1)
+                 for c in self._codes]
         out = {}
         for key, v in state.items():
-            for i in range(self.dim):
-                out[key[:p] + (i, i) + key[p:]] = (
-                    -v if sign < 0 and self.par[i] else v)
+            base = key & low | key >> sp << up
+            for pair, odd in pairs:
+                out[base | pair] = -v if odd else v
         return out
 
-    def chord(self, state, a, b, roles):
+    def chord(self, state, a, b, roles, out=None):
         """Insert the tensor at positions a < b, unsigned: a strand of role
         +1 acts through V, one of role -1 through the dual.  The values
-        come out chord_den times too large."""
-        return _apply_chord(state, a, b, self._matrices[roles], self.par)
+        come out chord_den times too large.  The terms are added into
+        out when it is given, and out is returned."""
+        if out is None:
+            out = {}
+        bits, field = self.bits, self._field
+        sa, sb = bits * a, bits * b
+        mask = self._parity_mask(a) ^ self._parity_mask(b)
+        cells = self._cells[roles]
+        for key, v in state.items():
+            cell = cells[(key >> sa & field) << bits | key >> sb & field]
+            if cell is None:
+                continue
+            for da, db, val in cell[(key & mask).bit_count() % 2]:
+                add_term(out, key + (da << sa) + (db << sb), v * val)
+        return out
 
     def cap(self, state, p, sign):
         """Close positions p, p + 1; cap(+-) signs odd indices."""
+        bits = self.bits
+        sp = bits * p
+        low = (1 << sp) - 1
+        up = sp + 2 * bits
+        pair = (1 << 2 * bits) - 1
         out = {}
         for key, v in state.items():
-            i = key[p]
-            if i == key[p + 1]:
-                add_term(out, key[:p] + key[p + 2:],
-                         -v if sign > 0 and self.par[i] else v)
+            f = key >> sp & pair
+            if f & self._field == f >> bits:
+                add_term(out, key & low | key >> up << sp,
+                         -v if sign > 0 and f & 1 else v)
         return out
 
     def flip(self, state, p):
         """Super flip of positions p, p + 1, as a crossing carries them."""
+        field = self._field
+        sp = self.bits * p
+        sq = sp + self.bits
         out = {}
         for key, v in state.items():
-            i, j = key[p], key[p + 1]
-            out[key[:p] + (j, i) + key[p + 2:]] = (
-                -v if self.par[i] and self.par[j] else v)
+            i, j = key >> sp & field, key >> sq & field
+            out[key + (j - i << sp) + (i - j << sq)] = (
+                -v if i & j & 1 else v)
         return out
 
     def _evaluate(self, diagram, with_source):
@@ -268,8 +334,8 @@ class WeightSystem:
         if ups % 2:
             unit = -unit
         if with_source:
-            return {k: v * unit for k, v in state.items()}
-        return state.get((), 0) * unit
+            return {self.decode(k, 2): v * unit for k, v in state.items()}
+        return state.get(0, 0) * unit
 
     def __call__(self, diagram):
         """Weight of a diagram: the closed value of an all-circle skeleton,

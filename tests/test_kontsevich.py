@@ -5,6 +5,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -141,6 +142,19 @@ def test_two_path_evaluation_agrees_open_strand():
         for d, c in _terms_at(z, m):
             total = total + ws_tangle11(d, rep, tv).scale(rep.ring.coerce(c))
         assert fused[m] == total
+
+
+def test_open_word_layers_keyed_by_target_and_source_indices():
+    rep, tv = gl21_defining()
+    par = rep.space.parities
+    layers = wz_eval("braid[3]: s2", rep, tv, 2)
+    assert len(layers) == 3
+    # degree 0 is the super flip of strands 2 and 3
+    assert layers[0] == {((i, k, j), (i, j, k)): -1 if par[j] and par[k]
+                         else 1 for i, j, k in product(range(3), repeat=3)}
+    assert all(len(t) == 3 and len(s) == 3
+               for layer in layers for t, s in layer)
+    assert layers[1]
 
 
 def z_alternating(text, order):

@@ -1,8 +1,12 @@
 """Work that one call must not repeat."""
 
+import json
 from fractions import Fraction
 
-from superchord import associator, diagrams, kontsevich, ribbon, weightsys
+import pytest
+
+from superchord import (
+    associator, diagrams, jsonio, kontsevich, ribbon, weightsys)
 from superchord.associator import associator_checks, build_associator
 from superchord.kontsevich import lg_invariant, wz_eval, z_eval
 from test_associator import _solve_associator
@@ -38,12 +42,31 @@ def _interval_classes(degree):
 
 
 def test_rt_invariant_checks_the_axioms_once(monkeypatch):
-    data = ribbon.ribbon_diagonal([[2, 5], [7, 3]])
     word = "braid[2]: s1 s1 ; close"
-    expected = ribbon.rt_invariant(word, data)
+    expected = ribbon.rt_invariant(word, ribbon.ribbon_diagonal([[2, 5],
+                                                                 [7, 3]]))
+    data = ribbon.ribbon_diagonal([[2, 5], [7, 3]])
     calls = _counting(monkeypatch, ribbon, "ribbon_checks")
     assert ribbon.rt_invariant(word, data) == expected
+    assert ribbon.rt_invariant(word, data) == expected
     assert len(calls) == 1
+
+
+def test_loaded_ribbon_data_is_checked_once(monkeypatch, tmp_path):
+    good = ribbon.ribbon_diagonal([[2, 5], [7, 3]])
+    path = tmp_path / "colours.ribbon"
+    path.write_text(json.dumps(jsonio.ribbon_to_json(good)))
+    calls = _counting(monkeypatch, ribbon, "ribbon_checks")
+    data = jsonio.load_ribbon(str(path))
+    assert ribbon.rt_invariant("braid[2]: s1 s1 s1 t1 ; close", data) == 97
+    assert len(calls) == 1
+
+    bad = jsonio.ribbon_to_json(good)
+    bad["braiding"].append([3, 0, "1"])
+    path.write_text(json.dumps(bad))
+    with pytest.raises(ValueError, match="yang_baxter"):
+        jsonio.load_ribbon(str(path))
+    assert len(calls) == 2
 
 
 def test_associator_checks_reuse_the_built_ideal_spans(monkeypatch):
@@ -90,6 +113,9 @@ def test_wz_eval_applies_chords_only_on_kept_layers(monkeypatch):
     wz_eval("braid[3]: s1 s2^-1 s1 s2^-1 ; close", rep, tensor, 4)
     # 58,230 state keys in 1,340 calls when every chord ran on all layers
     assert sum(len(args[1]) for args in calls) <= 12274
+    # one call per chord (a, p) of a letter 0 and layer, also where the
+    # calls add into one output state
+    assert len(calls) == 364
 
 
 def test_station_walk_applies_chords_on_partial_states(monkeypatch):
@@ -101,6 +127,7 @@ def test_station_walk_applies_chords_on_partial_states(monkeypatch):
         fresh(d)
     # 19,008 state keys when every cup was opened before the first chord
     assert sum(len(args[1]) for args in calls) <= 9424
+    assert len(calls) == 30
 
 
 def test_station_walk_over_q_alpha_builds_no_fraction(monkeypatch):

@@ -407,6 +407,7 @@ def test_snake_identities_through_state_operations():
     # the same bends with a plain cap keep the odd sign of the cup
     wrong = ws.cap(ws.cup(one, 1, -1), 0, -1)
     assert wrong != one
+    wrong = {ws.decode(k, 2): v for k, v in wrong.items()}
     assert {k: v for k, v in wrong.items() if v != 1} == {
         (i, i): -1 for i in range(ws.dim) if ws.par[i]}
 
