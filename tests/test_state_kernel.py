@@ -114,8 +114,8 @@ def _decoded(ws, state, width):
 
 @st.composite
 def _states(draw, name):
-    """A system name, a width up to 8 and a state of that width whose
-    values are small, so that sums cancel now and then."""
+    """A width up to 8 and a tuple-keyed state of that width over the
+    named system, with small values, so that sums cancel now and then."""
     ws, _ = _system(name)
     width = draw(st.integers(2, 8))
     keys = draw(st.lists(
@@ -129,7 +129,7 @@ def _states(draw, name):
         a = alpha()
         state = {k: a * v + 1 if v % 2 else ws.ring.coerce(v)
                  for k, v in zip(keys, values)}
-    return ws, width, state
+    return width, state
 
 
 kernel = settings(derandomize=True, max_examples=25, deadline=None)
@@ -154,7 +154,7 @@ def test_field_width_and_round_trip(name):
 @given(data=st.data())
 def test_chord_matches_the_tuple_oracle(name, data):
     ws, matrices = _system(name)
-    ws, width, state = data.draw(_states(name))
+    width, state = data.draw(_states(name))
     coded = _encoded(ws, state)
     for a in range(width):
         for b in range(a + 1, width):
@@ -170,7 +170,7 @@ def test_chord_matches_the_tuple_oracle(name, data):
 def test_chords_added_into_one_state_match_their_sum(name, data):
     # letter 0 of an associator move: the chords (a, p), a < p, summed
     ws, matrices = _system(name)
-    ws, width, state = data.draw(_states(name))
+    width, state = data.draw(_states(name))
     p = width - 1
     roles = data.draw(st.lists(st.sampled_from((1, -1)), min_size=width,
                                max_size=width))
@@ -190,7 +190,7 @@ def test_chords_added_into_one_state_match_their_sum(name, data):
 @given(data=st.data())
 def test_cup_cap_flip_match_the_tuple_oracles(name, data):
     ws, _ = _system(name)
-    ws, width, state = data.draw(_states(name))
+    width, state = data.draw(_states(name))
     coded = _encoded(ws, state)
     for p in range(width + 1):
         for sign in (1, -1):
