@@ -5,6 +5,14 @@ A degree-m diagram places 2m endpoints on the skeleton (positions 0..k-1
 along each component, cyclic on circles) and pairs them into m chords.
 `canonical_form` minimizes the encoding over circle rotations and
 permutations of same-kind components, so it can serve as a dictionary key.
+The search runs on int chord codes, whose order is the order of the
+chord tuples, and relabels only the anchors: the component orders and
+rotations whose least chord is the least that any relabelling reaches.
+Its result is kept on the diagram, so a diagram is searched once however
+often its key is asked for.  `diagram_classes` positions chord sets
+given by ordered ends, sums them per positioned diagram and per class,
+and builds a ChordDiagram only for each class's representative, with
+the key kept on it.
 
 `four_term_relators` produces the signed 4-diagram combinations that every
 weight system must kill, `cable_diagram` lifts a diagram along the doubling
@@ -14,6 +22,7 @@ every other exact linear solve in the package.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations, product
 
 from .scalars import QQ, add_term
@@ -22,6 +31,12 @@ CIRCLE = "circle"
 INTERVAL = "interval"
 
 _KIND_CODE = {CIRCLE: 0, INTERVAL: 1}
+
+# int codes of the canonical search: endpoint (c, p) is c * _PLACE + p
+# and chord (a, b), a < b, is a * _END + b, so that int order is the order
+# of the tuples; a placed end (diagram_classes) is c << 32 | place
+_PLACE = 1 << 16
+_END = _PLACE * _PLACE
 
 
 def _endpoint(ep):
@@ -60,6 +75,9 @@ class ChordDiagram:
                 if not 0 <= ep[0] < len(self.skeleton):
                     raise ValueError("endpoint %r off the skeleton" % (ep,))
                 seen.add(ep)
+        if max(len(self.skeleton), len(seen)) >= _PLACE:
+            raise ValueError("at most %d components and endpoints"
+                             % (_PLACE - 1))
         counts = [0] * len(self.skeleton)
         for (c, _) in seen:
             counts[c] += 1
@@ -71,6 +89,7 @@ class ChordDiagram:
                     % (c, k - 1))
         self.chords = tuple(sorted(norm))
         self.counts = tuple(counts)
+        self._key = None  # canonical_form's, once searched
 
     @property
     def degree(self):
@@ -91,33 +110,142 @@ class ChordDiagram:
         return "ChordDiagram(%r, %r)" % (self.skeleton, self.chords)
 
 
+@lru_cache(maxsize=None)
 def _kind_preserving_perms(skeleton):
     n = len(skeleton)
-    for perm in permutations(range(n)):
-        if all(skeleton[c] == skeleton[perm[c]] for c in range(n)):
-            yield perm
+    return tuple(perm for perm in permutations(range(n))
+                 if all(skeleton[c] == skeleton[perm[c]] for c in range(n)))
+
+
+def _least_relabelling(skeleton, codes):
+    """The least sorted tuple of chord codes over circle rotations and
+    same-kind permutations: the canonical search.
+
+    The least end of every relabelling is at place 0 of the first
+    nonempty component, so the least chord is that end's chord.  It
+    depends only on the component order and on the rotations of its one
+    or two components; a partner on another circle is best at place 0,
+    which fixes that circle's rotation too.  Tuples compare their least
+    chords first, so only these anchors whose least chord is the least
+    of all are relabelled and sorted, over every rotation of any further
+    circle.
+    """
+    circle = [kind == CIRCLE for kind in skeleton]
+    perms = _kind_preserving_perms(skeleton)
+    if not codes or (len(perms) == 1 and not any(circle)):
+        return codes
+    counts = [0] * len(skeleton)
+    partner, ends = {}, []
+    for x in codes:
+        a, b = divmod(x, _END)
+        partner[a], partner[b] = b, a
+        ends.append(divmod(a, _PLACE) + divmod(b, _PLACE))
+        counts[a // _PLACE] += 1
+        counts[b // _PLACE] += 1
+    least = None
+    for perm in perms:
+        o = min((c for c in range(len(counts)) if counts[c]),
+                key=perm.__getitem__)
+        k = counts[o]
+        for r in range(k) if circle[o] else (0,):
+            # the end that rotation r puts at place 0, and its partner
+            o2, q = divmod(partner[o * _PLACE + -r % k], _PLACE)
+            r2 = None
+            if o2 == o:
+                q = (q + r) % k
+            elif circle[o2]:
+                r2, q = -q % counts[o2], 0
+            first = perm[o] * _PLACE * _END + perm[o2] * _PLACE + q
+            if least is None or first < least:
+                least, anchors = first, []
+            if first == least:
+                anchors.append((perm, {o: r} if r2 is None
+                                else {o: r, o2: r2}))
+    best = None
+    for perm, fixed in anchors:
+        bases = [c * _PLACE for c in perm]
+        for rots in product(*[(fixed[c],) if c in fixed
+                              else range(k) if k and circle[c] else (0,)
+                              for c, k in enumerate(counts)]):
+            # place p of component c goes to place (p + rots[c]) % k of
+            # component perm[c]
+            new = []
+            for c, p, c2, p2 in ends:
+                a = bases[c] + (p + rots[c]) % counts[c]
+                b = bases[c2] + (p2 + rots[c2]) % counts[c2]
+                new.append(a * _END + b if a < b else b * _END + a)
+            new.sort()
+            new = tuple(new)
+            if best is None or new < best:
+                best = new
+    return best
+
+
+def _chords_of(codes):
+    """The chords ((c, p), (c', p')) of chord codes."""
+    return tuple((divmod(x // _END, _PLACE), divmod(x % _END, _PLACE))
+                 for x in codes)
 
 
 def canonical_form(diagram):
-    """Minimal encoding over circle rotations and same-kind permutations."""
-    if diagram.skeleton == (INTERVAL,):
-        return diagram.encoding()
-    counts = diagram.counts
-    rot_ranges = [range(max(1, k)) if kind == CIRCLE else range(1)
-                  for kind, k in zip(diagram.skeleton, counts)]
-    best = None
-    for perm in _kind_preserving_perms(diagram.skeleton):
-        for rots in product(*rot_ranges):
-            # the chords with components permuted and circles rotated
-            chords = []
-            for (c1, p1), (c2, p2) in diagram.chords:
-                a = (perm[c1], (p1 + rots[c1]) % counts[c1])
-                b = (perm[c2], (p2 + rots[c2]) % counts[c2])
-                chords.append((a, b) if a < b else (b, a))
-            chords = tuple(sorted(chords))
-            if best is None or chords < best:
-                best = chords
-    return (diagram.encoding()[0], best)
+    """Minimal encoding over circle rotations and same-kind permutations.
+
+    The key is searched once per diagram and kept on it, so later calls
+    on the same diagram return it without a search.
+    """
+    key = diagram._key
+    if key is None:
+        key = diagram.encoding()
+        if diagram.skeleton != (INTERVAL,):
+            codes = tuple((c * _PLACE + p) * _END + c2 * _PLACE + p2
+                          for (c, p), (c2, p2) in diagram.chords)
+            best = _least_relabelling(diagram.skeleton, codes)
+            key = (key[0], _chords_of(best))
+        diagram._key = key
+    return key
+
+
+def diagram_classes(skeleton, placed):
+    """Sum placed chord sets per diagram class.
+
+    placed yields (ends, coefficient) pairs: ends gives each chord's two
+    ends in turn, each end one int, component << 32 | place, where places
+    only order the ends along a component.  A chord set is positioned by
+    sorting its ends, an end's position being its rank among the set's
+    ends on its component, and the coefficients are summed per
+    positioned diagram, so each distinct positioned diagram is searched
+    once.  Returns the nonzero sums and one representative per class
+    met, both keyed by canonical encoding: the representative is the
+    first positioned diagram met in its class, the only one built as a
+    ChordDiagram, with its key kept on it.
+    """
+    raw = {}
+    for ends, c in placed:
+        pos = {}
+        comp = -1
+        for n, x in enumerate(sorted(ends)):
+            if x >> 32 != comp:
+                comp = x >> 32
+                base = comp * _PLACE - n
+            pos[x] = base + n
+        it = iter(ends)
+        codes = tuple(sorted([pos[x] * _END + pos[y] if x < y
+                              else pos[y] * _END + pos[x]
+                              for x, y in zip(it, it)]))
+        # a sum that cancels stays: its diagram may still be the first
+        # of its class, the class's representative
+        raw[codes] = raw.get(codes, 0) + c
+    agg, reps = {}, {}
+    for codes, c in raw.items():
+        best = _least_relabelling(skeleton, codes)
+        add_term(agg, best, c)
+        if best not in reps:
+            reps[best] = ChordDiagram(skeleton, _chords_of(codes))
+    kinds = tuple(map(_KIND_CODE.__getitem__, skeleton))
+    for best, d in reps.items():
+        d._key = (kinds, _chords_of(best))
+    return ({reps[best]._key: c for best, c in agg.items()},
+            {d._key: d for d in reps.values()})
 
 
 def _compositions(total, parts):

@@ -22,7 +22,11 @@ traced skeleton (z_eval), one drives the WeightSystem state operations
 operations that evaluate single diagrams.  The diagram backend keys its
 terms by chord sets on anchor tokens; many keys land on one positioned
 diagram, so at the end it sums the keys per positioned diagram and
-canonicalises each positioned diagram once.  Both apply a crossing and an
+canonicalises each positioned diagram once (diagrams.diagram_classes).
+Every token is one int, component << 32 | place, so a key is placed by
+sorting ints.  Only the first positioned diagram of each class becomes a
+ChordDiagram, the class representative, and it keeps its class key, so
+weighing it searches no more.  Both apply a crossing and an
 associator move as one kind of step, a word series: the crossing's
 exponential is the powers of letter 1, the chord on its two strands,
 with coefficients (s/2)^k/k!.  Both keep rational values as Python ints
@@ -55,7 +59,7 @@ from math import factorial, lcm
 from .associator import build_associator, check_order
 from .diagrams import (
     CIRCLE, INTERVAL, ChordDiagram, LinearSpan, canonical_form,
-    four_term_relators, relator_vector, slit_component)
+    diagram_classes, four_term_relators, relator_vector, slit_component)
 from .scalars import (
     QALPHA, QQ, HSeries, SeriesRing, add_term, series_inverse)
 from .supergraded import SuperMap
@@ -191,10 +195,13 @@ class _DiagramBackend:
     """States are chord sets over stamped anchor tokens, with int
     coefficients over D[m] for m chords (_layer_dens).
 
-    finish places the tokens on the traced skeleton, sums the keys per
-    positioned diagram, and builds and canonicalises each distinct
+    finish maps each token to one int, component << 32 | place on the
+    traced skeleton, and hands each key's ends to
+    diagrams.diagram_classes, which places each key by sorting them,
+    sums the keys per positioned diagram and searches each distinct
     positioned diagram once.  A class keeps as representative the
-    diagram of its first key.
+    diagram of its first key, the only one built as a ChordDiagram, with
+    its class key kept on it.
     """
 
     def __init__(self, word, order):
@@ -274,34 +281,15 @@ class _DiagramBackend:
 
     def finish(self):
         out = self.tracer.finish()
-        where = out.token_pos
-        raw = {}
-        for key, c in self.terms.items():
-            # each token's (component, place on the traced path), and
-            # its rank among the key's ends on that component
-            pairs = [(where[a], where[b]) for a, b in key]
-            pos = {}
-            comp = start = None
-            for n, end in enumerate(sorted([e for pair in pairs
-                                            for e in pair])):
-                if end[0] != comp:
-                    comp, start = end[0], n
-                pos[end] = (comp, n - start)
-            chords = tuple(sorted((pos[x], pos[y]) if x < y
-                                  else (pos[y], pos[x]) for x, y in pairs))
-            # a sum that cancels stays: its diagram may still be the
-            # first of its class, the class's representative
-            raw[chords] = raw.get(chords, 0) + c
-        agg = {}
-        reps = {}
-        for chords, c in raw.items():
-            d = ChordDiagram(out.kinds, chords)
-            e = canonical_form(d)
-            add_term(agg, e, c)
-            reps.setdefault(e, d)
+        # each token as one int: its component << 32 | its place on the
+        # traced path
+        where = {t: c << 32 | i for t, (c, i) in out.token_pos.items()}
+        terms, reps = diagram_classes(
+            out.kinds, (([where[t] for chord in key for t in chord], c)
+                        for key, c in self.terms.items()))
         dens = _layer_dens(self.order)
-        terms = {e: Fraction(c, dens[len(e[1])]) for e, c in agg.items()}
-        return out.kinds, terms, reps
+        return out.kinds, {e: Fraction(c, dens[len(e[1])])
+                           for e, c in terms.items()}, reps
 
 
 def z_eval(word, order):
@@ -477,6 +465,13 @@ def reduce_fourterm(z):
     return ZValue(z.skeleton, terms, reps, z.order)
 
 
+@lru_cache(maxsize=None)
+def _reduced_hump(order):
+    """hump_factor(order) modulo the interval four-term relations, reduced
+    once per order for every knot paired at that order."""
+    return reduce_fourterm(hump_factor(order))
+
+
 def _slit(z):
     """A knot's integral cut open at the basepoint: an interval value."""
     terms, reps = {}, {}
@@ -494,7 +489,8 @@ def paired_invariant(word, weight, ring, order):
     relators, as every weight system of an invariant tensor does.  The
     closed component is slit at the basepoint and the result, like the
     hump factor, is reduced modulo four-term relations before any weight
-    call, so weight sees only quotient basis diagrams.  Dividing by the
+    call, so weight sees only quotient basis diagrams.  The hump factor
+    is reduced once per order and kept for every later knot.  Dividing by the
     paired hump factor once per maximum beyond the first makes the
     result a framed invariant of the knot, independent of the sliced
     presentation.
@@ -506,7 +502,7 @@ def paired_invariant(word, weight, ring, order):
     series = reduce_fourterm(_slit(z_eval(word, order))).pair(weight, ring)
     caps = sum(1 for sl in word.slices for tok in sl if tok[0] == "cap")
     if caps > 1:
-        hump = reduce_fourterm(hump_factor(order)).pair(weight, ring)
+        hump = _reduced_hump(order).pair(weight, ring)
         inv = series_inverse(hump)
         for _ in range(caps - 1):
             series = series * inv

@@ -1,7 +1,9 @@
 """Reshetikhin-Turaev evaluation of sliced words from explicit ribbon data.
 
-RibbonData carries the carrier space, the braiding on V (x) V, the twist
-on V, and the four bend maps (plain graded duality by default).  The
+RibbonData carries the carrier space, the braiding on V (x) V and its
+inverse, the twist on V, and the four bend maps (plain graded duality by
+default).  The inverse may be declared; otherwise `invert_matrix` solves
+for it, which needs a field, so data over Q[[h]] declares it.  The
 named axiom checks are decidable by direct matrix identity: an inverse
 braiding, the Yang-Baxter equation, naturality of the twist, the snake
 identities, and consistency of the declared twist with the curl built
@@ -18,7 +20,7 @@ kinks the parser produces on them.
 from functools import cached_property
 
 from .diagrams import invert_matrix
-from .scalars import QQ
+from .scalars import QQ, HSeries, series_inverse
 from .supergraded import (
     SuperMap, SuperSpace, copair_left, copair_right, koszul_flip,
     pair_dual_left, pair_dual_right, tensor_space)
@@ -37,15 +39,21 @@ def invert_supermap(f):
 
 
 class RibbonData:
-    """Carrier space with braiding, twist, and the four bend maps."""
+    """Carrier space with braiding, twist, and the four bend maps.
+
+    braiding_inv, when given, is taken as declared and checked by the
+    `inverse` axiom; when omitted it is solved over the ring.
+    """
 
     def __init__(self, space, braiding, twist, ring=QQ,
-                 cup_pm=None, cup_mp=None, cap_pm=None, cap_mp=None):
+                 cup_pm=None, cup_mp=None, cap_pm=None, cap_mp=None,
+                 braiding_inv=None):
         self.space = space
         self.dual = space.dual()
         self.ring = ring
         self.braiding = braiding
-        self.braiding_inv = invert_supermap(braiding)
+        self.braiding_inv = braiding_inv if braiding_inv is not None \
+            else invert_supermap(braiding)
         self.twist = twist
         self.cup_pm = cup_pm if cup_pm is not None else copair_left(space, ring)
         self.cup_mp = cup_mp if cup_mp is not None else copair_right(space, ring)
@@ -161,7 +169,8 @@ def ribbon_trivial(ring=QQ):
     """One-dimensional even carrier; every closed word evaluates to one."""
     v = SuperSpace((0,), ("v",))
     one = SuperMap.identity(v, ring)
-    return RibbonData(v, SuperMap.identity(v.tensor(v), ring), one, ring)
+    braiding = SuperMap.identity(v.tensor(v), ring)
+    return RibbonData(v, braiding, one, ring, braiding_inv=braiding)
 
 
 def ribbon_superflip(ring=QQ):
@@ -172,23 +181,30 @@ def ribbon_superflip(ring=QQ):
     powers of the superdimension, hence zero.
     """
     v = SuperSpace((0, 1), ("e", "o"))
-    return RibbonData(v, koszul_flip(v, v, ring),
-                      SuperMap.identity(v, ring), ring)
+    flip = koszul_flip(v, v, ring)
+    return RibbonData(v, flip, SuperMap.identity(v, ring), ring,
+                      braiding_inv=flip)
 
 
 def ribbon_diagonal(q, ring=QQ):
     """Colour braiding e_i (x) e_j -> q[i][j] e_j (x) e_i on an even space.
 
     Any grid of nonzero scalars satisfies Yang-Baxter; the twist forced
-    by the curl is diag(q[i][i]).
+    by the curl is diag(q[i][i]).  The inverse is declared, entry by
+    entry, so the ring may be Q[[h]] (each q[i][j] a unit there).
     """
     n = len(q)
     v = SuperSpace((0,) * n, tuple("c%d" % i for i in range(n)))
-    entries = {}
+    entries, inverse = {}, {}
     for i in range(n):
         for j in range(n):
-            entries[(j * n + i, i * n + j)] = ring.coerce(q[i][j])
-    braiding = SuperMap(v.tensor(v), v.tensor(v), entries, ring)
+            c = ring.coerce(q[i][j])
+            entries[(j * n + i, i * n + j)] = c
+            inverse[(i * n + j, j * n + i)] = (
+                series_inverse(c) if isinstance(c, HSeries) else 1 / c)
+    vv = v.tensor(v)
+    braiding = SuperMap(vv, vv, entries, ring)
     twist = SuperMap(v, v, {(i, i): ring.coerce(q[i][i]) for i in range(n)},
                      ring)
-    return RibbonData(v, braiding, twist, ring)
+    return RibbonData(v, braiding, twist, ring,
+                      braiding_inv=SuperMap(vv, vv, inverse, ring))

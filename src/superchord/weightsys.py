@@ -340,7 +340,8 @@ class WeightSystem:
     def __call__(self, diagram):
         """Weight of a diagram: the closed value of an all-circle skeleton,
         or the scalar action of a one-interval one.  Memoised by
-        canonical_form."""
+        canonical_form, which reads a key kept on the diagram without a
+        second search."""
         key = canonical_form(diagram)
         if key not in self._memo:
             intervals = diagram.skeleton.count(INTERVAL)

@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superchord.diagrams import (
     ChordDiagram, LinearSpan, cable_diagram, canonical_form, close_component,
@@ -23,6 +24,9 @@ def test_validation_rejects_bad_input():
         ChordDiagram(("circle",), [((0, 1), (0, 2))])
     with pytest.raises(ValueError):
         ChordDiagram(("disk",), [])
+    with pytest.raises(ValueError, match="at most 65535"):
+        # beyond the 16-bit fields of the canonical search's chord codes
+        ChordDiagram(("circle",) * 65536, [])
 
 
 @pytest.mark.parametrize("bad", [0.9, 1.0, "1", True, False, None,
@@ -235,11 +239,47 @@ _SKELETA = [("circle",), ("interval",), ("circle", "circle"),
             ("interval", "interval")]
 
 
+def assert_canonical_form_is_the_reference(degree):
+    """The pruned search against every (perm, rotation) relabelling, on
+    every diagram of the degree on one circle and on two circles."""
+    for skeleton in (("circle",), ("circle", "circle")):
+        for d in _all_diagrams(skeleton, degree):
+            assert canonical_form(d) == _reference_canonical_form(d), d
+
+
 def test_canonical_form_matches_reference():
     for skeleton in _SKELETA:
         for m in range(4):
             for d in _all_diagrams(skeleton, m):
                 assert canonical_form(d) == _reference_canonical_form(d), d
+    assert_canonical_form_is_the_reference(4)
+
+
+@st.composite
+def _skeleta_and_diagrams(draw):
+    """A random diagram of degree <= 6 on one to three circles, with or
+    without one interval anywhere among them."""
+    skeleton = ["circle"] * draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        skeleton.insert(draw(st.integers(0, len(skeleton))), "interval")
+    degree = draw(st.integers(0, 6))
+    return random_diagram(tuple(skeleton), degree, draw(st.randoms()))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(d=_skeleta_and_diagrams())
+def test_canonical_form_matches_reference_on_random_diagrams(d):
+    assert canonical_form(d) == _reference_canonical_form(d), d
+
+
+def test_canonical_form_is_kept_on_the_diagram():
+    d = ChordDiagram(("circle", "circle"),
+                     [((0, 0), (1, 1)), ((0, 1), (1, 0))])
+    key = canonical_form(d)
+    assert canonical_form(d) is key
+    # a fresh diagram of the same class is searched and gives an equal key
+    again = ChordDiagram(d.skeleton, d.chords)
+    assert canonical_form(again) == key and canonical_form(again) is not key
 
 
 def test_enumerate_order_matches_reference():

@@ -9,6 +9,7 @@ from superchord import (
     associator, diagrams, jsonio, kontsevich, ribbon, weightsys)
 from superchord.associator import associator_checks, build_associator
 from superchord.kontsevich import lg_invariant, wz_eval, z_eval
+from superchord.words import parse_word
 from test_associator import _solve_associator
 
 # the lg-knots benchmark inputs of seed 0
@@ -169,9 +170,70 @@ def test_chord_engines_over_q_build_few_fractions(monkeypatch):
 def test_z_eval_canonicalises_each_positioned_diagram_once(monkeypatch):
     word = ("braid[3]: s2 s2 s1^-1 s2^-1 s1 s1 s2^-1 s1^-1 s2 s2 s2^-1 "
             "s2^-1 s2^-1 s2 s2 s2 s2^-1 s1 s1 s2 ; close")
-    calls = _counting(monkeypatch, kontsevich, "canonical_form")
+    searches = _counting(monkeypatch, diagrams, "_least_relabelling")
     z = z_eval(word, 4)
     assert len(z.terms) == 29
-    # 29,118 when every term key was canonicalised; now one call per
+    # 29,118 when every term key was canonicalised; now one search per
     # distinct positioned diagram
-    assert len(calls) <= 319
+    assert len(searches) <= 319
+
+
+def _positioned_diagrams(word, order):
+    """The distinct positioned diagrams of z_eval's term keys, each key
+    placed on the traced skeleton by sorting its tokens' places."""
+    backend = kontsevich._DiagramBackend(word, order)
+    finish = backend.finish
+    found = set()
+
+    def positioned():
+        out = backend.tracer.finish()
+        backend.tracer.finish = lambda: out
+        for key in backend.terms:
+            toks = sorted((t for chord in key for t in chord),
+                          key=out.token_pos.__getitem__)
+            rank, seen = {}, {}
+            for t in toks:
+                comp = out.token_pos[t][0]
+                rank[t] = (comp, seen.get(comp, 0))
+                seen[comp] = seen.get(comp, 0) + 1
+            found.add(tuple(sorted(tuple(sorted((rank[a], rank[b])))
+                                   for a, b in key)))
+        return finish()
+
+    backend.finish = positioned
+    kontsevich._walk(word, backend)
+    return found
+
+
+def test_z_eval_and_pair_search_each_positioned_diagram_once(monkeypatch):
+    # a two-component link: the search permutes its two circles
+    word = parse_word("braid[3]: s1 s2^-1 s1 s2 s2 s1^-1 s2 ; close")
+    assert word.components == (diagrams.CIRCLE, diagrams.CIRCLE)
+    expected = z_eval(word, 4)  # builds the associator
+    positioned = _positioned_diagrams(word, 4)
+    searches = _counting(monkeypatch, diagrams, "_least_relabelling")
+    z = z_eval(word, 4)
+    assert z == expected
+    assert len(searches) == len(positioned)
+    assert len({args[1] for args in searches}) == len(searches)
+    del searches[:]
+    weightsys.weight_system.cache_clear()
+    for name in ("gl21", "gl11"):
+        rep, tensor = weightsys.named_system(name)
+        z.pair(lambda d, r=rep, t=tensor: weightsys.ws_link(d, r, t),
+               rep.ring)
+    # pair hands the weights the representatives finish built, with
+    # their class keys kept on them
+    assert searches == []
+
+
+def test_paired_invariant_reduces_the_hump_once(monkeypatch):
+    kontsevich._reduced_hump.cache_clear()
+    calls = _counting(monkeypatch, kontsevich, "reduce_fourterm")
+    hump = kontsevich.hump_factor(3)
+    for text in LG_KNOTS_SEED0[:3]:
+        lg_invariant(text, 3)
+    # each knot has two or three maxima; one reduction of its own
+    # integral each, and one of the hump for all three
+    assert sum(1 for args in calls if args[0] is hump) == 1
+    assert len(calls) == 4

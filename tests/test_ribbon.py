@@ -7,6 +7,7 @@ import pytest
 from superchord.ribbon import (
     RibbonData, invert_supermap, ribbon_checks, ribbon_diagonal,
     ribbon_superflip, ribbon_trivial, rt_invariant)
+from superchord.scalars import QQ, SeriesRing
 from superchord.supergraded import SuperMap
 
 
@@ -58,6 +59,28 @@ def test_perturbed_braiding_is_rejected():
     assert ribbon_checks(bad)["yang_baxter"] is False
     with pytest.raises(ValueError, match="yang_baxter"):
         rt_invariant("braid[1]: ; close", bad)
+
+
+def test_diagonal_data_over_series_declares_its_inverse():
+    # solving for the inverse over Q[[h]] raised TypeError: HSeries has
+    # no division
+    ring = SeriesRing(QQ, 4)
+    data = ribbon_diagonal([[2, 5], [7, 3]], ring)
+    assert all(ribbon_checks(data).values())
+    assert rt_invariant("braid[2]: s1 s1 ; close", data) == ring.coerce(83)
+    h = ring.monomial(1)
+    data = ribbon_diagonal([[2, ring.one + h], [7, 3]], ring)
+    assert all(ribbon_checks(data).values())
+
+
+def test_wrong_declared_inverse_fails_the_inverse_axiom():
+    for ring in (QQ, SeriesRing(QQ, 2)):
+        data = ribbon_diagonal([[2, 5], [7, 3]], ring)
+        bad = RibbonData(data.space, data.braiding, data.twist, ring,
+                         braiding_inv=data.braiding)
+        assert ribbon_checks(bad)["inverse"] is False
+        with pytest.raises(ValueError, match="inverse"):
+            rt_invariant("braid[1]: ; close", bad)
 
 
 def test_open_words_return_boundary_maps():
