@@ -39,9 +39,10 @@ p D[n + k] / (D[n] q) of one cached table (_word_series), so no value
 is ever rescaled, and a Fraction is built only at the output, once per
 layer or diagram class.  Both truncate as they go.  The diagram backend
 never builds a term of more than order chords.  The matrix backend
-carries a product of letters only on the layers that its least-degree
-completion can still reach, so a word of degree d acts on layers
-0..order-d.
+splits each associator word of degree k as u v, v its last k // 2
+letters, applies each suffix v once on the source layers 0..order-k,
+and the prefixes u by Horner over their trie on the target layers
+(_word_plan).
 
 Composites: paired_invariant slits z_eval at the basepoint, reduces it
 modulo the interval four-term relations (reduce_fourterm) and pairs the
@@ -51,6 +52,7 @@ vassiliev_defect alternates wz_eval over the resolutions of marked
 double points.
 """
 
+from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -104,21 +106,43 @@ def _word_series(order, crossing, sign):
 
     Each term is (degree k, word, multipliers): multiplier n is the int
     p D[n + k] / (D[n] q) that takes a layer n value over D[n] to layer
-    n + k over D[n + k], with the term's coefficient p/q.  tops maps each
-    suffix of a word to the top layer on which it is needed: order minus
-    the least degree of a word that ends in it.
+    n + k over D[n + k], with the term's coefficient p/q.
     """
     dens = _layer_dens(order)
     words = (_crossing_terms if crossing else _phi_terms)(order, sign)
-    terms = tuple(
+    return tuple(
         (k, w, tuple(c.numerator * dens[n + k] // (dens[n] * c.denominator)
                      for n in range(order - k + 1)))
         for k, w, c in words)
-    tops = {}
-    for k, w, _ in terms:
-        for l in range(k):
-            tops[w[l:]] = max(tops.get(w[l:], -1), order - k)
-    return terms, tops
+
+
+@lru_cache(maxsize=None)
+def _word_plan(order, crossing, sign):
+    """The schedule of a word series in _MatrixBackend._series.
+
+    An associator word of degree k splits as u v, v its last k // 2
+    letters; a crossing word, a power of one letter, keeps u empty.
+    Returns (suffixes, terms, prefixes): suffixes (v, letter, rest, top),
+    v = letter rest, shortest first, v applied on the source layers
+    0..top, order minus the least degree of a word whose v ends in it;
+    terms (u, v, k, multipliers); prefixes (q, letter, parent, low),
+    q = parent letter, every nonempty prefix of a u, longest first, q
+    applied on the target layers low..order, low the least degree of a
+    word whose u starts with q.
+    """
+    terms, tops, lows = [], {}, {}
+    for k, w, mults in _word_series(order, crossing, sign):
+        cut = 0 if crossing else k - k // 2
+        u, v = w[:cut], w[cut:]
+        terms.append((u, v, k, mults))
+        for l in range(len(v)):
+            tops[v[l:]] = max(tops.get(v[l:], -1), order - k)
+        for l in range(1, cut + 1):
+            lows[u[:l]] = min(lows.get(u[:l], order), k)
+    return (tuple((v, v[0], v[1:], tops[v]) for v in sorted(tops, key=len)),
+            tuple(terms),
+            tuple((q, q[-1], q[:-1], lows[q])
+                  for q in sorted(lows, key=len, reverse=True)))
 
 
 def _as_word(word):
@@ -221,7 +245,7 @@ class _DiagramBackend:
     def crossing(self, p, s, signs):
         e = self._stamp_layers((p, p + 1))
         tvw = [(p, p + 1, signs[p] * signs[p + 1])]
-        terms, _ = _word_series(self.order, True, s)
+        terms = _word_series(self.order, True, s)
         series = self._expand(terms, (), tvw, e)
         new = {}
         for key, c in self.terms.items():
@@ -231,7 +255,7 @@ class _DiagramBackend:
         self.tracer.cross(p)
 
     def associate(self, p, sign, signs):
-        terms, _ = _word_series(self.order, False, sign)
+        terms = _word_series(self.order, False, sign)
         if not terms:
             return
         e = self._stamp_layers(range(p + 2))
@@ -315,10 +339,11 @@ class _MatrixBackend:
 
     A crossing and an associator move are both a word series applied by
     _series: a crossing is exp(s chord / 2), the powers of letter 1,
-    followed by a flip.  A product of letters is carried only on the
-    layers that its least-degree completion can still reach, up to order
-    minus the least degree of a word that ends in it; higher layers are
-    never built.
+    followed by a flip.  Letters do not depend on the layer, so each word
+    u v goes in two halves (_word_plan): each suffix v once, then each
+    prefix u on the sum of its terms' multiples of v(S) by target layer,
+    each letter adding into its parent's state; empty layers are
+    skipped.
     """
 
     def __init__(self, word, order, rep, tensor):
@@ -336,41 +361,38 @@ class _MatrixBackend:
             self.deg = self._series(p, False, sign, signs)
 
     def _series(self, p, crossing, sign, signs):
-        """The layers plus every word term of the move applied to them,
-        each suffix of a word applied once and cached."""
-        terms, tops = _word_series(self.order, crossing, sign)
-        base = self.deg
-        total = [dict(d) for d in base]
-        cache = {}
-        for deg, w, mults in terms:
-            acc = base
-            for l in range(deg - 1, -1, -1):
-                suffix = w[l:]
-                if suffix in cache:
-                    acc = cache[suffix]
-                    continue
-                acc = self._letter(acc[:tops[suffix] + 1], w[l], p, signs)
-                cache[suffix] = acc
-                if not any(acc):
-                    break
-            if not any(acc):
-                continue
-            for m, layer in enumerate(acc):
-                f = mults[m]
-                tgt = total[m + deg]
-                for key, v in layer.items():
-                    add_term(tgt, key, v if f == 1 else v * f)
+        """The layers plus every word term of the move applied to them:
+        G(q) = C_q + sum over letters y of y(G(q y)) over the prefix trie,
+        C_u the sum of the terms u v of their multiples of v(S)."""
+        suffixes, terms, prefixes = _word_plan(self.order, crossing, sign)
+        total = [dict(d) for d in self.deg]
+        states = {(): self.deg}
+        for v, letter, rest, top in suffixes:
+            states[v] = self._letter(states[rest][:top + 1], letter, p,
+                                     signs)
+        acc = defaultdict(lambda: [{} for _ in total])
+        acc[()] = total
+        for u, v, k, mults in terms:
+            for f, layer, out in zip(mults, states[v], acc[u][k:]):
+                for key, val in layer.items():
+                    add_term(out, key, val if f == 1 else val * f)
+        for q, letter, parent, low in prefixes:
+            self._letter(acc[q][low:], letter, p, signs,
+                         out=acc[parent][low:])
         return total
 
-    def _letter(self, states, letter, p, signs):
+    def _letter(self, states, letter, p, signs, out=None):
         """Letter 1 is the chord on (p, p + 1); letter 0 sums the chords
-        (a, p) over a < p."""
+        (a, p) over a < p.  Empty states are skipped; the terms are added
+        into out when it is given."""
         pairs = [(a, p) for a in range(p)] if letter == 0 else [(p, p + 1)]
-        out = [{} for _ in states]
+        if out is None:
+            out = [{} for _ in states]
         for a, b in pairs:
             roles = (signs[a], signs[b])
             for state, tgt in zip(states, out):
-                self.ws.chord(state, a, b, roles, out=tgt)
+                if state:
+                    self.ws.chord(state, a, b, roles, out=tgt)
         return out
 
     def cup(self, p, sign):

@@ -96,6 +96,16 @@ def test_wz_valpha_vanishes(tmp_path, capsys):
     assert lines == ["h^0: 0", "h^1: 0", "h^2: 0", "h^3: 0"]
 
 
+def test_wz_valpha_order_five_frozen(tmp_path, capsys):
+    # the first order where the degree-4 associator words act on two
+    # source layers of the slice engine
+    path = write(tmp_path, "trefoil.tw", TREFOIL)
+    assert main(["wz", path, "--system", "valpha", "--order", "5",
+                 "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "h_order": 5, "coeffs": [{"num": []}] * 6}
+
+
 def test_wz_rejects_open_words(tmp_path, capsys):
     path = write(tmp_path, "open.tw", "braid[2]: s1 s1")
     assert main(["wz", path]) == 1

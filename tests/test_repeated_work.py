@@ -108,15 +108,38 @@ def test_lg_invariant_weighs_quotient_basis_classes_only(monkeypatch):
     assert len(calls) <= 7
 
 
-def test_wz_eval_applies_chords_only_on_kept_layers(monkeypatch):
-    rep, tensor = weightsys.named_system("gl21")
+def _chord_work(monkeypatch, name, order):
+    """State keys through chord and chord calls of wz_eval on one 3-strand
+    word."""
+    rep, tensor = weightsys.named_system(name)
     calls = _counting(monkeypatch, weightsys.WeightSystem, "chord")
-    wz_eval("braid[3]: s1 s2^-1 s1 s2^-1 ; close", rep, tensor, 4)
-    # 58,230 state keys in 1,340 calls when every chord ran on all layers
-    assert sum(len(args[1]) for args in calls) <= 12274
-    # one call per chord (a, p) of a letter 0 and layer, also where the
-    # calls add into one output state
-    assert len(calls) == 364
+    wz_eval("braid[3]: s1 s2^-1 s1 s2^-1 ; close", rep, tensor, order)
+    return sum(len(args[1]) for args in calls), len(calls)
+
+
+def test_wz_eval_applies_chords_only_on_kept_layers(monkeypatch):
+    keys, chords = _chord_work(monkeypatch, "gl21", 4)
+    # 58,230 state keys in 1,340 calls when every chord ran on all
+    # layers; 12,274 in 364 when each suffix of a word was carried on its
+    # own layers and every prefix applied to it
+    assert keys <= 9457
+    # one call per chord (a, p) of a letter 0 and nonempty layer, also
+    # where the calls add into one output state
+    assert chords == 203
+
+
+@pytest.mark.parametrize("name, order, keys, chords", [
+    # 72,574 keys in 364 calls with the suffix-cached schedule
+    ("valpha", 4, 41358, 204),
+    # 21,471 keys in 636 calls with the suffix-cached schedule; the first
+    # order where the degree-4 words act on two source layers
+    ("gl21", 5, 15089, 295),
+])
+def test_wz_eval_splits_associator_words(monkeypatch, name, order, keys,
+                                         chords):
+    got_keys, got_chords = _chord_work(monkeypatch, name, order)
+    assert got_keys <= keys
+    assert got_chords == chords
 
 
 def test_station_walk_applies_chords_on_partial_states(monkeypatch):

@@ -6,7 +6,8 @@ least-degree completion can still reach, so a bound that is off by one
 shows up here at the first word that needs the top layer.
 
 Two-path agreement: the diagram integral z_eval paired with ws_link
-equals the fused slice engine wz_eval, for the defining gl(m|n) module.
+equals the fused slice engine wz_eval, for the defining gl(m|n) module,
+at order 3 and, on 3-strand words, at order 5.
 Both draw on the one memoised weight system of their (rep, tensor)
 pair.
 """
@@ -23,9 +24,9 @@ fast = settings(derandomize=True, max_examples=30, deadline=None)
 
 
 @st.composite
-def closed_braids(draw):
-    """Closed braid words on at most 3 strands with at most 6 letters."""
-    n = draw(st.integers(1, 3))
+def closed_braids(draw, least=1):
+    """Closed braid words on least to 3 strands with at most 6 letters."""
+    n = draw(st.integers(least, 3))
     gens = ["s%d" % i for i in range(1, n)] + ["t%d" % i
                                               for i in range(1, n + 1)]
     letters = draw(st.lists(
@@ -58,6 +59,16 @@ def test_closed_words_agree_on_both_paths(word, mn):
     rep, tensor = gl_defining(*mn)
     paired = z_eval(word, 3).pair(lambda d: ws_link(d, rep, tensor), rep.ring)
     assert paired == wz_eval(word, rep, tensor, 3)
+
+
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(word=closed_braids(least=3), name=st.sampled_from(("gl21", "gl11")))
+def test_closed_words_agree_on_both_paths_at_order_5(word, name):
+    # order 5 is the first where the degree-4 associator words act on two
+    # source layers of the slice engine
+    rep, tensor = named_system(name)
+    paired = z_eval(word, 5).pair(lambda d: ws_link(d, rep, tensor), rep.ring)
+    assert paired == wz_eval(word, rep, tensor, 5)
 
 
 def test_valpha_tangle_truncates_consistently():
