@@ -86,8 +86,7 @@ def _nabla(n, letters, memo):
 
 def conway_polynomial(word):
     """Coefficient list of nabla(z) for a closed braid word, constant first."""
-    if isinstance(word, str):
-        word = parse_word(word)
+    word = parse_word(word)
     if word.braid is None or not word.braid[2]:
         raise ValueError("the Conway oracle works on closed braid words")
     n, letters, _closed = word.braid

@@ -215,9 +215,9 @@ def diagram_classes(skeleton, placed):
     ends on its component, and the coefficients are summed per
     positioned diagram, so each distinct positioned diagram is searched
     once.  Returns the nonzero sums and one representative per class
-    met, both keyed by canonical encoding: the representative is the
-    first positioned diagram met in its class, the only one built as a
-    ChordDiagram, with its key kept on it.
+    whose sum is nonzero, both keyed by canonical encoding: the
+    representative is the first positioned diagram met in its class,
+    the only one built as a ChordDiagram, with its key kept on it.
     """
     raw = {}
     for ends, c in placed:
@@ -235,17 +235,19 @@ def diagram_classes(skeleton, placed):
         # a sum that cancels stays: its diagram may still be the first
         # of its class, the class's representative
         raw[codes] = raw.get(codes, 0) + c
-    agg, reps = {}, {}
+    agg, first = {}, {}
     for codes, c in raw.items():
         best = _least_relabelling(skeleton, codes)
         add_term(agg, best, c)
-        if best not in reps:
-            reps[best] = ChordDiagram(skeleton, _chords_of(codes))
+        first.setdefault(best, codes)
     kinds = tuple(map(_KIND_CODE.__getitem__, skeleton))
-    for best, d in reps.items():
+    terms, reps = {}, {}
+    for best, c in agg.items():
+        d = ChordDiagram(skeleton, _chords_of(first[best]))
         d._key = (kinds, _chords_of(best))
-    return ({reps[best]._key: c for best, c in agg.items()},
-            {d._key: d for d in reps.values()})
+        terms[d._key] = c
+        reps[d._key] = d
+    return terms, reps
 
 
 def _compositions(total, parts):

@@ -66,7 +66,7 @@ from .scalars import (
     QALPHA, QQ, HSeries, SeriesRing, add_term, series_inverse)
 from .supergraded import SuperMap
 from .weightsys import weight_system, wlg
-from .words import PathTracer, TangleWord, parse_word, resolve_singular
+from .words import PathTracer, parse_word, resolve_singular
 
 
 @lru_cache(maxsize=None)
@@ -143,12 +143,6 @@ def _word_plan(order, crossing, sign):
             tuple(terms),
             tuple((q, q[-1], q[:-1], lows[q])
                   for q in sorted(lows, key=len, reverse=True)))
-
-
-def _as_word(word):
-    if isinstance(word, TangleWord):
-        return word
-    return parse_word(word)
 
 
 def _walk(word, backend):
@@ -319,7 +313,7 @@ class _DiagramBackend:
 def z_eval(word, order):
     """Kontsevich integral of a word through the given chord degree."""
     check_order(order)
-    word = _as_word(word)
+    word = parse_word(word)
     skeleton, terms, reps = _walk(word, _DiagramBackend(word, order))
     return ZValue(skeleton, terms, reps, order)
 
@@ -418,7 +412,7 @@ def wz_eval(word, rep, tensor, order):
     give raw per-degree dicts keyed by (target indices, source indices).
     """
     check_order(order)
-    word = _as_word(word)
+    word = parse_word(word)
     backend = _MatrixBackend(word, order, rep, tensor)
     deg = _walk(word, backend)
     ring = rep.ring
@@ -518,7 +512,7 @@ def paired_invariant(word, weight, ring, order):
     presentation.
     """
     check_order(order)
-    word = _as_word(word)
+    word = parse_word(word)
     if not word.is_closed or word.components != (CIRCLE,):
         raise ValueError("paired invariants need a closed knot word")
     series = reduce_fourterm(_slit(z_eval(word, order))).pair(weight, ring)
@@ -543,7 +537,7 @@ def vassiliev_defect(word, rep, tensor, order):
     on all components.
     """
     check_order(order)
-    word = _as_word(word)
+    word = parse_word(word)
     if not word.is_closed:
         raise ValueError("the defect needs a closed word")
     total = None

@@ -37,9 +37,6 @@ class LieSuperAlgebra:
     def dim(self):
         return len(self.labels)
 
-    def parity(self, i):
-        return self.parities[i]
-
     def bracket(self, i, j):
         """Coordinates of [e_i, e_j] as a sparse dict."""
         return self.table.get((i, j), {})
@@ -152,11 +149,6 @@ class InvariantTensor:
         for key, c in other.terms.items():
             add_term(out, key, self.ring.coerce(c))
         return InvariantTensor(self.algebra, out, self.ring)
-
-    def scale(self, c):
-        c = self.ring.coerce(c)
-        return InvariantTensor(
-            self.algebra, {k: v * c for k, v in self.terms.items()}, self.ring)
 
     def ad_residual(self, k):
         """Coordinates of ad_{e_k}(t); identically zero iff t is invariant.

@@ -133,8 +133,7 @@ def rt_invariant(word, data):
     checked once per RibbonData.
     """
     data.require_axioms()
-    if isinstance(word, str):
-        word = parse_word(word)
+    word = parse_word(word)
     if word.sing_count:
         raise ValueError("resolve marked crossings before evaluating")
     spaces = {1: data.space, -1: data.dual}

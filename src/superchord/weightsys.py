@@ -10,7 +10,7 @@ mask, and cups, caps, flips and chords move fields by shifts and masks.
 turns a key back into its index tuple, which only outputs need (the
 endomorphism of a one-interval diagram, the open words of
 `kontsevich.wz_eval`).  Its values carry no denominator: Python ints
-over Q, ring values over Q(alpha).  The chord matrices are held over one
+over Q, ring values over Q(alpha).  The chord tables are held over one
 common int denominator, `chord_den` (1 for the gl(m|n) defining modules
 with t_gl), so a state after c chords stands for itself over
 chord_den^c, and whoever walks it divides once at the end.  A strand of
@@ -35,26 +35,27 @@ leaving a scalar or the entries of an endomorphism of V.  The order
 does not change the value: a cup or cap inserts or removes a pair
 (i, i) of even total parity, so the Koszul signs of the chords are
 those of opening every cup first, and chords on distinct stations
-commute because the tensor is even.  The chord matrices are unsigned;
-each upward endpoint contributes one factor -1, uniform over the state,
-so it is applied once to the result, with the division by chord_den.
+commute because the tensor is even.  The chord tables are unsigned by
+role; each upward endpoint contributes one factor -1, uniform over the
+state, so it is applied once to the result, with the division by
+chord_den.
 The slice engine of `kontsevich.wz_eval` drives the same operations,
 slice by slice, over one state per h degree.
 
 `weight_system(rep, tensor)` gives the one `WeightSystem` of a pair:
-its dual representation, its chord tables, one for each pair of
-strand roles, and its memo.  `ws(d)` is the closed value of
-an all-circle diagram, or the scalar by which the endomorphism of a
-one-interval diagram acts (`scalar_of_endo`); other skeletons raise
-ValueError.  It is memoised by `canonical_form`, so each diagram class
-is evaluated once per (rep, tensor); this relies on the value being
-invariant under rotating circles and permuting components, which holds
-because the tensor is ad-invariant.  `ws_link`, `ws_tangle11` (not
-memoised) and `wlg` use the shared instance.  `named_system` gives the
-named (rep, tensor) pairs of the command line and the verify suites;
-`wlg` is the Links-Gould weight system on the 2|2 dimensional gl(2|1)
-module V_alpha with the one-term tensor s = a (I x I) + t_sl
-(`lg_data`).
+its chord tables, built with it in one pass (`_chord_tables`), one for
+each pair of strand roles with one cell per pair of basis indices, and
+its memo.  `ws(d)` is the closed value of an all-circle diagram, or the
+scalar by which the endomorphism of a one-interval diagram acts
+(`scalar_of_endo`); other skeletons raise ValueError.  It is memoised
+by `canonical_form`, so each diagram class is evaluated once per (rep,
+tensor); this relies on the value being invariant under rotating
+circles and permuting components, which holds because the tensor is
+ad-invariant.  `ws_link`, `ws_tangle11` (not memoised) and `wlg` use
+the shared instance.  `named_system` gives the named (rep, tensor)
+pairs of the command line and the verify suites; `wlg` is the
+Links-Gould weight system on the 2|2 dimensional gl(2|1) module V_alpha
+with the one-term tensor s = a (I x I) + t_sl (`lg_data`).
 """
 
 from bisect import bisect
@@ -122,68 +123,69 @@ def _sweep(diagram):
     return steps
 
 
-def _chord_matrix(mats_a, mats_b, terms, ring):
-    """Column-indexed two-site matrix of sum c A_i x B_j over terms (c, i, j).
+def _chord_tables(rep, tensor, codes, bits):
+    """The four signed chord tables of (rep, tensor) and their int
+    denominator chord_den.
 
-    `WeightSystem` builds one per pair of strand roles, unsigned, and
-    keeps it only as its signed table (`_signed_cells`); the station walk
-    applies its upward-endpoint signs to the result.
+    For each pair of strand roles, the chord sum c A_i x B_j over the
+    tensor's pair terms (c, i, j), A through rep.mats at a site of role
+    +1 and through the dual's at one of role -1, unsigned by role.  The
+    values are held over one common int denominator: ints over Q, where
+    the gl(m|n) defining matrices with t_gl need none, and the ring
+    values themselves over Q(alpha).  A table is a dict with one cell
+    per pair of basis codes, at code(ca) << bits | code(cb), None for
+    an empty column.  A cell is two tuples of (da, db, value), signed
+    for q = 0 and q = 1: the output takes code(ra) - code(ca) at the
+    first site and code(rb) - code(cb) at the second, and the tensor is
+    even, so both sites change parity or neither does, with Koszul sign
+    (-1)^q, q the parity of the fields from the first site up to the
+    second.  Raises ValueError on an entry that changes the parity of
+    one site only.
     """
-    by_col = {}
-    for c, i, j in terms:
+    ring = rep.ring
+    mats = {1: rep.mats, -1: rep_combine("dual", rep).mats}
+    sums = {}
+    for c, i, j in tensor.as_pair_terms():
         c = ring.coerce(c)
-        for (ra, ca), va in mats_a[i].m.items():
-            cva = c * va
-            for (rb, cb), vb in mats_b[j].m.items():
-                add_term(by_col.setdefault((ca, cb), {}), (ra, rb), cva * vb)
-    return {col: sorted(cell.items()) for col, cell in by_col.items() if cell}
+        for role_a in (1, -1):
+            left = [(ra, ca, c * va)
+                    for (ra, ca), va in mats[role_a][i].m.items()]
+            for role_b in (1, -1):
+                right = mats[role_b][j].m.items()
+                for ra, ca, cva in left:
+                    for (rb, cb), vb in right:
+                        add_term(sums.setdefault((role_a, role_b, ca, cb), {}),
+                                 (ra, rb), cva * vb)
+    for col in sums.values():
+        for rows, v in col.items():
+            col[rows] = ring.split(v)
+    den = lcm(1, *(d for col in sums.values() for _, d in col.values()))
+    # one object per distinct value, entry and cell, so that a system's
+    # tables hold little; an entry is found by the id of its value and a
+    # cell by the ids of its entries, which hash faster than the values
+    vals, entries, cells = {}, {}, {}
 
+    def entry(da, db, val):
+        val = vals.setdefault(val, val)
+        return entries.setdefault((da, db, id(val)), (da, db, val))
 
-def _over_one_denominator(matrices, ring):
-    """The matrices as values over one common int denominator: ints over Q,
-    where the gl(m|n) defining matrices with t_gl need none, and the
-    ring values themselves over Q(alpha)."""
-    split = {v: ring.split(v) for m in matrices.values()
-             for cell in m.values() for _, v in cell}
-    den = lcm(1, *(d for _, d in split.values()))
-    scaled = {v: n if d == den else n * (den // d)
-              for v, (n, d) in split.items()}
-    return {roles: {col: [(rows, scaled[v]) for rows, v in cell]
-                    for col, cell in m.items()}
-            for roles, m in matrices.items()}, den
-
-
-def _signed_cells(matrix, codes, bits):
-    """A chord matrix as a list indexed by the column code
-    code(ca) << bits | code(cb), None for an empty column.
-
-    The output takes code(ra) - code(ca) at the first site and
-    code(rb) - code(cb) at the second.  Each site whose parity changes
-    passes the indices to its left, with prefix parities pa and pb; the
-    tensor is even, so both sites change parity or neither does, and the
-    Koszul sign is (-1)^(pa + pb), the parity q of the fields from the
-    first site up to the second.  A column's cell is two tuples of
-    (da, db, value), signed for q = 0 and q = 1.  Raises ValueError on
-    an entry that changes the parity of one site only.
-    """
-    cells = [None] * (1 << 2 * bits)
-    # an entry, a whole cell or a negated value that recurs is held once
-    negated = {}
-    for (ca, cb), cell in matrix.items():
+    tables = {roles: dict.fromkeys(x << bits | y for x in codes for y in codes)
+              for roles in product((1, -1), repeat=2)}
+    for (role_a, role_b, ca, cb), col in sums.items():
         plain, signed = [], []
-        for (ra, rb), val in cell:
+        for (ra, rb), (n, d) in sorted(col.items()):
             odd = (codes[ra] ^ codes[ca]) & 1
             if odd != (codes[rb] ^ codes[cb]) & 1:
                 raise ValueError("weight systems need an even tensor")
-            entry = (codes[ra] - codes[ca], codes[rb] - codes[cb], val)
-            plain.append(entry)
-            if odd:
-                entry = entry[:2] + (negated.setdefault(val, -val),)
-            signed.append(entry)
-        plain = tuple(plain)
-        signed = plain if list(plain) == signed else tuple(signed)
-        cells[codes[ca] << bits | codes[cb]] = (plain, signed)
-    return cells
+            da, db = codes[ra] - codes[ca], codes[rb] - codes[cb]
+            val = n if d == den else n * (den // d)
+            plain.append(entry(da, db, val))
+            signed.append(entry(da, db, -val) if odd else plain[-1])
+        if plain:
+            tables[role_a, role_b][codes[ca] << bits | codes[cb]] = tuple(
+                cells.setdefault(tuple(map(id, c)), tuple(c))
+                for c in (plain, signed))
+    return tables, den
 
 
 class WeightSystem:
@@ -195,14 +197,15 @@ class WeightSystem:
     0 and a parity of fields is a masked popcount.  `identity`, `cup`,
     `chord`, `cap` and `flip` are the only operations on it, shared by
     the station walk here and the slice engine of `kontsevich.wz_eval`;
-    `decode` gives a key's index tuple, which only outputs need.  The
-    dual representation and one chord table for each pair of strand
-    roles, unsigned by role and signed in advance for either parity of
-    the fields between its two sites, are built once, over one int
-    denominator chord_den; a state holds ints over Q.  Calling the
-    system on a diagram evaluates each canonical_form class once and
-    answers repeats from a memo; `tangle11` evaluates afresh every time.
-    Build one through `weight_system`, so that its callers share it.
+    `decode` gives a key's index tuple, which only outputs need.  One
+    chord table for each pair of strand roles, unsigned by role, with
+    one cell per pair of basis indices signed in advance for either
+    parity of the fields between its two sites, is built with the
+    system by `_chord_tables`, over one int denominator chord_den; a
+    state holds ints over Q.  Calling the system on a diagram evaluates
+    each canonical_form class once and answers repeats from a memo;
+    `tangle11` evaluates afresh every time.  Build one through
+    `weight_system`, so that its callers share it.
     """
 
     def __init__(self, rep, tensor):
@@ -214,15 +217,8 @@ class WeightSystem:
         self.bits = (self.dim - 1).bit_length() + 1
         self._field = (1 << self.bits) - 1
         self._codes = [i << 1 | p for i, p in enumerate(self.par)]
-        self.dual = rep_combine("dual", rep)
-        mats = {1: rep.mats, -1: self.dual.mats}
-        terms = tensor.as_pair_terms()
-        matrices, self.chord_den = _over_one_denominator(
-            {roles: _chord_matrix(mats[roles[0]], mats[roles[1]], terms,
-                                  self.ring)
-             for roles in product((1, -1), repeat=2)}, self.ring)
-        self._cells = {roles: _signed_cells(m, self._codes, self.bits)
-                       for roles, m in matrices.items()}
+        self._cells, self.chord_den = _chord_tables(
+            rep, tensor, self._codes, self.bits)
         self._memo = {}
 
     def encode(self, indices):
@@ -368,7 +364,7 @@ def weight_system(rep, tensor):
     """The one WeightSystem of a representation and an invariant tensor.
 
     Both hash by identity, so every caller holding the same pair shares
-    one instance: its dual, its chord matrices and its memo.
+    one instance: its chord tables and its memo.
     """
     return WeightSystem(rep, tensor)
 

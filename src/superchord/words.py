@@ -40,11 +40,10 @@ _SIGN = {"+": 1, "-": -1}
 class TangleWord:
     """A validated sliced word with its traced skeleton and framings."""
 
-    def __init__(self, source, slices, braid, text):
+    def __init__(self, source, slices, braid):
         self.source = tuple(source)
         self.slices = [tuple(s) for s in slices]
         self.braid = braid
-        self.text = text
         self._trace()
 
     @property
@@ -300,7 +299,13 @@ def _expand_braid(n, letters, closed):
 
 
 def parse_word(text):
-    """Parse a tangle word in slice or braid form; see the module doc."""
+    """Parse a tangle word in slice or braid form; see the module doc.
+
+    A TangleWord is returned as it is, so every function that takes a
+    word takes either form.
+    """
+    if isinstance(text, TangleWord):
+        return text
     segs = [s.strip() for chunk in text.splitlines() for s in chunk.split(";")]
     segs = [s for s in segs if s]
     if not segs:
@@ -323,7 +328,7 @@ def parse_word(text):
                 letters.extend(_parse_braid_letters(seg))
         slices = _expand_braid(n, letters, closed)
         source = () if closed else (1,) * n
-        return TangleWord(source, slices, (n, letters, closed), text)
+        return TangleWord(source, slices, (n, letters, closed))
     source = None
     slices = []
     for si, seg in enumerate(segs):
@@ -355,7 +360,7 @@ def parse_word(text):
             inferred.extend((tok[1], -tok[1]))
     if source is None:
         source = tuple(inferred)
-    return TangleWord(source, slices, None, text)
+    return TangleWord(source, slices, None)
 
 
 def resolve_singular(word):
@@ -381,7 +386,7 @@ def resolve_singular(word):
                     letters[b] = (kind, k, slices[i][j][1], False)
                     pos += 1
             braid = (n, letters, closed)
-        out.append((sign, TangleWord(word.source, slices, braid, word.text)))
+        out.append((sign, TangleWord(word.source, slices, braid)))
     return out
 
 

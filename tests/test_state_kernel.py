@@ -4,21 +4,27 @@ A state key of the package is one int, strand r's basis index in the bit
 field at offset bits * r.  The oracles here are the earlier operations on
 keys that are tuples of basis indices, kept verbatim: each chord looks up
 its column, walks the key for the two Koszul prefix parities and decides
-each sign entry by entry.  Both must give the same state, key for key,
-on random states of every named system, the Links-Gould pair and the
-9-dimensional tensor square of gl(2|1), whose fields are 5 bits wide.
+each sign entry by entry.  Their chord matrices are built here, from the
+representation, its dual and the tensor's pair terms, over the test's
+own lcm of denominators; every cell of the package's signed chord tables
+is compared with them.  Both must give the same state, key for key, on
+random states of every named system, the Links-Gould pair, the
+9-dimensional tensor square of gl(2|1), whose fields are 5 bits wide,
+and gl(3|1) with t_sl, whose chord values have denominator 2.
 """
 
+from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from superchord.liesuper import InvariantTensor
+from superchord.liesuper import (
+    InvariantTensor, build_gl, casimir_tensor, rep_combine, standard_rep)
 from superchord.scalars import add_term, alpha
 from superchord.weightsys import (
-    WeightSystem, _chord_matrix, _over_one_denominator, lg_data,
-    named_system, squared_system, weight_system)
+    WeightSystem, lg_data, named_system, squared_system, weight_system)
 
 
 def oracle_chord(state, a, b, matrix, par):
@@ -76,26 +82,60 @@ def oracle_flip(state, p, par):
     return out
 
 
+def _gl31_sl():
+    g = build_gl(3, 1)
+    return standard_rep(g, "defining"), casimir_tensor(g, "sl")
+
+
 SYSTEMS = {"gl21": lambda: named_system("gl21"),
            "gl11": lambda: named_system("gl11"),
            "valpha": lambda: named_system("valpha"),
            "lg": lg_data,
-           "gl21_squared": lambda: squared_system("gl21")}
+           "gl21_squared": lambda: squared_system("gl21"),
+           "gl31_sl": _gl31_sl}
+
+# the t_gl and V_alpha chord matrices are integral; t_sl on gl(3|1) has
+# halves
+CHORD_DEN = {"gl31_sl": 2}
 
 _oracles = {}
 
 
+def _tuple_matrices(rep, tensor):
+    """Each role pair's chord matrix {(ca, cb): [((ra, rb), value)]}, the
+    sum c A_i x B_j over the tensor's pair terms (c, i, j), A through
+    rep.mats at a site of role +1 and through the dual's at one of role
+    -1, over its own lcm of denominators: ints over Q, ring values over
+    Q(alpha)."""
+    ring = rep.ring
+    mats = {1: rep.mats, -1: rep_combine("dual", rep).mats}
+    matrices = {}
+    for roles in product((1, -1), repeat=2):
+        m = {}
+        for c, i, j in tensor.as_pair_terms():
+            for (ra, ca), va in mats[roles[0]][i].m.items():
+                for (rb, cb), vb in mats[roles[1]][j].m.items():
+                    add_term(m.setdefault((ca, cb), {}), (ra, rb),
+                             ring.coerce(c) * va * vb)
+        matrices[roles] = m
+    over_q = ring.name == "Q"
+    den = 1
+    if over_q:
+        den = lcm(*(Fraction(v).denominator for m in matrices.values()
+                    for cell in m.values() for v in cell.values()))
+    return {roles: {col: sorted((rows, int(v * den) if over_q else v)
+                                for rows, v in cell.items())
+                    for col, cell in m.items() if cell}
+            for roles, m in matrices.items()}, den
+
+
 def _system(name):
-    """The shared WeightSystem and its tuple-keyed chord matrices."""
+    """The shared WeightSystem and the test's own chord matrices."""
     if name not in _oracles:
-        ws = weight_system(*SYSTEMS[name]())
-        mats = {1: ws.rep.mats, -1: ws.dual.mats}
-        terms = ws.tensor.as_pair_terms()
-        matrices, den = _over_one_denominator(
-            {roles: _chord_matrix(mats[roles[0]], mats[roles[1]], terms,
-                                  ws.ring)
-             for roles in product((1, -1), repeat=2)}, ws.ring)
-        assert den == ws.chord_den
+        rep, tensor = SYSTEMS[name]()
+        ws = weight_system(rep, tensor)
+        matrices, den = _tuple_matrices(rep, tensor)
+        assert den == ws.chord_den == CHORD_DEN.get(name, 1)
         _oracles[name] = ws, matrices
     return _oracles[name]
 
@@ -147,6 +187,30 @@ def test_field_width_and_round_trip(name):
     assert ws.identity(0) == {0: 1}
     assert _decoded(ws, ws.identity(2), 4) == {
         key + key: 1 for key in product(range(ws.dim), repeat=2)}
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_chord_tables_match_the_tuple_matrices(name):
+    # one cell per pair of basis indices, None for an empty column; a
+    # cell holds the entries signed for q = 0 and for q = 1, where an
+    # entry that changes the parity of its sites takes (-1)^q
+    ws, matrices = _system(name)
+    code = {i: ws.encode((i,)) for i in range(ws.dim)}
+    for roles, matrix in matrices.items():
+        table = ws._cells[roles]
+        assert len(table) == ws.dim ** 2
+        for ca, cb in product(range(ws.dim), repeat=2):
+            cell = table[code[ca] << ws.bits | code[cb]]
+            if (ca, cb) not in matrix:
+                assert cell is None, (roles, ca, cb)
+                continue
+            for q in (0, 1):
+                want = {(code[ra] - code[ca], code[rb] - code[cb]):
+                        -v if q and ws.par[ra] != ws.par[ca] else v
+                        for (ra, rb), v in matrix[ca, cb]}
+                got = {(da, db): v for da, db, v in cell[q]}
+                assert len(got) == len(cell[q])
+                assert got == want, (roles, ca, cb, q)
 
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))

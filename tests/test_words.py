@@ -22,6 +22,13 @@ def test_trefoil_closure():
     assert w.writhe == 3
 
 
+def test_a_parsed_word_is_returned_as_it_is():
+    # every function that takes a word passes it through parse_word
+    for text in ("braid[2]: s1 s1 s1 ; close", "cup(+-) ; cap(+-)"):
+        w = parse_word(text)
+        assert parse_word(w) is w
+
+
 def test_exponent_sugar():
     assert parse_word("braid[2]: s1^3 ; close").writhe == 3
     assert parse_word("braid[2]: s1^-2 ; close").writhe == -2
