@@ -56,14 +56,15 @@ from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import factorial, lcm
+from math import factorial, lcm, prod
 
 from .associator import build_associator, check_order
 from .diagrams import (
     CIRCLE, INTERVAL, ChordDiagram, LinearSpan, canonical_form,
     diagram_classes, four_term_relators, relator_vector, slit_component)
 from .scalars import (
-    QALPHA, QQ, HSeries, SeriesRing, add_term, series_inverse)
+    QALPHA, QQ, HSeries, SeriesRing, add_term, kronecker_bits,
+    series_inverse)
 from .supergraded import SuperMap
 from .weightsys import weight_system, wlg
 from .words import PathTracer, parse_word, resolve_singular
@@ -327,9 +328,10 @@ class _MatrixBackend:
     words come out as one map per degree.  A layer is keyed by the
     WeightSystem's int-coded keys; wz_eval decodes them to index tuples
     only for open words.  Letter 0 adds its chords (a, p) into one
-    state per layer.  Layer m holds its values over the fixed
-    denominator D[m] chord_den^m (_layer_dens): ints over Q, so the walk
-    builds no Fraction, and finish divides each layer once.
+    state per layer.  Layer m holds ints over the fixed denominator
+    D[m] chord_den^m (_layer_dens), over Q(alpha) on the int system at
+    alpha = 2^k, k from the bounds of _NormBackend, and finish decodes
+    each value once.
 
     A crossing and an associator move are both a word series applied by
     _series: a crossing is exp(s chord / 2), the powers of letter 1,
@@ -342,7 +344,12 @@ class _MatrixBackend:
 
     def __init__(self, word, order, rep, tensor):
         self.order = order
-        self.ws = weight_system(rep, tensor)
+        self.system = weight_system(rep, tensor)
+        self.k = 0
+        if rep.ring is QALPHA:
+            self.k = kronecker_bits(max(_walk(word, _NormBackend(
+                order, self.system))))
+        self.ws = self.system.at(self.k)
         self.deg = [self.ws.identity(len(word.source))]
         self.deg += [dict() for _ in range(order)]
 
@@ -397,11 +404,47 @@ class _MatrixBackend:
 
     def finish(self):
         dens = _layer_dens(self.order)
-        out = []
-        for m, layer in enumerate(self.deg):
-            unit = self.ws.ring.reciprocal(dens[m] * self.ws.chord_den ** m)
-            out.append({key: v * unit for key, v in layer.items()})
-        return out
+        value = self.system.value
+        return [{key: value(v, dens[m] * self.ws.chord_den ** m, self.k)
+                 for key, v in layer.items()}
+                for m, layer in enumerate(self.deg)]
+
+
+class _NormBackend:
+    """One int per h-degree layer, a bound on the largest |value|_1 of
+    _MatrixBackend's layer over Z[alpha] by the factors of
+    WeightSystem.bound: a series term of degree k and multiplier f adds
+    |f| times its letters' norms times layer n into layer n + k.  No
+    term cancels, so the sum bounds _series by the triangle inequality,
+    where _MatrixBackend's signed multipliers and add_term would not.
+    """
+
+    def __init__(self, order, ws):
+        self.order, self.ws = order, ws
+        self.deg = [1] + [0] * order
+
+    def crossing(self, p, sign, signs):
+        self.associate(p, sign, signs, True)
+
+    def associate(self, p, sign, signs, crossing=False):
+        norm = self.ws.norm
+        letters = (sum(norm[signs[a], signs[p]] for a in range(p)),
+                   norm[signs[p], signs[p + 1]])
+        total = list(self.deg)
+        for k, w, mults in _word_series(self.order, crossing, sign):
+            f = prod(letters[x] for x in w)
+            for n, mult in enumerate(mults):
+                total[n + k] += abs(mult) * f * self.deg[n]
+        self.deg = total
+
+    def cup(self, p, sign):
+        pass
+
+    def cap(self, p, sign):
+        self.deg = [self.ws.dim * b for b in self.deg]
+
+    def finish(self):
+        return self.deg
 
 
 def wz_eval(word, rep, tensor, order):

@@ -2,18 +2,19 @@
 
 Three levels are used throughout the package:
 
-* plain rationals (``fractions.Fraction``) at every interface; inside
-  both chord engines a rational state is Python ints over one int
-  denominator per state or h-degree layer, and ``Ring.split`` and
-  ``Ring.reciprocal`` convert at the two ends,
+* plain rationals (``fractions.Fraction``) at every interface,
 * rational functions in one variable ``alpha`` with rational coefficients
   (:class:`AlphaScalar`), kept reduced with a monic denominator,
 * truncated power series in a formal variable ``h`` over either of the
   above (:class:`HSeries`), with hard degree cutoff.
 
+Both chord engines hold ints over one int denominator per state or
+h-degree layer, over Q(alpha) too: there the values are polynomials with
+int coefficients at alpha = 2^K, K above a proven coefficient bound, and
+:func:`kronecker_decode` reads an output back from its base-2^K digits.
+
 A polynomial in alpha (:class:`Poly`) is a tuple of Python ints over one
-positive int denominator, in lowest terms, so the arithmetic of both
-chord engines over Q(alpha) is int arithmetic: a sum over a shared
+positive int denominator, in lowest terms, so a sum over a shared
 denominator adds ints, a product is an int convolution with one gcd, and
 no ``Fraction`` is built.  ``Poly.c`` is a read-only ``Fraction`` view
 for printing, JSON and the general Euclidean ``divmod``/``gcd``.
@@ -165,14 +166,7 @@ class Poly:
     def __neg__(self):
         return _raw(tuple([-x for x in self.n]), self.d)
 
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
-        if type(other) is not Poly:
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = Poly.const(other)
         a, b = self.n, other.n
         if not a or not b:
             return _PZERO
@@ -181,10 +175,6 @@ class Poly:
         if len(b) == 1:
             y = b[0]
             out = [x * y for x in a]
-        elif len(b) == 2:
-            # a linear factor, as V_alpha matrix entries are
-            y0, y1 = b
-            out = [x * y0 + z * y1 for x, z in zip(a + (0,), (0,) + a)]
         else:
             out = [0] * (len(a) + len(b) - 1)
             for j, y in enumerate(b):
@@ -192,8 +182,6 @@ class Poly:
                     for i, x in enumerate(a, j):
                         out[i] += x * y
         return _poly(out, self.d * other.d)
-
-    __rmul__ = __mul__
 
     def divmod(self, other):
         if other.is_zero():
@@ -261,8 +249,6 @@ class AlphaScalar:
         if den is None or den is _PONE:
             self.num, self.den = num, _PONE
             return
-        if type(den) is not Poly:
-            den = Poly.const(den)
         dn = den.n
         if not dn:
             raise ZeroDivisionError("zero denominator in AlphaScalar")
@@ -384,6 +370,26 @@ def alpha():
     return AlphaScalar(Poly.x())
 
 
+def kronecker_bits(bound):
+    """The least multiple K of 32 with 2^(K - 1) > bound."""
+    return (bound.bit_length() + 32) // 32 * 32
+
+
+def kronecker_decode(n, k, den):
+    """The AlphaScalar P(alpha) / den of the int n = P(2^k), P a polynomial
+    with int coefficients |c| < 2^(k - 1): the balanced base-2^k digits
+    of n, lowest first."""
+    digits = []
+    half, mask = 1 << k - 1, (1 << k) - 1
+    while n:
+        c = n & mask
+        if c >= half:
+            c -= mask + 1
+        digits.append(c)
+        n = (n - c) >> k
+    return AlphaScalar(_poly(digits, den))
+
+
 class Ring:
     """Tag object for a coefficient ring, with coercion from raw values."""
 
@@ -392,13 +398,6 @@ class Ring:
 
     def __repr__(self):
         return "Ring(%s)" % self.name
-
-    def coerce(self, v):
-        raise NotImplementedError
-
-    def reciprocal(self, d):
-        """1/d as a value of the ring, for a positive int d."""
-        return self.one if d == 1 else self.coerce(Fraction(1, d))
 
 
 class _RationalRing(Ring):
@@ -416,10 +415,6 @@ class _RationalRing(Ring):
             return Fraction(*c)
         return _as_fraction(v)
 
-    def split(self, v):
-        """(n, d) with v = n / d: int n over a positive int d."""
-        return _ratio(self.coerce(v))
-
 
 class _AlphaRing(Ring):
     def __init__(self):
@@ -429,10 +424,6 @@ class _AlphaRing(Ring):
 
     def coerce(self, v):
         return AlphaScalar.coerce(v)
-
-    def split(self, v):
-        """(v, 1): a Q(alpha) value keeps its own denominator."""
-        return self.coerce(v), 1
 
 
 QQ = _RationalRing()
@@ -517,9 +508,6 @@ class HSeries:
 
     def __sub__(self, other):
         return self + (-self._pair(other))
-
-    def __rsub__(self, other):
-        return self._pair(other) + (-self)
 
     def __mul__(self, other):
         if isinstance(other, HSeries) or not isinstance(other, (int, Fraction,

@@ -141,11 +141,6 @@ class SuperMap:
             out.m = {k: v * s for k, v in self.m.items()}
         return out
 
-    def __mul__(self, s):
-        return self.scale(s)
-
-    __rmul__ = __mul__
-
     def compose(self, other):
         """self after other."""
         self._check_ring(other)
@@ -216,10 +211,6 @@ class SuperMap:
             return NotImplemented
         return (self.source == other.source and self.target == other.target
                 and rings_equal(self.ring, other.ring) and self.m == other.m)
-
-    def __hash__(self):
-        return hash((self.source, self.target,
-                     tuple(sorted(self.m.items(), key=lambda kv: kv[0]))))
 
     def __repr__(self):
         return "SuperMap(%dx%d, %d entries, %s)" % (

@@ -9,8 +9,9 @@ mask, and cups, caps, flips and chords move fields by shifts and masks.
 `WeightSystem` gives the only operations on it; `WeightSystem.decode`
 turns a key back into its index tuple, which only outputs need (the
 endomorphism of a one-interval diagram, the open words of
-`kontsevich.wz_eval`).  Its values carry no denominator: Python ints
-over Q, ring values over Q(alpha).  The chord tables are held over one
+`kontsevich.wz_eval`).  Its values are Python ints, over Q(alpha) too:
+there a walk runs at alpha = 2^K (`at`, `bound`) and decodes once at
+the output.  The chord tables are held over one
 common int denominator, `chord_den` (1 for the gl(m|n) defining modules
 with t_gl), so a state after c chords stands for itself over
 chord_den^c, and whoever walks it divides once at the end.  A strand of
@@ -59,14 +60,17 @@ with the one-term tensor s = a (I x I) + t_sl (`lg_data`).
 """
 
 from bisect import bisect
+from copy import copy
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import lcm
+from math import lcm, prod
 
 from .diagrams import CIRCLE, INTERVAL, canonical_form
 from .liesuper import (
     build_gl, casimir_tensor, extend_identity, rep_combine, standard_rep)
-from .scalars import add_term, alpha
+from .scalars import (
+    QALPHA, Poly, add_term, alpha, kronecker_bits, kronecker_decode)
 from .supergraded import SuperMap
 
 
@@ -124,23 +128,24 @@ def _sweep(diagram):
 
 
 def _chord_tables(rep, tensor, codes, bits):
-    """The four signed chord tables of (rep, tensor) and their int
-    denominator chord_den.
+    """The four signed chord tables of (rep, tensor), their int
+    denominator chord_den and their norms.
 
     For each pair of strand roles, the chord sum c A_i x B_j over the
     tensor's pair terms (c, i, j), A through rep.mats at a site of role
     +1 and through the dual's at one of role -1, unsigned by role.  The
-    values are held over one common int denominator: ints over Q, where
-    the gl(m|n) defining matrices with t_gl need none, and the ring
-    values themselves over Q(alpha).  A table is a dict with one cell
-    per pair of basis codes, at code(ca) << bits | code(cb), None for
-    an empty column.  A cell is two tuples of (da, db, value), signed
-    for q = 0 and q = 1: the output takes code(ra) - code(ca) at the
-    first site and code(rb) - code(cb) at the second, and the tensor is
-    even, so both sites change parity or neither does, with Koszul sign
-    (-1)^q, q the parity of the fields from the first site up to the
-    second.  Raises ValueError on an entry that changes the parity of
-    one site only.
+    values are held over one common int denominator, as tuples of int
+    coefficients in alpha, lowest degree first (one over Q).  A table is
+    a dict with one cell per pair of basis codes, at code(ca) << bits |
+    code(cb), None for an empty column.  A cell is two tuples of (da,
+    db, value), signed for q = 0 and q = 1: the output takes code(ra) -
+    code(ca) at the first site and code(rb) - code(cb) at the second,
+    and the tensor is even, so both sites change parity or neither
+    does, with Koszul sign (-1)^q, q the parity of the fields from the
+    first site up to the second.  norm[roles] is the largest, over
+    output pairs, of the summed |coefficients| writing into one.
+    Raises ValueError on an entry that changes the parity of one site
+    only, and on a Q(alpha) value that is not a polynomial.
     """
     ring = rep.ring
     mats = {1: rep.mats, -1: rep_combine("dual", rep).mats}
@@ -158,7 +163,8 @@ def _chord_tables(rep, tensor, codes, bits):
                                  (ra, rb), cva * vb)
     for col in sums.values():
         for rows, v in col.items():
-            col[rows] = ring.split(v)
+            v = v.as_poly() if ring is QALPHA else Poly.const(v)
+            col[rows] = v.n, v.d
     den = lcm(1, *(d for col in sums.values() for _, d in col.values()))
     # one object per distinct value, entry and cell, so that a system's
     # tables hold little; an entry is found by the id of its value and a
@@ -171,6 +177,7 @@ def _chord_tables(rep, tensor, codes, bits):
 
     tables = {roles: dict.fromkeys(x << bits | y for x in codes for y in codes)
               for roles in product((1, -1), repeat=2)}
+    rows_norm = {roles: {} for roles in tables}
     for (role_a, role_b, ca, cb), col in sums.items():
         plain, signed = [], []
         for (ra, rb), (n, d) in sorted(col.items()):
@@ -178,14 +185,19 @@ def _chord_tables(rep, tensor, codes, bits):
             if odd != (codes[rb] ^ codes[cb]) & 1:
                 raise ValueError("weight systems need an even tensor")
             da, db = codes[ra] - codes[ca], codes[rb] - codes[cb]
-            val = n if d == den else n * (den // d)
+            val = tuple(x * (den // d) for x in n)
             plain.append(entry(da, db, val))
-            signed.append(entry(da, db, -val) if odd else plain[-1])
+            signed.append(entry(da, db, tuple(-x for x in val)) if odd
+                          else plain[-1])
+            out = rows_norm[role_a, role_b]
+            out[ra, rb] = out.get((ra, rb), 0) + sum(map(abs, val))
         if plain:
             tables[role_a, role_b][codes[ca] << bits | codes[cb]] = tuple(
                 cells.setdefault(tuple(map(id, c)), tuple(c))
                 for c in (plain, signed))
-    return tables, den
+    norm = {roles: max(out.values(), default=0)
+            for roles, out in rows_norm.items()}
+    return tables, den, norm
 
 
 class WeightSystem:
@@ -201,9 +213,9 @@ class WeightSystem:
     chord table for each pair of strand roles, unsigned by role, with
     one cell per pair of basis indices signed in advance for either
     parity of the fields between its two sites, is built with the
-    system by `_chord_tables`, over one int denominator chord_den; a
-    state holds ints over Q.  Calling the system on a diagram evaluates
-    each canonical_form class once and answers repeats from a memo;
+    system by `_chord_tables`, over one int denominator chord_den, and
+    walked on `at(k)`.  Calling the system on a diagram evaluates each
+    canonical_form class once and answers repeats from a memo;
     `tangle11` evaluates afresh every time.  Build one through
     `weight_system`, so that its callers share it.
     """
@@ -217,9 +229,49 @@ class WeightSystem:
         self.bits = (self.dim - 1).bit_length() + 1
         self._field = (1 << self.bits) - 1
         self._codes = [i << 1 | p for i, p in enumerate(self.par)]
-        self._cells, self.chord_den = _chord_tables(
+        self._cells, self.chord_den, self.norm = _chord_tables(
             rep, tensor, self._codes, self.bits)
         self._memo = {}
+        self._views = {}
+
+    def at(self, k):
+        """The int system at alpha = 2^k (k = 0 over Q): the same codes
+        and bits, each chord table value P(alpha) as the int P(2^k), and
+        no memo.  Cached per k; `bound` gives k."""
+        if k not in self._views:
+            view = copy(self)
+            view._cells = {roles: {key: cell and tuple(
+                tuple((da, db, sum(c << k * i for i, c in enumerate(v)))
+                      for da, db, v in entries) for entries in cell)
+                for key, cell in table.items()}
+                for roles, table in self._cells.items()}
+            view._memo = view._views = None
+            self._views[k] = view
+        return self._views[k]
+
+    def bound(self, steps):
+        """A bound on every |coefficient| of the station walk of steps
+        over Z[alpha]: the product of norm[roles] over its chords and dim
+        per cap.
+
+        Proof.  Let |S| be the largest |v|_1, the sum of |coefficients|,
+        over the values v of a state S; |PQ|_1 <= |P|_1 |Q|_1.  An output
+        value of a chord sums the entries writing into one output pair
+        times one input value each, so |chord(S)| <= norm[roles] |S|; a
+        sum of chords takes the sum of their norms.  A cap sums dim keys,
+        |cap(S)| <= dim |S|; a cup, a flip or the identity moves values;
+        a word-series term of multiplier f takes |f| (_NormBackend).  P
+        -> P(2^k) is a ring homomorphism, so the walk on at(k) gives
+        N(2^k) for an output N, whose balanced base-2^k digits are N's
+        coefficients once 2^(k - 1) exceeds this bound.
+        """
+        return prod(self.norm[s[3]] if s[0] == "chord" else
+                    self.dim if s[0] == "cap" else 1 for s in steps)
+
+    def value(self, n, den, k):
+        """The ring value of n / den, for an int n of the system at(k);
+        k = 0 over Q."""
+        return kronecker_decode(n, k, den) if k else Fraction(n, den)
 
     def encode(self, indices):
         """The key of a tuple of basis indices."""
@@ -303,35 +355,40 @@ class WeightSystem:
         return out
 
     def _evaluate(self, diagram, with_source):
-        """Run the steps of `_sweep` through cup, chord and cap; a scalar,
-        or the {(target, source): value} entries of an endomorphism.
+        """Run the steps of `_sweep` through cup, chord and cap on at(k);
+        a scalar, or the {(target, source): value} entries of an
+        endomorphism.
 
         Interleaving gives the value of opening every cup before the
         first chord: a cup or cap inserts or removes a pair (i, i) of
         even total parity, so it leaves the Koszul signs of the chords
         unchanged, and chords on distinct stations commute because the
         tensor is even.  An empty state ends the walk early.  The state
-        is divided by chord_den once per chord, at the end.
+        is divided by chord_den once per chord, at the end.  Over
+        Q(alpha), 2^(k - 1) exceeds `bound`.
         """
-        state = self.identity(1 if with_source else 0)
+        steps = _sweep(diagram)
+        k = kronecker_bits(self.bound(steps)) if self.ring is QALPHA else 0
+        view = self.at(k)
+        state = view.identity(1 if with_source else 0)
         ups = chords = 0
-        for step in _sweep(diagram):
+        for step in steps:
             if step[0] == "cup":
-                state = self.cup(state, step[1], 1)
+                state = view.cup(state, step[1], 1)
             elif step[0] == "cap":
-                state = self.cap(state, step[1], step[2])
+                state = view.cap(state, step[1], step[2])
             else:
                 ups += step[3].count(-1)
                 chords += 1
-                state = self.chord(state, *step[1:])
+                state = view.chord(state, *step[1:])
             if not state:
                 break
-        unit = self.ring.reciprocal(self.chord_den ** chords)
-        if ups % 2:
-            unit = -unit
+        den = self.chord_den ** chords
+        sign = -1 if ups % 2 else 1
         if with_source:
-            return {self.decode(k, 2): v * unit for k, v in state.items()}
-        return state.get(0, 0) * unit
+            return {self.decode(key, 2): self.value(sign * v, den, k)
+                    for key, v in state.items()}
+        return self.value(sign * state.get(0, 0), den, k)
 
     def __call__(self, diagram):
         """Weight of a diagram: the closed value of an all-circle skeleton,

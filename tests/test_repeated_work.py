@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from superchord import (
-    associator, diagrams, jsonio, kontsevich, ribbon, weightsys)
+    associator, diagrams, jsonio, kontsevich, ribbon, scalars, weightsys)
 from superchord.associator import associator_checks, build_associator
 from superchord.kontsevich import lg_invariant, wz_eval, z_eval
 from superchord.words import parse_word
@@ -174,6 +174,24 @@ def test_slice_engine_over_q_alpha_builds_few_fractions(monkeypatch):
     # 33,780 when Poly kept its coefficients as Fractions; what is left
     # is the (s/2)^k / k! of the crossing exponentials (kontsevich)
     assert len(made) <= 30
+
+
+def test_chord_engines_over_q_alpha_do_no_alpha_arithmetic(monkeypatch):
+    # both engines walk Q(alpha) as ints at alpha = 2^K and only build
+    # each output AlphaScalar, decoded from its int
+    rep, tensor = weightsys.named_system("valpha")
+    word = ("obj: +\nslice: id(+) cup(+-)\nslice: X+ id(-)\n"
+            "slice: X- id(-)\nslice: X+ id(-)\nslice: id(+) cap(+-)")
+    expected = wz_eval(word, rep, tensor, 4)
+    fresh = weightsys.WeightSystem(*weightsys.lg_data())
+    classes = _interval_classes(3)
+    calls = [_counting(monkeypatch, scalars.AlphaScalar, name)
+             for name in ("__add__", "__radd__", "__sub__", "__rsub__",
+                          "__mul__", "__rmul__", "__neg__", "__truediv__")]
+    assert wz_eval(word, rep, tensor, 4) == expected
+    weights = [fresh(d) for d in classes.values()]
+    assert any(weights)
+    assert [c for c in calls if c] == []
 
 
 def test_chord_engines_over_q_build_few_fractions(monkeypatch):

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from superchord.scalars import (AlphaScalar, HSeries, Poly, QALPHA, QQ,
                                 RingMismatchError, ScalarError, SeriesRing,
-                                _ratio, alpha, series_exp, series_inverse)
+                                _ratio, alpha, kronecker_bits,
+                                kronecker_decode, series_exp, series_inverse)
 
 
 # Oracles: a polynomial's value and a Q(alpha) scalar's value at a
@@ -615,3 +616,30 @@ def test_int_kernel_matches_fraction_reference(p1, p2, pt):
     assert x - y + y == x and hash(x - y + y) == hash(x)
     assert poly_eval(x.num, pt) == xr.num.eval(pt)
     same_or_both_raise(lambda: substitute(x, pt), lambda: xr.substitute(pt))
+
+
+def test_kronecker_decode_round_trips_int_polynomials():
+    # P(2^k) back to P / den for int coefficients |c| < 2^(k - 1), the
+    # extremes and negative leading coefficients included
+    rng = random.Random(0)
+    for k in (32, 64, 96):
+        top = (1 << k - 1) - 1
+        cases = [[], [0], [0, 0, 5], [top], [-top], [1, -top],
+                 [-top, top, -1], [3, 0, 0], [-1, 0, top, -top]]
+        cases += [[rng.randint(-top, top) for _ in range(rng.randint(1, 8))]
+                  for _ in range(40)]
+        for coeffs in cases:
+            n = sum(c << k * i for i, c in enumerate(coeffs))
+            for den in (1, 2, 6):
+                want = AlphaScalar(Poly(coeffs)) / den
+                assert kronecker_decode(n, k, den) == want, (k, coeffs)
+    # one more bit of magnitude is not decoded
+    assert kronecker_decode(1 << 31, 32, 1) != AlphaScalar(1 << 31)
+
+
+def test_kronecker_bits_is_the_least_multiple_of_32_above_the_bound():
+    for bound in (0, 1, 2, 3, (1 << 31) - 1, 1 << 31, (1 << 63) - 1,
+                  1 << 63, 10 ** 30):
+        k = kronecker_bits(bound)
+        assert k % 32 == 0 and 1 << k - 1 > bound
+        assert k == 32 or 1 << k - 33 <= bound, bound

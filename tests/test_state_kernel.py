@@ -10,7 +10,10 @@ own lcm of denominators; every cell of the package's signed chord tables
 is compared with them.  Both must give the same state, key for key, on
 random states of every named system, the Links-Gould pair, the
 9-dimensional tensor square of gl(2|1), whose fields are 5 bits wide,
-and gl(3|1) with t_sl, whose chord values have denominator 2.
+and gl(3|1) with t_sl, whose chord values have denominator 2.  The
+package walks a Q(alpha) state as ints on its system at alpha = 2^K
+(`WeightSystem.at`); the oracles walk the polynomials themselves, and
+the package's ints are decoded before they are compared.
 """
 
 from fractions import Fraction
@@ -21,8 +24,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from superchord.liesuper import (
-    InvariantTensor, build_gl, casimir_tensor, rep_combine, standard_rep)
-from superchord.scalars import add_term, alpha
+    InvariantTensor, build_gl, casimir_tensor, extend_identity, rep_combine,
+    standard_rep)
+from superchord.scalars import AlphaScalar, Poly, add_term, alpha
 from superchord.weightsys import (
     WeightSystem, lg_data, named_system, squared_system, weight_system)
 
@@ -140,14 +144,35 @@ def _system(name):
     return _oracles[name]
 
 
+# alpha = 2^K for the Q(alpha) states: every coefficient the tests meet
+# stays far below 2^(K - 1)
+K = 64
+
+
+def _k(ws):
+    """The K of the system a state is walked on: 0 over Q."""
+    return 0 if ws.ring.name == "Q" else K
+
+
+def _at_k(ws, v):
+    """An oracle value as the package walks it: a Q(alpha) polynomial
+    with int coefficients at alpha = 2^K."""
+    if ws.ring.name == "Q":
+        return v
+    p = v.as_poly()
+    assert p.d == 1
+    return sum(c << K * i for i, c in enumerate(p.n))
+
+
 def _encoded(ws, state):
-    out = {ws.encode(key): v for key, v in state.items()}
+    out = {ws.encode(key): _at_k(ws, v) for key, v in state.items()}
     assert len(out) == len(state)
     return out
 
 
 def _decoded(ws, state, width):
-    out = {ws.decode(key, width): v for key, v in state.items()}
+    out = {ws.decode(key, width): ws.value(v, 1, _k(ws))
+           for key, v in state.items()}
     assert len(out) == len(state)
     return out
 
@@ -193,24 +218,37 @@ def test_field_width_and_round_trip(name):
 def test_chord_tables_match_the_tuple_matrices(name):
     # one cell per pair of basis indices, None for an empty column; a
     # cell holds the entries signed for q = 0 and for q = 1, where an
-    # entry that changes the parity of its sites takes (-1)^q
+    # entry that changes the parity of its sites takes (-1)^q.  A value
+    # is held as its int coefficients in alpha, one over Q, and the
+    # system at alpha = 2^K (K = 0 over Q) holds it at 2^K
     ws, matrices = _system(name)
+    view = ws.at(_k(ws))
     code = {i: ws.encode((i,)) for i in range(ws.dim)}
     for roles, matrix in matrices.items():
         table = ws._cells[roles]
-        assert len(table) == ws.dim ** 2
+        assert len(table) == len(view._cells[roles]) == ws.dim ** 2
+        rows_norm = {}
         for ca, cb in product(range(ws.dim), repeat=2):
             cell = table[code[ca] << ws.bits | code[cb]]
             if (ca, cb) not in matrix:
                 assert cell is None, (roles, ca, cb)
                 continue
+            for (ra, rb), v in matrix[ca, cb]:
+                rows_norm[ra, rb] = rows_norm.get((ra, rb), 0) + sum(
+                    abs(c) for c in AlphaScalar.coerce(v).as_poly().c)
             for q in (0, 1):
                 want = {(code[ra] - code[ca], code[rb] - code[cb]):
                         -v if q and ws.par[ra] != ws.par[ca] else v
                         for (ra, rb), v in matrix[ca, cb]}
-                got = {(da, db): v for da, db, v in cell[q]}
+                got = {(da, db): AlphaScalar(Poly(v))
+                       for da, db, v in cell[q]}
                 assert len(got) == len(cell[q])
                 assert got == want, (roles, ca, cb, q)
+                at_k = view._cells[roles][code[ca] << ws.bits | code[cb]]
+                assert {(da, db): v for da, db, v in at_k[q]} == {
+                    d: _at_k(ws, v) for d, v in want.items()}
+        # the largest summed |value|_1 that writes into one output pair
+        assert ws.norm[roles] == max(rows_norm.values()), roles
 
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
@@ -224,7 +262,7 @@ def test_chord_matches_the_tuple_oracle(name, data):
         for b in range(a + 1, width):
             for roles in product((1, -1), repeat=2):
                 want = oracle_chord(state, a, b, matrices[roles], ws.par)
-                got = ws.chord(coded, a, b, roles)
+                got = ws.at(_k(ws)).chord(coded, a, b, roles)
                 assert _decoded(ws, got, width) == want, (a, b, roles)
 
 
@@ -245,7 +283,8 @@ def test_chords_added_into_one_state_match_their_sum(name, data):
         for key, v in oracle_chord(state, a, p, matrices[pair],
                                    ws.par).items():
             add_term(want, key, v)
-        assert ws.chord(_encoded(ws, state), a, p, pair, out=out) is out
+        got = ws.at(_k(ws)).chord(_encoded(ws, state), a, p, pair, out=out)
+        assert got is out
     assert _decoded(ws, out, width) == want
 
 
@@ -256,22 +295,23 @@ def test_cup_cap_flip_match_the_tuple_oracles(name, data):
     ws, _ = _system(name)
     width, state = data.draw(_states(name))
     coded = _encoded(ws, state)
+    view = ws.at(_k(ws))
     for p in range(width + 1):
         for sign in (1, -1):
-            cupped = ws.cup(coded, p, sign)
+            cupped = view.cup(coded, p, sign)
             want = oracle_cup(state, p, sign, ws.dim, ws.par)
             assert _decoded(ws, cupped, width + 2) == want, (p, sign)
             # a cap after the cup meets equal pairs at p, p + 1 and
             # mostly unequal ones elsewhere
             for q in range(width + 1):
                 for s2 in (1, -1):
-                    assert _decoded(ws, ws.cap(cupped, q, s2), width) == \
+                    assert _decoded(ws, view.cap(cupped, q, s2), width) == \
                         oracle_cap(want, q, s2, ws.par), (p, sign, q, s2)
     for p in range(width - 1):
-        assert _decoded(ws, ws.flip(coded, p), width) == \
+        assert _decoded(ws, view.flip(coded, p), width) == \
             oracle_flip(state, p, ws.par), p
         for sign in (1, -1):
-            assert _decoded(ws, ws.cap(coded, p, sign), width - 2) == \
+            assert _decoded(ws, view.cap(coded, p, sign), width - 2) == \
                 oracle_cap(state, p, sign, ws.par), (p, sign)
 
 
@@ -282,4 +322,13 @@ def test_a_tensor_that_is_not_even_is_refused():
     even, odd = par.index(0), par.index(1)
     tensor = InvariantTensor(rep.algebra, {(even, odd): 1})
     with pytest.raises(ValueError, match="even tensor"):
+        WeightSystem(rep, tensor)
+
+
+def test_a_q_alpha_value_that_is_not_a_polynomial_is_refused():
+    # the engines walk chord table values as polynomials at alpha = 2^K
+    rep, _ = lg_data()
+    a = alpha() / (alpha() + 1)
+    tensor = extend_identity(casimir_tensor(rep.algebra, "sl"), a)
+    with pytest.raises(ValueError, match="not a polynomial"):
         WeightSystem(rep, tensor)

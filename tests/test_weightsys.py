@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from superchord.diagrams import (
-    ChordDiagram, enumerate_diagrams, four_term_relators, slit_component)
+    ChordDiagram, enumerate_diagrams, four_term_relators, random_diagram,
+    slit_component)
 from superchord.liesuper import (
     build_gl, casimir_tensor, extend_identity, rep_combine, standard_rep)
 from superchord.scalars import QALPHA, alpha
@@ -191,6 +192,28 @@ def test_station_machine_matches_brute_on_tangles():
             assert got.m == want.m, d
 
 
+def test_station_machine_matches_brute_with_t_sl():
+    # a witness for the chord tables that the two-path checks share:
+    # V_alpha over Q(alpha), and gl(3|1), whose t_sl chord values have
+    # denominator 2, on closed and interval diagrams of degree <= 2 (on
+    # two circles degree <= 1: brute_eval takes 2 s per system at 2)
+    g31 = build_gl(3, 1)
+    setups = [named_system("valpha"),
+              (standard_rep(g31, "defining"), casimir_tensor(g31, "sl"))]
+    assert [weight_system(*s).chord_den for s in setups] == [1, 2]
+    for rep, t in setups:
+        for skeleton, top in ((("circle",), 2), (("circle", "circle"), 1),
+                              (("interval",), 2)):
+            for m in range(top + 1):
+                for d in enumerate_diagrams(skeleton, m):
+                    want = brute_eval(d, rep, t)
+                    if skeleton == ("interval",):
+                        assert ws_tangle11(d, rep, t).m == want.m, d
+                    else:
+                        assert ws_link(d, rep, t) == want.m.get(
+                            (0, 0), rep.ring.zero), d
+
+
 def test_station_machine_matches_brute_degree_three():
     g = build_gl(2, 1)
     rep = standard_rep(g, "defining")
@@ -272,6 +295,29 @@ def test_lg_values_are_polynomial():
         for d in enumerate_diagrams(("interval",), m):
             v = wlg(d)
             assert v.is_polynomial(), d
+
+
+def reflected(x):
+    """x at alpha -> -1 - alpha."""
+    def at(p):
+        acc = QALPHA.zero
+        for c in reversed(p.c):
+            acc = acc * (-1 - alpha()) + c
+        return acc
+    return at(x.num) / at(x.den)
+
+
+def test_wlg_is_symmetric_under_t0_t1():
+    # LG(t0, t1) = LG(t1, t0) with t0 = q^(-2 alpha), t1 = q^(2 alpha + 2)
+    # reads alpha -> -1 - alpha, weight by weight, on seeded interval
+    # diagrams of degrees 2 to 4
+    assert reflected(alpha()) == -1 - alpha()
+    rng = random.Random(0)
+    values = [wlg(random_diagram(("interval",), rng.randint(2, 4), rng))
+              for _ in range(100)]
+    assert sum(1 for v in values if v.num.degree() > 0) >= 20
+    for v in values:
+        assert reflected(v) == v, v
 
 
 def test_lg_matches_brute():

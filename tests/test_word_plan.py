@@ -9,19 +9,23 @@ word applied letter by letter from its last letter, each suffix of a
 word cached and carried on the layers up to its top, order minus the
 least degree of a word that ends in it.  After one move both must give
 the same layers, key for key, on random states of every named system
-and the Links-Gould pair.
+and the Links-Gould pair.  Q(alpha) layers are walked as the package
+walks them, as ints on the system at alpha = 2^K; P -> P(2^K) is one to
+one on the polynomials with |coefficients| < 2^(K - 1), far above any
+the moves here make, so equal ints are equal polynomials.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from superchord.kontsevich import _MatrixBackend, _word_plan, _word_series
-from superchord.scalars import add_term, alpha
+from superchord.scalars import add_term
 from superchord.weightsys import lg_data, named_system, weight_system
 
-SYSTEMS = {name: weight_system(*named_system(name))
-           for name in ("gl21", "gl11", "valpha")}
-SYSTEMS["lg"] = weight_system(*lg_data())
+K = 128
+SYSTEMS = {name: weight_system(*named_system(name)).at(k)
+           for name, k in (("gl21", 0), ("gl11", 0), ("valpha", K))}
+SYSTEMS["lg"] = weight_system(*lg_data()).at(K)
 
 
 def reference_tops(order, crossing, sign):
@@ -109,8 +113,8 @@ def moves(draw, name):
         if ws.ring.name == "Q":
             layer = dict(zip(keys, values))
         else:
-            a = alpha()
-            layer = {k: a * v + 1 if v % 2 else ws.ring.coerce(v)
+            # v alpha + 1 for odd v, else v, at alpha = 2^K
+            layer = {k: (v << K) + 1 if v % 2 else v
                      for k, v in zip(keys, values)}
         layers.append({ws.encode(k): v for k, v in layer.items()})
     backend = _MatrixBackend.__new__(_MatrixBackend)
