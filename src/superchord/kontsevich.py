@@ -31,18 +31,19 @@ associator move as one kind of step, a word series: the crossing's
 exponential is the powers of letter 1, the chord on its two strands,
 with coefficients (s/2)^k/k!.  Both keep rational values as Python ints
 over one constant denominator per h degree (per chord count for
-diagrams), the table D of _layer_dens: D[0] = 1, and D[m] is the lcm of
-D[m - k] q over every crossing term and associator coefficient p/q of
-degree k, of either sign; at order 4 it is [1, 2, 24, 48, 5760].  A
-term adds layer n into layer n + k with the int multiplier
-p D[n + k] / (D[n] q) of one cached table (_word_series), so no value
-is ever rescaled, and a Fraction is built only at the output, once per
-layer or diagram class.  Both truncate as they go.  The diagram backend
-never builds a term of more than order chords.  The matrix backend
+diagrams), the table D of _moves(order), the one cached table of both
+engines, which also holds each move's terms and schedule: D[0] = 1, and
+D[m] is the lcm of D[m - k] q over every crossing term and associator
+coefficient p/q of degree k, of either sign; at order 4 it is [1, 2,
+24, 48, 5760].  A term adds layer n into layer n + k with the int
+multiplier p D[n + k] / (D[n] q), so no value is ever rescaled, and a
+Fraction is built only at the output, once per layer or diagram class.
+Both truncate as they go.  The diagram backend never builds a term of
+more than order chords.  The matrix backend
 splits each associator word of degree k as u v, v its last k // 2
 letters, applies each suffix v once on the source layers 0..order-k,
 and the prefixes u by Horner over their trie on the target layers
-(_word_plan).
+(_plan).
 
 Composites: paired_invariant slits z_eval at the basepoint, reduces it
 modulo the interval four-term relations (reduce_fourterm) and pairs the
@@ -71,54 +72,40 @@ from .words import PathTracer, parse_word, resolve_singular
 
 
 @lru_cache(maxsize=None)
-def _phi_terms(order, sign):
-    """Non-unit associator words of degree <= order."""
-    if order < 2:
-        return ()
-    assoc = build_associator(max(2, order))
-    return tuple((m, w, c) for m, w, c in assoc.words(sign) if m <= order)
+def _moves(order):
+    """The table that both chord engines read at one order: (D, moves).
 
-
-@lru_cache(maxsize=None)
-def _crossing_terms(order, sign):
-    """exp(sign chord / 2) as a word series: (sign/2)^k / k! times letter
-    1, the chord on the crossing strands, to the k."""
-    return tuple((k, (1,) * k, Fraction(sign ** k, 2 ** k * factorial(k)))
-                 for k in range(1, order + 1))
-
-
-@lru_cache(maxsize=None)
-def _layer_dens(order):
-    """D[m], the one denominator of h-degree layer m: the lcm of D[m - k] q
-    over every crossing and associator term of degree k, with coefficient
-    p/q, of either sign."""
-    terms = [t for sign in (1, -1)
-             for t in _crossing_terms(order, sign) + _phi_terms(order, sign)]
+    moves[crossing, sign] is (terms, plan) for a crossing of that sign,
+    exp(sign chord / 2), or an associator move, Phi for sign 1 and
+    Phi^-1 for -1.  A term is (degree k, word, multipliers): a crossing
+    has the words (1,) * k with coefficients (sign/2)^k / k!, k
+    ascending, an associator move its non-unit words of degree <= order
+    in the order Associator.words gives them.  D[0] = 1, and D[m] is
+    the lcm of D[m - k] q over every term of degree k with coefficient
+    p/q; multiplier n is the int p D[n + k] / (D[n] q) that takes a
+    layer n value over D[n] to layer n + k over D[n + k].  plan is the
+    term's schedule in _MatrixBackend._series (_plan).
+    """
+    series, assoc = {}, build_associator(max(2, order))
+    for sign in (1, -1):
+        series[True, sign] = [
+            (k, (1,) * k, Fraction(sign ** k, 2 ** k * factorial(k)))
+            for k in range(1, order + 1)]
+        series[False, sign] = [t for t in assoc.words(sign) if t[0] <= order]
     dens = [1]
     for m in range(1, order + 1):
-        dens.append(lcm(*(dens[m - k] * c.denominator
-                          for k, _, c in terms if k <= m)))
-    return tuple(dens)
+        dens.append(lcm(*(dens[m - k] * c.denominator for terms in
+                          series.values() for k, _, c in terms if k <= m)))
+    moves = {}
+    for (crossing, sign), terms in series.items():
+        terms = tuple((k, w, tuple(
+            c.numerator * dens[n + k] // (dens[n] * c.denominator)
+            for n in range(order - k + 1))) for k, w, c in terms)
+        moves[crossing, sign] = terms, _plan(order, crossing, terms)
+    return tuple(dens), moves
 
 
-@lru_cache(maxsize=None)
-def _word_series(order, crossing, sign):
-    """A crossing's or an associator move's word series, ready for layers.
-
-    Each term is (degree k, word, multipliers): multiplier n is the int
-    p D[n + k] / (D[n] q) that takes a layer n value over D[n] to layer
-    n + k over D[n + k], with the term's coefficient p/q.
-    """
-    dens = _layer_dens(order)
-    words = (_crossing_terms if crossing else _phi_terms)(order, sign)
-    return tuple(
-        (k, w, tuple(c.numerator * dens[n + k] // (dens[n] * c.denominator)
-                     for n in range(order - k + 1)))
-        for k, w, c in words)
-
-
-@lru_cache(maxsize=None)
-def _word_plan(order, crossing, sign):
+def _plan(order, crossing, terms):
     """The schedule of a word series in _MatrixBackend._series.
 
     An associator word of degree k splits as u v, v its last k // 2
@@ -131,17 +118,17 @@ def _word_plan(order, crossing, sign):
     applied on the target layers low..order, low the least degree of a
     word whose u starts with q.
     """
-    terms, tops, lows = [], {}, {}
-    for k, w, mults in _word_series(order, crossing, sign):
+    splits, tops, lows = [], {}, {}
+    for k, w, mults in terms:
         cut = 0 if crossing else k - k // 2
         u, v = w[:cut], w[cut:]
-        terms.append((u, v, k, mults))
+        splits.append((u, v, k, mults))
         for l in range(len(v)):
             tops[v[l:]] = max(tops.get(v[l:], -1), order - k)
         for l in range(1, cut + 1):
             lows[u[:l]] = min(lows.get(u[:l], order), k)
     return (tuple((v, v[0], v[1:], tops[v]) for v in sorted(tops, key=len)),
-            tuple(terms),
+            tuple(splits),
             tuple((q, q[-1], q[:-1], lows[q])
                   for q in sorted(lows, key=len, reverse=True)))
 
@@ -212,7 +199,7 @@ class ZValue:
 
 class _DiagramBackend:
     """States are chord sets over stamped anchor tokens, with int
-    coefficients over D[m] for m chords (_layer_dens).
+    coefficients over D[m] for m chords (_moves).
 
     finish maps each token to one int, component << 32 | place on the
     traced skeleton, and hands each key's ends to
@@ -240,8 +227,7 @@ class _DiagramBackend:
     def crossing(self, p, s, signs):
         e = self._stamp_layers((p, p + 1))
         tvw = [(p, p + 1, signs[p] * signs[p + 1])]
-        terms = _word_series(self.order, True, s)
-        series = self._expand(terms, (), tvw, e)
+        series = self._expand(_moves(self.order)[1][True, s][0], (), tvw, e)
         new = {}
         for key, c in self.terms.items():
             add_term(new, key, c)
@@ -250,7 +236,7 @@ class _DiagramBackend:
         self.tracer.cross(p)
 
     def associate(self, p, sign, signs):
-        terms = _word_series(self.order, False, sign)
+        terms = _moves(self.order)[1][False, sign][0]
         if not terms:
             return
         e = self._stamp_layers(range(p + 2))
@@ -306,7 +292,7 @@ class _DiagramBackend:
         terms, reps = diagram_classes(
             out.kinds, (([where[t] for chord in key for t in chord], c)
                         for key, c in self.terms.items()))
-        dens = _layer_dens(self.order)
+        dens = _moves(self.order)[0]
         return out.kinds, {e: Fraction(c, dens[len(e[1])])
                            for e, c in terms.items()}, reps
 
@@ -329,14 +315,14 @@ class _MatrixBackend:
     WeightSystem's int-coded keys; wz_eval decodes them to index tuples
     only for open words.  Letter 0 adds its chords (a, p) into one
     state per layer.  Layer m holds ints over the fixed denominator
-    D[m] chord_den^m (_layer_dens), over Q(alpha) on the int system at
+    D[m] chord_den^m (_moves), over Q(alpha) on the int system at
     alpha = 2^k, k from the bounds of _NormBackend, and finish decodes
     each value once.
 
     A crossing and an associator move are both a word series applied by
     _series: a crossing is exp(s chord / 2), the powers of letter 1,
     followed by a flip.  Letters do not depend on the layer, so each word
-    u v goes in two halves (_word_plan): each suffix v once, then each
+    u v goes in two halves (_plan): each suffix v once, then each
     prefix u on the sum of its terms' multiples of v(S) by target layer,
     each letter adding into its parent's state; empty layers are
     skipped.
@@ -358,14 +344,14 @@ class _MatrixBackend:
         self.deg = [self.ws.flip(layer, p) for layer in total]
 
     def associate(self, p, sign, signs):
-        if _phi_terms(self.order, sign):
+        if _moves(self.order)[1][False, sign][0]:
             self.deg = self._series(p, False, sign, signs)
 
     def _series(self, p, crossing, sign, signs):
         """The layers plus every word term of the move applied to them:
         G(q) = C_q + sum over letters y of y(G(q y)) over the prefix trie,
         C_u the sum of the terms u v of their multiples of v(S)."""
-        suffixes, terms, prefixes = _word_plan(self.order, crossing, sign)
+        suffixes, terms, prefixes = _moves(self.order)[1][crossing, sign][1]
         total = [dict(d) for d in self.deg]
         states = {(): self.deg}
         for v, letter, rest, top in suffixes:
@@ -403,7 +389,7 @@ class _MatrixBackend:
         self.deg = [self.ws.cap(layer, p, sign) for layer in self.deg]
 
     def finish(self):
-        dens = _layer_dens(self.order)
+        dens = _moves(self.order)[0]
         value = self.system.value
         return [{key: value(v, dens[m] * self.ws.chord_den ** m, self.k)
                  for key, v in layer.items()}
@@ -431,7 +417,7 @@ class _NormBackend:
         letters = (sum(norm[signs[a], signs[p]] for a in range(p)),
                    norm[signs[p], signs[p + 1]])
         total = list(self.deg)
-        for k, w, mults in _word_series(self.order, crossing, sign):
+        for k, w, mults in _moves(self.order)[1][crossing, sign][0]:
             f = prod(letters[x] for x in w)
             for n, mult in enumerate(mults):
                 total[n + k] += abs(mult) * f * self.deg[n]

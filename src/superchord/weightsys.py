@@ -9,21 +9,20 @@ mask, and cups, caps, flips and chords move fields by shifts and masks.
 `WeightSystem` gives the only operations on it; `WeightSystem.decode`
 turns a key back into its index tuple, which only outputs need (the
 endomorphism of a one-interval diagram, the open words of
-`kontsevich.wz_eval`).  Its values are Python ints, over Q(alpha) too:
-there a walk runs at alpha = 2^K (`at`, `bound`) and decodes once at
-the output.  The chord tables are held over one
-common int denominator, `chord_den` (1 for the gl(m|n) defining modules
-with t_gl), so a state after c chords stands for itself over
-chord_den^c, and whoever walks it divides once at the end.  A strand of
-role +1 runs downward through V, one of role -1 upward through V*.
-`cup(+-)` (k -> V x V*) and `cap(-+)` (V* x V -> k) are plain;
-`cap(+-)`, the right pairing V x V* -> k, and `cup(-+)` sign odd
-indices, which gives the supertrace sign.  `chord` inserts the invariant
-tensor sum t^{ij} e_i x e_j at two strands, acting through the
-representation or its dual by role, with Koszul transport signs from the
-parities of the indices to the left of each insertion, read from a table
-signed by the parity between the two sites; `flip` is the super flip
-of a crossing.
+`kontsevich.wz_eval`).  A walk runs on the int system `at(k)`, at
+alpha = 2^k (k from `bound`; 0 over Q), and decodes once at the
+output.  The chord columns are held over one common int denominator,
+`chord_den` (1 for the gl(m|n) defining modules with t_gl), so a state
+after c chords stands for itself over chord_den^c, and whoever walks it
+divides once at the end.  A strand of role +1 runs downward through V,
+one of role -1 upward through V*.  `cup(+-)` (k -> V x V*) and `cap(-+)`
+(V* x V -> k) are plain; `cap(+-)`, the right pairing V x V* -> k, and
+`cup(-+)` sign odd indices, which gives the supertrace sign.  `chord`
+inserts the invariant tensor sum t^{ij} e_i x e_j at two strands, acting
+through the representation or its dual by role, with Koszul transport
+signs from the parities of the indices to the left of each insertion,
+read from a cell of `at(k)` signed for the parity between the two sites;
+`flip` is the super flip of a crossing.
 
 A diagram is walked as a planar picture: each component is a serpentine
 of stations, one chord endpoint per station, alternating roles +1 and
@@ -43,20 +42,20 @@ chord_den.
 The slice engine of `kontsevich.wz_eval` drives the same operations,
 slice by slice, over one state per h degree.
 
-`weight_system(rep, tensor)` gives the one `WeightSystem` of a pair:
-its chord tables, built with it in one pass (`_chord_tables`), one for
-each pair of strand roles with one cell per pair of basis indices, and
-its memo.  `ws(d)` is the closed value of an all-circle diagram, or the
+`weight_system(rep, tensor)` gives the one `WeightSystem` of a pair: its
+chord columns, built with it in one pass (`_chord_tables`), its int
+systems and its memo.  It walks nothing itself: `chord` runs on `at(k)`
+only.  `ws(d)` is the closed value of an all-circle diagram, or the
 scalar by which the endomorphism of a one-interval diagram acts
-(`scalar_of_endo`); other skeletons raise ValueError.  It is memoised
-by `canonical_form`, so each diagram class is evaluated once per (rep,
-tensor); this relies on the value being invariant under rotating
-circles and permuting components, which holds because the tensor is
-ad-invariant.  `ws_link`, `ws_tangle11` (not memoised) and `wlg` use
-the shared instance.  `named_system` gives the named (rep, tensor)
-pairs of the command line and the verify suites; `wlg` is the
-Links-Gould weight system on the 2|2 dimensional gl(2|1) module V_alpha
-with the one-term tensor s = a (I x I) + t_sl (`lg_data`).
+(`scalar_of_endo`); other skeletons raise ValueError.  It is memoised by
+`canonical_form`, so each diagram class is evaluated once per (rep,
+tensor); this relies on the value being invariant under rotating circles
+and permuting components, which holds because the tensor is
+ad-invariant.  `ws_link`, `ws_tangle11` (not memoised) and `wlg` use the
+shared instance.  `named_system` gives the named (rep, tensor) pairs of
+the command line and the verify suites; `wlg` is the Links-Gould weight
+system on the 2|2 dimensional gl(2|1) module V_alpha with the one-term
+tensor s = a (I x I) + t_sl (`lg_data`).
 """
 
 from bisect import bisect
@@ -128,24 +127,21 @@ def _sweep(diagram):
 
 
 def _chord_tables(rep, tensor, codes, bits):
-    """The four signed chord tables of (rep, tensor), their int
-    denominator chord_den and their norms.
+    """The chord columns of (rep, tensor), their int denominator
+    chord_den and their norms.
 
     For each pair of strand roles, the chord sum c A_i x B_j over the
     tensor's pair terms (c, i, j), A through rep.mats at a site of role
-    +1 and through the dual's at one of role -1, unsigned by role.  The
-    values are held over one common int denominator, as tuples of int
-    coefficients in alpha, lowest degree first (one over Q).  A table is
-    a dict with one cell per pair of basis codes, at code(ca) << bits |
-    code(cb), None for an empty column.  A cell is two tuples of (da,
-    db, value), signed for q = 0 and q = 1: the output takes code(ra) -
-    code(ca) at the first site and code(rb) - code(cb) at the second,
-    and the tensor is even, so both sites change parity or neither
-    does, with Koszul sign (-1)^q, q the parity of the fields from the
-    first site up to the second.  norm[roles] is the largest, over
-    output pairs, of the summed |coefficients| writing into one.
-    Raises ValueError on an entry that changes the parity of one site
-    only, and on a Q(alpha) value that is not a polynomial.
+    +1 and through the dual's at one of role -1, unsigned by role.  A
+    column, at code(ca) << bits | code(cb), lists the entries (da, db,
+    value, odd): the output takes code(ra) - code(ca) at the first site
+    and code(rb) - code(cb) at the second, the value is held over
+    chord_den as a tuple of int coefficients in alpha, lowest degree
+    first (one over Q), and odd is 1 when both sites change parity (the
+    tensor is even, so both do or neither does).  norm[roles] is the
+    largest, over output pairs, of the summed |coefficients| writing
+    into one.  Raises ValueError on an entry that changes the parity of
+    one site only, and on a Q(alpha) value that is not a polynomial.
     """
     ring = rep.ring
     mats = {1: rep.mats, -1: rep_combine("dual", rep).mats}
@@ -166,38 +162,25 @@ def _chord_tables(rep, tensor, codes, bits):
             v = v.as_poly() if ring is QALPHA else Poly.const(v)
             col[rows] = v.n, v.d
     den = lcm(1, *(d for col in sums.values() for _, d in col.values()))
-    # one object per distinct value, entry and cell, so that a system's
-    # tables hold little; an entry is found by the id of its value and a
-    # cell by the ids of its entries, which hash faster than the values
-    vals, entries, cells = {}, {}, {}
-
-    def entry(da, db, val):
-        val = vals.setdefault(val, val)
-        return entries.setdefault((da, db, id(val)), (da, db, val))
-
-    tables = {roles: dict.fromkeys(x << bits | y for x in codes for y in codes)
-              for roles in product((1, -1), repeat=2)}
-    rows_norm = {roles: {} for roles in tables}
+    columns = {roles: {} for roles in product((1, -1), repeat=2)}
+    rows_norm = {roles: {} for roles in columns}
     for (role_a, role_b, ca, cb), col in sums.items():
-        plain, signed = [], []
+        entries = []
         for (ra, rb), (n, d) in sorted(col.items()):
             odd = (codes[ra] ^ codes[ca]) & 1
             if odd != (codes[rb] ^ codes[cb]) & 1:
                 raise ValueError("weight systems need an even tensor")
-            da, db = codes[ra] - codes[ca], codes[rb] - codes[cb]
             val = tuple(x * (den // d) for x in n)
-            plain.append(entry(da, db, val))
-            signed.append(entry(da, db, tuple(-x for x in val)) if odd
-                          else plain[-1])
+            entries.append((codes[ra] - codes[ca], codes[rb] - codes[cb],
+                            val, odd))
             out = rows_norm[role_a, role_b]
             out[ra, rb] = out.get((ra, rb), 0) + sum(map(abs, val))
-        if plain:
-            tables[role_a, role_b][codes[ca] << bits | codes[cb]] = tuple(
-                cells.setdefault(tuple(map(id, c)), tuple(c))
-                for c in (plain, signed))
+        if entries:
+            columns[role_a, role_b][codes[ca] << bits | codes[cb]] = tuple(
+                entries)
     norm = {roles: max(out.values(), default=0)
             for roles, out in rows_norm.items()}
-    return tables, den, norm
+    return columns, den, norm
 
 
 class WeightSystem:
@@ -209,15 +192,15 @@ class WeightSystem:
     0 and a parity of fields is a masked popcount.  `identity`, `cup`,
     `chord`, `cap` and `flip` are the only operations on it, shared by
     the station walk here and the slice engine of `kontsevich.wz_eval`;
-    `decode` gives a key's index tuple, which only outputs need.  One
-    chord table for each pair of strand roles, unsigned by role, with
-    one cell per pair of basis indices signed in advance for either
-    parity of the fields between its two sites, is built with the
-    system by `_chord_tables`, over one int denominator chord_den, and
-    walked on `at(k)`.  Calling the system on a diagram evaluates each
-    canonical_form class once and answers repeats from a memo;
-    `tangle11` evaluates afresh every time.  Build one through
-    `weight_system`, so that its callers share it.
+    `decode` gives a key's index tuple, which only outputs need.  The
+    chord columns of each pair of strand roles, unsigned by role, are
+    built with the system by `_chord_tables`, over one int denominator
+    chord_den; `at(k)` turns them into the cells that `chord` reads, so
+    only an int system walks, and this one answers `identity`, `cup`,
+    `cap`, `flip`, `encode` and `decode`, which read no cells.  Calling
+    the system on a diagram evaluates each canonical_form class once and
+    answers repeats from a memo; `tangle11` evaluates afresh every time.
+    Build one through `weight_system`, so that its callers share it.
     """
 
     def __init__(self, rep, tensor):
@@ -229,22 +212,32 @@ class WeightSystem:
         self.bits = (self.dim - 1).bit_length() + 1
         self._field = (1 << self.bits) - 1
         self._codes = [i << 1 | p for i, p in enumerate(self.par)]
-        self._cells, self.chord_den, self.norm = _chord_tables(
+        self._columns, self.chord_den, self.norm = _chord_tables(
             rep, tensor, self._codes, self.bits)
         self._memo = {}
         self._views = {}
 
     def at(self, k):
-        """The int system at alpha = 2^k (k = 0 over Q): the same codes
-        and bits, each chord table value P(alpha) as the int P(2^k), and
-        no memo.  Cached per k; `bound` gives k."""
+        """The int system at alpha = 2^k (k = 0 over Q), the only one
+        that walks: the same codes and bits, no memo, and one chord
+        table per role pair with one cell per pair of basis codes, None
+        for an empty column.  A cell holds its column's entries (da, db,
+        P(2^k)) for q = 0 and q = 1, q the parity of the fields from the
+        first site up to the second; an odd entry takes the Koszul sign
+        (-1)^q.  Cached per k; `bound` gives k."""
         if k not in self._views:
             view = copy(self)
-            view._cells = {roles: {key: cell and tuple(
-                tuple((da, db, sum(c << k * i for i, c in enumerate(v)))
-                      for da, db, v in entries) for entries in cell)
-                for key, cell in table.items()}
-                for roles, table in self._cells.items()}
+            view._cells = {}
+            for roles, columns in self._columns.items():
+                cells = view._cells[roles] = dict.fromkeys(
+                    x << self.bits | y for x in self._codes
+                    for y in self._codes)
+                for key, column in columns.items():
+                    vals = [(da, db, sum(c << k * i for i, c in enumerate(v)),
+                             odd) for da, db, v, odd in column]
+                    cells[key] = tuple(tuple((da, db, -n if q and odd else n)
+                                             for da, db, n, odd in vals)
+                                       for q in (0, 1))
             view._memo = view._views = None
             self._views[k] = view
         return self._views[k]

@@ -349,16 +349,16 @@ def parse_word(text):
         slices.append(_parse_slice(seg, si))
     if not slices:
         raise ValueError("word has no slices")
-    inferred = []
-    for tok in slices[0]:
-        if tok[0] == "id":
-            inferred.append(tok[1])
-        elif tok[0] == "x":
-            raise ValueError("cannot infer the boundary under a crossing; "
-                             "declare it with an obj line")
-        elif tok[0] == "cap":
-            inferred.extend((tok[1], -tok[1]))
     if source is None:
+        inferred = []
+        for tok in slices[0]:
+            if tok[0] == "id":
+                inferred.append(tok[1])
+            elif tok[0] == "x":
+                raise ValueError("cannot infer the boundary under a "
+                                 "crossing; declare it with an obj line")
+            elif tok[0] == "cap":
+                inferred.extend((tok[1], -tok[1]))
         source = tuple(inferred)
     return TangleWord(source, slices, None)
 

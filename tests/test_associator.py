@@ -1,29 +1,37 @@
 """Tests for the stored associator, its load check and the solver oracle."""
 
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
 import pytest
+from hypothesis import given, settings
 
-from superchord import associator
+from superchord import associator, kontsevich
 from superchord.associator import (Associator, build_associator,
                                    associator_checks, _all_residuals,
                                    _normal_form, _reduce, _wadd, _wexp, _wmul,
                                    _winv, _wscale)
-from superchord.diagrams import LinearSpan
+from superchord.diagrams import CIRCLE, LinearSpan
+from superchord.kontsevich import lg_invariant, wz_eval, z_eval
+from superchord.weightsys import named_system, ws_link
+from superchord.words import parse_word
+from test_int_walk import braids
 
 
 # Oracle: the degree-by-degree solve that produced the stored table.
 
-def _solve_affine(base, cols, nunknowns):
-    """Solve sum_w c_w col_w = -base exactly; free unknowns become zero.
+def _solve_affine(base, cols, nunknowns, free=0):
+    """Solve sum_w c_w col_w = -base exactly; free unknowns take the
+    value free.
 
     Each equation is a LinearSpan row keyed nunknowns - idx for unknown
     idx, so lower indices pivot first, and 0 for the constant.  It is
-    inconsistent iff the span holds {0: 1}; else unknown idx is the
-    constant left in the residual of its key.
+    inconsistent iff the span holds {0: 1}; else the residual of the key
+    of unknown idx holds the free unknowns' keys and a constant, and
+    unknown idx is that constant plus free times their coefficients.
     """
     span = LinearSpan()
     for e, b in enumerate(base):
@@ -35,21 +43,26 @@ def _solve_affine(base, cols, nunknowns):
             span.add(row)
     if span.contains({0: Fraction(1)}):
         raise ValueError("inconsistent associator equations")
-    return [span.residual({nunknowns - idx: Fraction(1)}).get(0, Fraction(0))
-            for idx in range(nunknowns)]
+    out = []
+    for idx in range(nunknowns):
+        res = span.residual({nunknowns - idx: Fraction(1)})
+        out.append(res.pop(0, Fraction(0)) + free * sum(res.values()))
+    return out
 
 
-def _solve_associator(order):
+def _solve_associator(order, free3=0):
     """Solve the hexagons and pentagon through the given total degree.
 
     Degrees are solved one at a time; the equations are affine in the
-    unknown top-degree part.  Odd degrees are set to zero (the even
-    gauge) and leftover free coefficients to zero by `_solve_affine`.
+    unknown top-degree part.  With free3 = 0, odd degrees are set to
+    zero (the even gauge).  Otherwise every degree is solved, and the
+    one free unknown of degree 3 takes the value free3.  Leftover free
+    coefficients become zero (`_solve_affine`).
     """
     terms = {}
     for m in range(1, order + 1):
         base = _all_residuals(terms, m)
-        if m % 2 == 1:
+        if m % 2 == 1 and not free3:
             if any(base):
                 raise ValueError(
                     "odd degree %d is inconsistent with the even gauge" % m)
@@ -62,7 +75,8 @@ def _solve_associator(order):
         cols = [[_wadd(r, _wscale(u, -1)) for r, u in
                  zip(_all_residuals({m: {w: Fraction(1)}}, m), unit)]
                 for w in words_m]
-        sol = _solve_affine(base, cols, len(words_m))
+        sol = _solve_affine(base, cols, len(words_m),
+                            free3 if m == 3 else 0)
         terms[m] = {w: c for w, c in zip(words_m, sol) if c}
         if any(_all_residuals(terms, m)):
             raise ValueError("degree %d resubstitution failed" % m)
@@ -386,3 +400,90 @@ def test_load_check_refuses_a_changed_coefficient(monkeypatch, uncached_build,
     build_associator.cache_clear()
     with pytest.raises(ValueError, match="degree %d" % order):
         build_associator(order)
+
+
+# Associator independence: the oracle's solve with its free degree-3
+# unknown set to 1 is an associator that is not even.  What the package
+# reads from an associator goes through kontsevich.build_associator.
+
+SIX_KNOTS = ("braid[2]: s1 s1 s1 t1^-3 ; close",
+             "braid[3]: s1 s2^-1 s1 s2^-1 ; close",
+             "braid[3]: s1 s1 s1 s2 s1^-1 s2 t1^-4 ; close",
+             "braid[2]: s1 s1 s1 s1 s1 t1^-5 ; close",
+             "braid[3]: s1 s1 s1 s2^-1 s1 s2^-1 t1^-2 ; close",
+             "braid[4]: s1 s2^-1 s3 s1 s2^-1 s3 s2 t1^-1 ; close")
+
+
+@lru_cache(maxsize=None)
+def odd_associator(order):
+    """The oracle's solve with the free degree-3 unknown set to 1."""
+    return _solve_associator(order, free3=1)
+
+
+@contextmanager
+def odd_gauge():
+    """Serve odd_associator to kontsevich inside the block.  The move
+    table, hump_factor and _reduced_hump hold values built from the
+    associator, so they are cleared on entry and on exit."""
+    caches = (kontsevich._moves, kontsevich.hump_factor,
+              kontsevich._reduced_hump)
+    for cache in caches:
+        cache.cache_clear()
+    kontsevich.build_associator = odd_associator
+    try:
+        yield
+    finally:
+        kontsevich.build_associator = build_associator
+        for cache in caches:
+            cache.cache_clear()
+
+
+def _invariants(word, order):
+    """What cannot depend on the associator, and the raw integral, which
+    can: wz_eval with gl21 and gl11, z_eval paired with ws_link, and on
+    a knot lg_invariant."""
+    z = z_eval(word, order)
+    out = {}
+    for name in ("gl21", "gl11"):
+        rep, tensor = named_system(name)
+        out["wz", name] = wz_eval(word, rep, tensor, order)
+        out["pair", name] = z.pair(lambda d: ws_link(d, rep, tensor),
+                                   rep.ring)
+    if parse_word(word).components == (CIRCLE,):
+        out["lg"] = lg_invariant(word, order)
+    return out, z.terms
+
+
+def assert_invariants_ignore_the_associator(order, words=SIX_KNOTS):
+    """Every invariant of _invariants is the same under the stored and
+    the odd associator; returns the words whose raw integral differs."""
+    differ = []
+    for word in words:
+        even, raw = _invariants(word, order)
+        with odd_gauge():
+            odd, odd_raw = _invariants(word, order)
+        assert odd == even, word
+        if odd_raw != raw:
+            differ.append(word)
+    return differ
+
+
+def test_odd_associator_holds_and_is_not_even():
+    for order in (4, 5):
+        assoc = odd_associator(order)
+        assert all(associator_checks(assoc).values())
+        assert assoc.terms[2] == build_associator(order).terms[2]
+        assert assoc.terms[3] == {
+            (0, 0, 1): -1, (0, 1, 0): 2, (0, 1, 1): 1,
+            (1, 0, 0): -1, (1, 0, 1): -2, (1, 1, 0): 1}
+
+
+def test_raw_integral_sees_the_associator_and_invariants_do_not():
+    words = SIX_KNOTS[:3]
+    assert assert_invariants_ignore_the_associator(4, words) == list(words)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(word=braids())
+def test_invariants_ignore_the_associator_on_generated_braids(word):
+    assert_invariants_ignore_the_associator(4, (word,))

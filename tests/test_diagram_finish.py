@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from superchord import kontsevich
 from superchord.diagrams import ChordDiagram, canonical_form
-from superchord.kontsevich import _layer_dens
+from superchord.kontsevich import _moves
 from superchord.scalars import add_term
 from superchord.words import parse_word
 
@@ -43,7 +43,7 @@ class _PerKeyBackend(kontsevich._DiagramBackend):
             e = canonical_form(d)
             add_term(agg, e, c)
             reps.setdefault(e, d)
-        dens = _layer_dens(self.order)
+        dens = _moves(self.order)[0]
         terms = {e: Fraction(c, dens[len(e[1])]) for e, c in agg.items()}
         return out.kinds, terms, reps
 

@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from superchord.diagrams import enumerate_diagrams
 from superchord.kontsevich import (
-    _layer_dens, _MatrixBackend, _NormBackend, _walk, wz_eval)
+    _moves, _MatrixBackend, _NormBackend, _walk, wz_eval)
 from superchord.scalars import QALPHA, AlphaScalar, Poly, alpha
 from superchord.weightsys import (
     _sweep, lg_data, named_system, weight_system)
@@ -37,14 +37,21 @@ _references = {}
 
 
 def alpha_system(ws):
-    """A copy of ws whose chord tables hold each value as its
-    AlphaScalar, so that its operations walk Q(alpha) states."""
+    """A copy of ws whose chord cells hold each column value as its
+    AlphaScalar, signed (-1)^q for an odd entry, None for an empty
+    column, so that its operations walk Q(alpha) states."""
     if ws not in _references:
         ref = copy(ws)
-        ref._cells = {roles: {key: cell and tuple(
-            tuple((da, db, AlphaScalar(Poly(v))) for da, db, v in entries)
-            for entries in cell) for key, cell in table.items()}
-            for roles, table in ws._cells.items()}
+        ref._cells = {}
+        for roles, columns in ws._columns.items():
+            cells = ref._cells[roles] = dict.fromkeys(
+                x << ws.bits | y for x in ws._codes for y in ws._codes)
+            for key, column in columns.items():
+                vals = [(da, db, AlphaScalar(Poly(v)), odd)
+                        for da, db, v, odd in column]
+                cells[key] = tuple(tuple((da, db, -v if q and odd else v)
+                                         for da, db, v, odd in vals)
+                                   for q in (0, 1))
         _references[ws] = ref
     return _references[ws]
 
@@ -120,7 +127,7 @@ def test_bounds_take_each_factor_of_the_proof():
         assert ws.bound(steps) == want, d
     # the slice engine: one crossing is exp(chord / 2), |(1/2)^m / m!|
     # times norm^m on layer m over D[m], and the cap after it takes dim
-    dens = _layer_dens(3)
+    dens = _moves(3)[0]
     crossing = [Fraction(ws.norm[1, -1] ** m * dens[m], 2 ** m * factorial(m))
                 for m in range(4)]
     word = parse_word("slice: id(+) id(-)\nslice: X+")
@@ -174,7 +181,7 @@ def _assert_wz_matches(name, text, order):
     layers = _walk(word, ReferenceBackend(word, order, ws))
     bounds = _walk(word, _NormBackend(order, ws))
     got = wz_eval(word, rep, tensor, order)
-    dens = _layer_dens(order)
+    dens = _moves(order)[0]
     for m, layer in enumerate(layers):
         assert bounds[m] >= largest_coefficient(layer), (text, m)
         unit = QALPHA.one / (dens[m] * ws.chord_den ** m)

@@ -10,13 +10,13 @@ from itertools import product
 import pytest
 
 from superchord import kontsevich, verify
-from superchord.associator import MAX_ORDER
+from superchord.associator import MAX_ORDER, build_associator
 from superchord.diagrams import (
     CIRCLE, ChordDiagram, INTERVAL, LinearSpan, cable_diagram, canonical_form,
     four_term_relators, random_diagram, relator_vector)
 from superchord.jsonio import zvalue_to_json
 from superchord.kontsevich import (
-    _layer_dens, _phi_terms, hump_factor, lg_invariant, paired_invariant,
+    _moves, hump_factor, lg_invariant, paired_invariant,
     vassiliev_defect, wz_eval, z_eval)
 from superchord.liesuper import (
     build_gl, casimir_tensor, rep_combine, standard_rep)
@@ -322,7 +322,9 @@ def _den_bound(order):
     the crossing (2^k k!) and associator-word denominators on the way."""
     part = [1] + [2 ** k * math.factorial(k) for k in range(1, order + 1)]
     for sign in (1, -1):
-        for m, _w, c in _phi_terms(order, sign):
+        for m, _w, c in build_associator(max(2, order)).words(sign):
+            if m > order:
+                break
             part[m] = math.lcm(part[m], c.denominator)
     bound = [1]
     for m in range(1, order + 1):
@@ -334,8 +336,8 @@ def _den_bound(order):
 def test_layer_denominators_stay_bounded_on_a_long_word():
     # the fixed table of both engines is the independent bound
     for m in range(6):
-        assert _layer_dens(m) == tuple(_den_bound(m))
-    assert _layer_dens(4) == (1, 2, 24, 48, 5760)
+        assert _moves(m)[0] == tuple(_den_bound(m))
+    assert _moves(4)[0] == (1, 2, 24, 48, 5760)
     rng = random.Random(2)
     letters = [rng.choice(("s1", "s2", "s1^-1", "s2^-1")) for _ in range(20)]
     word = "braid[3]: %s ; close" % " ".join(letters)

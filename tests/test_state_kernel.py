@@ -6,14 +6,14 @@ keys that are tuples of basis indices, kept verbatim: each chord looks up
 its column, walks the key for the two Koszul prefix parities and decides
 each sign entry by entry.  Their chord matrices are built here, from the
 representation, its dual and the tensor's pair terms, over the test's
-own lcm of denominators; every cell of the package's signed chord tables
-is compared with them.  Both must give the same state, key for key, on
-random states of every named system, the Links-Gould pair, the
-9-dimensional tensor square of gl(2|1), whose fields are 5 bits wide,
-and gl(3|1) with t_sl, whose chord values have denominator 2.  The
-package walks a Q(alpha) state as ints on its system at alpha = 2^K
-(`WeightSystem.at`); the oracles walk the polynomials themselves, and
-the package's ints are decoded before they are compared.
+own lcm of denominators; every entry of the package's chord columns and
+every cell of its int systems is compared with them.  Both must give
+the same state, key for key, on random states of every named system, the
+Links-Gould pair, the 9-dimensional tensor square of gl(2|1), whose
+fields are 5 bits wide, and gl(3|1) with t_sl, whose chord values have
+denominator 2.  The package walks a Q(alpha) state as ints on its system
+at alpha = 2^K (`WeightSystem.at`); the oracles walk the polynomials
+themselves, and the package's ints are decoded before they are compared.
 """
 
 from fractions import Fraction
@@ -214,39 +214,57 @@ def test_field_width_and_round_trip(name):
         key + key: 1 for key in product(range(ws.dim), repeat=2)}
 
 
+@pytest.mark.parametrize("name", ["gl21", "gl11", "valpha", "lg"])
+def test_only_the_int_systems_walk_chords(name):
+    # the shared system holds the columns, not the cells: chord raises
+    # there instead of walking tuples, and the operations that read no
+    # cells give what they give on its int systems
+    ws, _ = _system(name)
+    view = ws.at(_k(ws))
+    state = ws.identity(2)
+    with pytest.raises(AttributeError):
+        ws.chord(state, 0, 1, (1, 1))
+    assert view.chord(state, 0, 1, (1, 1))
+    assert ws.cup(state, 1, -1) == view.cup(state, 1, -1)
+    assert ws.cap(state, 0, 1) == view.cap(state, 0, 1)
+    assert ws.flip(state, 0) == view.flip(state, 0)
+
+
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
 def test_chord_tables_match_the_tuple_matrices(name):
-    # one cell per pair of basis indices, None for an empty column; a
-    # cell holds the entries signed for q = 0 and for q = 1, where an
-    # entry that changes the parity of its sites takes (-1)^q.  A value
-    # is held as its int coefficients in alpha, one over Q, and the
-    # system at alpha = 2^K (K = 0 over Q) holds it at 2^K
+    # a column lists its entries (da, db, value, odd): the value as its
+    # int coefficients in alpha (one over Q), odd when both sites change
+    # parity.  The system at alpha = 2^K (K = 0 over Q) holds one cell
+    # per pair of basis indices, None for an empty column, with the
+    # values at 2^K for q = 0 and q = 1, an odd entry signed (-1)^q
     ws, matrices = _system(name)
     view = ws.at(_k(ws))
     code = {i: ws.encode((i,)) for i in range(ws.dim)}
     for roles, matrix in matrices.items():
-        table = ws._cells[roles]
-        assert len(table) == len(view._cells[roles]) == ws.dim ** 2
+        columns, cells = ws._columns[roles], view._cells[roles]
+        assert len(cells) == ws.dim ** 2
+        assert len(columns) == len(matrix)
         rows_norm = {}
         for ca, cb in product(range(ws.dim), repeat=2):
-            cell = table[code[ca] << ws.bits | code[cb]]
+            key = code[ca] << ws.bits | code[cb]
             if (ca, cb) not in matrix:
-                assert cell is None, (roles, ca, cb)
+                assert key not in columns and cells[key] is None
                 continue
             for (ra, rb), v in matrix[ca, cb]:
                 rows_norm[ra, rb] = rows_norm.get((ra, rb), 0) + sum(
                     abs(c) for c in AlphaScalar.coerce(v).as_poly().c)
+            want = {(code[ra] - code[ca], code[rb] - code[cb]):
+                    (v, int(ws.par[ra] != ws.par[ca]))
+                    for (ra, rb), v in matrix[ca, cb]}
+            got = {(da, db): (AlphaScalar(Poly(v)), odd)
+                   for da, db, v, odd in columns[key]}
+            assert len(got) == len(columns[key])
+            assert got == want, (roles, ca, cb)
             for q in (0, 1):
-                want = {(code[ra] - code[ca], code[rb] - code[cb]):
-                        -v if q and ws.par[ra] != ws.par[ca] else v
-                        for (ra, rb), v in matrix[ca, cb]}
-                got = {(da, db): AlphaScalar(Poly(v))
-                       for da, db, v in cell[q]}
-                assert len(got) == len(cell[q])
-                assert got == want, (roles, ca, cb, q)
-                at_k = view._cells[roles][code[ca] << ws.bits | code[cb]]
-                assert {(da, db): v for da, db, v in at_k[q]} == {
-                    d: _at_k(ws, v) for d, v in want.items()}
+                assert len(cells[key][q]) == len(want)
+                assert {(da, db): v for da, db, v in cells[key][q]} == {
+                    d: _at_k(ws, -v if q and odd else v)
+                    for d, (v, odd) in want.items()}, (roles, ca, cb, q)
         # the largest summed |value|_1 that writes into one output pair
         assert ws.norm[roles] == max(rows_norm.values()), roles
 

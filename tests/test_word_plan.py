@@ -1,7 +1,7 @@
 """The slice engine's word-series schedule against the suffix-cached oracle.
 
 kontsevich._MatrixBackend applies a crossing's or an associator move's
-word series on the fixed schedule of kontsevich._word_plan: each word
+word series on the fixed schedule that kontsevich._moves holds: each word
 split as u v, each suffix v applied once to the source layers, each
 prefix u applied by Horner over the prefix trie to one state per target
 layer.  The oracle here is the earlier schedule, kept verbatim: every
@@ -18,7 +18,7 @@ the moves here make, so equal ints are equal polynomials.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from superchord.kontsevich import _MatrixBackend, _word_plan, _word_series
+from superchord.kontsevich import _MatrixBackend, _moves
 from superchord.scalars import add_term
 from superchord.weightsys import lg_data, named_system, weight_system
 
@@ -32,7 +32,7 @@ def reference_tops(order, crossing, sign):
     """The top layer on which each suffix of a word is needed: order minus
     the least degree of a word that ends in it."""
     tops = {}
-    for k, w, _ in _word_series(order, crossing, sign):
+    for k, w, _ in _moves(order)[1][crossing, sign][0]:
         for l in range(k):
             tops[w[l:]] = max(tops.get(w[l:], -1), order - k)
     return tops
@@ -41,7 +41,7 @@ def reference_tops(order, crossing, sign):
 def reference_series(backend, p, crossing, sign, signs):
     """The layers plus every word term of the move applied to them,
     each suffix of a word applied once and cached."""
-    terms = _word_series(backend.order, crossing, sign)
+    terms = _moves(backend.order)[1][crossing, sign][0]
     tops = reference_tops(backend.order, crossing, sign)
     base = backend.deg
     total = [dict(d) for d in base]
@@ -87,7 +87,7 @@ def reference_layer_applications(order, crossing, sign):
 
 def layer_applications(order, crossing, sign):
     """Layer states a letter is applied to in one move of the plan."""
-    suffixes, _, prefixes = _word_plan(order, crossing, sign)
+    suffixes, _, prefixes = _moves(order)[1][crossing, sign][1]
     return (sum(top + 1 for *_, top in suffixes)
             + sum(order - low + 1 for *_, low in prefixes))
 

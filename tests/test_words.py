@@ -108,6 +108,15 @@ def test_boundary_mismatch_rejected():
         parse_word("obj: +\nslice: id(-)")
 
 
+def test_declared_boundary_under_a_crossing():
+    # the obj line gives the boundary, so nothing is inferred from the
+    # crossing on it; without the line the boundary cannot be inferred
+    w = parse_word("obj: + -\nslice: X+")
+    assert (w.source, w.target) == ((1, -1), (-1, 1))
+    with pytest.raises(ValueError, match="declare it with an obj line"):
+        parse_word("slice: X+")
+
+
 def test_crossing_range_rejected():
     with pytest.raises(ValueError):
         parse_word("braid[2]: s2 ; close")
