@@ -14,11 +14,11 @@ given by ordered ends, sums them per positioned diagram and per class,
 and builds a ChordDiagram only for each class's representative, with
 the key kept on it.
 
-`four_term_relators` produces the signed 4-diagram combinations that every
-weight system must kill, `cable_diagram` lifts a diagram along the doubling
-of one component, and `LinearSpan` does exact row reduction over Q or
-Q(alpha): the rank and membership questions about relator spans, and
-every other exact linear solve in the package.
+`four_term_relators` produces, on the same int codes, the signed 4-diagram
+combinations that every weight system must kill, `cable_diagram` lifts a
+diagram along the doubling of one component, and `LinearSpan` does exact
+row reduction over Q or Q(alpha): the rank and membership questions
+about relator spans, and every other exact linear solve in the package.
 """
 
 from fractions import Fraction
@@ -50,6 +50,14 @@ def _endpoint(ep):
     return c, p
 
 
+def _kind_codes(skeleton):
+    """The kinds' codes; an unknown kind raises ValueError."""
+    for kind in skeleton:
+        if kind not in _KIND_CODE:
+            raise ValueError("unknown component kind %r" % (kind,))
+    return tuple(map(_KIND_CODE.__getitem__, skeleton))
+
+
 class ChordDiagram:
     """Chord pairing on an ordered skeleton of circles and intervals.
 
@@ -59,9 +67,7 @@ class ChordDiagram:
 
     def __init__(self, skeleton, chords):
         self.skeleton = tuple(skeleton)
-        for kind in self.skeleton:
-            if kind not in _KIND_CODE:
-                raise ValueError("unknown component kind %r" % (kind,))
+        _kind_codes(self.skeleton)
         seen = set()
         norm = []
         for chord in chords:
@@ -96,8 +102,7 @@ class ChordDiagram:
         return len(self.chords)
 
     def encoding(self):
-        kinds = tuple(_KIND_CODE[k] for k in self.skeleton)
-        return (kinds, self.chords)
+        return (_kind_codes(self.skeleton), self.chords)
 
     def __eq__(self, other):
         return (isinstance(other, ChordDiagram)
@@ -240,7 +245,7 @@ def diagram_classes(skeleton, placed):
         best = _least_relabelling(skeleton, codes)
         add_term(agg, best, c)
         first.setdefault(best, codes)
-    kinds = tuple(map(_KIND_CODE.__getitem__, skeleton))
+    kinds = _kind_codes(skeleton)
     terms, reps = {}, {}
     for best, c in agg.items():
         d = ChordDiagram(skeleton, _chords_of(first[best]))
@@ -300,19 +305,6 @@ def random_diagram(skeleton, degree, rng):
     return ChordDiagram(skeleton, pairs)
 
 
-def _insert_point(chords, leg, comp, pos):
-    """Shift positions >= pos on comp up by one, in chords and the free leg."""
-
-    def bump(ep):
-        c, p = ep
-        if c == comp and p >= pos:
-            return (c, p + 1)
-        return ep
-
-    shifted = [(bump(a), bump(b)) for (a, b) in chords]
-    return shifted, bump(leg)
-
-
 def four_term_relators(skeleton, degree):
     """All degree-m four-term relators on the skeleton, deduplicated.
 
@@ -325,36 +317,51 @@ def four_term_relators(skeleton, degree):
     Sliding the moving leg past an endpoint of A changes the inserted word
     by a commutator; the two commutators cancel by ad-invariance of the
     chord tensor, so every weight system vanishes on each relator.
+
+    Points and terms are int codes: the moving leg inserted at point x
+    moves the ends from x to the end of its component up by one.  Each
+    positioned term is searched once per call, and only the terms of kept
+    relators are built, one ChordDiagram each, with its key kept on it.
     """
     m = degree
     if m < 2:
         return []
     skeleton = tuple(skeleton)
+    kinds = _kind_codes(skeleton)
     relators = []
     seen = set()
+    best, built = {}, {}
     npts = 2 * m - 1
     for counts in _compositions(npts, len(skeleton)):
-        points = [(c, p) for c, k in enumerate(counts) for p in range(k)]
+        points = [c * _PLACE + p for c, k in enumerate(counts)
+                  for p in range(k)]
         for bi in range(npts):
             leg = points[bi]
             rest = points[:bi] + points[bi + 1:]
             for pairs in _matchings(rest):
-                for ai in range(len(pairs)):
-                    a1, a2 = pairs[ai]
+                for a1, a2 in pairs:
                     terms = []
-                    for anchor, offset, sign in (
-                            (a1, 0, 1), (a1, 1, -1), (a2, 0, 1), (a2, 1, -1)):
-                        c, p = anchor
-                        shifted, new_leg = _insert_point(
-                            pairs, leg, c, p + offset)
-                        d = ChordDiagram(
-                            skeleton, list(shifted) + [(new_leg, (c, p + offset))])
-                        terms.append((sign, d))
-                    key = tuple(sorted(
-                        (s, canonical_form(d)) for s, d in terms))
+                    for x, sign in ((a1, 1), (a1 + 1, -1),
+                                    (a2, 1), (a2 + 1, -1)):
+                        top = (x // _PLACE + 1) * _PLACE
+                        codes = [(a + (x <= a < top)) * _END
+                                 + b + (x <= b < top) for a, b in pairs]
+                        y = leg + (x <= leg < top)
+                        codes.append(y * _END + x if y < x else x * _END + y)
+                        codes.sort()
+                        codes = tuple(codes)
+                        if codes not in best:
+                            best[codes] = _least_relabelling(skeleton, codes)
+                        terms.append((sign, codes))
+                    key = tuple(sorted((s, best[t]) for s, t in terms))
                     if key in seen:
                         continue
                     seen.add(key)
+                    for i, (s, t) in enumerate(terms):
+                        if t not in built:
+                            built[t] = ChordDiagram(skeleton, _chords_of(t))
+                            built[t]._key = (kinds, _chords_of(best[t]))
+                        terms[i] = (s, built[t])
                     relators.append(terms)
     return relators
 

@@ -5,15 +5,16 @@ links (Le-Murakami, Compositio Math. 102, 1996; Bar-Natan,
 "Non-associative tangles", 1997).  The framing of a closed braid is its
 blackboard framing plus its twists t<k>, so the braid relation
 s1 s2 s1 = s2 s1 s2 (or with every letter inverted) applied inside a
-word, and conjugation by a generator, change neither the link nor its
-framing; both keep the number of maxima too, so wz_eval must not move.
+word, far commutation s1 s3 = s3 s1 on four strands, and conjugation by
+a generator, change neither the link nor its framing; they keep the
+number of maxima too, so wz_eval must not move.
 Markov stabilisation w -> w s<n>^e t<n>^-e on n + 1 strands adds a
 crossing whose framing the twist takes back, and a maximum, which only
 paired_invariant divides out: it is compared on knots, with the gl(2|1)
 weight system and as lg_invariant.  The Links-Gould weight kills an
 isolated chord, so lg_invariant sees no framing; the gl(2|1) weight
 does not, so its pairing checks the compensating twist.  The words are
-generated closed braids on at most 3 strands, at order 3.
+generated closed braids on at most 4 strands, at order 3.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -69,6 +70,16 @@ def test_braid_relation_inside_a_word(data, e):
     lhs = [("s", 1, e), ("s", 2, e), ("s", 1, e)]
     rhs = [("s", 2, e), ("s", 1, e), ("s", 2, e)]
     _assert_same(3, before + lhs + after, before + rhs + after)
+
+
+@moves
+@given(data=st.data(), e=st.sampled_from((1, -1)),
+       f=st.sampled_from((1, -1)))
+def test_far_commutation_on_four_strands(data, e, f):
+    before = data.draw(_letters(4, 2))
+    after = data.draw(_letters(4, 4 - len(before)))
+    _assert_same(4, before + [("s", 1, e), ("s", 3, f)] + after,
+                 before + [("s", 3, f), ("s", 1, e)] + after)
 
 
 @moves

@@ -97,13 +97,20 @@ def test_four_term_relator_shapes():
 
 def test_four_term_rank_matches_known_dimensions():
     # On the circle the diagram space mod four-term has dimensions
-    # 1, 1, 2, 3 in degrees 0..3, so the relator span has rank 0 in
-    # degree 2 and rank 2 in degree 3.
-    for m, rank in [(2, 0), (3, 2)]:
-        span = LinearSpan()
-        for rel in four_term_relators(("circle",), m):
-            span.add(relator_vector(rel))
-        assert span.rank == rank
+    # 1, 1, 2, 3, 6, 10 in degrees 0..5, so the relator span has rank 0
+    # in degree 2 and rank 2 in degree 3.  Closing the interval is an
+    # isomorphism modulo four-term relations (Bar-Natan, Topology 34,
+    # 1995), so the interval quotient has the same dimensions.
+    ranks = {2: 0, 3: 2}
+    for skeleton in (("circle",), ("interval",)):
+        for m, dim in [(2, 2), (3, 3), (4, 6), (5, 10)]:
+            span = LinearSpan()
+            for rel in four_term_relators(skeleton, m):
+                span.add(relator_vector(rel))
+            if skeleton == ("circle",) and m in ranks:
+                assert span.rank == ranks[m]
+            classes = len(enumerate_diagrams(skeleton, m))
+            assert classes - span.rank == dim, (skeleton, m)
 
 
 def test_four_term_on_interval_exists():
@@ -287,3 +294,82 @@ def test_enumerate_order_matches_reference():
         for m in range(4):
             assert (enumerate_diagrams(skeleton, m)
                     == _reference_enumerate(skeleton, m)), (skeleton, m)
+
+
+def _insert_point(chords, leg, comp, pos):
+    """Shift positions >= pos on comp up by one, in chords and the free leg."""
+
+    def bump(ep):
+        c, p = ep
+        if c == comp and p >= pos:
+            return (c, p + 1)
+        return ep
+
+    shifted = [(bump(a), bump(b)) for (a, b) in chords]
+    return shifted, bump(leg)
+
+
+def _reference_four_term_relators(skeleton, degree):
+    """four_term_relators as first written: every term of every candidate
+    built as a ChordDiagram and searched before deduplication."""
+    m = degree
+    if m < 2:
+        return []
+    skeleton = tuple(skeleton)
+    relators = []
+    seen = set()
+    npts = 2 * m - 1
+    for counts in _reference_compositions(npts, len(skeleton)):
+        points = [(c, p) for c, k in enumerate(counts) for p in range(k)]
+        for bi in range(npts):
+            leg = points[bi]
+            rest = points[:bi] + points[bi + 1:]
+            for pairs in _reference_matchings(rest):
+                for ai in range(len(pairs)):
+                    a1, a2 = pairs[ai]
+                    terms = []
+                    for anchor, offset, sign in (
+                            (a1, 0, 1), (a1, 1, -1), (a2, 0, 1), (a2, 1, -1)):
+                        c, p = anchor
+                        shifted, new_leg = _insert_point(
+                            pairs, leg, c, p + offset)
+                        d = ChordDiagram(skeleton, list(shifted)
+                                         + [(new_leg, (c, p + offset))])
+                        terms.append((sign, d))
+                    key = tuple(sorted(
+                        (s, canonical_form(d)) for s, d in terms))
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    relators.append(terms)
+    return relators
+
+
+def _relator_terms(relators):
+    return [[(s, d.skeleton, d.chords, canonical_form(d)) for s, d in rel]
+            for rel in relators]
+
+
+def assert_four_term_relators_are_the_reference(skeleton, degree):
+    """The int-code enumeration against the reference: the same relators
+    in the same order, each term with the same sign, skeleton, positioned
+    chords and canonical key."""
+    assert (_relator_terms(four_term_relators(skeleton, degree))
+            == _relator_terms(_reference_four_term_relators(skeleton,
+                                                            degree)))
+
+
+@pytest.mark.parametrize("skeleton, degrees", [
+    (("circle",), (0, 1, 2, 3, 4)),
+    (("circle", "circle"), (2, 3)),
+    (("interval",), (2, 3, 4)),
+    (("interval", "circle"), (3,)),
+])
+def test_four_term_relators_equal_the_reference(skeleton, degrees):
+    for m in degrees:
+        assert_four_term_relators_are_the_reference(skeleton, m)
+
+
+def test_four_term_relators_refuse_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown component kind"):
+        four_term_relators(("circle", "disk"), 2)

@@ -219,6 +219,28 @@ def test_z_eval_canonicalises_each_positioned_diagram_once(monkeypatch):
     assert len(searches) <= 319
 
 
+@pytest.mark.parametrize("skeleton, degree, most", [
+    ((diagrams.CIRCLE,), 5, 945),
+    ((diagrams.INTERVAL,), 5, 945),
+    ((diagrams.CIRCLE,), 4, 105),
+])
+def test_four_term_relators_build_and_search_each_term_once(
+        monkeypatch, skeleton, degree, most):
+    builds = _counting(monkeypatch, diagrams.ChordDiagram, "__init__")
+    searches = _counting(monkeypatch, diagrams, "_least_relabelling")
+    rels = diagrams.four_term_relators(skeleton, degree)
+    # 15,120 (1,260 at degree 4) when all four terms of every candidate
+    # were built and searched; now at most one of each per distinct
+    # positioned diagram, 945 (105) of them
+    assert len(builds) <= most and len(searches) <= most
+    # the key kept on each built term spares every later search
+    del searches[:]
+    for rel in rels:
+        for _sign, d in rel:
+            diagrams.canonical_form(d)
+    assert searches == []
+
+
 def _positioned_diagrams(word, order):
     """The distinct positioned diagrams of z_eval's term keys, each key
     placed on the traced skeleton by sorting its tokens' places."""
