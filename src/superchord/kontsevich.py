@@ -32,18 +32,28 @@ exponential is the powers of letter 1, the chord on its two strands,
 with coefficients (s/2)^k/k!.  Both keep rational values as Python ints
 over one constant denominator per h degree (per chord count for
 diagrams), the table D of _moves(order), the one cached table of both
-engines, which also holds each move's terms and schedule: D[0] = 1, and
-D[m] is the lcm of D[m - k] q over every crossing term and associator
-coefficient p/q of degree k, of either sign; at order 4 it is [1, 2,
-24, 48, 5760].  A term adds layer n into layer n + k with the int
-multiplier p D[n + k] / (D[n] q), so no value is ever rescaled, and a
-Fraction is built only at the output, once per layer or diagram class.
+engines, which also holds each move's terms, schedule and images: D[0]
+= 1, and D[m] is the lcm of D[m - k] q over every crossing term and
+associator coefficient p/q of degree k, of either sign; at order 4 it
+is [1, 2, 24, 48, 5760].  A term adds layer n into layer n + k with
+the int multiplier p D[n + k] / (D[n] q), so no value is ever
+rescaled, and a Fraction is built only at the output, once per layer or
+diagram class.
 Both truncate as they go.  The diagram backend never builds a term of
 more than order chords.  The matrix backend
 splits each associator word of degree k as u v, v its last k // 2
 letters, applies each suffix v once on the source layers 0..order-k,
 and the prefixes u by Horner over their trie on the target layers
-(_plan).
+(_plan).  A crossing acts only on its two fields of the int key and an
+associator move at p only on fields 0..p + 1, whatever the layer, so a
+move is one operator on a few strands, the image of exp(+-t/2) or
+Phi^+-1 in the representation (Le-Murakami identify it with the quantum
+R-matrix and the associator there).  Once a move's signature (crossing
+or not, sign, roles of the block) comes back, the matrix backend keeps
+that operator as an image: per block code s and degree k, the targets
+and int coefficients of the move's series applied to s, built in one
+walk over the codes the image lacks and kept in the _moves table under
+the int system that walks it (_MatrixBackend._move).
 
 Composites: paired_invariant slits z_eval at the basepoint, reduces it
 modulo the interval four-term relations (reduce_fourterm) and pairs the
@@ -73,18 +83,30 @@ from .words import PathTracer, parse_word, resolve_singular
 
 @lru_cache(maxsize=None)
 def _moves(order):
-    """The table that both chord engines read at one order: (D, moves).
+    """The table that both chord engines read at one order: (D, moves,
+    images).
 
-    moves[crossing, sign] is (terms, plan) for a crossing of that sign,
-    exp(sign chord / 2), or an associator move, Phi for sign 1 and
-    Phi^-1 for -1.  A term is (degree k, word, multipliers): a crossing
-    has the words (1,) * k with coefficients (sign/2)^k / k!, k
-    ascending, an associator move its non-unit words of degree <= order
-    in the order Associator.words gives them.  D[0] = 1, and D[m] is
-    the lcm of D[m - k] q over every term of degree k with coefficient
-    p/q; multiplier n is the int p D[n + k] / (D[n] q) that takes a
-    layer n value over D[n] to layer n + k over D[n + k].  plan is the
-    term's schedule in _MatrixBackend._series (_plan).
+    moves[crossing, sign] is (terms, plan, build, scale) for a crossing
+    of that sign, exp(sign chord / 2), or an associator move, Phi for
+    sign 1 and Phi^-1 for -1.  A term is (degree k, word, multipliers):
+    a crossing has the words (1,) * k with coefficients (sign/2)^k / k!,
+    k ascending, an associator move its non-unit words of degree <=
+    order in the order Associator.words gives them.  D[0] = 1, and D[m]
+    is the lcm of D[m - k] q over every term of degree k with
+    coefficient p/q; multiplier n is the int p D[n + k] / (D[n] q) that
+    takes a layer n value over D[n] to layer n + k over D[n + k].  plan
+    is the term's schedule in _MatrixBackend._series (_plan); build is
+    the same schedule with the one multiplier p Q_k / q on layer 0, Q_k
+    the lcm of the q of the move's degree-k terms, and scale[k][n] is
+    D[n + k] / (D[n] Q_k).  Both are ints: D[n + k] is a multiple of
+    D[n] q for every term of degree k, so of D[n] Q_k.  A move image
+    (_MatrixBackend._move) holds its degree-k columns over Q_k, and
+    scale[k][n] takes them from layer n to layer n + k.
+
+    images[view] is (uses, held) for the int system view that walks the
+    moves: uses counts the uses of each move signature before its image,
+    held maps a signature to its image, {block code: columns}.  Clearing
+    this cache drops them with the rest.
     """
     series, assoc = {}, build_associator(max(2, order))
     for sign in (1, -1):
@@ -98,11 +120,28 @@ def _moves(order):
                           series.values() for k, _, c in terms if k <= m)))
     moves = {}
     for (crossing, sign), terms in series.items():
-        terms = tuple((k, w, tuple(
+        qs = [lcm(*(c.denominator for j, _, c in terms if j == k))
+              for k in range(order + 1)]
+        ints = tuple((k, w, tuple(
             c.numerator * dens[n + k] // (dens[n] * c.denominator)
             for n in range(order - k + 1))) for k, w, c in terms)
-        moves[crossing, sign] = terms, _plan(order, crossing, terms)
-    return tuple(dens), moves
+        plan = _plan(order, crossing, ints)
+        build = (plan[0], tuple(
+            (u, v, k, (c.numerator * (qs[k] // c.denominator),))
+            for (u, v, k, _), (_, _, c) in zip(plan[1], terms)), plan[2])
+        scale = tuple(tuple(dens[n + k] // (dens[n] * qs[k])
+                            for n in range(order - k + 1))
+                      for k in range(order + 1))
+        moves[crossing, sign] = ints, plan, build, scale
+    return tuple(dens), moves, {}
+
+
+# The use of a move's signature, over all walks on one int system, on
+# which _MatrixBackend builds its image, unless a second use in one walk
+# built it first.  A build costs about one direct walk of the block codes
+# it builds, so a signature that each walk meets once builds nothing
+# before its third walk: the associator moves of a (1,1)-tangle word.
+_ADMIT = 3
 
 
 def _plan(order, crossing, terms):
@@ -325,7 +364,12 @@ class _MatrixBackend:
     u v goes in two halves (_plan): each suffix v once, then each
     prefix u on the sum of its terms' multiples of v(S) by target layer,
     each letter adding into its parent's state; empty layers are
-    skipped.
+    skipped.  A move whose signature comes back, a second time in one
+    walk or an _ADMIT-th time on the int system, is read from its image
+    instead (_move): the columns of its series on each block code, built
+    once each (_columns), so that applying it is one lookup per key and
+    one add per column entry.  met holds the signatures this walk has
+    met.
     """
 
     def __init__(self, word, order, rep, tensor):
@@ -336,24 +380,98 @@ class _MatrixBackend:
             self.k = kronecker_bits(max(_walk(word, _NormBackend(
                 order, self.system))))
         self.ws = self.system.at(self.k)
+        self.met = set()
         self.deg = [self.ws.identity(len(word.source))]
         self.deg += [dict() for _ in range(order)]
 
     def crossing(self, p, s, signs):
-        total = self._series(p, True, s, signs)
-        self.deg = [self.ws.flip(layer, p) for layer in total]
+        self._move(p, True, s, signs)
 
     def associate(self, p, sign, signs):
         if _moves(self.order)[1][False, sign][0]:
-            self.deg = self._series(p, False, sign, signs)
+            self._move(p, False, sign, signs)
 
-    def _series(self, p, crossing, sign, signs):
-        """The layers plus every word term of the move applied to them:
-        G(q) = C_q + sum over letters y of y(G(q y)) over the prefix trie,
-        C_u the sum of the terms u v of their multiples of v(S)."""
-        suffixes, terms, prefixes = _moves(self.order)[1][crossing, sign][1]
-        total = [dict(d) for d in self.deg]
-        states = {(): self.deg}
+    def _move(self, p, crossing, sign, signs):
+        """Apply a crossing or an associator move at p to every layer.
+
+        The move acts on the block of fields p, p + 1 (a crossing) or 0..p
+        + 1 (an associator move) and on no other field, whatever the
+        layer, so it has an image: for each block code s and degree k >=
+        1, the columns of its series applied to s, a flat tuple of (target
+        - s, coefficient over Q_k) pairs.  Its signature is (crossing,
+        sign, roles of the block), for this int system.  The image is read
+        from the signature's second use in one walk or its _ADMIT-th use
+        on the system, whichever comes first; earlier uses walk the series
+        directly.  The block codes of the layers that the image lacks are
+        built in one walk (_columns); then a key v at layer n adds v c
+        scale[k][n] into layer n + k, for each column entry c of degree k
+        <= order - n, to the flip or the copy of the layers.
+        """
+        _, moves, table = _moves(self.order)
+        _, plan, build, scale = moves[crossing, sign]
+        roles = tuple(signs[p:p + 2] if crossing else signs[:p + 2])
+        uses, images = table.setdefault(self.ws, ({}, {}))
+        sig = crossing, sign, roles
+        image = images.get(sig)
+        if image is None:
+            uses[sig] = uses.get(sig, 0) + 1
+            if uses[sig] < _ADMIT and sig not in self.met:
+                self.met.add(sig)
+                total = self._series(self.deg, p, signs, plan)
+                self.deg = ([self.ws.flip(layer, p) for layer in total]
+                            if crossing else total)
+                return
+            image = images[sig] = {}
+        shift = self.ws.bits * p if crossing else 0
+        block = (1 << self.ws.bits * len(roles)) - 1
+        missing = {key >> shift & block for layer in self.deg
+                   for key in layer}.difference(image)
+        if missing:
+            self._columns(image, missing, crossing, roles, build)
+        out = ([self.ws.flip(layer, p) for layer in self.deg] if crossing
+               else [dict(layer) for layer in self.deg])
+        for n, layer in enumerate(self.deg):
+            mults = [m[n] for m in scale[1:self.order - n + 1]]
+            outs = out[n + 1:]
+            for key, v in layer.items():
+                for col, f, tgt in zip(image[key >> shift & block], mults,
+                                       outs):
+                    if col:
+                        vf = v if f == 1 else v * f
+                        entries = iter(col)
+                        for d, c in zip(entries, entries):
+                            add_term(tgt, key + (d << shift), vf * c)
+        self.deg = out
+
+    def _columns(self, image, codes, crossing, roles, build):
+        """Add the columns of each block code to image, in one walk of the
+        series with the build multipliers on {s | s << width: 1}: the
+        copy of s above the block keeps the sources apart.  A crossing is
+        built at p = 0 and followed by its flip.  The columns are those of
+        degrees 1..order: the degree-0 term is the flip or the identity,
+        which _move applies to whole layers."""
+        width = self.ws.bits * len(roles)
+        seed = {s | s << width: 1 for s in codes}
+        total = self._series([seed] + [{} for _ in range(self.order)],
+                             len(roles) - 2, roles, build)
+        field = (1 << width) - 1
+        cols = {s: [[] for _ in range(self.order)] for s in codes}
+        for k, layer in enumerate(total[1:]):
+            if crossing:
+                layer = self.ws.flip(layer, 0)
+            for key, c in layer.items():
+                s = key >> width
+                cols[s][k] += (key & field) - s, c
+        for s, col in cols.items():
+            image[s] = tuple(map(tuple, col))
+
+    def _series(self, deg, p, signs, plan):
+        """The layers deg plus every word term of a move's plan applied to
+        them: G(q) = C_q + sum over letters y of y(G(q y)) over the prefix
+        trie, C_u the sum of the terms u v of their multiples of v(S)."""
+        suffixes, terms, prefixes = plan
+        total = [dict(d) for d in deg]
+        states = {(): deg}
         for v, letter, rest, top in suffixes:
             states[v] = self._letter(states[rest][:top + 1], letter, p,
                                      signs)
@@ -531,7 +649,12 @@ def paired_invariant(word, weight, ring, order):
     """Weight-paired integral of a knot word, hump-normalized.
 
     weight takes interval diagrams and must kill the interval four-term
-    relators, as every weight system of an invariant tensor does.  The
+    relators, as every weight system of an invariant tensor does: the
+    identity [t12, t13 + t23] = 0 of the two-site Casimir actions on V^{r1}
+    x V^{r2} x V^{r3}, V or V* on each factor, gives every four-term
+    relator of every degree (Bar-Natan, Topology 34, 1995, Thm 6;
+    Vaintrob, MRL 1, 1994, for superalgebras), and `verify fourterm`
+    checks it on all eight role patterns (verify.fourterm_failures).  The
     closed component is slit at the basepoint and the result, like the
     hump factor, is reduced modulo four-term relations before any weight
     call, so weight sees only quotient basis diagrams.  The hump factor

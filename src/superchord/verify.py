@@ -8,6 +8,7 @@ check, so the command line can print them and exit nonzero on failure.
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 from .associator import associator_checks, build_associator, check_order
 from .conway import conway_polynomial
@@ -15,7 +16,8 @@ from .diagrams import (
     CIRCLE, INTERVAL, cable_diagram, canonical_form, enumerate_diagrams,
     four_term_relators, random_diagram, slit_component)
 from .kontsevich import paired_invariant, vassiliev_defect, z_eval
-from .scalars import QALPHA, QQ, SeriesRing, add_term, series_exp
+from .scalars import (
+    QALPHA, QQ, SeriesRing, add_term, kronecker_bits, series_exp)
 from .weightsys import named_system, squared_system, weight_system, wlg
 from .words import diagram_of_singular, parse_word, resolve_singular
 
@@ -61,14 +63,55 @@ SINGULAR_WORDS = (
 )
 
 
+def fourterm_failures(system):
+    """The role patterns (r1, r2, r3) on which [t12, t13 + t23] is not 0.
+
+    The operators act on V^{r1} x V^{r2} x V^{r3}, V for role +1 and V*
+    for -1, through WeightSystem.identity(3) and chord, which inserts the
+    tensor unsigned by role, as the two-site Casimir action.  For an
+    ad-invariant tensor the identity holds on every pattern, and with it
+    the vanishing of the weight system on every four-term relator of
+    every degree (Bar-Natan, Topology 34, 1995, Thm 6; Vaintrob, MRL 1,
+    1994, for superalgebras).  Over Q(alpha) the walk is on the int
+    system at alpha = 2^k: each side's values are bounded by
+    norm[r1, r2] (norm[r1, r3] + norm[r2, r3]), so 2^(k - 1) above four
+    times the square of the largest norm makes a zero int a zero
+    polynomial.
+    """
+    k = 0
+    if system.ring is QALPHA:
+        k = kronecker_bits(4 * max(system.norm.values()) ** 2)
+    ws = system.at(k)
+    one = ws.identity(3)
+    failures = []
+    for r in product((1, -1), repeat=3):
+        # t12 (t13 + t23) - (t13 + t23) t12, the rightmost acting first
+        right = ws.chord(one, 0, 2, (r[0], r[2]))
+        diff = ws.chord(ws.chord(one, 1, 2, (r[1], r[2]), out=right),
+                        0, 1, (r[0], r[1]))
+        t12 = ws.chord(one, 0, 1, (r[0], r[1]))
+        left = ws.chord(t12, 0, 2, (r[0], r[2]))
+        for key, v in ws.chord(t12, 1, 2, (r[1], r[2]), out=left).items():
+            add_term(diff, key, -v)
+        if diff:
+            failures.append(r)
+    return failures
+
+
 def verify_fourterm(order=3, seed=0):
     """Weight systems vanish on every four-term relator, small skeleta.
 
-    The Links-Gould interval relators are checked at degrees
-    2..max(3, order): paired_invariant reduces modulo exactly these
-    before weighing, which is sound only where they vanish.
+    The structural checks test the local identity behind this for every
+    named system and the Links-Gould pair, at every degree at once
+    (fourterm_failures).  The relator sweeps test it on relators: the
+    Links-Gould interval relators are checked at degrees 2..max(3,
+    order), since paired_invariant reduces modulo exactly these before
+    weighing, which is sound only where they vanish.
     """
     report = VerifyReport("fourterm")
+    for name in ("gl21", "gl11", "valpha", "lg"):
+        bad = fourterm_failures(weight_system(*named_system(name)))
+        report.add("structural_%s" % name, not bad, "8 role patterns")
     systems = [(name, weight_system(*named_system(name)))
                for name in ("gl21", "gl11")]
     cases = [((CIRCLE,), 2), ((CIRCLE,), 3),

@@ -86,6 +86,7 @@ class ReferenceBackend(_MatrixBackend):
         self.order, self.ws = order, alpha_system(ws)
         self.deg = [self.ws.identity(len(word.source))]
         self.deg += [{} for _ in range(order)]
+        self.met = set()
 
     def finish(self):
         return self.deg

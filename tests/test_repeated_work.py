@@ -110,8 +110,9 @@ def test_lg_invariant_weighs_quotient_basis_classes_only(monkeypatch):
 
 def _chord_work(monkeypatch, name, order):
     """State keys through chord and chord calls of wz_eval on one 3-strand
-    word."""
+    word, from an empty table of move images."""
     rep, tensor = weightsys.named_system(name)
+    kontsevich._moves(order)[2].clear()
     calls = _counting(monkeypatch, weightsys.WeightSystem, "chord")
     wz_eval("braid[3]: s1 s2^-1 s1 s2^-1 ; close", rep, tensor, order)
     return sum(len(args[1]) for args in calls), len(calls)
@@ -124,22 +125,84 @@ def test_wz_eval_applies_chords_only_on_kept_layers(monkeypatch):
     # own layers and every prefix applied to it
     assert keys <= 9457
     # one call per chord (a, p) of a letter 0 and nonempty layer, also
-    # where the calls add into one output state
-    assert chords == 203
+    # where the calls add into one output state; 203 when every move
+    # walked its series, before move images
+    assert chords == 179
 
 
 @pytest.mark.parametrize("name, order, keys, chords", [
-    # 72,574 keys in 364 calls with the suffix-cached schedule
-    ("valpha", 4, 41358, 204),
+    # 72,574 keys in 364 calls with the suffix-cached schedule; 204 calls
+    # before move images
+    ("valpha", 4, 41358, 180),
     # 21,471 keys in 636 calls with the suffix-cached schedule; the first
-    # order where the degree-4 words act on two source layers
-    ("gl21", 5, 15089, 295),
+    # order where the degree-4 words act on two source layers; 295 calls
+    # before move images
+    ("gl21", 5, 15089, 239),
 ])
 def test_wz_eval_splits_associator_words(monkeypatch, name, order, keys,
                                          chords):
     got_keys, got_chords = _chord_work(monkeypatch, name, order)
     assert got_keys <= keys
     assert got_chords == chords
+
+
+# the valpha-tangles benchmark inputs of seed 0, two (1,1)-tangles
+VALPHA_TANGLES_SEED0 = tuple(
+    "obj: +\nslice: id(+) cup(+-)\n%s\nslice: id(+) cap(+-)"
+    % "\n".join("slice: X%s id(-)" % s for s in signs)
+    for signs in ("-+-", "--+"))
+
+
+def _image_builds(monkeypatch):
+    """(id of the image, crossing, roles, block codes) of every build of
+    move image columns."""
+    builds = []
+    build = kontsevich._MatrixBackend._columns
+
+    def counted(self, image, codes, crossing, roles, plan):
+        builds.append((id(image), crossing, roles, frozenset(codes)))
+        return build(self, image, codes, crossing, roles, plan)
+
+    monkeypatch.setattr(kontsevich._MatrixBackend, "_columns", counted)
+    return builds
+
+
+def test_a_move_met_once_per_walk_builds_no_image(monkeypatch):
+    rep, tensor = weightsys.named_system("valpha")
+    kontsevich._moves(4)[2].clear()
+    builds = _image_builds(monkeypatch)
+    for text in VALPHA_TANGLES_SEED0:
+        wz_eval(text, rep, tensor, 4)
+    # both words walk on one int system and meet the associator move
+    # after their cup and the one before their cap once each, so neither
+    # builds an image; the crossing X-, met twice in the first word,
+    # builds the only one
+    (uses, _images), = kontsevich._moves(4)[2].values()
+    assert sorted(n for (crossing, _s, _r), n in uses.items()
+                  if not crossing) == [2, 2]
+    assert [(crossing, roles) for _i, crossing, roles, _c in builds] == [
+        (True, (1, 1))]
+
+
+def test_each_move_image_column_is_built_once(monkeypatch):
+    rep, tensor = weightsys.named_system("gl21")
+    words = ("braid[3]: s1 s2^-1 s1^-1 s2 ; close",
+             "braid[3]: s2 s2^-1 s1^-1 s1 s1 ; close",
+             "braid[3]: s1^-1 s1 s2 s1^-1 s2 s2 ; close",
+             "braid[3]: s1 s2^-1 s1 s2^-1 ; close")
+    kontsevich._moves(4)[2].clear()
+    builds = _image_builds(monkeypatch)
+    first = [wz_eval(text, rep, tensor, 4) for text in words]
+    assert builds
+    # an image grows only by the block codes it lacks, so no column is
+    # built twice at one order on one int system
+    columns = [(image, code) for image, _x, _r, codes in builds
+               for code in codes]
+    assert len(columns) == len(set(columns))
+    # and a second pass over the same words builds nothing
+    del builds[:]
+    assert [wz_eval(text, rep, tensor, 4) for text in words] == first
+    assert builds == []
 
 
 def test_station_walk_applies_chords_on_partial_states(monkeypatch):

@@ -3,15 +3,18 @@
 import pytest
 
 from superchord import verify
-from superchord.verify import SUITES, VerifyReport, run_all, run_suite
-from superchord.weightsys import named_system, weight_system
+from superchord.liesuper import InvariantTensor
+from superchord.verify import (
+    SUITES, VerifyReport, fourterm_failures, run_all, run_suite)
+from superchord.weightsys import WeightSystem, named_system, weight_system
 
 
 def test_all_suites_green():
     reports = run_all(order=3, seed=0)
     assert [r.suite for r in reports] == list(SUITES)
     assert all(r.ok for r in reports)
-    assert sum(len(r.checks) for r in reports) == 38
+    # 38 before the four structural four-term checks
+    assert sum(len(r.checks) for r in reports) == 42
 
 
 def test_unknown_suite_rejected():
@@ -40,6 +43,25 @@ def test_fourterm_checks_lg_interval_relators_through_the_order(monkeypatch):
     report = run_suite("fourterm", order=4)
     assert report.ok
     assert report.checks[-1] == ("lg_interval_deg4", True, "315 relators")
+
+
+def test_fourterm_suite_checks_the_structural_identity_first():
+    checks = run_suite("fourterm", order=2).checks
+    assert checks[:4] == [("structural_%s" % name, True, "8 role patterns")
+                          for name in ("gl21", "gl11", "valpha", "lg")]
+
+
+@pytest.mark.parametrize("name, key", [
+    ("gl21", (1, 3)), ("gl11", (1, 2)), ("valpha", (1, 3)), ("lg", (1, 3))])
+def test_structural_fourterm_fails_on_a_perturbed_tensor(name, key):
+    rep, tensor = named_system(name)
+    assert fourterm_failures(weight_system(rep, tensor)) == []
+    # doubling one term e_i x e_j, i != j, leaves a tensor that is not
+    # ad-invariant, and the identity fails on every role pattern
+    terms = dict(tensor.terms)
+    terms[key] = terms[key] * 2
+    perturbed = InvariantTensor(tensor.algebra, terms, tensor.ring)
+    assert len(fourterm_failures(WeightSystem(rep, perturbed))) == 8
 
 
 def test_conway_suite_sees_a_wrong_polynomial(monkeypatch):

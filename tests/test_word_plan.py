@@ -9,10 +9,13 @@ word applied letter by letter from its last letter, each suffix of a
 word cached and carried on the layers up to its top, order minus the
 least degree of a word that ends in it.  After one move both must give
 the same layers, key for key, on random states of every named system
-and the Links-Gould pair.  Q(alpha) layers are walked as the package
-walks them, as ints on the system at alpha = 2^K; P -> P(2^K) is one to
-one on the polynomials with |coefficients| < 2^(K - 1), far above any
-the moves here make, so equal ints are equal polynomials.
+and the Links-Gould pair, on both uses of a move made twice in one walk:
+the direct walk of the first and the image that the second builds and
+reads (kontsevich._MatrixBackend._move).  Q(alpha) layers are walked as
+the package walks them, as ints on the system at alpha = 2^K; P ->
+P(2^K) is one to one on the polynomials with |coefficients| < 2^(K -
+1), far above any the moves here make, so equal ints are equal
+polynomials.
 """
 
 import pytest
@@ -127,13 +130,22 @@ oracle = settings(derandomize=True, max_examples=30, deadline=None)
 
 
 def _assert_move_matches(backend, p, crossing, sign, signs):
+    """The move applied twice to the same layers in one walk, from an
+    empty image table: the first use walks the series directly, the
+    second builds the move's image and reads it."""
     want = reference_series(backend, p, crossing, sign, signs)
     if crossing:
         want = [backend.ws.flip(layer, p) for layer in want]
-        backend.crossing(p, sign, signs)
-    else:
-        backend.associate(p, sign, signs)
-    assert backend.deg == want
+    source = backend.deg
+    _moves(backend.order)[2].clear()
+    backend.met = set()
+    for _ in range(2):
+        backend.deg = source
+        if crossing:
+            backend.crossing(p, sign, signs)
+        else:
+            backend.associate(p, sign, signs)
+        assert backend.deg == want
 
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
