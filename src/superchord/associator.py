@@ -28,14 +28,21 @@ part, odd degrees are zero (the even gauge), and free coefficients are
 fixed to zero.  `build_associator` solves nothing: it truncates the
 table and raises ValueError unless both hexagon residuals and the
 pentagon residual vanish in every degree it serves.  That check runs
-once per associator (`Associator.holds`), and `associator_checks`
-reports its result.  The solve itself is kept in the tests as the oracle
-the table must equal.
+once per associator (`Associator.holds`), in one pass over ints
+(`_check`): the degree-d part of an element is held over M^d, M the lcm
+of the denominators of Phi and Phi^-1 and of 2 k! for k <= order, so
+products need no division.  Phi(X, Y) is substituted by Horner over its
+word trie, Phi^-1 from `Associator.inverse` (substitution is an algebra
+map), and each identity's product is formed once, at the served order;
+then each degree's part is reduced to normal form.  `associator_checks`
+reports the result.  The solve itself, and the residuals over Fraction
+one degree at a time on which it is built, are kept in the tests as the
+oracles that the table and the check must equal.
 """
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from math import lcm
+from functools import cached_property, lru_cache, partial, reduce
+from math import factorial, lcm
 
 from .scalars import ScalarError, add_term
 
@@ -137,57 +144,6 @@ def check_order(order, least=0, most=MAX_ORDER):
                           % (least, most, order))
 
 
-def _wadd(x, y):
-    out = dict(x)
-    for w, c in y.items():
-        add_term(out, w, c)
-    return out
-
-
-def _wscale(x, c):
-    c = Fraction(c)
-    if not c:
-        return {}
-    return {w: v * c for w, v in x.items()}
-
-
-def _wmul(x, y, order):
-    out = {}
-    for wx, cx in x.items():
-        for wy, cy in y.items():
-            if len(wx) + len(wy) <= order:
-                add_term(out, wx + wy, cx * cy)
-    return out
-
-
-def _wexp(x, order):
-    """exp of an element with no constant term, truncated."""
-    out = {(): _ONE}
-    power = {(): _ONE}
-    fact = 1
-    for k in range(1, order + 1):
-        power = _wmul(power, x, order)
-        if not power:
-            break
-        fact *= k
-        out = _wadd(out, _wscale(power, Fraction(1, fact)))
-    return out
-
-
-def _winv(x, order):
-    """Inverse of 1 + (positive part), truncated geometric series."""
-    pos = {w: c for w, c in x.items() if w}
-    assert x.get((), _ZERO) == _ONE
-    out = {(): _ONE}
-    power = {(): _ONE}
-    for _ in range(order):
-        power = _wmul(power, _wscale(pos, -1), order)
-        if not power:
-            break
-        out = _wadd(out, power)
-    return out
-
-
 @lru_cache(maxsize=None)
 def _normal_form(word):
     """Normal form of a word of U(t_n) as an {word: int} combination.
@@ -216,91 +172,104 @@ def _normal_form(word):
     return {word[:s] + w: c for w, c in _normal_form(word[s:]).items()}
 
 
-def _reduce(x, degree):
-    """Degree-d component of x in normal form: 0 iff it is in the ideal.
-
-    The sums run over ints, on the common denominator of the component.
-    """
-    top = {w: c for w, c in x.items() if len(w) == degree}
-    den = lcm(*(c.denominator for c in top.values()))
+def _vanishes(part):
+    """Whether a homogeneous {word: int} combination is zero in U(t_n):
+    whether its normal form is."""
     out = {}
-    for w, c in top.items():
-        n = c.numerator * (den // c.denominator)
+    for w, c in part.items():
         for v, k in _normal_form(w).items():
-            add_term(out, v, n * k)
-    return {v: Fraction(n, den) for v, n in out.items()}
+            out[v] = out.get(v, 0) + c * k
+    return not any(out.values())
 
 
-def _t(i, j):
-    return {((i, j),): _ONE}
+def _substitute(series, x, y, order):
+    """sum_w n_w w(x, y), graded by length, for an int series {word over
+    0, 1: n_w} and x, y sums of generators, given as tuples of letters.
 
-
-def _phi_element(terms, arg0, arg1, order, invert=False):
-    """Substitute two degree-1 elements into the associator series."""
-    out = {(): _ONE}
-    for m, words in terms.items():
-        for w, c in words.items():
-            prod = {(): c}
-            for letter in w:
-                prod = _wmul(prod, arg0 if letter == 0 else arg1, order)
-            out = _wadd(out, prod)
-    if invert:
-        out = _winv(out, order)
+    Horner over the word trie, longest prefixes first: G(q) = n_q +
+    x G(q 0) + y G(q 1), and the result is G(()).
+    """
+    done = {}
+    for q in sorted({w[:l] for w in series for l in range(len(w) + 1)},
+                    key=len, reverse=True):
+        g = {(): series[q]} if q in series else {}
+        for arg, child in ((x, done.get(q + (0,), {})),
+                           (y, done.get(q + (1,), {}))):
+            for v, c in child.items():
+                for t in arg:
+                    add_term(g, (t,) + v, c)
+        done[q] = g
+    out = [{} for _ in range(order + 1)]
+    for w, c in done[()].items():
+        out[len(w)][w] = c
     return out
 
 
-@lru_cache(maxsize=None)
-def _hexagon_exponentials(order):
-    """e^{A/2}, e^{B/2}, e^{C/2}, e^{(A+C)/2}, e^{(C+B)/2}, truncated."""
-    A, B, C = _t(1, 2), _t(2, 3), _t(1, 3)
-    half = Fraction(1, 2)
-    return tuple(_wexp(_wscale(x, half), order)
-                 for x in (A, B, C, _wadd(A, C), _wadd(C, B)))
+def _mul(x, y, order):
+    """Product of graded elements, truncated past order."""
+    out = [{} for _ in range(order + 1)]
+    for a, xa in enumerate(x):
+        for b, yb in enumerate(y[:order - a + 1]):
+            part = out[a + b]
+            for wx, cx in xa.items():
+                for wy, cy in yb.items():
+                    add_term(part, wx + wy, cx * cy)
+    return out
 
 
-def _hexagon_residuals(terms, degree):
-    # Strand labels stay fixed under braiding, products are in operator
-    # order (rightmost factor acts first), A = t12, B = t23, C = t13.
-    A, B, C = _t(1, 2), _t(2, 3), _t(1, 3)
-    order = degree
-    eA, eB, eC, eAC, eCB = _hexagon_exponentials(order)
+def _residual(left, right, order):
+    """The product of the left factors minus that of the right, graded."""
+    out, minus = (reduce(lambda x, y: _mul(x, y, order), factors)
+                  for factors in (left, right))
+    for part, sub in zip(out, minus):
+        for w, c in sub.items():
+            add_term(part, w, -c)
+    return out
 
-    pAB = _phi_element(terms, A, B, order)
-    pBC = _phi_element(terms, B, C, order)
-    pAC = _phi_element(terms, A, C, order)
-    left1 = _wmul(_wmul(pBC, eAC, order), pAB, order)
-    right1 = _wmul(_wmul(eC, pAC, order), eA, order)
 
-    iCA = _phi_element(terms, C, A, order, invert=True)
-    iAB = _phi_element(terms, A, B, order, invert=True)
-    iCB = _phi_element(terms, C, B, order, invert=True)
-    left2 = _wmul(_wmul(iCA, eCB, order), iAB, order)
-    right2 = _wmul(_wmul(eC, iCB, order), eB, order)
+def _check(assoc):
+    """Whether the (hexagon1, hexagon2, pentagon) residuals vanish, one
+    triple per degree 1..order, in one pass over ints.
 
-    return [
-        _reduce(_wadd(left1, _wscale(right1, -1)), degree),
-        _reduce(_wadd(left2, _wscale(right2, -1)), degree),
+    An element is a list by degree of {word: int}, its degree-d part
+    standing for itself over M^d, M the lcm of every denominator of Phi
+    and Phi^-1 and of 2 k! for k <= order; products keep this, so
+    nothing is divided.  Each identity's product is formed once, and
+    each degree's part of its residual is reduced to normal form.
+    """
+    order = assoc.order
+    tables = (assoc.terms, assoc.inverse)
+    scale = lcm(*(2 * factorial(k) for k in range(1, order + 1)),
+                *(c.denominator for table in tables
+                  for words in table.values() for c in words.values()))
+    phi, inv = ({w: c.numerator * (scale ** m // c.denominator)
+                 for m, words in table.items() for w, c in words.items()}
+                for table in tables)
+    phi[()] = inv[()] = 1
+
+    sub = partial(_substitute, order=order)
+
+    def exp_half(x):
+        return sub({(0,) * k: scale ** k // (2 ** k * factorial(k))
+                    for k in range(order + 1)}, x, x)
+
+    # strand labels stay fixed under braiding, products are in operator
+    # order (rightmost factor acts first), A = t12, B = t23, C = t13
+    t12, t13, t23, t24, t34 = (((i, j),) for i, j in (
+        (1, 2), (1, 3), (2, 3), (2, 4), (3, 4)))
+    A, B, C = t12, t23, t13
+    eA, eB, eC = exp_half(A), exp_half(B), exp_half(C)
+    residuals = [
+        _residual([sub(phi, B, C), exp_half(A + C), sub(phi, A, B)],
+                  [eC, sub(phi, A, C), eA], order),
+        _residual([sub(inv, C, A), exp_half(C + B), sub(inv, A, B)],
+                  [eC, sub(inv, C, B), eB], order),
+        _residual([sub(phi, t12, t23 + t24), sub(phi, t13 + t23, t34)],
+                  [sub(phi, t23, t34), sub(phi, t12 + t13, t24 + t34),
+                   sub(phi, t12, t23)], order),
     ]
-
-
-def _pentagon_residual(terms, degree):
-    order = degree
-    t12, t13, t14 = _t(1, 2), _t(1, 3), _t(1, 4)
-    t23, t24, t34 = _t(2, 3), _t(2, 4), _t(3, 4)
-    left = _wmul(
-        _phi_element(terms, t12, _wadd(t23, t24), order),
-        _phi_element(terms, _wadd(t13, t23), t34, order), order)
-    right = _wmul(_wmul(
-        _phi_element(terms, t23, t34, order),
-        _phi_element(terms, _wadd(t12, t13), _wadd(t24, t34), order),
-        order),
-        _phi_element(terms, t12, t23, order), order)
-    return _reduce(_wadd(left, _wscale(right, -1)), degree)
-
-
-def _all_residuals(terms, degree):
-    return _hexagon_residuals(terms, degree) + [
-        _pentagon_residual(terms, degree)]
+    return [tuple(_vanishes(r[m]) for r in residuals)
+            for m in range(1, order + 1)]
 
 
 class Associator:
@@ -315,18 +284,21 @@ class Associator:
     def holds(self):
         """Whether the (hexagon1, hexagon2, pentagon) residuals vanish,
         one triple per degree 1..order; computed once, on first use."""
-        return [tuple(not r for r in _all_residuals(self.terms, m))
-                for m in range(1, self.order + 1)]
+        return _check(self)
 
     def _free_inverse(self):
-        series = {(): _ONE}
-        for words in self.terms.values():
-            series.update(words)
-        out = {}
-        for w, c in _winv(series, self.order).items():
-            if w:
-                out.setdefault(len(w), {})[w] = c
-        return out
+        """Phi^-1 by degree: its degree-d part is minus the sum over k of
+        Phi_k times its degree d - k part."""
+        out = {0: {(): _ONE}}
+        for d in range(1, self.order + 1):
+            part = {}
+            for k, words in self.terms.items():
+                for w, c in words.items():
+                    for v, e in out.get(d - k, {}).items():
+                        add_term(part, w + v, -c * e)
+            if part:
+                out[d] = part
+        return {d: part for d, part in out.items() if d}
 
     def words(self, sign):
         """(degree, word, coefficient) triples, unit omitted."""

@@ -22,7 +22,6 @@ about relator spans, and every other exact linear solve in the package.
 """
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import permutations, product
 
 from .scalars import QQ, add_term
@@ -115,29 +114,37 @@ class ChordDiagram:
         return "ChordDiagram(%r, %r)" % (self.skeleton, self.chords)
 
 
-@lru_cache(maxsize=None)
-def _kind_preserving_perms(skeleton):
-    n = len(skeleton)
-    return tuple(perm for perm in permutations(range(n))
-                 if all(skeleton[c] == skeleton[perm[c]] for c in range(n)))
+def _orders(skeleton, counts):
+    """The component orders to search: each kind's components with
+    chords, in every order, on that kind's lowest places, and its empty
+    ones on the rest.  Moving a component down lowers the code of each
+    of its chords, so the sorted tuple is no larger."""
+    places = {}
+    for c, kind in enumerate(skeleton):
+        places.setdefault(kind, []).append(c)
+    for choice in product(*[
+            [(order + tuple(c for c in cs if not counts[c]), cs)
+             for order in permutations([c for c in cs if counts[c]])]
+            for cs in places.values()]):
+        perm = {c: p for order, cs in choice for c, p in zip(order, cs)}
+        yield [perm[c] for c in range(len(skeleton))]
 
 
 def _least_relabelling(skeleton, codes):
     """The least sorted tuple of chord codes over circle rotations and
     same-kind permutations: the canonical search.
 
-    The least end of every relabelling is at place 0 of the first
-    nonempty component, so the least chord is that end's chord.  It
-    depends only on the component order and on the rotations of its one
-    or two components; a partner on another circle is best at place 0,
-    which fixes that circle's rotation too.  Tuples compare their least
-    chords first, so only these anchors whose least chord is the least
-    of all are relabelled and sorted, over every rotation of any further
-    circle.
+    Only the relabellings of `_orders` are searched.  The least end of
+    every relabelling is at place 0 of the first nonempty component, so
+    the least chord is that end's chord.  It depends only on the
+    component order and on the rotations of its one or two components;
+    a partner on another circle is best at place 0, which fixes that
+    circle's rotation too.  Tuples compare their least chords first, so
+    only these anchors whose least chord is the least of all are
+    relabelled and sorted, over every rotation of any further circle.
     """
     circle = [kind == CIRCLE for kind in skeleton]
-    perms = _kind_preserving_perms(skeleton)
-    if not codes or (len(perms) == 1 and not any(circle)):
+    if not codes or (len(skeleton) < 2 and not any(circle)):
         return codes
     counts = [0] * len(skeleton)
     partner, ends = {}, []
@@ -148,7 +155,7 @@ def _least_relabelling(skeleton, codes):
         counts[a // _PLACE] += 1
         counts[b // _PLACE] += 1
     least = None
-    for perm in perms:
+    for perm in _orders(skeleton, counts):
         o = min((c for c in range(len(counts)) if counts[c]),
                 key=perm.__getitem__)
         k = counts[o]

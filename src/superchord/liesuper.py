@@ -10,11 +10,15 @@ Invariant 2-tensors (Casimir elements of g x g) are kept in basis
 coordinates by `InvariantTensor`; `casimir_tensor` produces the tensor dual
 to the supertrace form on gl(m|n), or its sl(m|n) variant, by inverting the
 Gram matrix of the form.  Representations carry one matrix per basis
-element; odd basis elements act by parity-reversing maps and every
-constructor checks the bracket axiom exactly.
+element; odd basis elements act by parity-reversing maps, and
+`standard_rep` checks the bracket axiom exactly.  `build_gl`,
+`standard_rep`, `invariant_form` and `casimir_tensor` are memoised, so
+each object is built and checked once per process and shared by every
+caller, which must not mutate it.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .diagrams import invert_matrix
 from .scalars import QALPHA, QQ, add_term, alpha
@@ -68,6 +72,7 @@ class LieSuperAlgebra:
         return "LieSuperAlgebra(%s, dim=%d)" % (self.name, self.dim)
 
 
+@lru_cache(maxsize=None)
 def build_gl(m, n):
     """gl(m|n) on matrix units, 1-based row/column labels."""
     if m <= 0 or n <= 0:
@@ -97,6 +102,7 @@ def build_gl(m, n):
     return alg
 
 
+@lru_cache(maxsize=None)
 def invariant_form(alg):
     """Supertrace form B(x, y) = str(rho(x) rho(y)) in the defining rep."""
     rho = standard_rep(alg, "defining")
@@ -177,12 +183,14 @@ class InvariantTensor:
             self.algebra.name, len(self.terms))
 
 
-def casimir_tensor(alg, which="gl"):
+@lru_cache(maxsize=None)
+def casimir_tensor(alg, which):
     """Tensor dual to the supertrace form: t = sum (B^{-1})^{ij} e_i x e_j.
 
     which = "gl" inverts the full form; "sl" subtracts the identity
     component, t_sl = t_gl - (1/(m-n)) I x I, giving the tensor dual to the
-    form restricted to the supertraceless subalgebra.
+    form restricted to the supertraceless subalgebra.  which has no
+    default, so that each tensor has one memo key.
     """
     form = invariant_form(alg)
     inv = _invert_form(alg, form)
@@ -377,6 +385,7 @@ def _kac_module(alg):
     return Representation(alg, space, mats, QALPHA, "v_alpha")
 
 
+@lru_cache(maxsize=None)
 def standard_rep(alg, which):
     """Built-in modules: 'defining', the matrix units on C^{m|n}, and
     'v_alpha', the 2|2 dimensional Kac module of gl(2|1)."""

@@ -5,20 +5,210 @@ from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 
 from superchord import associator, kontsevich
 from superchord.associator import (Associator, build_associator,
-                                   associator_checks, _all_residuals,
-                                   _normal_form, _reduce, _wadd, _wexp, _wmul,
-                                   _winv, _wscale)
+                                   associator_checks, _normal_form)
 from superchord.diagrams import CIRCLE, LinearSpan
 from superchord.kontsevich import lg_invariant, wz_eval, z_eval
+from superchord.scalars import add_term
 from superchord.weightsys import named_system, ws_link
 from superchord.words import parse_word
 from test_int_walk import braids
+
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+# Oracle: the hexagon and pentagon residuals over Fraction, one degree at
+# a time with every product truncated at that degree, as the load check
+# first computed them.  The solve below is built on them, and the load
+# check (associator._check) must give their verdicts.
+
+def _wadd(x, y):
+    out = dict(x)
+    for w, c in y.items():
+        add_term(out, w, c)
+    return out
+
+
+def _wscale(x, c):
+    c = Fraction(c)
+    if not c:
+        return {}
+    return {w: v * c for w, v in x.items()}
+
+
+def _wmul(x, y, order):
+    out = {}
+    for wx, cx in x.items():
+        for wy, cy in y.items():
+            if len(wx) + len(wy) <= order:
+                add_term(out, wx + wy, cx * cy)
+    return out
+
+
+def _wexp(x, order):
+    """exp of an element with no constant term, truncated."""
+    out = {(): _ONE}
+    power = {(): _ONE}
+    fact = 1
+    for k in range(1, order + 1):
+        power = _wmul(power, x, order)
+        if not power:
+            break
+        fact *= k
+        out = _wadd(out, _wscale(power, Fraction(1, fact)))
+    return out
+
+
+def _winv(x, order):
+    """Inverse of 1 + (positive part), truncated geometric series."""
+    pos = {w: c for w, c in x.items() if w}
+    assert x.get((), _ZERO) == _ONE
+    out = {(): _ONE}
+    power = {(): _ONE}
+    for _ in range(order):
+        power = _wmul(power, _wscale(pos, -1), order)
+        if not power:
+            break
+        out = _wadd(out, power)
+    return out
+
+
+def _reduce(x, degree):
+    """Degree-d component of x in normal form: 0 iff it is in the ideal.
+
+    The sums run over ints, on the common denominator of the component.
+    """
+    top = {w: c for w, c in x.items() if len(w) == degree}
+    den = lcm(*(c.denominator for c in top.values()))
+    out = {}
+    for w, c in top.items():
+        n = c.numerator * (den // c.denominator)
+        for v, k in _normal_form(w).items():
+            add_term(out, v, n * k)
+    return {v: Fraction(n, den) for v, n in out.items()}
+
+
+def _t(i, j):
+    return {((i, j),): _ONE}
+
+
+def _phi_element(terms, arg0, arg1, order, invert=False):
+    """Substitute two degree-1 elements into the associator series."""
+    out = {(): _ONE}
+    for m, words in terms.items():
+        for w, c in words.items():
+            prod = {(): c}
+            for letter in w:
+                prod = _wmul(prod, arg0 if letter == 0 else arg1, order)
+            out = _wadd(out, prod)
+    if invert:
+        out = _winv(out, order)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _hexagon_exponentials(order):
+    """e^{A/2}, e^{B/2}, e^{C/2}, e^{(A+C)/2}, e^{(C+B)/2}, truncated."""
+    A, B, C = _t(1, 2), _t(2, 3), _t(1, 3)
+    half = Fraction(1, 2)
+    return tuple(_wexp(_wscale(x, half), order)
+                 for x in (A, B, C, _wadd(A, C), _wadd(C, B)))
+
+
+def _hexagon_residuals(terms, degree):
+    # Strand labels stay fixed under braiding, products are in operator
+    # order (rightmost factor acts first), A = t12, B = t23, C = t13.
+    A, B, C = _t(1, 2), _t(2, 3), _t(1, 3)
+    order = degree
+    eA, eB, eC, eAC, eCB = _hexagon_exponentials(order)
+
+    pAB = _phi_element(terms, A, B, order)
+    pBC = _phi_element(terms, B, C, order)
+    pAC = _phi_element(terms, A, C, order)
+    left1 = _wmul(_wmul(pBC, eAC, order), pAB, order)
+    right1 = _wmul(_wmul(eC, pAC, order), eA, order)
+
+    iCA = _phi_element(terms, C, A, order, invert=True)
+    iAB = _phi_element(terms, A, B, order, invert=True)
+    iCB = _phi_element(terms, C, B, order, invert=True)
+    left2 = _wmul(_wmul(iCA, eCB, order), iAB, order)
+    right2 = _wmul(_wmul(eC, iCB, order), eB, order)
+
+    return [
+        _reduce(_wadd(left1, _wscale(right1, -1)), degree),
+        _reduce(_wadd(left2, _wscale(right2, -1)), degree),
+    ]
+
+
+def _pentagon_residual(terms, degree):
+    order = degree
+    t12, t13, t14 = _t(1, 2), _t(1, 3), _t(1, 4)
+    t23, t24, t34 = _t(2, 3), _t(2, 4), _t(3, 4)
+    left = _wmul(
+        _phi_element(terms, t12, _wadd(t23, t24), order),
+        _phi_element(terms, _wadd(t13, t23), t34, order), order)
+    right = _wmul(_wmul(
+        _phi_element(terms, t23, t34, order),
+        _phi_element(terms, _wadd(t12, t13), _wadd(t24, t34), order),
+        order),
+        _phi_element(terms, t12, t23, order), order)
+    return _reduce(_wadd(left, _wscale(right, -1)), degree)
+
+
+def _all_residuals(terms, degree):
+    return _hexagon_residuals(terms, degree) + [
+        _pentagon_residual(terms, degree)]
+
+
+
+
+def oracle_holds(assoc):
+    """The load check's verdicts, (hexagon1, hexagon2, pentagon) per
+    degree 1..order, from the Fraction residuals."""
+    return [tuple(not r for r in _all_residuals(assoc.terms, m))
+            for m in range(1, assoc.order + 1)]
+
+
+def stored_associator(order, changed=None):
+    """The stored table through order, unchecked, with the coefficient
+    p/q of the word changed, if one is given, to (p + 1)/q."""
+    terms = {}
+    for word, (p, q) in associator._STORED.items():
+        if len(word) <= order:
+            p += word == changed
+            terms.setdefault(len(word), {})[tuple(map(int, word))] = (
+                Fraction(p, q))
+    return Associator(order, terms)
+
+
+# one word of each even degree whose coefficient the mutants change
+CHANGED_WORDS = ("01", "0110", "010110")
+
+
+def assert_load_check_is_the_oracle(orders):
+    """The int load check gives the Fraction oracle's verdict in every
+    cell, on the stored table and on it with one coefficient changed at
+    each even degree it serves; returns the number of tables compared."""
+    tables = 0
+    for order in orders:
+        for changed in (None,) + CHANGED_WORDS:
+            if changed is not None and len(changed) > order:
+                continue
+            assoc = stored_associator(order, changed)
+            holds = assoc.holds
+            assert holds == oracle_holds(assoc), (order, changed)
+            assert all(map(all, holds)) == (changed is None), (order, changed)
+            tables += 1
+    _normal_form.cache_clear()
+    return tables
 
 
 # Oracle: the degree-by-degree solve that produced the stored table.
@@ -151,7 +341,7 @@ def test_order_too_small_rejected():
 
 def test_order_past_the_stored_table_rejected(monkeypatch):
     # refused before the table is read or any residual is formed
-    monkeypatch.setattr(associator, "_all_residuals", None)
+    monkeypatch.setattr(associator, "_check", None)
     monkeypatch.setattr(associator, "_STORED", None)
     with pytest.raises(ValueError, match="from 2 to 6"):
         build_associator.__wrapped__(7)
@@ -400,6 +590,32 @@ def test_load_check_refuses_a_changed_coefficient(monkeypatch, uncached_build,
     build_associator.cache_clear()
     with pytest.raises(ValueError, match="degree %d" % order):
         build_associator(order)
+
+
+def test_load_check_is_the_oracle():
+    # orders 2-5 on the stored table and on one changed coefficient of
+    # each even degree; CI runs orders 2-6
+    assert assert_load_check_is_the_oracle(range(2, 6)) == 10
+
+
+def test_load_check_flags_a_degree4_change_from_degree4_on():
+    holds = stored_associator(5, "0110").holds
+    assert holds[:3] == [(True, True, True)] * 3
+    assert not any(map(all, holds[3:]))
+    assert holds == oracle_holds(stored_associator(5, "0110"))
+
+
+@pytest.mark.parametrize("order", [4, 6])
+def test_inverse_is_the_geometric_series(order):
+    for assoc in (build_associator(order), odd_associator(min(order, 5))):
+        series = {(): Fraction(1)}
+        for words in assoc.terms.values():
+            series.update(words)
+        want = {}
+        for w, c in _winv(series, assoc.order).items():
+            if w:
+                want.setdefault(len(w), {})[w] = c
+        assert assoc.inverse == want
 
 
 # Associator independence: the oracle's solve with its free degree-3

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from superchord import (
-    associator, diagrams, jsonio, kontsevich, ribbon, scalars, weightsys)
+    associator, diagrams, jsonio, kontsevich, liesuper, ribbon, scalars,
+    weightsys)
 from superchord.associator import associator_checks, build_associator
 from superchord.kontsevich import lg_invariant, wz_eval, z_eval
 from superchord.words import parse_word
@@ -77,10 +78,47 @@ def test_associator_checks_reuse_the_built_ideal_spans(monkeypatch):
     assert calls == []
 
 
-def test_associator_residuals_computed_once_per_degree(monkeypatch):
-    calls = _counting(monkeypatch, associator, "_all_residuals")
-    assert all(associator_checks(build_associator.__wrapped__(4)).values())
-    assert len(calls) == 4
+@pytest.mark.parametrize("order", [4, 6])
+def test_associator_identities_formed_once_per_build(monkeypatch, order):
+    products = _counting(monkeypatch, associator, "_mul")
+    residuals = _counting(monkeypatch, associator, "_residual")
+    assert all(associator_checks(build_associator.__wrapped__(order))
+               .values())
+    # one product per identity at the served order, with 2 + 2, 2 + 2
+    # and 1 + 2 factor products; 4 Fraction residual triples at order 4,
+    # one per degree, each of every identity
+    assert len(residuals) == 3
+    assert len(products) == 11
+
+
+def test_each_module_is_built_and_checked_once(monkeypatch):
+    for cache in (liesuper.build_gl, liesuper.standard_rep,
+                  liesuper.invariant_form, liesuper.casimir_tensor,
+                  weightsys.lg_data, weightsys.named_system):
+        cache.cache_clear()
+    checks = _counting(monkeypatch, liesuper.Representation, "check_axioms")
+    named = {name: weightsys.named_system(name)
+             for name in ("gl21", "gl11", "valpha", "lg")}
+    assert weightsys.lg_data() is named["lg"]
+    # the benchmark's set-up asks for the same pairs by hand
+    ls = liesuper
+    g21, g11 = ls.build_gl(2, 1), ls.build_gl(1, 1)
+    by_hand = {
+        "gl21": (ls.standard_rep(g21, "defining"),
+                 ls.casimir_tensor(g21, "gl")),
+        "gl11": (ls.standard_rep(g11, "defining"),
+                 ls.casimir_tensor(g11, "gl")),
+        "valpha": (ls.standard_rep(g21, "v_alpha"),
+                   ls.casimir_tensor(g21, "sl")),
+    }
+    for name, (rep, tensor) in by_hand.items():
+        assert rep is named[name][0] and tensor is named[name][1], name
+    assert named["lg"][0] is named["valpha"][0]
+    # one check per (algebra, module); casimir_tensor reads the defining
+    # module that named_system built
+    assert [(args[0].algebra.name, args[0].name) for args in checks] == [
+        ("gl(2|1)", "defining"), ("gl(1|1)", "defining"),
+        ("gl(2|1)", "v_alpha")]
 
 
 def test_associator_solve_builds_no_relator_span(monkeypatch):
