@@ -55,10 +55,11 @@ and int coefficients of the move's series applied to s, built in one
 walk over the codes the image lacks and kept in the _moves table under
 the int system that walks it (_MatrixBackend._move).
 
-Composites: paired_invariant slits z_eval at the basepoint, reduces it
-modulo the interval four-term relations (reduce_fourterm) and pairs the
-residual basis terms with a weight, so only a basis of the quotient is
-ever weighed; lg_invariant does this with the Links-Gould system.
+Composites: paired_invariant reduces a knot's z_eval modulo the
+four-term relations on the circle (reduce_fourterm), cuts each residual
+basis class at place 0 and pairs it with a weight, so only a basis of
+the quotient is ever weighed; lg_invariant does this with the
+Links-Gould system.
 vassiliev_defect alternates wz_eval over the resolutions of marked
 double points.
 """
@@ -71,8 +72,8 @@ from math import factorial, lcm, prod
 
 from .associator import build_associator, check_order
 from .diagrams import (
-    CIRCLE, INTERVAL, ChordDiagram, LinearSpan, canonical_form,
-    diagram_classes, four_term_relators, relator_vector, slit_component)
+    CIRCLE, ChordDiagram, LinearSpan, canonical_form, diagram_classes,
+    four_term_relators, relator_vector, slit_component)
 from .scalars import (
     QALPHA, QQ, HSeries, SeriesRing, add_term, kronecker_bits,
     series_inverse)
@@ -591,33 +592,38 @@ def hump_factor(order):
     Plain bends make this series nontrivial from degree two on, and all
     four bend orientations give the same value.  A word picks up one
     copy, modulo four-term relations, for every maximum that a framed
-    isotopy could cancel.  The value is the unreduced interval integral;
-    paired_invariant reduces it modulo four-term relations before
-    weighing it.
+    isotopy could cancel.  The value is the unreduced interval integral,
+    and paired_invariant weighs it as it is: it has few classes (3, 17
+    and 17 at orders 3, 4 and 5), and a weight system memoises each.
     """
     return z_eval(_HUMP_WORD, order)
 
 
 @lru_cache(maxsize=None)
 def _fourterm_span(degree):
-    """Span over Q of the degree-m four-term relators on the interval."""
+    """Span over Q of the degree-m four-term relators on one circle.
+
+    The relators depend on the degree alone and on no associator, so
+    the span is built once per degree for the whole process.
+    """
     span = LinearSpan(QQ)
-    for relator in four_term_relators((INTERVAL,), degree):
+    for relator in four_term_relators((CIRCLE,), degree):
         span.add(relator_vector(relator))
     return span
 
 
 def reduce_fourterm(z):
-    """The same element of the interval quotient by four-term relations.
+    """The same element of the circle quotient by four-term relations.
 
-    Each degree's terms are replaced by their residual modulo the
-    relator span.  Pivots are the largest keys, so the residual lives on
-    the smallest canonical keys, one basis of the quotient (isolated and
+    z is a knot's integral, on one circle, as z_eval returns it.  Each
+    degree's terms are replaced by their residual modulo the relator
+    span.  Pivots are the largest keys, so the residual lives on the
+    smallest canonical keys, one basis of the quotient (isolated and
     parallel chords first, the cheapest diagrams to walk).  A weight
     that kills the relators takes the same value on both sides.
     """
-    if z.skeleton != (INTERVAL,):
-        raise ValueError("four-term reduction needs the interval skeleton")
+    if z.skeleton != (CIRCLE,):
+        raise ValueError("four-term reduction needs a knot: one circle")
     layers = {}
     for e, c in z.terms.items():
         layers.setdefault(len(e[1]), {})[e] = c
@@ -626,23 +632,6 @@ def reduce_fourterm(z):
         terms.update(_fourterm_span(m).residual(layer))
     reps = {e: ChordDiagram(z.skeleton, e[1]) for e in terms}
     return ZValue(z.skeleton, terms, reps, z.order)
-
-
-@lru_cache(maxsize=None)
-def _reduced_hump(order):
-    """hump_factor(order) modulo the interval four-term relations, reduced
-    once per order for every knot paired at that order."""
-    return reduce_fourterm(hump_factor(order))
-
-
-def _slit(z):
-    """A knot's integral cut open at the basepoint: an interval value."""
-    terms, reps = {}, {}
-    for e, c in z.terms.items():
-        d = slit_component(z.reps[e], 0)
-        add_term(terms, d.encoding(), c)
-        reps.setdefault(d.encoding(), d)
-    return ZValue((INTERVAL,), terms, reps, z.order)
 
 
 def paired_invariant(word, weight, ring, order):
@@ -654,31 +643,33 @@ def paired_invariant(word, weight, ring, order):
     x V^{r2} x V^{r3}, V or V* on each factor, gives every four-term
     relator of every degree (Bar-Natan, Topology 34, 1995, Thm 6;
     Vaintrob, MRL 1, 1994, for superalgebras), and `verify fourterm`
-    checks it on all eight role patterns (verify.fourterm_failures).  The
-    closed component is slit at the basepoint and the result, like the
-    hump factor, is reduced modulo four-term relations before any weight
-    call, so weight sees only quotient basis diagrams.  The hump factor
-    is reduced once per order and kept for every later knot.  Dividing by the
-    paired hump factor once per maximum beyond the first makes the
-    result a framed invariant of the knot, independent of the sliced
-    presentation.
+    checks it on all eight role patterns (verify.fourterm_failures).
+    Closing an interval is an isomorphism modulo four-term relations,
+    A^fr(interval) = A^fr(circle) (Bar-Natan, same paper), so cutting a
+    circle diagram anywhere gives one interval class modulo the
+    relators, and weight after the cut kills the circle relators.  The
+    integral is therefore reduced on the circle, where z_eval returns
+    it, and only its quotient basis classes are cut at place 0 and
+    weighed.  Dividing by the paired hump factor once per maximum beyond
+    the first makes the result a framed invariant of the knot,
+    independent of the sliced presentation.
     """
     check_order(order)
     word = parse_word(word)
     if not word.is_closed or word.components != (CIRCLE,):
         raise ValueError("paired invariants need a closed knot word")
-    series = reduce_fourterm(_slit(z_eval(word, order))).pair(weight, ring)
+    series = reduce_fourterm(z_eval(word, order)).pair(
+        lambda d: weight(slit_component(d, 0)), ring)
     caps = sum(1 for sl in word.slices for tok in sl if tok[0] == "cap")
     if caps > 1:
-        hump = _reduced_hump(order).pair(weight, ring)
-        inv = series_inverse(hump)
+        inv = series_inverse(hump_factor(order).pair(weight, ring))
         for _ in range(caps - 1):
             series = series * inv
     return series
 
 
 def lg_invariant(word, order):
-    """Links-Gould series of a knot word: wlg on the slit integral."""
+    """Links-Gould series of a knot word: paired_invariant with wlg."""
     return paired_invariant(word, wlg, QALPHA, order)
 
 

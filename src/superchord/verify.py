@@ -105,8 +105,11 @@ def verify_fourterm(order=3, seed=0):
     named system and the Links-Gould pair, at every degree at once
     (fourterm_failures).  The relator sweeps test it on relators: the
     Links-Gould interval relators are checked at degrees 2..max(3,
-    order), since paired_invariant reduces modulo exactly these before
-    weighing, which is sound only where they vanish.
+    order).  That is the hypothesis under which paired_invariant may
+    reduce a knot's integral modulo the circle relators and weigh each
+    basis class cut at place 0: closing is injective modulo four-term
+    relations, so where wlg kills the interval relators the cut class
+    does not depend on where the circle is cut.
     """
     report = VerifyReport("fourterm")
     for name in ("gl21", "gl11", "valpha", "lg"):

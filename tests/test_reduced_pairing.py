@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from superchord.diagrams import INTERVAL, enumerate_diagrams, slit_component
+from superchord.diagrams import (
+    CIRCLE, INTERVAL, enumerate_diagrams, slit_component)
 from superchord.kontsevich import (
     ZValue, hump_factor, lg_invariant, paired_invariant, reduce_fourterm,
     z_eval)
@@ -15,13 +16,14 @@ from superchord.words import parse_word
 
 TREFOIL = "braid[2]: s1 s1 s1 t1^-3 ; close"
 FIG8 = "braid[3]: s1 s2^-1 s1 s2^-1 ; close"
+HUMP = "obj: +\nslice: cup(+-) id(+)\nslice: id(+) cap(-+)"
 
 # (strands, generator of each letter, |writhe|): closures are knots
 KNOT_SHAPES = ((2, "111", 3), (3, "1212", 2), (2, "11111", 3),
                (3, "1112", 0), (2, "1111111", 1))
 
-# dimensions of the interval quotient by four-term relations, degrees 0-4
-QUOTIENT_DIMS = (1, 1, 2, 3, 6)
+# dimensions of the circle quotient by four-term relations, degrees 0-5
+QUOTIENT_DIMS = (1, 1, 2, 3, 6, 10)
 
 
 def knot_words(count, seed):
@@ -42,7 +44,8 @@ def knot_words(count, seed):
 
 
 def direct_pairing(word, weight, ring, order):
-    """Every slit class of the integral and of the hump factor weighed."""
+    """Every class of the integral cut at place 0 and weighed, and every
+    class of the hump factor, with no four-term quotient."""
     word = parse_word(word)
     z = z_eval(word, order)
     series = z.pair(lambda d: weight(slit_component(d, 0)), ring)
@@ -70,18 +73,42 @@ def test_gl_reduced_equals_direct_at_order_four(name, text):
             == direct_pairing(text, weight, rep.ring, 4))
 
 
-@pytest.mark.parametrize("degree", range(5))
+def assert_reduced_is_direct(words, order):
+    """lg_invariant, and paired_invariant with gl11 and gl21, equal
+    direct_pairing on every knot word at this order."""
+    systems = [named_system(name) for name in ("gl11", "gl21")]
+    for text in words:
+        assert (lg_invariant(text, order)
+                == direct_pairing(text, wlg, QALPHA, order)), text
+        for rep, tv in systems:
+            weight = weight_system(rep, tv)
+            assert (paired_invariant(text, weight, rep.ring, order)
+                    == direct_pairing(text, weight, rep.ring, order)), text
+
+
+def test_reduced_equals_direct_on_generated_knots_at_order_four():
+    words = set(knot_words(10, seed=11))
+    assert len(words) >= 5
+    assert_reduced_is_direct(sorted(words), 4)
+
+
+@pytest.mark.parametrize("degree", range(6))
 def test_residuals_span_exactly_a_quotient_basis(degree):
     keys = set()
-    for d in enumerate_diagrams((INTERVAL,), degree):
+    for d in enumerate_diagrams((CIRCLE,), degree):
         e = d.encoding()
-        z = ZValue((INTERVAL,), {e: Fraction(1)}, {e: d}, degree)
+        z = ZValue((CIRCLE,), {e: Fraction(1)}, {e: d}, degree)
         reduced = reduce_fourterm(z)
         assert reduce_fourterm(reduced) == reduced
         keys.update(reduced.terms)
     assert len(keys) == QUOTIENT_DIMS[degree]
 
 
-def test_reduction_refuses_a_closed_skeleton():
-    with pytest.raises(ValueError, match="interval"):
-        reduce_fourterm(z_eval(TREFOIL, 2))
+def test_reduction_refuses_all_but_one_circle():
+    # the hump's interval and the Hopf link's two circles
+    for text, skeleton in ((HUMP, (INTERVAL,)),
+                           ("braid[2]: s1 s1 ; close", (CIRCLE, CIRCLE))):
+        z = z_eval(text, 2)
+        assert z.skeleton == skeleton
+        with pytest.raises(ValueError, match="one circle"):
+            reduce_fourterm(z)

@@ -142,8 +142,34 @@ def test_lg_invariant_weighs_quotient_basis_classes_only(monkeypatch):
     calls = _counting(monkeypatch, weightsys.WeightSystem, "tangle11")
     for text in LG_KNOTS_SEED0:
         lg_invariant(text, 3)
-    # 1 + 1 + 2 + 3: the interval quotient through degree 3
-    assert len(calls) <= 7
+    # the circle quotient basis through degree 3 is 1 + 1 + 2 + 3 classes;
+    # these framing-zero integrals never meet the isolated chord, and
+    # the hump's 3 interval classes are cuts of the same basis classes
+    assert len(calls) == 6
+
+
+def test_lg_invariant_reduces_on_the_circle_only(monkeypatch):
+    kontsevich._fourterm_span.cache_clear()
+    calls = _counting(monkeypatch, kontsevich, "four_term_relators")
+    for text in LG_KNOTS_SEED0:
+        lg_invariant(text, 3)
+    assert calls and all(args[0] == (diagrams.CIRCLE,) for args in calls)
+
+
+def test_lg_invariant_cuts_each_weighed_basis_class_once(monkeypatch):
+    slits = _counting(monkeypatch, kontsevich, "slit_component")
+    reduced = []
+    reduce_fourterm = kontsevich.reduce_fourterm
+
+    def kept(z):
+        reduced.append(reduce_fourterm(z))
+        return reduced[-1]
+
+    monkeypatch.setattr(kontsevich, "reduce_fourterm", kept)
+    for text in LG_KNOTS_SEED0:
+        lg_invariant(text, 3)
+    assert len(reduced) == len(LG_KNOTS_SEED0)
+    assert len(slits) == sum(len(z.terms) for z in reduced)
 
 
 def _chord_work(monkeypatch, name, order):
@@ -391,13 +417,12 @@ def test_z_eval_and_pair_search_each_positioned_diagram_once(monkeypatch):
     assert searches == []
 
 
-def test_paired_invariant_reduces_the_hump_once(monkeypatch):
-    kontsevich._reduced_hump.cache_clear()
+def test_paired_invariant_reduces_each_knot_once_and_never_the_hump(
+        monkeypatch):
     calls = _counting(monkeypatch, kontsevich, "reduce_fourterm")
-    hump = kontsevich.hump_factor(3)
     for text in LG_KNOTS_SEED0[:3]:
         lg_invariant(text, 3)
     # each knot has two or three maxima; one reduction of its own
-    # integral each, and one of the hump for all three
-    assert sum(1 for args in calls if args[0] is hump) == 1
-    assert len(calls) == 4
+    # integral each, and the hump factor is weighed unreduced
+    assert len(calls) == 3
+    assert all(args[0].skeleton == (diagrams.CIRCLE,) for args in calls)
