@@ -8,11 +8,11 @@ permutations of same-kind components, so it can serve as a dictionary key.
 The search runs on int chord codes, whose order is the order of the
 chord tuples, and relabels only the anchors: the component orders and
 rotations whose least chord is the least that any relabelling reaches.
-Its result is kept on the diagram, so a diagram is searched once however
-often its key is asked for.  `diagram_classes` positions chord sets
-given by ordered ends, sums them per positioned diagram and per class,
-and builds a ChordDiagram only for each class's representative, with
-the key kept on it.
+It is memoised for the process on (skeleton, sorted chord codes), so a
+positioned diagram is searched once however many calls meet it.
+`diagram_classes` positions chord sets given by ordered ends, sums them
+per positioned diagram and per class, and builds a ChordDiagram only
+for each class's representative, with the key kept on it.
 
 `four_term_relators` produces, on the same int codes, the signed 4-diagram
 combinations that every weight system must kill, `cable_diagram` lifts a
@@ -22,6 +22,7 @@ about relator spans, and every other exact linear solve in the package.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations, product
 
 from .scalars import QQ, add_term
@@ -130,6 +131,7 @@ def _orders(skeleton, counts):
         yield [perm[c] for c in range(len(skeleton))]
 
 
+@lru_cache(maxsize=None)
 def _least_relabelling(skeleton, codes):
     """The least sorted tuple of chord codes over circle rotations and
     same-kind permutations: the canonical search.
@@ -202,8 +204,8 @@ def _chords_of(codes):
 def canonical_form(diagram):
     """Minimal encoding over circle rotations and same-kind permutations.
 
-    The key is searched once per diagram and kept on it, so later calls
-    on the same diagram return it without a search.
+    The search is memoised for the process, and the key is also kept on
+    the diagram, so later calls on it skip even the memo lookup.
     """
     key = diagram._key
     if key is None:
@@ -225,11 +227,11 @@ def diagram_classes(skeleton, placed):
     only order the ends along a component.  A chord set is positioned by
     sorting its ends, an end's position being its rank among the set's
     ends on its component, and the coefficients are summed per
-    positioned diagram, so each distinct positioned diagram is searched
-    once.  Returns the nonzero sums and one representative per class
-    whose sum is nonzero, both keyed by canonical encoding: the
-    representative is the first positioned diagram met in its class,
-    the only one built as a ChordDiagram, with its key kept on it.
+    positioned diagram, each searched at most once per process.  Returns
+    the nonzero sums and one representative per class whose sum is
+    nonzero, both keyed by canonical encoding: the representative is the
+    first positioned diagram met in its class, the only one built as a
+    ChordDiagram, with its key kept on it.
     """
     raw = {}
     for ends, c in placed:
@@ -327,8 +329,8 @@ def four_term_relators(skeleton, degree):
 
     Points and terms are int codes: the moving leg inserted at point x
     moves the ends from x to the end of its component up by one.  Each
-    positioned term is searched once per call, and only the terms of kept
-    relators are built, one ChordDiagram each, with its key kept on it.
+    positioned term is searched once per process; only kept relators'
+    terms are built, one ChordDiagram each, with its key kept on it.
     """
     m = degree
     if m < 2:
@@ -337,7 +339,7 @@ def four_term_relators(skeleton, degree):
     kinds = _kind_codes(skeleton)
     relators = []
     seen = set()
-    best, built = {}, {}
+    built = {}
     npts = 2 * m - 1
     for counts in _compositions(npts, len(skeleton)):
         points = [c * _PLACE + p for c, k in enumerate(counts)
@@ -356,18 +358,17 @@ def four_term_relators(skeleton, degree):
                         y = leg + (x <= leg < top)
                         codes.append(y * _END + x if y < x else x * _END + y)
                         codes.sort()
-                        codes = tuple(codes)
-                        if codes not in best:
-                            best[codes] = _least_relabelling(skeleton, codes)
-                        terms.append((sign, codes))
-                    key = tuple(sorted((s, best[t]) for s, t in terms))
+                        terms.append((sign, tuple(codes)))
+                    key = tuple(sorted((s, _least_relabelling(skeleton, t))
+                                       for s, t in terms))
                     if key in seen:
                         continue
                     seen.add(key)
                     for i, (s, t) in enumerate(terms):
                         if t not in built:
                             built[t] = ChordDiagram(skeleton, _chords_of(t))
-                            built[t]._key = (kinds, _chords_of(best[t]))
+                            built[t]._key = (kinds, _chords_of(
+                                _least_relabelling(skeleton, t)))
                         terms[i] = (s, built[t])
                     relators.append(terms)
     return relators

@@ -19,6 +19,10 @@ expands to the nested-cup trace closure of the braid: s<k> crosses
 strands k, k+1 positively, t<k>^e adds |e| curls on strand k (changing
 its framing by e), and "close" joins the braid top around to the bottom.
 Without "close" the word is the open braid on n upward strands.
+A braid word whose expansion would hold more than MAX_TOKENS = 2^16
+generator tokens (the closure alone has 2n^2), or whose braid has more
+strands, raises ValueError before anything is expanded.  "sing" marks
+the crossing just before it, which must not be marked already.
 
 Signs: "+" strands point up, "-" strands point down.  The framing of a
 component is the sum of the oriented signs of its self-crossings (curls
@@ -35,6 +39,8 @@ _BRAID_HEAD = re.compile(r"braid\[(\d+)\]:(.*)", re.S)
 _BRAID_TOKEN = re.compile(r"([st])(\d+)(?:\^(-?\d+))?|sing")
 
 _SIGN = {"+": 1, "-": -1}
+
+MAX_TOKENS = 1 << 16
 
 
 class TangleWord:
@@ -218,8 +224,8 @@ def _parse_slice(body, si):
             raise ValueError("unknown token at slice %d: %r"
                              % (si, body[pos:].split()[0]))
         if m.group(0) == "sing":
-            if not toks or toks[-1][0] != "x":
-                raise ValueError("sing must follow a crossing")
+            if not toks or toks[-1][0] != "x" or toks[-1][2]:
+                raise ValueError("sing must follow an unmarked crossing")
             toks[-1] = ("x", toks[-1][1], True)
         elif m.group(1):
             toks.append(("id", _SIGN[m.group(1)]))
@@ -239,15 +245,15 @@ def _parse_slice(body, si):
     return toks
 
 
-def _parse_braid_letters(body):
-    letters = []
+def _parse_braid_letters(body, letters):
+    """Append the letters of body to letters, each power expanded."""
     for raw in body.split():
         m = _BRAID_TOKEN.fullmatch(raw)
         if not m:
             raise ValueError("unknown braid token %r" % raw)
         if raw == "sing":
-            if not letters or letters[-1][0] != "s":
-                raise ValueError("sing must follow a crossing")
+            if not letters or letters[-1][0] != "s" or letters[-1][3]:
+                raise ValueError("sing must follow an unmarked crossing")
             k, s, _ = letters[-1][1:]
             letters[-1] = ("s", k, s, True)
             continue
@@ -255,14 +261,21 @@ def _parse_braid_letters(body):
         e = 1 if e is None else int(e)
         if e == 0:
             raise ValueError("zero exponent on %r" % raw)
-        step = 1 if e > 0 else -1
-        for _ in range(abs(e)):
-            letters.append((kind, k, step, False))
-    return letters
+        if len(letters) + abs(e) > MAX_TOKENS:
+            raise ValueError("braid word longer than %d letters"
+                             % MAX_TOKENS)
+        letters.extend([(kind, k, 1 if e > 0 else -1, False)] * abs(e))
 
 
 def _expand_braid(n, letters, closed):
     """Expanded slice list for a braid word and its optional closure."""
+    width = 2 * n if closed else n
+    size = 2 * n * n if closed else 0
+    for kind, *_ in letters:
+        size += 3 * width + 3 if kind == "t" else width - 1
+    if size > MAX_TOKENS:
+        raise ValueError("braid word expands to %d tokens, more than %d"
+                         % (size, MAX_TOKENS))
     slices = []
     if closed:
         for j in range(n):
@@ -270,7 +283,6 @@ def _expand_braid(n, letters, closed):
         pad = lambda: [("id", 1)] * n + [("id", -1)] * n
     else:
         pad = lambda: [("id", 1)] * n
-    width = 2 * n if closed else n
     for kind, k, s, marked in letters:
         if kind == "s":
             if not 1 <= k < n:
@@ -313,9 +325,10 @@ def parse_word(text):
     m = _BRAID_HEAD.fullmatch(segs[0])
     if m:
         n = int(m.group(1))
-        if n < 1:
-            raise ValueError("a braid needs at least one strand")
-        letters = _parse_braid_letters(m.group(2))
+        if not 1 <= n <= MAX_TOKENS:
+            raise ValueError("a braid needs 1 to %d strands" % MAX_TOKENS)
+        letters = []
+        _parse_braid_letters(m.group(2), letters)
         closed = False
         for seg in segs[1:]:
             if seg == "close":
@@ -325,7 +338,7 @@ def parse_word(text):
             elif closed:
                 raise ValueError("tokens after close")
             else:
-                letters.extend(_parse_braid_letters(seg))
+                _parse_braid_letters(seg, letters)
         slices = _expand_braid(n, letters, closed)
         source = () if closed else (1,) * n
         return TangleWord(source, slices, (n, letters, closed))

@@ -8,11 +8,13 @@ from itertools import permutations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from superchord import diagrams as diagram_module
 from superchord.diagrams import (
-    ChordDiagram, LinearSpan, cable_diagram, canonical_form, close_component,
-    enumerate_diagrams, four_term_relators, random_diagram, relator_vector,
-    slit_component)
+    ChordDiagram, LinearSpan, _least_relabelling, cable_diagram,
+    canonical_form, close_component, enumerate_diagrams, four_term_relators,
+    random_diagram, relator_vector, slit_component)
 from superchord.kontsevich import z_eval
+from superchord.verify import run_all
 from test_weightsys import _relabel
 
 
@@ -321,6 +323,60 @@ def _skeleta_and_diagrams(draw):
 @given(d=_skeleta_and_diagrams())
 def test_canonical_form_matches_reference_on_random_diagrams(d):
     assert canonical_form(d) == _reference_canonical_form(d), d
+
+
+@st.composite
+def _chords_on_two_components(draw):
+    """The chords of a random diagram of degree 1 to 5 on two components,
+    to be placed on each of two circles, a circle and an interval, and an
+    interval and a circle, so that one chord code tuple meets the search
+    on three skeleta."""
+    degree = draw(st.integers(1, 5))
+    return random_diagram(("interval", "interval"), degree,
+                          draw(st.randoms())).chords
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(chords=_chords_on_two_components())
+def test_memoised_canonical_form_is_keyed_by_the_skeleton(chords):
+    skeleta = (("circle", "circle"), ("circle", "interval"),
+               ("interval", "circle"))
+    _least_relabelling.cache_clear()
+    for warm in (False, True):
+        for skeleton in skeleta:
+            # a fresh diagram each time: nothing is kept on it yet
+            d = ChordDiagram(skeleton, chords)
+            assert canonical_form(d) == _reference_canonical_form(d), (warm, d)
+        # three searches on the cold pass, none on the warm one
+        assert _least_relabelling.cache_info().misses == 3
+
+
+def assert_memo_is_the_search(run):
+    """Call run() from an empty canonical memo, recording every input
+    the search meets, then search each memo entry afresh through
+    __wrapped__: each must equal the memoised result.  Returns the
+    number of entries."""
+    memo = diagram_module._least_relabelling
+    memo.cache_clear()
+    met = {}
+
+    def recording(skeleton, codes):
+        met[skeleton, codes] = memo(skeleton, codes)
+        return met[skeleton, codes]
+
+    diagram_module._least_relabelling = recording
+    try:
+        run()
+    finally:
+        diagram_module._least_relabelling = memo
+    assert len(met) == memo.cache_info().currsize
+    for (skeleton, codes), best in met.items():
+        assert memo.__wrapped__(skeleton, codes) == best, (skeleton, codes)
+    return len(met)
+
+
+def test_memo_is_the_search_after_the_verify_suites():
+    assert assert_memo_is_the_search(run_all) > 0
 
 
 def test_canonical_form_is_kept_on_the_diagram():

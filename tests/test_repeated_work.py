@@ -7,7 +7,7 @@ import pytest
 
 from superchord import (
     associator, diagrams, jsonio, kontsevich, liesuper, ribbon, scalars,
-    weightsys)
+    verify, weightsys)
 from superchord.associator import associator_checks, build_associator
 from superchord.kontsevich import lg_invariant, wz_eval, z_eval
 from superchord.words import parse_word
@@ -335,15 +335,20 @@ def test_chord_engines_over_q_build_few_fractions(monkeypatch):
     assert count <= 26
 
 
-def test_z_eval_canonicalises_each_positioned_diagram_once(monkeypatch):
+def _searches():
+    """The canonical searches made since the memo was last cleared."""
+    return diagrams._least_relabelling.cache_info().misses
+
+
+def test_z_eval_canonicalises_each_positioned_diagram_once():
     word = ("braid[3]: s2 s2 s1^-1 s2^-1 s1 s1 s2^-1 s1^-1 s2 s2 s2^-1 "
             "s2^-1 s2^-1 s2 s2 s2 s2^-1 s1 s1 s2 ; close")
-    searches = _counting(monkeypatch, diagrams, "_least_relabelling")
+    diagrams._least_relabelling.cache_clear()
     z = z_eval(word, 4)
     assert len(z.terms) == 29
     # 29,118 when every term key was canonicalised; now one search per
     # distinct positioned diagram
-    assert len(searches) <= 319
+    assert _searches() <= 319
 
 
 @pytest.mark.parametrize("skeleton, degree, most", [
@@ -354,18 +359,18 @@ def test_z_eval_canonicalises_each_positioned_diagram_once(monkeypatch):
 def test_four_term_relators_build_and_search_each_term_once(
         monkeypatch, skeleton, degree, most):
     builds = _counting(monkeypatch, diagrams.ChordDiagram, "__init__")
-    searches = _counting(monkeypatch, diagrams, "_least_relabelling")
+    diagrams._least_relabelling.cache_clear()
     rels = diagrams.four_term_relators(skeleton, degree)
     # 15,120 (1,260 at degree 4) when all four terms of every candidate
     # were built and searched; now at most one of each per distinct
     # positioned diagram, 945 (105) of them
-    assert len(builds) <= most and len(searches) <= most
-    # the key kept on each built term spares every later search
-    del searches[:]
+    assert len(builds) <= most and _searches() <= most
+    # the key kept on each built term spares even a memo lookup
+    info = diagrams._least_relabelling.cache_info()
     for rel in rels:
         for _sign, d in rel:
             diagrams.canonical_form(d)
-    assert searches == []
+    assert diagrams._least_relabelling.cache_info() == info
 
 
 def _positioned_diagrams(word, order):
@@ -395,18 +400,17 @@ def _positioned_diagrams(word, order):
     return found
 
 
-def test_z_eval_and_pair_search_each_positioned_diagram_once(monkeypatch):
+def test_z_eval_and_pair_search_each_positioned_diagram_once():
     # a two-component link: the search permutes its two circles
     word = parse_word("braid[3]: s1 s2^-1 s1 s2 s2 s1^-1 s2 ; close")
     assert word.components == (diagrams.CIRCLE, diagrams.CIRCLE)
     expected = z_eval(word, 4)  # builds the associator
     positioned = _positioned_diagrams(word, 4)
-    searches = _counting(monkeypatch, diagrams, "_least_relabelling")
+    diagrams._least_relabelling.cache_clear()
     z = z_eval(word, 4)
     assert z == expected
-    assert len(searches) == len(positioned)
-    assert len({args[1] for args in searches}) == len(searches)
-    del searches[:]
+    info = diagrams._least_relabelling.cache_info()
+    assert info.misses == len(positioned) and info.hits == 0
     weightsys.weight_system.cache_clear()
     for name in ("gl21", "gl11"):
         rep, tensor = weightsys.named_system(name)
@@ -414,7 +418,19 @@ def test_z_eval_and_pair_search_each_positioned_diagram_once(monkeypatch):
                rep.ring)
     # pair hands the weights the representatives finish built, with
     # their class keys kept on them
-    assert searches == []
+    assert diagrams._least_relabelling.cache_info() == info
+
+
+def test_repeated_calls_search_nothing_again():
+    word = LG_KNOTS_SEED0[1]
+    assert verify.verify_cabling().ok
+    z = z_eval(word, 4)
+    before = _searches()
+    # the cabling suite's two-cable lifts and the integral's positioned
+    # diagrams are all met again, each as a new ChordDiagram or code tuple
+    assert verify.verify_cabling().ok
+    assert z_eval(word, 4) == z
+    assert _searches() == before
 
 
 def test_paired_invariant_reduces_each_knot_once_and_never_the_hump(

@@ -1,10 +1,12 @@
 """Tangle word parsing, tracing, framings, and singular handling."""
 
 import re
+import time
 
 import pytest
 from superchord.diagrams import CIRCLE, INTERVAL, canonical_form, ChordDiagram
-from superchord.words import parse_word, resolve_singular, diagram_of_singular
+from superchord.words import (
+    MAX_TOKENS, diagram_of_singular, parse_word, resolve_singular)
 
 
 def test_unknot_closure():
@@ -127,6 +129,40 @@ def test_crossing_range_rejected():
 def test_dangling_sing_rejected():
     with pytest.raises(ValueError):
         parse_word("braid[2]: sing s1 ; close")
+
+
+@pytest.mark.parametrize("text", [
+    "braid[2]: s1 sing sing ; close",
+    "braid[2]: s1^3 sing sing ; close",
+    "obj: + +\nslice: X+ sing sing",
+    "obj: + + +\nslice: X+ sing sing id(+)",
+])
+def test_doubled_sing_rejected(text):
+    with pytest.raises(ValueError, match="unmarked crossing"):
+        parse_word(text)
+
+
+@pytest.mark.parametrize("text", [
+    "braid[2]: s1^99999999999 ; close",
+    "braid[2]: t1^-99999999999 ; close",
+    "braid[2]: s1^40000 s1^-40000 ; close",
+    "braid[99999999999]: s1 ; close",
+    "braid[99999]: s1 ; close",
+    "braid[99999]: s1",
+    "braid[200]: ; close",
+    "braid[3]: t1^8000 ; close",
+])
+def test_oversized_braid_expansion_rejected_before_it_is_built(text):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=str(MAX_TOKENS)):
+        parse_word(text)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_braid_expansion_at_the_token_bound_is_built():
+    # the closure of 180 strands is 64,800 tokens; one s1 adds 359
+    w = parse_word("braid[180]: s1 ; close")
+    assert sum(map(len, w.slices)) == 2 * 180 ** 2 + 359 <= MAX_TOKENS
 
 
 def test_singular_hopf_diagram():
