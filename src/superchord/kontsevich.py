@@ -6,6 +6,9 @@ single associator move (none when p = 0), applies the generator, and
 regroups back:
 
     crossing  flip after exp(s eps_p eps_{p+1} (h/2) chord(p, p+1))
+    double    a marked crossing, X+ - X- (Bar-Natan's Z of a singular
+    point     knot): flip after exp(t/2) - exp(-t/2), t the same signed
+              chord, the odd terms only, with no degree-0 term
     cup, cap  plain bends, so each maximum carries the universal hump
               factor; paired_invariant divides it back out
     curl      already expanded by the parser into cup, crossing, cap
@@ -26,19 +29,19 @@ canonicalises each positioned diagram once (diagrams.diagram_classes).
 Every token is one int, component << 32 | place, so a key is placed by
 sorting ints.  Only the first positioned diagram of each class becomes a
 ChordDiagram, the class representative, and it keeps its class key, so
-weighing it searches no more.  Both apply a crossing and an
-associator move as one kind of step, a word series: the crossing's
-exponential is the powers of letter 1, the chord on its two strands,
-with coefficients (s/2)^k/k!.  Both keep rational values as Python ints
-over one constant denominator per h degree (per chord count for
-diagrams), the table D of _moves(order), the one cached table of both
-engines, which also holds each move's terms, schedule and images: D[0]
-= 1, and D[m] is the lcm of D[m - k] q over every crossing term and
-associator coefficient p/q of degree k, of either sign; at order 4 it
-is [1, 2, 24, 48, 5760].  A term adds layer n into layer n + k with
-the int multiplier p D[n + k] / (D[n] q), so no value is ever
-rescaled, and a Fraction is built only at the output, once per layer or
-diagram class.
+weighing it searches no more.  Both apply the three move kinds as one
+kind of step, a word series: the crossing's exponential is the powers
+of letter 1, the chord on its two strands, with coefficients
+(s/2)^k/k!, the double point's its odd powers with 2 (1/2)^k/k!.  Both
+keep rational values as Python ints over one constant denominator per
+h degree (per chord count for diagrams), the table D of _moves(order),
+the one cached table of both engines, which also holds each move's
+terms, schedule and images: D[0] = 1, and D[m] is the lcm of D[m - k] q
+over every crossing term and associator coefficient p/q of degree k,
+of either sign; at order 4 it is [1, 2, 24, 48, 5760].  A term adds
+layer n into layer n + k with the int multiplier p D[n + k] / (D[n]
+q), so no value is ever rescaled, and a Fraction is built only at the
+output, once per layer or diagram class.
 Both truncate as they go.  The diagram backend never builds a term of
 more than order chords.  The matrix backend
 splits each associator word of degree k as u v, v its last k // 2
@@ -59,9 +62,9 @@ Composites: paired_invariant reduces a knot's z_eval modulo the
 four-term relations on the circle (reduce_fourterm), cuts each residual
 basis class at place 0 and pairs it with a weight, so only a basis of
 the quotient is ever weighed; lg_invariant does this with the
-Links-Gould system.
-vassiliev_defect alternates wz_eval over the resolutions of marked
-double points.
+Links-Gould system.  A word with m double points gives the alternating
+sum over its 2^m resolutions in one walk, and vassiliev_defect is its
+wz_eval after a framing check.
 """
 
 from collections import defaultdict
@@ -79,7 +82,7 @@ from .scalars import (
     series_inverse)
 from .supergraded import SuperMap
 from .weightsys import weight_system, wlg
-from .words import PathTracer, parse_word, resolve_singular
+from .words import PathTracer, parse_word, resolution
 
 
 @lru_cache(maxsize=None)
@@ -88,13 +91,16 @@ def _moves(order):
     images).
 
     moves[crossing, sign] is (terms, plan, build, scale) for a crossing
-    of that sign, exp(sign chord / 2), or an associator move, Phi for
-    sign 1 and Phi^-1 for -1.  A term is (degree k, word, multipliers):
-    a crossing has the words (1,) * k with coefficients (sign/2)^k / k!,
-    k ascending, an associator move its non-unit words of degree <=
-    order in the order Associator.words gives them.  D[0] = 1, and D[m]
-    is the lcm of D[m - k] q over every term of degree k with
-    coefficient p/q; multiplier n is the int p D[n + k] / (D[n] q) that
+    of that sign, exp(sign chord / 2), a double point (True, 0), the
+    crossings' difference, or an associator move, Phi for sign 1 and
+    Phi^-1 for -1.  A term is (degree k, word, multipliers): a crossing
+    has the words (1,) * k with coefficients (sign/2)^k / k!, k
+    ascending, a double point those of odd k, doubled, an associator
+    move its non-unit words of degree <= order in the order
+    Associator.words gives them.  D[0] = 1, and D[m] is the lcm of D[m -
+    k] q over every crossing and associator term of degree k with
+    coefficient p/q, which the double point's q divide; multiplier n is
+    the int p D[n + k] / (D[n] q) that
     takes a layer n value over D[n] to layer n + k over D[n + k].  plan
     is the term's schedule in _MatrixBackend._series (_plan); build is
     the same schedule with the one multiplier p Q_k / q on layer 0, Q_k
@@ -119,6 +125,10 @@ def _moves(order):
     for m in range(1, order + 1):
         dens.append(lcm(*(dens[m - k] * c.denominator for terms in
                           series.values() for k, _, c in terms if k <= m)))
+    series[True, 0] = [(k, w, a - b) for (k, w, a), (_, _, b)
+                       in zip(series[True, 1], series[True, -1]) if k % 2]
+    assert all(a.denominator % c.denominator == 0 for (_, _, a), (_, _, c)
+               in zip(series[True, 1][::2], series[True, 0]))
     moves = {}
     for (crossing, sign), terms in series.items():
         qs = [lcm(*(c.denominator for j, _, c in terms if j == k))
@@ -185,7 +195,7 @@ def _walk(word, backend):
             elif kind == "x":
                 if p:
                     backend.associate(p, 1, signs)
-                backend.crossing(p, tok[1], signs)
+                backend.crossing(p, 0 if tok[2] else tok[1], signs)
                 signs[p], signs[p + 1] = signs[p + 1], signs[p]
                 if p:
                     backend.associate(p, -1, signs)
@@ -270,7 +280,8 @@ class _DiagramBackend:
         series = self._expand(_moves(self.order)[1][True, s][0], (), tvw, e)
         new = {}
         for key, c in self.terms.items():
-            add_term(new, key, c)
+            if s:
+                add_term(new, key, c)
             self._add_series(new, key, c, series)
         self.terms = new
         self.tracer.cross(p)
@@ -338,7 +349,8 @@ class _DiagramBackend:
 
 
 def z_eval(word, order):
-    """Kontsevich integral of a word through the given chord degree."""
+    """Kontsevich integral of a word through the given chord degree; a
+    marked crossing counts as X+ - X-."""
     check_order(order)
     word = parse_word(word)
     skeleton, terms, reps = _walk(word, _DiagramBackend(word, order))
@@ -359,18 +371,18 @@ class _MatrixBackend:
     alpha = 2^k, k from the bounds of _NormBackend, and finish decodes
     each value once.
 
-    A crossing and an associator move are both a word series applied by
-    _series: a crossing is exp(s chord / 2), the powers of letter 1,
-    followed by a flip.  Letters do not depend on the layer, so each word
-    u v goes in two halves (_plan): each suffix v once, then each
-    prefix u on the sum of its terms' multiples of v(S) by target layer,
-    each letter adding into its parent's state; empty layers are
-    skipped.  A move whose signature comes back, a second time in one
-    walk or an _ADMIT-th time on the int system, is read from its image
-    instead (_move): the columns of its series on each block code, built
-    once each (_columns), so that applying it is one lookup per key and
-    one add per column entry.  met holds the signatures this walk has
-    met.
+    Every move is a word series applied by _series: a crossing is
+    exp(s chord / 2), the powers of letter 1, followed by a flip, and a
+    double point the same with no unit term, so it starts from empty
+    layers.  Letters do not depend on the layer, so each word u v goes
+    in two halves (_plan): each suffix v once, then each prefix u on the
+    sum of its terms' multiples of v(S) by target layer, each letter
+    adding into its parent's state; empty layers are skipped.  A move
+    whose signature comes back, a second time in one walk or an
+    _ADMIT-th time on the int system, is read from its image instead
+    (_move): the columns of its series on each block code, built once
+    each (_columns), so that applying it is one lookup per key and one
+    add per column entry.  met holds the signatures this walk has met.
     """
 
     def __init__(self, word, order, rep, tensor):
@@ -406,7 +418,8 @@ class _MatrixBackend:
         directly.  The block codes of the layers that the image lacks are
         built in one walk (_columns); then a key v at layer n adds v c
         scale[k][n] into layer n + k, for each column entry c of degree k
-        <= order - n, to the flip or the copy of the layers.
+        <= order - n, to the flip or the copy of the layers, or to empty
+        layers for a double point, signature (True, 0, roles).
         """
         _, moves, table = _moves(self.order)
         _, plan, build, scale = moves[crossing, sign]
@@ -418,7 +431,7 @@ class _MatrixBackend:
             uses[sig] = uses.get(sig, 0) + 1
             if uses[sig] < _ADMIT and sig not in self.met:
                 self.met.add(sig)
-                total = self._series(self.deg, p, signs, plan)
+                total = self._series(self.deg, p, signs, plan, sign != 0)
                 self.deg = ([self.ws.flip(layer, p) for layer in total]
                             if crossing else total)
                 return
@@ -429,8 +442,8 @@ class _MatrixBackend:
                    for key in layer}.difference(image)
         if missing:
             self._columns(image, missing, crossing, roles, build)
-        out = ([self.ws.flip(layer, p) for layer in self.deg] if crossing
-               else [dict(layer) for layer in self.deg])
+        out = [self.ws.flip(layer, p) if crossing else dict(layer)
+               for layer in self.deg] if sign else [{} for _ in self.deg]
         for n, layer in enumerate(self.deg):
             mults = [m[n] for m in scale[1:self.order - n + 1]]
             outs = out[n + 1:]
@@ -466,12 +479,13 @@ class _MatrixBackend:
         for s, col in cols.items():
             image[s] = tuple(map(tuple, col))
 
-    def _series(self, deg, p, signs, plan):
-        """The layers deg plus every word term of a move's plan applied to
-        them: G(q) = C_q + sum over letters y of y(G(q y)) over the prefix
-        trie, C_u the sum of the terms u v of their multiples of v(S)."""
+    def _series(self, deg, p, signs, plan, unit=True):
+        """The layers deg, if unit, plus every word term of a move's plan
+        applied to them: G(q) = C_q + sum over letters y of y(G(q y)) over
+        the prefix trie, C_u the sum of the terms u v of their multiples
+        of v(S)."""
         suffixes, terms, prefixes = plan
-        total = [dict(d) for d in deg]
+        total = [dict(d) if unit else {} for d in deg]
         states = {(): deg}
         for v, letter, rest, top in suffixes:
             states[v] = self._letter(states[rest][:top + 1], letter, p,
@@ -535,7 +549,8 @@ class _NormBackend:
         norm = self.ws.norm
         letters = (sum(norm[signs[a], signs[p]] for a in range(p)),
                    norm[signs[p], signs[p + 1]])
-        total = list(self.deg)
+        # the unit term, which a double point (sign 0) lacks
+        total = list(self.deg) if sign else [0] * len(self.deg)
         for k, w, mults in _moves(self.order)[1][crossing, sign][0]:
             f = prod(letters[x] for x in w)
             for n, mult in enumerate(mults):
@@ -558,6 +573,7 @@ def wz_eval(word, rep, tensor, order):
     Closed words give an HSeries.  Words with one strand in and one out
     give a list of endomorphisms of V, one per degree.  Other boundaries
     give raw per-degree dicts keyed by (target indices, source indices).
+    A marked crossing counts as X+ - X-, as in z_eval.
     """
     check_order(order)
     word = parse_word(word)
@@ -674,21 +690,18 @@ def lg_invariant(word, order):
 
 
 def vassiliev_defect(word, rep, tensor, order):
-    """Alternating sum of wz_eval over all resolutions of the double points.
+    """Alternating sum of wz_eval over all resolutions of the double
+    points, in one wz_eval walk that reads each as X+ - X-.
 
     The word must be closed and every resolution must have even framings
-    on all components.
+    on all components.  A flipped crossing changes a framing by 0 or 2,
+    so it suffices to check the all-positive resolution.
     """
     check_order(order)
     word = parse_word(word)
     if not word.is_closed:
         raise ValueError("the defect needs a closed word")
-    total = None
-    for sign, res in resolve_singular(word):
-        if any(f % 2 for f in res.framings):
-            raise ValueError("resolution with odd framing %s"
-                             % (res.framings,))
-        value = wz_eval(res, rep, tensor, order)
-        value = value if sign > 0 else -value
-        total = value if total is None else total + value
-    return total
+    framings = resolution(word)[1].framings
+    if any(f % 2 for f in framings):
+        raise ValueError("resolution with odd framing %s" % (framings,))
+    return wz_eval(word, rep, tensor, order)

@@ -378,29 +378,33 @@ def parse_word(text):
 
 def resolve_singular(word):
     """All 2^m resolutions of the marked double points, with signs."""
+    return [resolution(word, mask) for mask in range(2 ** word.sing_count)]
+
+
+def resolution(word, mask=0):
+    """One resolution of the marked double points and its sign: the b-th
+    marked crossing becomes X- where bit b of mask is set and X+
+    elsewhere, and the sign is -1 to the number of X-."""
     sites = [(i, j) for i, sl in enumerate(word.slices)
              for j, tok in enumerate(sl) if tok[0] == "x" and tok[2]]
-    out = []
-    for mask in range(2 ** len(sites)):
-        slices = [list(sl) for sl in word.slices]
-        sign = 1
-        for b, (i, j) in enumerate(sites):
-            s = 1 if (mask >> b) & 1 == 0 else -1
-            sign *= s
-            slices[i][j] = ("x", s, False)
-        braid = None
-        if word.braid is not None:
-            n, letters, closed = word.braid
-            letters = list(letters)
-            pos = 0
-            for b, (kind, k, s0, marked) in enumerate(letters):
-                if marked:
-                    i, j = sites[pos]
-                    letters[b] = (kind, k, slices[i][j][1], False)
-                    pos += 1
-            braid = (n, letters, closed)
-        out.append((sign, TangleWord(word.source, slices, braid)))
-    return out
+    slices = [list(sl) for sl in word.slices]
+    sign = 1
+    for b, (i, j) in enumerate(sites):
+        s = 1 if (mask >> b) & 1 == 0 else -1
+        sign *= s
+        slices[i][j] = ("x", s, False)
+    braid = None
+    if word.braid is not None:
+        n, letters, closed = word.braid
+        letters = list(letters)
+        pos = 0
+        for b, (kind, k, s0, marked) in enumerate(letters):
+            if marked:
+                i, j = sites[pos]
+                letters[b] = (kind, k, slices[i][j][1], False)
+                pos += 1
+        braid = (n, letters, closed)
+    return sign, TangleWord(word.source, slices, braid)
 
 
 def diagram_of_singular(word):

@@ -106,6 +106,15 @@ def test_wz_valpha_order_five_frozen(tmp_path, capsys):
         "h_order": 5, "coeffs": [{"num": []}] * 6}
 
 
+def test_wz_reads_a_marked_crossing_as_its_two_resolutions(tmp_path,
+                                                           capsys):
+    # X+ - X-: the Hopf link minus the unknot s1 s1^-1, not the Hopf link
+    path = write(tmp_path, "hopf_sing.tw", "braid[2]: s1 s1 sing ; close")
+    assert main(["wz", path, "--system", "gl21", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "h_order": 3, "coeffs": ["0", "1", "1/2", "1/6"]}
+
+
 def test_wz_rejects_open_words(tmp_path, capsys):
     path = write(tmp_path, "open.tw", "braid[2]: s1 s1")
     assert main(["wz", path]) == 1

@@ -1,0 +1,206 @@
+"""Marked double points walked once against the sum over their resolutions.
+
+Both chord engines read a marked crossing as X+ - X-, the integral of a
+singular knot (Bar-Natan, Topology 34, 1995): `kontsevich._moves` holds
+the double point as a third move kind beside the crossing and the
+associator move, so `z_eval`, `wz_eval` and `vassiliev_defect` walk a
+word with m marks once.  The oracle is the alternating sum over the 2^m
+resolutions of `words.resolve_singular`, each a plain word walked as
+before.  The words are generated closed braids on at most 3 strands
+with at most 6 letters and (1,1)-tangles, each with 1 to 3 marks, at
+orders 3 and 4.  Over Q(alpha) the int walk at alpha = 2^K is checked
+too, with K from the double point's own terms in `_NormBackend`.
+"""
+
+import re
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from superchord import kontsevich
+from superchord.kontsevich import _moves, vassiliev_defect, wz_eval, z_eval
+from superchord.scalars import add_term
+from superchord.verify import SINGULAR_WORDS
+from superchord.weightsys import named_system
+from superchord.words import parse_word, resolution, resolve_singular
+from test_int_walk import _assert_wz_matches, braids, tangles
+
+# a knot on 3 strands with three marks and framing 4
+THREE_MARKS = ("braid[3]: s1 sing s2^-1 s1 sing s2^-1 s1 sing s2 s1 s2 "
+               "; close")
+
+
+def _marks(draw, tokens, is_crossing):
+    """The places of 1 to 3 of the crossings among tokens."""
+    sites = [i for i, tok in enumerate(tokens) if is_crossing(tok)]
+    return draw(st.sets(st.sampled_from(sites), min_size=1,
+                        max_size=min(3, len(sites))))
+
+
+@st.composite
+def singular_braids(draw):
+    """A closed braid of test_int_walk.braids with 1 to 3 marks."""
+    head, body = draw(braids()).split(": ")
+    letters = body.replace(" ; close", "").split()
+    marked = _marks(draw, letters, lambda tok: True)
+    return "%s: %s ; close" % (head, " ".join(
+        tok + " sing" if i in marked else tok
+        for i, tok in enumerate(letters)))
+
+
+@st.composite
+def singular_tangles(draw):
+    """A (1,1)-tangle of test_int_walk.tangles with 1 to 3 marks."""
+    lines = draw(tangles()).split("\n")
+    marked = _marks(draw, lines, lambda line: "X" in line)
+    return "\n".join(re.sub(r"(X[+-])", r"\1 sing", line) if i in marked
+                     else line for i, line in enumerate(lines))
+
+
+def _signed_sum(values):
+    """The sum of sign * value over (sign, value) pairs."""
+    total = None
+    for sign, value in values:
+        value = value if sign > 0 else -value
+        total = value if total is None else total + value
+    return total
+
+
+def z_resolution_sum(word, order):
+    """The terms of z_eval summed over the resolutions with their signs."""
+    total = {}
+    for sign, res in resolve_singular(word):
+        for e, c in z_eval(res, order).terms.items():
+            add_term(total, e, sign * c)
+    return total
+
+
+def wz_resolution_sum(word, rep, tensor, order):
+    """wz_eval summed over the resolutions with their signs, degree by
+    degree for a (1,1)-tangle."""
+    values = [(sign, wz_eval(res, rep, tensor, order))
+              for sign, res in resolve_singular(word)]
+    if word.is_closed:
+        return _signed_sum(values)
+    return [_signed_sum((sign, value[m]) for sign, value in values)
+            for m in range(order + 1)]
+
+
+def assert_wz_is_the_resolution_sum(name, text, order):
+    """wz_eval of the word, walked kontsevich._ADMIT times from an empty
+    image table so that the last walk reads every move from its image,
+    double points included, equals the resolution sum on every walk."""
+    rep, tensor = named_system(name)
+    word = parse_word(text)
+    want = wz_resolution_sum(word, rep, tensor, order)
+    _moves(order)[2].clear()
+    for _ in range(kontsevich._ADMIT):
+        assert wz_eval(word, rep, tensor, order) == want, (name, text)
+    (_uses, images), = _moves(order)[2].values()
+    assert any(sign == 0 for _x, sign, _r in images), text
+
+
+def _walks(call):
+    """call() and the number of kontsevich._walk calls it made."""
+    walk, calls = kontsevich._walk, []
+
+    def counted(*args):
+        calls.append(args)
+        return walk(*args)
+
+    kontsevich._walk = counted
+    try:
+        return call(), len(calls)
+    finally:
+        kontsevich._walk = walk
+
+
+def assert_double_points_are_the_resolution_sums(order, words):
+    """vassiliev_defect with gl21 and valpha, and z_eval by class, of each
+    closed word against the sums over its resolutions, and each in one
+    walk (two over Q(alpha): the bound, then the ints); returns the
+    number of words checked."""
+    for text in words:
+        word = parse_word(text)
+        z, walks = _walks(lambda: z_eval(word, order))
+        assert walks == 1 and z.terms == z_resolution_sum(word, order)
+        for name, want in (("gl21", 1), ("valpha", 2)):
+            rep, tensor = named_system(name)
+            defect, walks = _walks(
+                lambda: vassiliev_defect(word, rep, tensor, order))
+            assert walks == want, (name, text)
+            assert defect == wz_resolution_sum(word, rep, tensor, order), (
+                name, text)
+    return len(words)
+
+
+marks = settings(derandomize=True, max_examples=40, deadline=None)
+
+
+@marks
+@given(text=st.one_of(singular_braids(), singular_tangles()),
+       order=st.integers(3, 4))
+def test_z_eval_is_the_resolution_sum(text, order):
+    word = parse_word(text)
+    want = z_resolution_sum(word, order)
+    for _ in range(2):
+        assert z_eval(word, order).terms == want
+
+
+@pytest.mark.parametrize("name", ["gl21", "gl11", "valpha"])
+@marks
+@given(text=st.one_of(singular_braids(), singular_tangles()),
+       order=st.integers(3, 4))
+def test_wz_eval_is_the_resolution_sum(name, text, order):
+    assert_wz_is_the_resolution_sum(name, text, order)
+
+
+@pytest.mark.parametrize("name", ["valpha", "lg"])
+@settings(derandomize=True, max_examples=4, deadline=None)
+@given(text=singular_tangles(), order=st.integers(3, 4))
+def test_double_point_bound_holds_on_the_q_alpha_walk(name, text, order):
+    # the int walk at alpha = 2^K against the walk over Q(alpha), and
+    # the bound of _NormBackend, from the double point's own terms,
+    # against the largest coefficient that walk reaches
+    _assert_wz_matches(name, text, order)
+
+
+@marks
+@given(text=st.one_of(singular_braids(), singular_tangles()))
+def test_resolutions_share_their_framing_parities(text):
+    word = parse_word(text)
+    resolutions = resolve_singular(word)
+    assert len(resolutions) == 2 ** word.sing_count
+    assert len({tuple(f % 2 for f in res.framings)
+                for _sign, res in resolutions}) == 1
+    # the all-positive resolution is the first, the one vassiliev_defect
+    # checks
+    sign, first = resolutions[0]
+    again = resolution(word)
+    assert sign == again[0] == 1 and again[1].slices == first.slices
+
+
+def test_double_point_is_the_crossings_difference():
+    for order in range(6):
+        dens, moves, _images = _moves(order)
+        terms = moves[True, 0][0]
+        assert [k for k, _w, _m in terms] == list(range(1, order + 1, 2))
+        plus, minus = moves[True, 1][0], moves[True, -1][0]
+        for k, _w, mults in terms:
+            # X+ - X-, term by term, over the same D
+            assert mults == tuple(a - b for a, b in zip(plus[k - 1][2],
+                                                        minus[k - 1][2]))
+
+
+def test_singular_words_and_three_marks_at_order_3():
+    words = [text for _m, _label, text in SINGULAR_WORDS] + [THREE_MARKS]
+    assert assert_double_points_are_the_resolution_sums(3, words) == 4
+
+
+def test_a_singular_knot_pairs_its_alternating_integral():
+    # lg reads the marks as z_eval does: one double point on the
+    # trefoil's braid is the trefoil minus the unknot s1 s1^-1 s1
+    text = "braid[2]: s1 s1 sing s1 t1^-3 ; close"
+    plus, minus = (kontsevich.lg_invariant(res, 3)
+                   for _s, res in resolve_singular(parse_word(text)))
+    assert kontsevich.lg_invariant(text, 3) == plus - minus

@@ -135,6 +135,10 @@ def test_bounds_take_each_factor_of_the_proof():
     assert _walk(word, _NormBackend(3, ws)) == crossing
     word = parse_word("slice: id(+) id(-)\nslice: X+\nslice: cap(-+)")
     assert _walk(word, _NormBackend(3, ws)) == [ws.dim * b for b in crossing]
+    # a double point, X+ - X-, has no unit term and doubles the odd ones
+    word = parse_word("slice: id(+) id(-)\nslice: X+ sing")
+    point = [2 * b if m % 2 else 0 for m, b in enumerate(crossing)]
+    assert _walk(word, _NormBackend(3, ws)) == point
 
 
 @st.composite

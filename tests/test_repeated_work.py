@@ -7,7 +7,7 @@ import pytest
 
 from superchord import (
     associator, diagrams, jsonio, kontsevich, liesuper, ribbon, scalars,
-    verify, weightsys)
+    verify, weightsys, words)
 from superchord.associator import associator_checks, build_associator
 from superchord.kontsevich import lg_invariant, wz_eval, z_eval
 from superchord.words import parse_word
@@ -267,6 +267,22 @@ def test_each_move_image_column_is_built_once(monkeypatch):
     del builds[:]
     assert [wz_eval(text, rep, tensor, 4) for text in words] == first
     assert builds == []
+
+
+def test_vassiliev_defect_walks_once_for_three_marks(monkeypatch):
+    rep, tensor = weightsys.named_system("gl21")
+    word = parse_word("braid[3]: s1 sing s2^-1 s1 sing s2^-1 s1 sing s2 "
+                      "s1 s2 ; close")
+    backends = _counting(monkeypatch, kontsevich._MatrixBackend, "__init__")
+    walks = _counting(monkeypatch, kontsevich, "_walk")
+    traced = _counting(monkeypatch, words.TangleWord, "__init__")
+    defect = kontsevich.vassiliev_defect(word, rep, tensor, 4)
+    assert [defect.coeff(m) for m in range(3)] == [0, 0, 0]
+    # 8 backends and 8 walks when each of the 2^3 resolutions was walked;
+    # over Q there is no bound walk either
+    assert len(backends) == 1 and len(walks) == 1
+    # the all-positive resolution, for its framings, and no other
+    assert len(traced) == 1
 
 
 def test_station_walk_applies_chords_on_partial_states(monkeypatch):
