@@ -22,41 +22,23 @@ acts first, lowest on the page.
 Two backends walk the same slices: one accumulates chord diagrams on the
 traced skeleton (z_eval), one drives the WeightSystem state operations
 (cup, chord, cap, flip) over one state per h degree (wz_eval), the same
-operations that evaluate single diagrams.  The diagram backend keys its
-terms by chord sets on anchor tokens; many keys land on one positioned
-diagram, so at the end it sums the keys per positioned diagram and
-canonicalises each positioned diagram once (diagrams.diagram_classes).
-Every token is one int, component << 32 | place, so a key is placed by
-sorting ints.  Only the first positioned diagram of each class becomes a
-ChordDiagram, the class representative, and it keeps its class key, so
-weighing it searches no more.  Both apply the three move kinds as one
-kind of step, a word series: the crossing's exponential is the powers
-of letter 1, the chord on its two strands, with coefficients
-(s/2)^k/k!, the double point's its odd powers with 2 (1/2)^k/k!.  Both
-keep rational values as Python ints over one constant denominator per
-h degree (per chord count for diagrams), the table D of _moves(order),
-the one cached table of both engines, which also holds each move's
-terms, schedule and images: D[0] = 1, and D[m] is the lcm of D[m - k] q
-over every crossing term and associator coefficient p/q of degree k,
-of either sign; at order 4 it is [1, 2, 24, 48, 5760].  A term adds
-layer n into layer n + k with the int multiplier p D[n + k] / (D[n]
-q), so no value is ever rescaled, and a Fraction is built only at the
-output, once per layer or diagram class.
-Both truncate as they go.  The diagram backend never builds a term of
-more than order chords.  The matrix backend
-splits each associator word of degree k as u v, v its last k // 2
-letters, applies each suffix v once on the source layers 0..order-k,
-and the prefixes u by Horner over their trie on the target layers
-(_plan).  A crossing acts only on its two fields of the int key and an
-associator move at p only on fields 0..p + 1, whatever the layer, so a
-move is one operator on a few strands, the image of exp(+-t/2) or
-Phi^+-1 in the representation (Le-Murakami identify it with the quantum
-R-matrix and the associator there).  Once a move's signature (crossing
-or not, sign, roles of the block) comes back, the matrix backend keeps
-that operator as an image: per block code s and degree k, the targets
-and int coefficients of the move's series applied to s, built in one
-walk over the codes the image lacks and kept in the _moves table under
-the int system that walks it (_MatrixBackend._move).
+operations that evaluate single diagrams.  The diagram backend keys each
+term by its positioned diagram on the current strand pieces, so equal
+terms merge as they are made, and canonicalises each key once
+(diagrams.diagram_classes): only the first of a class becomes a
+ChordDiagram, the representative, and keeps its class key, so weighing
+it searches no more.  Both apply the three move kinds as one kind of
+step, a word series: the crossing's exponential is the powers of letter
+1, the chord on its two strands, with coefficients (s/2)^k/k!, the
+double point's its odd powers with 2 (1/2)^k/k!.  Both keep rational
+values as ints over one denominator per h degree (per chord count for
+diagrams), the table D of _moves(order), and build a Fraction only at
+the output.  Both truncate as they go: the diagram backend never builds
+a term of more than order chords, and the matrix backend applies each
+associator word in two halves (_plan) and reads a move met before from
+its image, its operator on a few strands in the representation
+(Le-Murakami identify it with the quantum R-matrix and the associator
+there; _MatrixBackend._move).
 
 Composites: paired_invariant reduces a knot's z_eval modulo the
 four-term relations on the circle (reduce_fourterm), cuts each residual
@@ -82,7 +64,7 @@ from .scalars import (
     series_inverse)
 from .supergraded import SuperMap
 from .weightsys import weight_system, wlg
-from .words import PathTracer, parse_word, resolution
+from .words import PathTracer, parse_word
 
 
 @lru_cache(maxsize=None)
@@ -99,9 +81,9 @@ def _moves(order):
     move its non-unit words of degree <= order in the order
     Associator.words gives them.  D[0] = 1, and D[m] is the lcm of D[m -
     k] q over every crossing and associator term of degree k with
-    coefficient p/q, which the double point's q divide; multiplier n is
-    the int p D[n + k] / (D[n] q) that
-    takes a layer n value over D[n] to layer n + k over D[n + k].  plan
+    coefficient p/q, which the double point's q divide ([1, 2, 24, 48,
+    5760] at order 4); multiplier n is the int p D[n + k] / (D[n] q)
+    that takes a layer n value over D[n] to layer n + k over D[n + k].  plan
     is the term's schedule in _MatrixBackend._series (_plan); build is
     the same schedule with the one multiplier p Q_k / q on layer 0, Q_k
     the lcm of the q of the move's degree-k terms, and scale[k][n] is
@@ -153,6 +135,9 @@ def _moves(order):
 # it builds, so a signature that each walk meets once builds nothing
 # before its third walk: the associator moves of a (1,1)-tangle word.
 _ADMIT = 3
+
+# the piece field of an end piece << 8 | rank, in either half of a chord
+_PB = (1 << 32) - 256
 
 
 def _plan(order, crossing, terms):
@@ -248,101 +233,126 @@ class ZValue:
 
 
 class _DiagramBackend:
-    """States are chord sets over stamped anchor tokens, with int
-    coefficients over D[m] for m chords (_moves).
-
-    finish maps each token to one int, component << 32 | place on the
-    traced skeleton, and hands each key's ends to
-    diagrams.diagram_classes, which places each key by sorting them,
-    sums the keys per positioned diagram and searches each distinct
-    positioned diagram once.  A class keeps as representative the
-    diagram of its first key, the only one built as a ChordDiagram, with
-    its class key kept on it.
+    """States are positioned chord diagrams on the strand pieces, with
+    int coefficients over D[m] for m chords (_moves).  A piece is a
+    source strand or a cup, the PathTracer serial of an open end.  An end
+    is piece << 8 | rank, rank its place among the key's own ends on that
+    piece; a chord is lo << 32 | hi and a key the sorted tuple of its
+    chords.  A term adds ends at piece extremes only: on a head after the
+    key's ends there, layers ascending, on a tail before them, layers
+    descending; a cap touches no key.  So equal keys stay equal and are
+    summed as they are made, keeping a sum that cancels as
+    diagram_classes does: each positioned diagram appears where a walk
+    keyed by each event's own tokens first meets it.  finish places each
+    piece by a marker token and hands each end to diagram_classes as
+    component << 32 | piece place << 8 | rank.
     """
 
     def __init__(self, word, order):
         self.order = order
         self.tracer = PathTracer(word.source)
-        self.terms = {frozenset(): 1}
-        self.event = 0
-
-    def _stamp_layers(self, positions):
-        e = self.event
-        self.event += 1
-        for j in range(self.order):
-            for p in positions:
-                self.tracer.stamp(p, ("a", e, j, p))
-        return e
+        for p in range(len(word.source)):
+            self.tracer.stamp(p, self.tracer.end_serial(p))
+        self.terms = {(): 1}
 
     def crossing(self, p, s, signs):
-        e = self._stamp_layers((p, p + 1))
-        tvw = [(p, p + 1, signs[p] * signs[p + 1])]
-        series = self._expand(_moves(self.order)[1][True, s][0], (), tvw, e)
-        new = {}
-        for key, c in self.terms.items():
-            if s:
-                add_term(new, key, c)
-            self._add_series(new, key, c, series)
-        self.terms = new
+        self._step(True, s, p, p, signs, {})
         self.tracer.cross(p)
 
     def associate(self, p, sign, signs):
-        terms = _moves(self.order)[1][False, sign][0]
-        if not terms:
-            return
-        e = self._stamp_layers(range(p + 2))
-        tuv = [(a, p, signs[a] * signs[p]) for a in range(p)]
-        tvw = [(p, p + 1, signs[p] * signs[p + 1])]
-        series = self._expand(terms, tuv, tvw, e)
-        new = dict(self.terms)
+        self._step(False, sign, 0, p, signs, dict(self.terms))
+
+    def _step(self, crossing, sign, lo, p, signs, new):
+        """Add to new, the next state, each key times every non-unit term
+        of a move's series on strands lo..p + 1, right after the key's copy
+        for a crossing (none for a double point)."""
+        terms = _moves(self.order)[1][crossing, sign][0]
+        heads, tails, series = self._expand(terms, lo, p, signs)
+        room = self.order - terms[0][0] if terms else -1
         for key, c in self.terms.items():
-            self._add_series(new, key, c, series)
+            if crossing and sign:
+                new[key] = new.get(key, 0) + c
+            n = len(key)
+            if n > room:
+                continue
+            pieces = [x & _PB for ch in key for x in (ch >> 32, ch)]
+            low = [*map(pieces.count, heads), 0]
+            counted = any(low)
+            moved = not tails.isdisjoint(pieces)
+            for deg, mults, choices in series:
+                if n + deg > self.order:
+                    break
+                base = c * mults[n]
+                for shift, chords, bases, sg in choices:
+                    k = key
+                    if moved and shift:
+                        k = tuple([ch + (shift.get(ch >> 32 & _PB, 0) << 32)
+                                   + shift.get(ch & _PB, 0) for ch in key])
+                    k = tuple(sorted(k + (tuple(
+                        [b + (low[u] << 32) + low[v] for b, u, v in chords])
+                        if counted else bases)))
+                    new[k] = new.get(k, 0) + (base if sg > 0 else -base)
         self.terms = new
 
-    @staticmethod
-    def _expand(terms, tuv, tvw, e):
-        """Each word series term as (degree, multipliers, choices), one
-        (chord set, sign) per choice of a pair for every letter: letter l
-        of a word w picks one pair of tuv (letter 0) or tvw, and anchors
-        its chord on layer len(w) - 1 - l of event e."""
+    def _expand(self, terms, lo, p, signs):
+        """The head pieces, the tail pieces and each series term (degree,
+        multipliers, choices) of a move on strands lo..p + 1.  A choice
+        picks (a, p), lo <= a < p, for each letter 0 of a word w and (p, p
+        + 1) for each letter 1, letter l at layer len(w) - 1 - l.  It is
+        (shift, chords, bases, sign): shift maps a tail piece to its new
+        ends, by which the key's ranks there rise; a chord is (base, slot
+        of lo, slot of hi), a key adding its ends on each slot's piece to
+        the base, and bases are the bases alone."""
+        step = signs[lo:p + 2]
+        pb, heads, tails, slot = [], [], [], []
+        for i, d in enumerate(step):
+            pb.append(self.tracer.end_serial(lo + i) << 8)
+            slot.append(len(heads) if d > 0 else -1)
+            (heads if d > 0 else tails).append(i)
+        v = p - lo
+        pairs = ([(a, v, step[a] * step[v]) for a in range(v)],
+                 [(v, v + 1, step[v] * step[v + 1])])
         out = []
         for deg, w, mults in terms:
             choices = []
-            for picks in product(*(tuv if x == 0 else tvw for x in w)):
-                chords = []
-                sign = 1
-                for l, (a, b, sg) in enumerate(picks):
-                    j = deg - 1 - l
-                    chords.append((("a", e, j, a), ("a", e, j, b)))
+            for picks in product(*map(pairs.__getitem__, w)):
+                shift, run = {}, [0] * len(pb)
+                if tails:
+                    # tails count down from totals, heads up from new tail ends
+                    run = [-1] * len(pb)
+                    for a, b, _ in picks:
+                        run[a] += 1
+                        run[b] += 1
+                    shift = {pb[i]: run[i] + 1 for i in tails if run[i] >= 0}
+                    run = [shift.get(b, 0) if d > 0 else r
+                           for b, d, r in zip(pb, step, run)]
+                chords, bases, sign = [], [], 1
+                for a, b, sg in reversed(picks):
+                    x, y = pb[a] + run[a], pb[b] + run[b]
+                    run[a] += step[a]
+                    run[b] += step[b]
                     sign *= sg
-                choices.append((frozenset(chords), sign))
+                    chords.append((x << 32 | y, slot[a], slot[b]) if x < y
+                                  else (y << 32 | x, slot[b], slot[a]))
+                    bases.append(chords[-1][0])
+                choices.append((shift, chords, tuple(bases), sign))
             out.append((deg, mults, choices))
-        return out
-
-    def _add_series(self, out, key, c, series):
-        """Add c times every non-unit term of a series of _expand to key."""
-        n = len(key)
-        for deg, mults, choices in series:
-            if n + deg > self.order:
-                break
-            base = c * mults[n]
-            for chords, sign in choices:
-                add_term(out, key | chords, base if sign > 0 else -base)
+        return [pb[i] for i in heads], {pb[i] for i in tails}, out
 
     def cup(self, p, sign):
         self.tracer.cup(p, sign)
+        self.tracer.stamp(p, self.tracer.end_serial(p))
 
     def cap(self, p, sign):
         self.tracer.cap(p)
 
     def finish(self):
         out = self.tracer.finish()
-        # each token as one int: its component << 32 | its place on the
-        # traced path
-        where = {t: c << 32 | i for t, (c, i) in out.token_pos.items()}
-        terms, reps = diagram_classes(
-            out.kinds, (([where[t] for chord in key for t in chord], c)
-                        for key, c in self.terms.items()))
+        # each piece << 8 as its component << 32 | its place there << 8
+        at = {s << 8: c << 32 | i << 8 for s, (c, i) in out.token_pos.items()}
+        terms, reps = diagram_classes(out.kinds, (
+            ([at[x & _PB] | x & 255 for k in key for x in (k >> 32, k)], c)
+            for key, c in self.terms.items()))
         dens = _moves(self.order)[0]
         return out.kinds, {e: Fraction(c, dens[len(e[1])])
                            for e, c in terms.items()}, reps
@@ -378,11 +388,8 @@ class _MatrixBackend:
     in two halves (_plan): each suffix v once, then each prefix u on the
     sum of its terms' multiples of v(S) by target layer, each letter
     adding into its parent's state; empty layers are skipped.  A move
-    whose signature comes back, a second time in one walk or an
-    _ADMIT-th time on the int system, is read from its image instead
-    (_move): the columns of its series on each block code, built once
-    each (_columns), so that applying it is one lookup per key and one
-    add per column entry.  met holds the signatures this walk has met.
+    whose signature comes back is read from its image instead (_move);
+    met holds the signatures this walk has met.
     """
 
     def __init__(self, word, order, rep, tensor):
@@ -695,13 +702,12 @@ def vassiliev_defect(word, rep, tensor, order):
 
     The word must be closed and every resolution must have even framings
     on all components.  A flipped crossing changes a framing by 0 or 2,
-    so it suffices to check the all-positive resolution.
+    so it suffices to check the word's own, which count each mark as X+.
     """
     check_order(order)
     word = parse_word(word)
     if not word.is_closed:
         raise ValueError("the defect needs a closed word")
-    framings = resolution(word)[1].framings
-    if any(f % 2 for f in framings):
-        raise ValueError("resolution with odd framing %s" % (framings,))
+    if any(f % 2 for f in word.framings):
+        raise ValueError("resolution with odd framing %s" % (word.framings,))
     return wz_eval(word, rep, tensor, order)

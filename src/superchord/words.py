@@ -22,7 +22,8 @@ Without "close" the word is the open braid on n upward strands.
 A braid word whose expansion would hold more than MAX_TOKENS = 2^16
 generator tokens (the closure alone has 2n^2), or whose braid has more
 strands, raises ValueError before anything is expanded.  "sing" marks
-the crossing just before it, which must not be marked already.
+the crossing just before it, an unmarked X+ or s<k>: a double point is
+read as X+ - X-, and the framings count it as X+.
 
 Signs: "+" strands point up, "-" strands point down.  The framing of a
 component is the sum of the oriented signs of its self-crossings (curls
@@ -62,8 +63,7 @@ class TangleWord:
 
     @property
     def sing_count(self):
-        return sum(1 for s in self.slices for t in s
-                   if t[0] == "x" and t[2])
+        return sum(t[0] == "x" and t[2] for s in self.slices for t in s)
 
     def _trace(self):
         signs = list(self.source)
@@ -224,9 +224,9 @@ def _parse_slice(body, si):
             raise ValueError("unknown token at slice %d: %r"
                              % (si, body[pos:].split()[0]))
         if m.group(0) == "sing":
-            if not toks or toks[-1][0] != "x" or toks[-1][2]:
-                raise ValueError("sing must follow an unmarked crossing")
-            toks[-1] = ("x", toks[-1][1], True)
+            if toks[-1:] != [("x", 1, False)]:
+                raise ValueError("sing must follow an unmarked crossing X+")
+            toks[-1] = ("x", 1, True)
         elif m.group(1):
             toks.append(("id", _SIGN[m.group(1)]))
         elif m.group(2):
@@ -252,10 +252,9 @@ def _parse_braid_letters(body, letters):
         if not m:
             raise ValueError("unknown braid token %r" % raw)
         if raw == "sing":
-            if not letters or letters[-1][0] != "s" or letters[-1][3]:
-                raise ValueError("sing must follow an unmarked crossing")
-            k, s, _ = letters[-1][1:]
-            letters[-1] = ("s", k, s, True)
+            if not letters or letters[-1] != ("s", letters[-1][1], 1, False):
+                raise ValueError("sing must follow an unmarked crossing s<k>")
+            letters[-1] = ("s", letters[-1][1], 1, True)
             continue
         kind, k, e = m.group(1), int(m.group(2)), m.group(3)
         e = 1 if e is None else int(e)
@@ -396,14 +395,9 @@ def resolution(word, mask=0):
     braid = None
     if word.braid is not None:
         n, letters, closed = word.braid
-        letters = list(letters)
-        pos = 0
-        for b, (kind, k, s0, marked) in enumerate(letters):
-            if marked:
-                i, j = sites[pos]
-                letters[b] = (kind, k, slices[i][j][1], False)
-                pos += 1
-        braid = (n, letters, closed)
+        signs = iter([slices[i][j][1] for i, j in sites])
+        braid = (n, [(t[0], t[1], next(signs), False) if t[3] else t
+                     for t in letters], closed)
     return sign, TangleWord(word.source, slices, braid)
 
 

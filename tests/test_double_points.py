@@ -39,21 +39,23 @@ def _marks(draw, tokens, is_crossing):
 
 @st.composite
 def singular_braids(draw):
-    """A closed braid of test_int_walk.braids with 1 to 3 marks."""
+    """A closed braid of test_int_walk.braids with 1 to 3 marks; a marked
+    letter is written positive, as the grammar asks."""
     head, body = draw(braids()).split(": ")
     letters = body.replace(" ; close", "").split()
     marked = _marks(draw, letters, lambda tok: True)
     return "%s: %s ; close" % (head, " ".join(
-        tok + " sing" if i in marked else tok
+        tok.replace("^-1", "") + " sing" if i in marked else tok
         for i, tok in enumerate(letters)))
 
 
 @st.composite
 def singular_tangles(draw):
-    """A (1,1)-tangle of test_int_walk.tangles with 1 to 3 marks."""
+    """A (1,1)-tangle of test_int_walk.tangles with 1 to 3 marks, each
+    marked crossing written X+."""
     lines = draw(tangles()).split("\n")
     marked = _marks(draw, lines, lambda line: "X" in line)
-    return "\n".join(re.sub(r"(X[+-])", r"\1 sing", line) if i in marked
+    return "\n".join(re.sub(r"X[+-]", "X+ sing", line) if i in marked
                      else line for i, line in enumerate(lines))
 
 

@@ -12,6 +12,7 @@ from superchord.associator import associator_checks, build_associator
 from superchord.kontsevich import lg_invariant, wz_eval, z_eval
 from superchord.words import parse_word
 from test_associator import _solve_associator
+from test_diagram_finish import LONG_WORD, _AnchorBackend
 
 # the lg-knots benchmark inputs of seed 0
 LG_KNOTS_SEED0 = (
@@ -281,8 +282,8 @@ def test_vassiliev_defect_walks_once_for_three_marks(monkeypatch):
     # 8 backends and 8 walks when each of the 2^3 resolutions was walked;
     # over Q there is no bound walk either
     assert len(backends) == 1 and len(walks) == 1
-    # the all-positive resolution, for its framings, and no other
-    assert len(traced) == 1
+    # no resolution: the word's own framings count each mark as X+
+    assert not traced
 
 
 def test_station_walk_applies_chords_on_partial_states(monkeypatch):
@@ -390,9 +391,10 @@ def test_four_term_relators_build_and_search_each_term_once(
 
 
 def _positioned_diagrams(word, order):
-    """The distinct positioned diagrams of z_eval's term keys, each key
-    placed on the traced skeleton by sorting its tokens' places."""
-    backend = kontsevich._DiagramBackend(word, order)
+    """The distinct positioned diagrams of the anchor walk's term keys,
+    each key placed on the traced skeleton by sorting its tokens'
+    places."""
+    backend = _AnchorBackend(word, order)
     finish = backend.finish
     found = set()
 
@@ -435,6 +437,23 @@ def test_z_eval_and_pair_search_each_positioned_diagram_once():
     # pair hands the weights the representatives finish built, with
     # their class keys kept on them
     assert diagrams._least_relabelling.cache_info() == info
+
+
+def test_z_eval_merges_equal_positioned_terms_as_it_walks(monkeypatch):
+    # the anchor walk handed 29,118 term keys to diagram_classes here; a
+    # walk keyed by positioned diagrams on the strand pieces hands 319
+    z_eval(LONG_WORD, 4)  # builds the associator
+    placed = []
+    classes = kontsevich.diagram_classes
+
+    def counted(skeleton, terms):
+        terms = list(terms)
+        placed.append(len(terms))
+        return classes(skeleton, terms)
+
+    monkeypatch.setattr(kontsevich, "diagram_classes", counted)
+    z_eval(LONG_WORD, 4)
+    assert len(placed) == 1 and placed[0] <= 400
 
 
 def test_repeated_calls_search_nothing_again():

@@ -6,7 +6,8 @@ import time
 import pytest
 from superchord.diagrams import CIRCLE, INTERVAL, canonical_form, ChordDiagram
 from superchord.words import (
-    MAX_TOKENS, diagram_of_singular, parse_word, resolve_singular)
+    MAX_TOKENS, diagram_of_singular, parse_word, resolution,
+    resolve_singular)
 
 
 def test_unknot_closure():
@@ -129,6 +130,30 @@ def test_crossing_range_rejected():
 def test_dangling_sing_rejected():
     with pytest.raises(ValueError):
         parse_word("braid[2]: sing s1 ; close")
+
+
+@pytest.mark.parametrize("text", [
+    "braid[2]: s1^-1 sing s1 ; close",
+    "braid[2]: s1 s1^-2 sing ; close",
+    "braid[3]: s1 s2^-1 sing s1 ; close",
+    "obj: + +\nslice: X- sing",
+    "obj: + + +\nslice: id(+) X- sing",
+])
+def test_signed_sing_rejected(text):
+    # a double point is X+ - X- whatever sign is written, so a mark goes
+    # on a positive crossing only
+    with pytest.raises(ValueError, match="unmarked crossing"):
+        parse_word(text)
+
+
+def test_a_marked_crossing_counts_as_positive():
+    # framings and writhe are those of the all-positive resolution
+    w = parse_word("braid[2]: s1 sing s1 s1 t1^-1 ; close")
+    assert w.framings == resolution(w)[1].framings == (2,)
+    assert w.writhe == resolution(w)[1].writhe == 2
+    slice_word = parse_word("obj: + +\nslice: X+ sing")
+    assert slice_word.slices == [(("x", 1, True),)]
+    assert slice_word.writhe == 1
 
 
 @pytest.mark.parametrize("text", [
