@@ -50,8 +50,8 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 # The largest truncation order that z_eval, wz_eval, paired_invariant,
-# the verify suites and the command line serve.  Order 6 waits on a
-# degree-6 interval four-term reduction that does not take minutes.
+# the verify suites and the command line serve.  Order 6 runs through the
+# circle reduction; it waits on the checks ROADMAP.md lists for it.
 MAX_ORDER = 5
 
 

@@ -11,16 +11,17 @@ from braiding and duality, mirroring how the word parser expands kinks.
 `RibbonData.checks` holds their results, computed once per instance, so
 loading data and then evaluating on it checks the axioms once.
 
-The evaluator is strict: it tensors one map per token and composes
-slice by slice, so no associativity bookkeeping is needed.  Crossings
-are supported on two upward strands, which covers braid words and the
-kinks the parser produces on them.
+The evaluator applies each token's map in place to a sparse state, on
+the token's own fields, with the Koszul sign of the tensor of maps, so
+identity tokens cost nothing.  Crossings are supported on two upward
+strands, which covers braid words and the kinks the parser makes.
 """
 
 from functools import cached_property
+from itertools import product
 
 from .diagrams import invert_matrix
-from .scalars import QQ, HSeries, series_inverse
+from .scalars import QQ, HSeries, add_term, series_inverse
 from .supergraded import (
     SuperMap, SuperSpace, copair_left, copair_right, koszul_flip,
     pair_dual_left, pair_dual_right, tensor_space)
@@ -38,6 +39,10 @@ def invert_supermap(f):
     return SuperMap(f.target, f.source, entries, f.ring)
 
 
+_ARITY = dict(braiding=(2, 2), braiding_inv=(2, 2), twist=(1, 1),
+              cup_pm=(0, 2), cup_mp=(0, 2), cap_pm=(2, 0), cap_mp=(2, 0))
+
+
 class RibbonData:
     """Carrier space with braiding, twist, and the four bend maps.
 
@@ -52,21 +57,35 @@ class RibbonData:
         self.dual = space.dual()
         self.ring = ring
         self.braiding = braiding
-        self.braiding_inv = braiding_inv if braiding_inv is not None \
-            else invert_supermap(braiding)
+        self.braiding_inv = braiding_inv or invert_supermap(braiding)
         self.twist = twist
-        self.cup_pm = cup_pm if cup_pm is not None else copair_left(space, ring)
-        self.cup_mp = cup_mp if cup_mp is not None else copair_right(space, ring)
-        self.cap_pm = cap_pm if cap_pm is not None \
-            else pair_dual_right(space, ring)
-        self.cap_mp = cap_mp if cap_mp is not None \
-            else pair_dual_left(space, ring)
+        self.cup_pm = cup_pm or copair_left(space, ring)
+        self.cup_mp = cup_mp or copair_right(space, ring)
+        self.cap_pm = cap_pm or pair_dual_right(space, ring)
+        self.cap_mp = cap_mp or pair_dual_left(space, ring)
 
     @cached_property
     def checks(self):
-        """The named axiom results of `ribbon_checks`; computed once, on
-        first use."""
+        """The named axiom results of `ribbon_checks`, computed once."""
         return ribbon_checks(self)
+
+    @cached_property
+    def _columns(self):
+        """name -> (arity, {source digits: [(target digits, v)]}, parity),
+        with each v equal to one stored as the ring's one, for `_run`."""
+        d, out, one = self.space.dim, {}, self.ring.one
+        spaces = [tensor_space([self.space] * k) for k in range(3)]
+        fields = [list(product(range(d), repeat=k)) for k in range(3)]
+        for name, (a, b) in _ARITY.items():
+            f = getattr(self, name)
+            if (f.source, f.target) != (spaces[a], spaces[b]):
+                raise ValueError("%s has the wrong shape" % name)
+            cols = {}
+            for (i, j), v in f.m.items():
+                cols.setdefault(fields[a][j], []).append(
+                    (fields[b][i], one if v == one else v))
+            out[name] = (a, cols, f.parity())
+        return out
 
     def require_axioms(self):
         """Raise ValueError naming every failed axiom, in check order."""
@@ -75,55 +94,75 @@ class RibbonData:
             raise ValueError("ribbon axioms fail: %s" % ", ".join(failed))
 
 
-def _curl(data, r):
-    idv = SuperMap.identity(data.space, data.ring)
-    idd = SuperMap.identity(data.dual, data.ring)
-    lift = idv.tensor(data.cup_pm)
-    cross = r.tensor(idd)
-    drop = idv.tensor(data.cap_pm)
-    return drop.compose(cross).compose(lift)
+def _run(data, width, *slices):
+    """Apply the slices, bottom first, to the identity on width fields, as
+    a state {(target digits, source index): value}; a slice names its maps
+    left to right, None for an identity.  Maps act on their own fields,
+    right to left, so an odd map's Koszul sign is the parity of the source
+    fields left of it; as in `SuperMap.tensor`, an inhomogeneous map raises
+    unless it comes first.  Unit factors are not multiplied."""
+    par, one = data.space.parities, data.ring.one
+    fields = product(range(data.space.dim), repeat=width)
+    state = {(t, s): one for s, t in enumerate(fields)}
+    for names in slices:
+        ops, p = [], 0
+        for k, name in enumerate(names):
+            if name is None:
+                p += 1
+                continue
+            a, cols, parity = data._columns[name]
+            if parity is None and k:
+                raise ValueError("second tensor factor is not homogeneous")
+            ops.append((p, a, cols, parity))
+            p += a
+        for p, a, cols, odd in reversed(ops):
+            out = {}
+            for (t, s), v in state.items():
+                if odd and sum(par[i] for i in t[:p]) % 2:
+                    v = -v
+                for tgt, w in cols.get(t[p:p + a], ()):
+                    add_term(out, (t[:p] + tgt + t[p + a:], s),
+                             v if w is one else w if v is one else w * v)
+            state = out
+    return state
 
 
 def ribbon_checks(data):
     """Named axiom results, in a fixed order, as a name -> bool dict."""
-    ring = data.ring
-    idv = SuperMap.identity(data.space, ring)
-    idd = SuperMap.identity(data.dual, ring)
-    r = data.braiding
-    out = {}
-    out["inverse"] = r.compose(data.braiding_inv) == \
-        SuperMap.identity(r.source, ring)
-    r1 = r.tensor(idv)
-    r2 = idv.tensor(r)
-    out["yang_baxter"] = (r1.compose(r2).compose(r1)
-                          == r2.compose(r1).compose(r2))
-    tt = data.twist.tensor(data.twist)
-    out["twist_naturality"] = r.compose(tt) == tt.compose(r)
-    snakes = [
-        (idv.tensor(data.cap_mp)).compose(data.cup_pm.tensor(idv)) == idv,
-        (data.cap_pm.tensor(idv)).compose(idv.tensor(data.cup_mp)) == idv,
-        (data.cap_mp.tensor(idd)).compose(idd.tensor(data.cup_pm)) == idd,
-        (idd.tensor(data.cap_pm)).compose(data.cup_mp.tensor(idd)) == idd,
-    ]
-    out["snake"] = all(snakes)
-    pos = _curl(data, r)
-    neg = _curl(data, data.braiding_inv)
-    out["curl"] = pos == data.twist and data.twist.compose(neg) == idv
+    r, ri, tw = "braiding", "braiding_inv", "twist"
+    out = {"inverse": _run(data, 2, [ri], [r]) == _run(data, 2)}
+    r1, r2 = [r, None], [None, r]
+    out["yang_baxter"] = _run(data, 3, r1, r2, r1) == _run(data, 3, r2, r1, r2)
+    out["twist_naturality"] = (_run(data, 2, [tw, tw], [r])
+                               == _run(data, 2, [r], [tw, tw]))
+    ident = _run(data, 1)
+    snakes = [_run(data, 1, ["cup_pm", None], [None, "cap_mp"]),
+              _run(data, 1, [None, "cup_mp"], ["cap_pm", None]),
+              _run(data, 1, [None, "cup_pm"], ["cap_mp", None]),
+              _run(data, 1, ["cup_mp", None], [None, "cap_pm"])]
+    out["snake"] = all(s == ident for s in snakes)
+    pos = _run(data, 1, [None, "cup_pm"], [r, None], [None, "cap_pm"])
+    neg = _run(data, 1, [None, "cup_pm"], [ri, None], [None, "cap_pm"], [tw])
+    out["curl"] = pos == _run(data, 1, [tw]) and neg == ident
     return out
 
 
-def _token_map(tok, signs, p, data):
-    kind = tok[0]
-    if kind == "id":
-        space = data.space if tok[1] > 0 else data.dual
-        return SuperMap.identity(space, data.ring)
-    if kind == "x":
-        if signs[p] < 0 or signs[p + 1] < 0:
+_NAMES = {"x": ("braiding", "braiding_inv"), "cup": ("cup_pm", "cup_mp"),
+          "cap": ("cap_pm", "cap_mp")}
+
+
+def _names(sl, signs):
+    """Yield a slice's map names for `_run`; signs goes from under to over."""
+    q = 0
+    for kind, s, *_ in sl:
+        if kind == "x" and (signs[q] < 0 or signs[q + 1] < 0):
             raise ValueError("crossings act on two upward strands here")
-        return data.braiding if tok[1] > 0 else data.braiding_inv
-    if kind == "cup":
-        return data.cup_pm if tok[1] > 0 else data.cup_mp
-    return data.cap_pm if tok[1] > 0 else data.cap_mp
+        if kind == "cup":
+            signs[q:q] = (s, -s)
+        elif kind == "cap":
+            del signs[q:q + 2]
+        q += {"id": 1, "cap": 0}.get(kind, 2)
+        yield None if kind == "id" else _NAMES[kind][s < 0]
 
 
 def rt_invariant(word, data):
@@ -136,32 +175,18 @@ def rt_invariant(word, data):
     word = parse_word(word)
     if word.sing_count:
         raise ValueError("resolve marked crossings before evaluating")
-    spaces = {1: data.space, -1: data.dual}
-    state = SuperMap.identity(
-        tensor_space([spaces[s] for s in word.source]), data.ring)
     signs = list(word.source)
-    for sl in word.slices:
-        factor = None
-        p = 0
-        nxt = []
-        for tok in sl:
-            m = _token_map(tok, signs, p, data)
-            factor = m if factor is None else factor.tensor(m)
-            if tok[0] == "id":
-                nxt.append(signs[p])
-                p += 1
-            elif tok[0] == "x":
-                nxt.extend((signs[p + 1], signs[p]))
-                p += 2
-            elif tok[0] == "cup":
-                nxt.extend((tok[1], -tok[1]))
-            else:
-                p += 2
-        state = factor.compose(state)
-        signs = nxt
+    # each slice's names are read while it is applied, after the last's
+    state = _run(data, len(signs), *(_names(sl, signs) for sl in word.slices))
     if word.is_closed:
-        return state.m.get((0, 0), data.ring.zero)
-    return state
+        return state.get(((), 0), data.ring.zero)
+    spaces = {1: data.space, -1: data.dual}
+    flat = product(range(data.space.dim), repeat=len(word.target))
+    flat = {t: i for i, t in enumerate(flat)}
+    entries = {(flat[t], s): v for (t, s), v in state.items()}
+    return SuperMap(tensor_space([spaces[x] for x in word.source]),
+                    tensor_space([spaces[x] for x in word.target]),
+                    entries, data.ring)
 
 
 def ribbon_trivial(ring=QQ):

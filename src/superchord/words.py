@@ -198,20 +198,15 @@ class PathTracer:
         self._parent[rt] = rh
 
     def finish(self):
-        kinds = []
-        token_pos = {}
-        serial_comp = {}
-        for root in self._closed:
-            serial_comp[root] = len(kinds)
-            kinds.append(CIRCLE)
-        open_roots = sorted(set(self._find(s) for s, _ in self._ends))
-        for root in open_roots:
-            serial_comp[root] = len(kinds)
-            kinds.append(INTERVAL)
-        for root, comp in serial_comp.items():
-            for i, tok in enumerate(self._paths[root]):
-                token_pos[tok] = (comp, i)
-        return _TraceOut(tuple(kinds), token_pos, serial_comp, self._find)
+        """Closed paths as circles, then every other path as an interval,
+        by serial, whether its ends lie on the top or the bottom."""
+        roots = self._closed + sorted(set(self._paths) - set(self._closed))
+        serial_comp = {root: c for c, root in enumerate(roots)}
+        kinds = (CIRCLE,) * len(self._closed) + (INTERVAL,) * (
+            len(roots) - len(self._closed))
+        token_pos = {tok: (c, i) for root, c in serial_comp.items()
+                     for i, tok in enumerate(self._paths[root])}
+        return _TraceOut(kinds, token_pos, serial_comp, self._find)
 
 
 def _parse_slice(body, si):

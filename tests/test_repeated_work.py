@@ -55,6 +55,18 @@ def test_rt_invariant_checks_the_axioms_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_rt_invariant_builds_no_slice_wide_map(monkeypatch):
+    # each token's map acts on its own fields of the state: no tensor of a
+    # whole slice, and no composition with it, in the checks or the walk
+    data = ribbon.ribbon_diagonal([[2, 5], [7, 3]])
+    tensors = _counting(monkeypatch, ribbon.SuperMap, "tensor")
+    composes = _counting(monkeypatch, ribbon.SuperMap, "compose")
+    # one component of framing 2: the colours' twists squared
+    assert ribbon.rt_invariant("braid[3]: s1 s2^-1 s1 s2 ; close",
+                               data) == 2 ** 2 + 3 ** 2
+    assert tensors == composes == []
+
+
 def test_loaded_ribbon_data_is_checked_once(monkeypatch, tmp_path):
     good = ribbon.ribbon_diagonal([[2, 5], [7, 3]])
     path = tmp_path / "colours.ribbon"

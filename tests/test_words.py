@@ -4,10 +4,13 @@ import re
 import time
 
 import pytest
+from superchord import words
+from superchord.cli import main
 from superchord.diagrams import CIRCLE, INTERVAL, canonical_form, ChordDiagram
 from superchord.words import (
     MAX_TOKENS, diagram_of_singular, parse_word, resolution,
     resolve_singular)
+from test_ribbon import generated_words
 
 
 def test_unknot_closure():
@@ -239,3 +242,51 @@ def test_two_marked_crossings_resolve_to_four():
 def test_bad_obj_sign_rejected(text, token):
     with pytest.raises(ValueError, match=r"obj line.*%s" % re.escape(token)):
         parse_word(text)
+
+
+# An arc with both ends on the bottom boundary, alone and after crossings
+BOTTOM_ARC = "obj: + -\nslice: cap(+-)"
+BOTTOM_ARC_CROSSED = ("obj: + -\nid(+) id(-) cup(+-)\nid(+) X+ id(-)\n"
+                      "X- X+\nid(+) X+ id(-)\nid(+) id(-) cap(+-)")
+
+
+@pytest.mark.parametrize("text, comps, framings, z_text", [
+    (BOTTOM_ARC, (INTERVAL,), (0,), "h^0  1  (none)\n"),
+    (BOTTOM_ARC_CROSSED, (INTERVAL, INTERVAL), (0, 0),
+     "h^0  1  (none)\nh^1  -1  0:0-1:0\nh^2  1/2  0:0-1:1 0:1-1:0\n"),
+], ids=["bare", "crossed"])
+def test_an_arc_with_both_ends_on_the_bottom_is_a_component(
+        tmp_path, capsys, text, comps, framings, z_text):
+    # the tracer listed intervals only from the ends on the top boundary:
+    # the bare arc had no component and the crossed one raised KeyError
+    w = parse_word(text)
+    assert w.components == comps
+    assert w.framings == framings
+    path = tmp_path / "arc.tw"
+    path.write_text(text + "\n")
+    assert main(["z", str(path), "--order", "2"]) == 0
+    assert capsys.readouterr().out == z_text
+
+
+def test_paths_with_a_top_end_keep_their_order(monkeypatch):
+    # closed paths first, then the open ones by serial; a path with both
+    # ends on the bottom only ever adds a component among them
+    seen = []
+    finish = words.PathTracer.finish
+
+    def recording(self):
+        top = sorted(set(self._find(s) for s, _ in self._ends))
+        out = finish(self)
+        seen.append([out.comp_of(r) for r in self._closed + top])
+        return out
+
+    monkeypatch.setattr(words.PathTracer, "finish", recording)
+    bottom_only = 0
+    for text in generated_words(40, seed=3):
+        w = parse_word(text)
+        comps = seen.pop()
+        assert comps == sorted(comps)
+        assert comps[:w.components.count(CIRCLE)] == list(
+            range(w.components.count(CIRCLE)))
+        bottom_only += len(w.components) - len(comps)
+    assert bottom_only > 0
