@@ -29,12 +29,14 @@ fixed to zero.  `build_associator` solves nothing: it truncates the
 table and raises ValueError unless both hexagon residuals and the
 pentagon residual vanish in every degree it serves.  That check runs
 once per associator (`Associator.holds`), in one pass over ints
-(`_check`): the degree-d part of an element is held over M^d, M the lcm
-of the denominators of Phi and Phi^-1 and of 2 k! for k <= order, so
-products need no division.  Phi(X, Y) is substituted by Horner over its
-word trie, Phi^-1 from `Associator.inverse` (substitution is an algebra
-map), and each identity's product is formed once, at the served order;
-then each degree's part is reduced to normal form.  `associator_checks`
+(`_check`): the degree-d part of an element is held over B^d, B the
+least int with B^k a multiple of the denominator of every degree-k
+coefficient of Phi, Phi^-1 and exp(x/2) (`scalars.graded_base`; 60 at
+orders 4 and 5), so products need no division.  Phi(X, Y) is
+substituted by Horner over its word trie, Phi^-1 from
+`Associator.inverse` (substitution is an algebra map), and each
+identity's product is formed once, at the served order; then each
+degree's part is reduced to normal form.  `associator_checks`
 reports the result.  The solve itself, and the residuals over Fraction
 one degree at a time on which it is built, are kept in the tests as the
 oracles that the table and the check must equal.
@@ -42,9 +44,9 @@ oracles that the table and the check must equal.
 
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial, reduce
-from math import factorial, lcm
+from math import factorial
 
-from .scalars import ScalarError, add_term
+from .scalars import ScalarError, add_term, graded_base
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -227,31 +229,37 @@ def _residual(left, right, order):
     return out
 
 
+def _int_series(assoc):
+    """(B, phi, inv, half): Phi, Phi^-1 and exp(x / 2) through the order
+    as {word over 0, 1: int}, a word of length d standing for its int
+    over B^d, B = graded_base of all three."""
+    half = {(0,) * k: Fraction(1, 2 ** k * factorial(k))
+            for k in range(assoc.order + 1)}
+    tables = [{w: c for words in table.values() for w, c in words.items()}
+              for table in (assoc.terms, assoc.inverse)] + [half]
+    base = graded_base((len(w), c) for table in tables
+                       for w, c in table.items())
+    phi, inv, half = ({w: c.numerator * base ** len(w) // c.denominator
+                       for w, c in table.items()} for table in tables)
+    phi[()] = inv[()] = 1
+    return base, phi, inv, half
+
+
 def _check(assoc):
     """Whether the (hexagon1, hexagon2, pentagon) residuals vanish, one
     triple per degree 1..order, in one pass over ints.
 
     An element is a list by degree of {word: int}, its degree-d part
-    standing for itself over M^d, M the lcm of every denominator of Phi
-    and Phi^-1 and of 2 k! for k <= order; products keep this, so
+    standing for itself over B^d (_int_series); products keep this, so
     nothing is divided.  Each identity's product is formed once, and
     each degree's part of its residual is reduced to normal form.
     """
     order = assoc.order
-    tables = (assoc.terms, assoc.inverse)
-    scale = lcm(*(2 * factorial(k) for k in range(1, order + 1)),
-                *(c.denominator for table in tables
-                  for words in table.values() for c in words.values()))
-    phi, inv = ({w: c.numerator * (scale ** m // c.denominator)
-                 for m, words in table.items() for w, c in words.items()}
-                for table in tables)
-    phi[()] = inv[()] = 1
-
+    _, phi, inv, half = _int_series(assoc)
     sub = partial(_substitute, order=order)
 
     def exp_half(x):
-        return sub({(0,) * k: scale ** k // (2 ** k * factorial(k))
-                    for k in range(order + 1)}, x, x)
+        return sub(half, x, x)
 
     # strand labels stay fixed under braiding, products are in operator
     # order (rightmost factor acts first), A = t12, B = t23, C = t13

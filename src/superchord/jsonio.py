@@ -164,9 +164,15 @@ def _entries_to_json(m):
 
 
 def _entries_from_json(rows, source, target, ring):
+    """The map of [row, column, value] rows, each index a JSON integer in
+    range: a row of the target, a column of the source."""
     entries = {}
     for i, j, v in rows:
         key = (_json_int(i, "entry index"), _json_int(j, "entry index"))
+        for index, dim in zip(key, (target.dim, source.dim)):
+            if not 0 <= index < dim:
+                raise ValueError("entry index %d is outside 0..%d"
+                                 % (index, dim - 1))
         entries[key] = ring.coerce(scalar_from_json(v))
     return SuperMap(source, target, entries, ring)
 

@@ -30,15 +30,15 @@ ChordDiagram, the representative, and keeps its class key, so weighing
 it searches no more.  Both apply the three move kinds as one kind of
 step, a word series: the crossing's exponential is the powers of letter
 1, the chord on its two strands, with coefficients (s/2)^k/k!, the
-double point's its odd powers with 2 (1/2)^k/k!.  Both keep rational
-values as ints over one denominator per h degree (per chord count for
-diagrams), the table D of _moves(order), and build a Fraction only at
-the output.  Both truncate as they go: the diagram backend never builds
-a term of more than order chords, and the matrix backend applies each
-associator word in two halves (_plan) and reads a move met before from
-its image, its operator on a few strands in the representation
-(Le-Murakami identify it with the quantum R-matrix and the associator
-there; _MatrixBackend._move).
+double point's its odd powers with 2 (1/2)^k/k!.  Both hold h degree
+m (m chords for diagrams) as ints over B^m, B from _moves(order), so a
+series term has one int multiplier whatever layer it starts from, and
+build a Fraction only at the output.  Both truncate as they go: the
+diagram backend never builds a term of more than order chords, and the
+matrix backend applies each associator word in two halves (_plan) and
+reads a move met before from its image, its operator on a few strands
+in the representation (Le-Murakami identify it with the quantum
+R-matrix and the associator there; _MatrixBackend._move).
 
 Composites: paired_invariant reduces a knot's z_eval modulo the
 four-term relations on the circle (reduce_fourterm), cuts each residual
@@ -53,15 +53,15 @@ from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import factorial, lcm, prod
+from math import factorial, prod
 
 from .associator import build_associator, check_order
 from .diagrams import (
     CIRCLE, ChordDiagram, LinearSpan, canonical_form, diagram_classes,
     four_term_relators, relator_vector, slit_component)
 from .scalars import (
-    QALPHA, QQ, HSeries, SeriesRing, add_term, kronecker_bits,
-    series_inverse)
+    QALPHA, QQ, HSeries, SeriesRing, add_term, graded_base,
+    kronecker_bits, series_inverse)
 from .supergraded import SuperMap
 from .weightsys import weight_system, wlg
 from .words import PathTracer, parse_word
@@ -69,28 +69,20 @@ from .words import PathTracer, parse_word
 
 @lru_cache(maxsize=None)
 def _moves(order):
-    """The table that both chord engines read at one order: (D, moves,
+    """The table that both chord engines read at one order: (B, moves,
     images).
 
-    moves[crossing, sign] is (terms, plan, build, scale) for a crossing
-    of that sign, exp(sign chord / 2), a double point (True, 0), the
-    crossings' difference, or an associator move, Phi for sign 1 and
-    Phi^-1 for -1.  A term is (degree k, word, multipliers): a crossing
-    has the words (1,) * k with coefficients (sign/2)^k / k!, k
-    ascending, a double point those of odd k, doubled, an associator
-    move its non-unit words of degree <= order in the order
-    Associator.words gives them.  D[0] = 1, and D[m] is the lcm of D[m -
-    k] q over every crossing and associator term of degree k with
-    coefficient p/q, which the double point's q divide ([1, 2, 24, 48,
-    5760] at order 4); multiplier n is the int p D[n + k] / (D[n] q)
-    that takes a layer n value over D[n] to layer n + k over D[n + k].  plan
-    is the term's schedule in _MatrixBackend._series (_plan); build is
-    the same schedule with the one multiplier p Q_k / q on layer 0, Q_k
-    the lcm of the q of the move's degree-k terms, and scale[k][n] is
-    D[n + k] / (D[n] Q_k).  Both are ints: D[n + k] is a multiple of
-    D[n] q for every term of degree k, so of D[n] Q_k.  A move image
-    (_MatrixBackend._move) holds its degree-k columns over Q_k, and
-    scale[k][n] takes them from layer n to layer n + k.
+    moves[crossing, sign] is (terms, plan) for a crossing of that sign,
+    exp(sign chord / 2), a double point (True, 0), the crossings'
+    difference, or an associator move, Phi for sign 1 and Phi^-1 for -1.
+    A term is (degree k, word, multiplier): a crossing has the words (1,)
+    * k with coefficients (sign/2)^k / k!, k ascending, a double point
+    those of odd k, doubled, an associator move its non-unit words of
+    degree <= order in the order Associator.words gives them.  h degree m
+    is held over B^m, B the graded_base of every term (60 at order 4), so
+    a term p/q of degree k has the one int multiplier p B^k / q, which
+    takes any layer n to layer n + k.  plan is the term's schedule in
+    _MatrixBackend._series (_plan).
 
     images[view] is (uses, held) for the int system view that walks the
     moves: uses counts the uses of each move signature before its image,
@@ -103,30 +95,16 @@ def _moves(order):
             (k, (1,) * k, Fraction(sign ** k, 2 ** k * factorial(k)))
             for k in range(1, order + 1)]
         series[False, sign] = [t for t in assoc.words(sign) if t[0] <= order]
-    dens = [1]
-    for m in range(1, order + 1):
-        dens.append(lcm(*(dens[m - k] * c.denominator for terms in
-                          series.values() for k, _, c in terms if k <= m)))
     series[True, 0] = [(k, w, a - b) for (k, w, a), (_, _, b)
                        in zip(series[True, 1], series[True, -1]) if k % 2]
-    assert all(a.denominator % c.denominator == 0 for (_, _, a), (_, _, c)
-               in zip(series[True, 1][::2], series[True, 0]))
+    base = graded_base((k, c) for terms in series.values()
+                       for k, _, c in terms)
     moves = {}
     for (crossing, sign), terms in series.items():
-        qs = [lcm(*(c.denominator for j, _, c in terms if j == k))
-              for k in range(order + 1)]
-        ints = tuple((k, w, tuple(
-            c.numerator * dens[n + k] // (dens[n] * c.denominator)
-            for n in range(order - k + 1))) for k, w, c in terms)
-        plan = _plan(order, crossing, ints)
-        build = (plan[0], tuple(
-            (u, v, k, (c.numerator * (qs[k] // c.denominator),))
-            for (u, v, k, _), (_, _, c) in zip(plan[1], terms)), plan[2])
-        scale = tuple(tuple(dens[n + k] // (dens[n] * qs[k])
-                            for n in range(order - k + 1))
-                      for k in range(order + 1))
-        moves[crossing, sign] = ints, plan, build, scale
-    return tuple(dens), moves, {}
+        ints = tuple((k, w, c.numerator * base ** k // c.denominator)
+                     for k, w, c in terms)
+        moves[crossing, sign] = ints, _plan(order, crossing, ints)
+    return base, moves, {}
 
 
 # The use of a move's signature, over all walks on one int system, on
@@ -148,16 +126,16 @@ def _plan(order, crossing, terms):
     Returns (suffixes, terms, prefixes): suffixes (v, letter, rest, top),
     v = letter rest, shortest first, v applied on the source layers
     0..top, order minus the least degree of a word whose v ends in it;
-    terms (u, v, k, multipliers); prefixes (q, letter, parent, low),
+    terms (u, v, k, multiplier); prefixes (q, letter, parent, low),
     q = parent letter, every nonempty prefix of a u, longest first, q
     applied on the target layers low..order, low the least degree of a
     word whose u starts with q.
     """
     splits, tops, lows = [], {}, {}
-    for k, w, mults in terms:
+    for k, w, mult in terms:
         cut = 0 if crossing else k - k // 2
         u, v = w[:cut], w[cut:]
-        splits.append((u, v, k, mults))
+        splits.append((u, v, k, mult))
         for l in range(len(v)):
             tops[v[l:]] = max(tops.get(v[l:], -1), order - k)
         for l in range(1, cut + 1):
@@ -234,7 +212,7 @@ class ZValue:
 
 class _DiagramBackend:
     """States are positioned chord diagrams on the strand pieces, with
-    int coefficients over D[m] for m chords (_moves).  A piece is a
+    int coefficients over B^m for m chords (_moves).  A piece is a
     source strand or a cup, the PathTracer serial of an open end.  An end
     is piece << 8 | rank, rank its place among the key's own ends on that
     piece; a chord is lo << 32 | hi and a key the sorted tuple of its
@@ -279,10 +257,10 @@ class _DiagramBackend:
             low = [*map(pieces.count, heads), 0]
             counted = any(low)
             moved = not tails.isdisjoint(pieces)
-            for deg, mults, choices in series:
+            for deg, mult, choices in series:
                 if n + deg > self.order:
                     break
-                base = c * mults[n]
+                base = c * mult
                 for shift, chords, bases, sg in choices:
                     k = key
                     if moved and shift:
@@ -296,7 +274,7 @@ class _DiagramBackend:
 
     def _expand(self, terms, lo, p, signs):
         """The head pieces, the tail pieces and each series term (degree,
-        multipliers, choices) of a move on strands lo..p + 1.  A choice
+        multiplier, choices) of a move on strands lo..p + 1.  A choice
         picks (a, p), lo <= a < p, for each letter 0 of a word w and (p, p
         + 1) for each letter 1, letter l at layer len(w) - 1 - l.  It is
         (shift, chords, bases, sign): shift maps a tail piece to its new
@@ -313,7 +291,7 @@ class _DiagramBackend:
         pairs = ([(a, v, step[a] * step[v]) for a in range(v)],
                  [(v, v + 1, step[v] * step[v + 1])])
         out = []
-        for deg, w, mults in terms:
+        for deg, w, mult in terms:
             choices = []
             for picks in product(*map(pairs.__getitem__, w)):
                 shift, run = {}, [0] * len(pb)
@@ -336,7 +314,7 @@ class _DiagramBackend:
                                   else (y << 32 | x, slot[b], slot[a]))
                     bases.append(chords[-1][0])
                 choices.append((shift, chords, tuple(bases), sign))
-            out.append((deg, mults, choices))
+            out.append((deg, mult, choices))
         return [pb[i] for i in heads], {pb[i] for i in tails}, out
 
     def cup(self, p, sign):
@@ -353,8 +331,8 @@ class _DiagramBackend:
         terms, reps = diagram_classes(out.kinds, (
             ([at[x & _PB] | x & 255 for k in key for x in (k >> 32, k)], c)
             for key, c in self.terms.items()))
-        dens = _moves(self.order)[0]
-        return out.kinds, {e: Fraction(c, dens[len(e[1])])
+        base = _moves(self.order)[0]
+        return out.kinds, {e: Fraction(c, base ** len(e[1]))
                            for e, c in terms.items()}, reps
 
 
@@ -376,10 +354,9 @@ class _MatrixBackend:
     words come out as one map per degree.  A layer is keyed by the
     WeightSystem's int-coded keys; wz_eval decodes them to index tuples
     only for open words.  Letter 0 adds its chords (a, p) into one
-    state per layer.  Layer m holds ints over the fixed denominator
-    D[m] chord_den^m (_moves), over Q(alpha) on the int system at
-    alpha = 2^k, k from the bounds of _NormBackend, and finish decodes
-    each value once.
+    state per layer.  Layer m holds ints over (B chord_den)^m, B of
+    _moves, over Q(alpha) on the int system at alpha = 2^k, k from the
+    bounds of _NormBackend, and finish decodes each value once.
 
     Every move is a word series applied by _series: a crossing is
     exp(s chord / 2), the powers of letter 1, followed by a flip, and a
@@ -418,18 +395,18 @@ class _MatrixBackend:
         + 1 (an associator move) and on no other field, whatever the
         layer, so it has an image: for each block code s and degree k >=
         1, the columns of its series applied to s, a flat tuple of (target
-        - s, coefficient over Q_k) pairs.  Its signature is (crossing,
+        - s, coefficient over B^k) pairs.  Its signature is (crossing,
         sign, roles of the block), for this int system.  The image is read
         from the signature's second use in one walk or its _ADMIT-th use
         on the system, whichever comes first; earlier uses walk the series
         directly.  The block codes of the layers that the image lacks are
         built in one walk (_columns); then a key v at layer n adds v c
-        scale[k][n] into layer n + k, for each column entry c of degree k
-        <= order - n, to the flip or the copy of the layers, or to empty
-        layers for a double point, signature (True, 0, roles).
+        into layer n + k, for each column entry c of degree k <= order -
+        n, to the flip or the copy of the layers, or to empty layers for a
+        double point, signature (True, 0, roles).
         """
         _, moves, table = _moves(self.order)
-        _, plan, build, scale = moves[crossing, sign]
+        plan = moves[crossing, sign][1]
         roles = tuple(signs[p:p + 2] if crossing else signs[:p + 2])
         uses, images = table.setdefault(self.ws, ({}, {}))
         sig = crossing, sign, roles
@@ -448,33 +425,30 @@ class _MatrixBackend:
         missing = {key >> shift & block for layer in self.deg
                    for key in layer}.difference(image)
         if missing:
-            self._columns(image, missing, crossing, roles, build)
+            self._columns(image, missing, crossing, roles, plan)
         out = [self.ws.flip(layer, p) if crossing else dict(layer)
                for layer in self.deg] if sign else [{} for _ in self.deg]
         for n, layer in enumerate(self.deg):
-            mults = [m[n] for m in scale[1:self.order - n + 1]]
             outs = out[n + 1:]
             for key, v in layer.items():
-                for col, f, tgt in zip(image[key >> shift & block], mults,
-                                       outs):
+                for col, tgt in zip(image[key >> shift & block], outs):
                     if col:
-                        vf = v if f == 1 else v * f
                         entries = iter(col)
                         for d, c in zip(entries, entries):
-                            add_term(tgt, key + (d << shift), vf * c)
+                            add_term(tgt, key + (d << shift), v * c)
         self.deg = out
 
-    def _columns(self, image, codes, crossing, roles, build):
+    def _columns(self, image, codes, crossing, roles, plan):
         """Add the columns of each block code to image, in one walk of the
-        series with the build multipliers on {s | s << width: 1}: the
-        copy of s above the block keeps the sources apart.  A crossing is
+        series on {s | s << width: 1}: the copy of s above the block keeps
+        the sources apart, and degree k comes out over B^k.  A crossing is
         built at p = 0 and followed by its flip.  The columns are those of
         degrees 1..order: the degree-0 term is the flip or the identity,
         which _move applies to whole layers."""
         width = self.ws.bits * len(roles)
         seed = {s | s << width: 1 for s in codes}
         total = self._series([seed] + [{} for _ in range(self.order)],
-                             len(roles) - 2, roles, build)
+                             len(roles) - 2, roles, plan)
         field = (1 << width) - 1
         cols = {s: [[] for _ in range(self.order)] for s in codes}
         for k, layer in enumerate(total[1:]):
@@ -490,7 +464,7 @@ class _MatrixBackend:
         """The layers deg, if unit, plus every word term of a move's plan
         applied to them: G(q) = C_q + sum over letters y of y(G(q y)) over
         the prefix trie, C_u the sum of the terms u v of their multiples
-        of v(S)."""
+        of v(S), layer n of v(S) into layer n + k."""
         suffixes, terms, prefixes = plan
         total = [dict(d) if unit else {} for d in deg]
         states = {(): deg}
@@ -499,10 +473,10 @@ class _MatrixBackend:
                                      signs)
         acc = defaultdict(lambda: [{} for _ in total])
         acc[()] = total
-        for u, v, k, mults in terms:
-            for f, layer, out in zip(mults, states[v], acc[u][k:]):
+        for u, v, k, mult in terms:
+            for layer, out in zip(states[v], acc[u][k:]):
                 for key, val in layer.items():
-                    add_term(out, key, val if f == 1 else val * f)
+                    add_term(out, key, val * mult)
         for q, letter, parent, low in prefixes:
             self._letter(acc[q][low:], letter, p, signs,
                          out=acc[parent][low:])
@@ -529,9 +503,9 @@ class _MatrixBackend:
         self.deg = [self.ws.cap(layer, p, sign) for layer in self.deg]
 
     def finish(self):
-        dens = _moves(self.order)[0]
+        base = _moves(self.order)[0] * self.ws.chord_den
         value = self.system.value
-        return [{key: value(v, dens[m] * self.ws.chord_den ** m, self.k)
+        return [{key: value(v, base ** m, self.k)
                  for key, v in layer.items()}
                 for m, layer in enumerate(self.deg)]
 
@@ -558,10 +532,10 @@ class _NormBackend:
                    norm[signs[p], signs[p + 1]])
         # the unit term, which a double point (sign 0) lacks
         total = list(self.deg) if sign else [0] * len(self.deg)
-        for k, w, mults in _moves(self.order)[1][crossing, sign][0]:
-            f = prod(letters[x] for x in w)
-            for n, mult in enumerate(mults):
-                total[n + k] += abs(mult) * f * self.deg[n]
+        for k, w, mult in _moves(self.order)[1][crossing, sign][0]:
+            f = abs(mult) * prod(letters[x] for x in w)
+            for n in range(self.order - k + 1):
+                total[n + k] += f * self.deg[n]
         self.deg = total
 
     def cup(self, p, sign):

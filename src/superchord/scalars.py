@@ -8,9 +8,12 @@ Three levels are used throughout the package:
 * truncated power series in a formal variable ``h`` over either of the
   above (:class:`HSeries`), with hard degree cutoff.
 
-Both chord engines hold ints over one int denominator per state or
-h-degree layer, over Q(alpha) too: there the values are polynomials with
-int coefficients at alpha = 2^K, K above a proven coefficient bound, and
+A graded series with rational coefficients is walked as ints: its
+degree-d part is held over B^d, B = :func:`graded_base` of its terms, so
+a product of parts of degrees a and b is over B^(a + b) and nothing is
+divided.  The associator check and both chord engines use this, over
+Q(alpha) too: there the values are polynomials with int coefficients at
+alpha = 2^K, K above a proven coefficient bound, and
 :func:`kronecker_decode` reads an output back from its base-2^K digits.
 
 A polynomial in alpha (:class:`Poly`) is a tuple of Python ints over one
@@ -368,6 +371,20 @@ class AlphaScalar:
 
 def alpha():
     return AlphaScalar(Poly.x())
+
+
+def graded_base(terms):
+    """The least int B >= 1 such that q divides B^k for every term (k,
+    p/q) of a graded series, so that p B^k / q is an int: B^k is the
+    common denominator of degree k.  The lcm of the q is such a B, so the
+    search ends."""
+    need = {(k, _ratio(c)[1]) for k, c in terms}
+    if any(q > 1 for k, q in need if k < 1):
+        raise ScalarError("a term of degree 0 has a denominator")
+    b = 1
+    while any(b ** k % q for k, q in need):
+        b += 1
+    return b
 
 
 def kronecker_bits(bound):

@@ -235,7 +235,7 @@ def _parse_slice(body, si):
                 raise ValueError("cap needs opposite signs")
             toks.append(("cap", _SIGN[m.group(5)]))
         pos = m.end()
-        while pos < len(body) and body[pos] == " ":
+        while pos < len(body) and body[pos].isspace():
             pos += 1
     return toks
 

@@ -258,6 +258,24 @@ def test_rt_float_entry_index_is_clean_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("row, message", [
+    ([-1, -1, "3"], "entry index -1 is outside 0..1"),
+    ([5, 0, "1"], "entry index 5 is outside 0..1"),
+])
+def test_rt_entry_index_out_of_range_is_clean_error(tmp_path, capsys, row,
+                                                    message):
+    # [-1, -1, "3"] in place of [1, 1, "3"] names the same twist if read
+    # from the end of the basis
+    obj = ribbon_to_json(ribbon_diagonal([[2, 5], [7, 3]]))
+    obj["twist"][1] = row
+    dpath = write(tmp_path, "bad.ribbon", json.dumps(obj))
+    path = write(tmp_path, "trefoil.tw", TREFOIL)
+    assert main(["rt", path, "--data", dpath]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s\n" % message
+
+
 @pytest.mark.parametrize("bad", [0.5, True, 1e300])
 def test_rt_non_integer_coefficient_is_clean_error(tmp_path, capsys, bad):
     obj = ribbon_to_json(ribbon_diagonal([[2, 5], [7, 3]]))

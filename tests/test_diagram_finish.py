@@ -37,7 +37,7 @@ LONG_WORD = ("braid[3]: s2 s2 s1^-1 s2^-1 s1 s1 s2^-1 s1^-1 s2 s2 s2^-1 "
 
 class _AnchorBackend:
     """States are chord sets over stamped anchor tokens, with int
-    coefficients over D[m] for m chords (_moves).
+    coefficients over B^m for m chords (_moves).
 
     finish maps each token to one int, component << 32 | place on the
     traced skeleton, and hands each key's ends to
@@ -89,12 +89,12 @@ class _AnchorBackend:
 
     @staticmethod
     def _expand(terms, tuv, tvw, e):
-        """Each word series term as (degree, multipliers, choices), one
+        """Each word series term as (degree, multiplier, choices), one
         (chord set, sign) per choice of a pair for every letter: letter l
         of a word w picks one pair of tuv (letter 0) or tvw, and anchors
         its chord on layer len(w) - 1 - l of event e."""
         out = []
-        for deg, w, mults in terms:
+        for deg, w, mult in terms:
             choices = []
             for picks in product(*(tuv if x == 0 else tvw for x in w)):
                 chords = []
@@ -104,16 +104,16 @@ class _AnchorBackend:
                     chords.append((("a", e, j, a), ("a", e, j, b)))
                     sign *= sg
                 choices.append((frozenset(chords), sign))
-            out.append((deg, mults, choices))
+            out.append((deg, mult, choices))
         return out
 
     def _add_series(self, out, key, c, series):
         """Add c times every non-unit term of a series of _expand to key."""
         n = len(key)
-        for deg, mults, choices in series:
+        for deg, mult, choices in series:
             if n + deg > self.order:
                 break
-            base = c * mults[n]
+            base = c * mult
             for chords, sign in choices:
                 add_term(out, key | chords, base if sign > 0 else -base)
 
@@ -131,8 +131,8 @@ class _AnchorBackend:
         terms, reps = diagram_classes(
             out.kinds, (([where[t] for chord in key for t in chord], c)
                         for key, c in self.terms.items()))
-        dens = _moves(self.order)[0]
-        return out.kinds, {e: Fraction(c, dens[len(e[1])])
+        base = _moves(self.order)[0]
+        return out.kinds, {e: Fraction(c, base ** len(e[1]))
                            for e, c in terms.items()}, reps
 
 
@@ -155,8 +155,8 @@ class _PerKeyBackend(_AnchorBackend):
             e = canonical_form(d)
             add_term(agg, e, c)
             reps.setdefault(e, d)
-        dens = _moves(self.order)[0]
-        terms = {e: Fraction(c, dens[len(e[1])]) for e, c in agg.items()}
+        base = _moves(self.order)[0]
+        terms = {e: Fraction(c, base ** len(e[1])) for e, c in agg.items()}
         return out.kinds, terms, reps
 
 

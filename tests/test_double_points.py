@@ -184,14 +184,13 @@ def test_resolutions_share_their_framing_parities(text):
 
 def test_double_point_is_the_crossings_difference():
     for order in range(6):
-        dens, moves, _images = _moves(order)
+        moves = _moves(order)[1]
         terms = moves[True, 0][0]
         assert [k for k, _w, _m in terms] == list(range(1, order + 1, 2))
         plus, minus = moves[True, 1][0], moves[True, -1][0]
-        for k, _w, mults in terms:
-            # X+ - X-, term by term, over the same D
-            assert mults == tuple(a - b for a, b in zip(plus[k - 1][2],
-                                                        minus[k - 1][2]))
+        for k, _w, mult in terms:
+            # X+ - X-, term by term, over the same B^k
+            assert mult == plus[k - 1][2] - minus[k - 1][2]
 
 
 def test_singular_words_and_three_marks_at_order_3():

@@ -80,7 +80,7 @@ def reference_walk(ws, diagram):
 
 class ReferenceBackend(_MatrixBackend):
     """The slice engine over Q(alpha); finish keeps the numerator layers,
-    each over D[m] chord_den^m."""
+    each over (B chord_den)^m."""
 
     def __init__(self, word, order, ws):
         self.order, self.ws = order, alpha_system(ws)
@@ -127,9 +127,9 @@ def test_bounds_take_each_factor_of_the_proof():
                 want *= ws.dim
         assert ws.bound(steps) == want, d
     # the slice engine: one crossing is exp(chord / 2), |(1/2)^m / m!|
-    # times norm^m on layer m over D[m], and the cap after it takes dim
-    dens = _moves(3)[0]
-    crossing = [Fraction(ws.norm[1, -1] ** m * dens[m], 2 ** m * factorial(m))
+    # times norm^m on layer m over B^m, and the cap after it takes dim
+    base = _moves(3)[0]
+    crossing = [Fraction((ws.norm[1, -1] * base) ** m, 2 ** m * factorial(m))
                 for m in range(4)]
     word = parse_word("slice: id(+) id(-)\nslice: X+")
     assert _walk(word, _NormBackend(3, ws)) == crossing
@@ -186,10 +186,10 @@ def _assert_wz_matches(name, text, order):
     layers = _walk(word, ReferenceBackend(word, order, ws))
     bounds = _walk(word, _NormBackend(order, ws))
     got = wz_eval(word, rep, tensor, order)
-    dens = _moves(order)[0]
+    base = _moves(order)[0] * ws.chord_den
     for m, layer in enumerate(layers):
         assert bounds[m] >= largest_coefficient(layer), (text, m)
-        unit = QALPHA.one / (dens[m] * ws.chord_den ** m)
+        unit = QALPHA.one / base ** m
         if word.is_closed:
             assert got.coeff(m) == layer.get(0, QALPHA.zero) * unit
         else:

@@ -179,6 +179,24 @@ def test_ribbon_zero_denominator_is_value_error():
         ribbon_from_json(obj)
 
 
+@pytest.mark.parametrize("field, row, index", [
+    ("twist", [-1, -1, "3"], -1),
+    ("twist", [5, 0, "1"], 5),
+    ("twist", [0, 2, "1"], 2),
+    ("braiding", [4, 0, "1"], 4),
+    ("cup_pm", [0, 1, "1"], 1),
+    ("cap_mp", [1, 0, "1"], 1),
+])
+def test_ribbon_entry_index_out_of_range_is_value_error(field, row, index):
+    # a negative index would read from the end of the basis, a large one
+    # fall off it; both are refused by name, whatever the map's shape
+    obj = round_trip(ribbon_to_json(ribbon_diagonal([[2, 5], [7, 3]])))
+    obj[field].append(row)
+    with pytest.raises(ValueError,
+                       match=r"^entry index %d is outside 0\.\.\d+$" % index):
+        ribbon_from_json(obj)
+
+
 NON_INTEGERS = [0.9, 1.0, "0", True, None]
 
 

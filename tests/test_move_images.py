@@ -13,10 +13,14 @@ systems are compared as the ints they walk at alpha = 2^K, K from the
 proven bound of `_NormBackend`, which both backends share.
 """
 
+from fractions import Fraction
+from math import factorial
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from superchord import kontsevich
+from superchord import associator, kontsevich
+from superchord.associator import build_associator
 from superchord.kontsevich import _MatrixBackend, _moves, _walk, wz_eval
 from superchord.weightsys import lg_data, named_system
 from superchord.words import parse_word
@@ -65,20 +69,64 @@ def assert_images_are_the_direct_walk(order, names, words):
     return built
 
 
+def assert_least_exact_base(base, terms):
+    """base is the least positive int with q | base^k for every term (k,
+    m, p/q), and each int multiplier m is p base^k / q, no remainder
+    dropped; as p and q are coprime, the second gives q | base^k."""
+    assert base >= 1
+    for k, m, c in terms:
+        assert m * c.denominator == c.numerator * base ** k, (k, m, c)
+    for b in range(1, base):
+        assert any(b ** k % c.denominator for k, _m, c in terms), b
+
+
+def move_terms(order):
+    """(k, multiplier, p/q) for every term of every move of _moves, p/q
+    rebuilt from exp(sign t / 2), its odd part X+ - X- and the words of
+    the associator and its inverse."""
+    moves = _moves(order)[1]
+    crossing = {sign: [Fraction(sign ** k, 2 ** k * factorial(k))
+                       for k in range(1, order + 1)] for sign in (1, -1)}
+    want = {(True, 0): [a - b for a, b in zip(crossing[1], crossing[-1])
+                        if a != b]}
+    assoc = build_associator(max(2, order))
+    for sign in (1, -1):
+        want[True, sign] = crossing[sign]
+        want[False, sign] = [c for k, _w, c in assoc.words(sign)
+                             if k <= order]
+    out = []
+    for key, coefficients in want.items():
+        terms = moves[key][0]
+        assert len(terms) == len(coefficients), key
+        out += [(k, m, c) for (k, _w, m), c in zip(terms, coefficients)]
+    return out
+
+
+def check_terms(assoc):
+    """(k, multiplier, p/q) for every word of Phi, Phi^-1 and exp(x / 2)
+    in the int series of associator._check."""
+    _base, phi, inv, half = associator._int_series(assoc)
+    out = []
+    for ints, table in ((phi, assoc.terms), (inv, assoc.inverse)):
+        assert len(ints) == 1 + sum(map(len, table.values()))
+        out += [(len(w), m, table[len(w)][w] if w else Fraction(1))
+                for w, m in ints.items()]
+    out += [(len(w), m, Fraction(1, 2 ** len(w) * factorial(len(w))))
+            for w, m in half.items()]
+    return out
+
+
 def test_image_multipliers_are_exact():
-    # a term p/q of degree k enters an image column as p Q_k / q and is
-    # carried from layer n by scale[k][n] = D[n + k] / (D[n] Q_k); their
-    # product must be the term's own multiplier p D[n + k] / (D[n] q),
-    # with no remainder dropped by the integer divisions
-    for order in range(6):
-        dens, moves, _images = _moves(order)
-        for (crossing, sign), (terms, _plan, build, scale) in moves.items():
-            for (k, _w, mults), (_u, _v, _k, (unit,)) in zip(terms,
-                                                             build[1]):
-                for n, mult in enumerate(mults):
-                    assert unit * scale[k][n] == mult
-                    assert scale[k][n] * dens[n] * (
-                        dens[k] // scale[k][0]) == dens[n + k]
+    # both chord engines and the associator check hold degree k over
+    # B^k, B = scalars.graded_base of their terms: each term p/q is the
+    # one int p B^k / q at every layer, B the least that makes it one
+    for order, base in enumerate((1, 2, 12, 12, 60, 60, 420)):
+        assert _moves(order)[0] == base
+        assert_least_exact_base(base, move_terms(order))
+        assoc = (build_associator(order) if order >= 2
+                 else associator.Associator(order, {}))
+        assert associator._int_series(assoc)[0] == base
+        assert_least_exact_base(base, check_terms(assoc))
 
 
 @st.composite

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from superchord.scalars import (AlphaScalar, HSeries, Poly, QALPHA, QQ,
                                 RingMismatchError, ScalarError, SeriesRing,
-                                _ratio, alpha, kronecker_bits,
+                                _ratio, alpha, graded_base, kronecker_bits,
                                 kronecker_decode, series_exp, series_inverse)
 
 
@@ -643,3 +643,22 @@ def test_kronecker_bits_is_the_least_multiple_of_32_above_the_bound():
         k = kronecker_bits(bound)
         assert k % 32 == 0 and 1 << k - 1 > bound
         assert k == 32 or 1 << k - 33 <= bound, bound
+
+
+@pytest.mark.parametrize("terms, base", [
+    ([], 1),
+    ([(0, 5), (2, Fraction(3))], 1),
+    ([(3, Fraction(1, 16))], 4),
+    ([(1, Fraction(-7, 6)), (2, Fraction(1, 8))], 12),
+    ([(4, Fraction(1, 5760)), (6, Fraction(1, 725760))], 60 * 7),
+])
+def test_graded_base_is_the_least_int_base(terms, base):
+    assert graded_base(terms) == base
+    for b in range(1, base + 1):
+        fits = all(b ** k % Fraction(c).denominator == 0 for k, c in terms)
+        assert fits == (b == base), b
+
+
+def test_graded_base_refuses_a_fraction_in_degree_0():
+    with pytest.raises(ScalarError, match="degree 0"):
+        graded_base([(1, Fraction(1, 2)), (0, Fraction(1, 3))])

@@ -49,7 +49,7 @@ def reference_series(backend, p, crossing, sign, signs):
     base = backend.deg
     total = [dict(d) for d in base]
     cache = {}
-    for deg, w, mults in terms:
+    for deg, w, mult in terms:
         acc = base
         for l in range(deg - 1, -1, -1):
             suffix = w[l:]
@@ -64,10 +64,9 @@ def reference_series(backend, p, crossing, sign, signs):
         if not any(acc):
             continue
         for m, layer in enumerate(acc):
-            f = mults[m]
             tgt = total[m + deg]
             for key, v in layer.items():
-                add_term(tgt, key, v if f == 1 else v * f)
+                add_term(tgt, key, v * mult)
     return total
 
 

@@ -107,6 +107,25 @@ def test_unknown_token_rejected():
         parse_word("slice: frob(+)")
 
 
+@pytest.mark.parametrize("gap", ["\t", " \t ", "\t\t"])
+def test_any_whitespace_separates_slice_tokens(gap):
+    # tokens are split as obj lines and braid words split, on any
+    # whitespace within the line
+    text = "obj: + + + -\nslice: id(+) X+ id(-)\nslice: cup(+-) %s"
+    spaced = parse_word(text % "id(+) id(+) id(+) id(-)")
+    tabbed = parse_word(text % gap.join(["id(+)"] * 3 + ["id(-)"]))
+    assert (tabbed.source, tabbed.slices, tabbed.components,
+            tabbed.framings) == (spaced.source, spaced.slices,
+                                 spaced.components, spaced.framings)
+
+
+@pytest.mark.parametrize("text", ["slice: id(+) foo", "slice: id(+)\tfoo"])
+def test_unknown_slice_token_is_named(text):
+    with pytest.raises(ValueError,
+                       match=re.escape("unknown token at slice 0: 'foo'")):
+        parse_word(text)
+
+
 def test_boundary_mismatch_rejected():
     with pytest.raises(ValueError):
         parse_word("obj: + +\nslice: cap(+-)")
