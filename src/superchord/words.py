@@ -9,7 +9,9 @@ a tensor product of generators written left to right:
     cap(+-)  cap(-+)   local maxima, consuming the sign pair
     sing               marks the preceding crossing as a double point
 
-Lines may also be separated by ';'.  An optional leading "obj: + -" line
+Lines end at \\n, \\r\\n or \\r, as text-mode open() reads them, and may
+also be separated by ';'.  Any other separator (\\f, \\v, \\x85, \\u2028,
+...) is whitespace inside a line.  An optional leading "obj: + -" line
 declares the bottom boundary (otherwise it is inferred).  The braid
 shorthand
 
@@ -38,6 +40,7 @@ _SLICE_TOKEN = re.compile(
     r"id\(([+-])\)|X([+-])|cup\(([+-])([+-])\)|cap\(([+-])([+-])\)|sing")
 _BRAID_HEAD = re.compile(r"braid\[(\d+)\]:(.*)", re.S)
 _BRAID_TOKEN = re.compile(r"([st])(\d+)(?:\^(-?\d+))?|sing")
+_LINE_END = re.compile(r"\r\n?|\n")
 
 _SIGN = {"+": 1, "-": -1}
 
@@ -312,7 +315,8 @@ def parse_word(text):
     """
     if isinstance(text, TangleWord):
         return text
-    segs = [s.strip() for chunk in text.splitlines() for s in chunk.split(";")]
+    segs = [s.strip() for chunk in _LINE_END.split(text)
+            for s in chunk.split(";")]
     segs = [s for s in segs if s]
     if not segs:
         raise ValueError("empty word")
@@ -368,32 +372,6 @@ def parse_word(text):
                 inferred.extend((tok[1], -tok[1]))
         source = tuple(inferred)
     return TangleWord(source, slices, None)
-
-
-def resolve_singular(word):
-    """All 2^m resolutions of the marked double points, with signs."""
-    return [resolution(word, mask) for mask in range(2 ** word.sing_count)]
-
-
-def resolution(word, mask=0):
-    """One resolution of the marked double points and its sign: the b-th
-    marked crossing becomes X- where bit b of mask is set and X+
-    elsewhere, and the sign is -1 to the number of X-."""
-    sites = [(i, j) for i, sl in enumerate(word.slices)
-             for j, tok in enumerate(sl) if tok[0] == "x" and tok[2]]
-    slices = [list(sl) for sl in word.slices]
-    sign = 1
-    for b, (i, j) in enumerate(sites):
-        s = 1 if (mask >> b) & 1 == 0 else -1
-        sign *= s
-        slices[i][j] = ("x", s, False)
-    braid = None
-    if word.braid is not None:
-        n, letters, closed = word.braid
-        signs = iter([slices[i][j][1] for i, j in sites])
-        braid = (n, [(t[0], t[1], next(signs), False) if t[3] else t
-                     for t in letters], closed)
-    return sign, TangleWord(word.source, slices, braid)
 
 
 def diagram_of_singular(word):

@@ -26,7 +26,8 @@ from superchord.scalars import QALPHA, alpha
 from superchord.supergraded import SuperMap
 from superchord.verify import SINGULAR_WORDS
 from superchord.weightsys import scalar_of_endo, wlg, ws_link, ws_tangle11
-from superchord.words import diagram_of_singular, parse_word, resolve_singular
+from superchord.words import diagram_of_singular, parse_word
+from test_double_points import resolve_singular
 
 UNKNOT_SLICES = "slice: cup(+-)\nslice: cap(+-)"
 UNKNOT = "braid[1]: ; close"

@@ -5,29 +5,59 @@ singular knot (Bar-Natan, Topology 34, 1995): `kontsevich._moves` holds
 the double point as a third move kind beside the crossing and the
 associator move, so `z_eval`, `wz_eval` and `vassiliev_defect` walk a
 word with m marks once.  The oracle is the alternating sum over the 2^m
-resolutions of `words.resolve_singular`, each a plain word walked as
-before.  The words are generated closed braids on at most 3 strands
-with at most 6 letters and (1,1)-tangles, each with 1 to 3 marks, at
-orders 3 and 4.  Over Q(alpha) the int walk at alpha = 2^K is checked
-too, with K from the double point's own terms in `_NormBackend`.
+resolutions of `resolve_singular` below, each a plain word that
+`resolution` writes with every mark made X+ or X-, walked as before.
+The words are generated closed braids on at most 3 strands with at most
+6 letters and (1,1)-tangles, each with 1 to 3 marks, at orders 3 and 4.
+Over Q(alpha) the int walk at alpha = 2^K is checked too, with K from
+the double point's own terms in `_NormBackend`.  On the same words the
+walk starts at degree m with the marks' chord diagram, signed by the
+marked crossings' oriented signs.
 """
 
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from superchord import kontsevich
+from superchord.diagrams import canonical_form
 from superchord.kontsevich import _moves, vassiliev_defect, wz_eval, z_eval
 from superchord.scalars import add_term
 from superchord.verify import SINGULAR_WORDS
 from superchord.weightsys import named_system
-from superchord.words import parse_word, resolution, resolve_singular
+from superchord.words import TangleWord, diagram_of_singular, parse_word
 from test_int_walk import _assert_wz_matches, braids, tangles
 
 # a knot on 3 strands with three marks and framing 4
 THREE_MARKS = ("braid[3]: s1 sing s2^-1 s1 sing s2^-1 s1 sing s2 s1 s2 "
                "; close")
+
+
+def resolve_singular(word):
+    """All 2^m resolutions of the marked double points, with signs."""
+    return [resolution(word, mask) for mask in range(2 ** word.sing_count)]
+
+
+def resolution(word, mask=0):
+    """One resolution of the marked double points and its sign: the b-th
+    marked crossing becomes X- where bit b of mask is set and X+
+    elsewhere, and the sign is -1 to the number of X-."""
+    sites = [(i, j) for i, sl in enumerate(word.slices)
+             for j, tok in enumerate(sl) if tok[0] == "x" and tok[2]]
+    slices = [list(sl) for sl in word.slices]
+    sign = 1
+    for b, (i, j) in enumerate(sites):
+        s = 1 if (mask >> b) & 1 == 0 else -1
+        sign *= s
+        slices[i][j] = ("x", s, False)
+    braid = None
+    if word.braid is not None:
+        n, letters, closed = word.braid
+        signs = iter([slices[i][j][1] for i, j in sites])
+        braid = (n, [(t[0], t[1], next(signs), False) if t[3] else t
+                     for t in letters], closed)
+    return sign, TangleWord(word.source, slices, braid)
 
 
 def _marks(draw, tokens, is_crossing):
@@ -180,6 +210,47 @@ def test_resolutions_share_their_framing_parities(text):
     sign, first = resolutions[0]
     again = resolution(word)
     assert sign == again[0] == 1 and again[1].slices == first.slices
+
+
+def _oriented_mark_sign(word):
+    """The product over the marked crossings of the written sign times
+    the orientations of the two strands crossed there."""
+    signs, sign = list(word.source), 1
+    for sl in word.slices:
+        p = 0
+        for tok in sl:
+            if tok[0] == "x":
+                if tok[2]:
+                    sign *= tok[1] * signs[p] * signs[p + 1]
+                signs[p], signs[p + 1] = signs[p + 1], signs[p]
+                p += 2
+            elif tok[0] == "cup":
+                signs[p:p] = [tok[1], -tok[1]]
+                p += 2
+            elif tok[0] == "cap":
+                del signs[p:p + 2]
+            else:
+                p += 1
+    return sign
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(text=st.one_of(singular_braids(), singular_tangles()),
+       extra=st.integers(0, 1))
+# X+ marked where an upward strand meets a downward one: it starts at -D
+@example(text="obj: +\nslice: id(+) cup(-+)\nslice: X+ sing id(+)\n"
+              "slice: cap(-+) id(+)", extra=0)
+def test_leading_term_is_the_signed_double_point_diagram(text, extra):
+    # z_eval of m marks has no term below degree m, and its degree-m
+    # part is s D: D the chord diagram of the marks, s the product of the
+    # marked crossings' oriented signs
+    word = parse_word(text)
+    m = word.sing_count
+    terms = z_eval(word, m + extra).terms
+    assert all(len(e[1]) >= m for e in terms)
+    lead = {e: c for e, c in terms.items() if len(e[1]) == m}
+    assert lead == {canonical_form(diagram_of_singular(word)):
+                    _oriented_mark_sign(word)}
 
 
 def test_double_point_is_the_crossings_difference():

@@ -24,7 +24,8 @@ from superchord.supergraded import SuperMap
 from superchord.verify import run_all, run_suite
 from superchord.weightsys import (
     scalar_of_endo, weight_system, wlg, ws_link, ws_tangle11)
-from superchord.words import diagram_of_singular, parse_word, resolve_singular
+from superchord.words import diagram_of_singular, parse_word
+from test_double_points import resolve_singular
 
 F = Fraction
 

@@ -298,6 +298,16 @@ def test_vassiliev_defect_walks_once_for_three_marks(monkeypatch):
     assert not traced
 
 
+def test_zleading_walks_each_singular_word_once(monkeypatch):
+    calls = _counting(monkeypatch, verify, "z_eval")
+    traced = _counting(monkeypatch, words.TangleWord, "__init__")
+    assert verify.run_suite("zleading").ok
+    # 2 + 4 + 4 calls when each of the 2^m resolutions was walked, and a
+    # traced word per resolution beside the three parsed words
+    assert len(calls) == len(verify.SINGULAR_WORDS) == 3
+    assert len(traced) == 3
+
+
 def test_station_walk_applies_chords_on_partial_states(monkeypatch):
     fresh = weightsys.WeightSystem(*weightsys.lg_data())
     classes = _interval_classes(3)

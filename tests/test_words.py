@@ -7,9 +7,8 @@ import pytest
 from superchord import words
 from superchord.cli import main
 from superchord.diagrams import CIRCLE, INTERVAL, canonical_form, ChordDiagram
-from superchord.words import (
-    MAX_TOKENS, diagram_of_singular, parse_word, resolution,
-    resolve_singular)
+from superchord.words import MAX_TOKENS, diagram_of_singular, parse_word
+from test_double_points import resolution, resolve_singular
 from test_ribbon import generated_words
 
 
@@ -117,6 +116,33 @@ def test_any_whitespace_separates_slice_tokens(gap):
     assert (tabbed.source, tabbed.slices, tabbed.components,
             tabbed.framings) == (spaced.source, spaced.slices,
                                  spaced.components, spaced.framings)
+
+
+# the separators str.splitlines also ends a line at
+OTHER_SEPARATORS = ["\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+                    "\u2029"]
+
+
+@pytest.mark.parametrize("gap", OTHER_SEPARATORS)
+def test_only_newlines_end_a_line(gap):
+    # lines end at \n, \r\n and \r alone; any other separator is
+    # whitespace between the tokens of one slice or obj line
+    spaced = parse_word("slice: id(+) id(+) id(+) id(+)")
+    split = parse_word("slice: id(+) id(+)%sid(+) id(+)" % gap)
+    assert split.source == (1,) * 4
+    assert split.slices == spaced.slices
+    declared = parse_word("obj: + %s -\nslice: id(+) id(-)" % gap)
+    assert declared.source == (1, -1)
+    braid = parse_word("braid[2]: s1%ss1 ; close" % gap)
+    assert braid.framings == parse_word("braid[2]: s1 s1 ; close").framings
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_each_line_end_splits_slices(end):
+    text = end.join(["obj: + -", "slice: id(+) id(-)", "slice: cap(+-)"])
+    w = parse_word(text)
+    assert (w.source, w.slices) == ((1, -1), [(("id", 1), ("id", -1)),
+                                              (("cap", 1),)])
 
 
 @pytest.mark.parametrize("text", ["slice: id(+) foo", "slice: id(+)\tfoo"])
