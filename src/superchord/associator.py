@@ -29,9 +29,11 @@ fixed to zero.  `build_associator` solves nothing: it truncates the
 table and raises ValueError unless both hexagon residuals and the
 pentagon residual vanish in every degree it serves.  That check runs
 once per associator (`Associator.holds`), in one pass over ints
-(`_check`): the degree-d part of an element is held over B^d, B the
-least int with B^k a multiple of the denominator of every degree-k
-coefficient of Phi, Phi^-1 and exp(x/2) (`scalars.graded_base`; 60 at
+(`_check`), and reads the one int series table (`int_series`) whose
+terms both chord engines apply, so the check verifies the very ints
+the walks use.  The degree-d part of an element is held over B^d, B
+the least int with B^k a multiple of the denominator of every degree-k
+coefficient of Phi^+-1 and exp(+-x/2) (`scalars.graded_base`; 60 at
 orders 4 and 5), so products need no division.  Phi(X, Y) is
 substituted by Horner over its word trie, Phi^-1 from
 `Associator.inverse` (substitution is an algebra map), and each
@@ -229,20 +231,29 @@ def _residual(left, right, order):
     return out
 
 
-def _int_series(assoc):
-    """(B, phi, inv, half): Phi, Phi^-1 and exp(x / 2) through the order
-    as {word over 0, 1: int}, a word of length d standing for its int
-    over B^d, B = graded_base of all three."""
-    half = {(0,) * k: Fraction(1, 2 ** k * factorial(k))
-            for k in range(assoc.order + 1)}
-    tables = [{w: c for words in table.values() for w, c in words.items()}
-              for table in (assoc.terms, assoc.inverse)] + [half]
-    base = graded_base((len(w), c) for table in tables
-                       for w, c in table.items())
-    phi, inv, half = ({w: c.numerator * base ** len(w) // c.denominator
-                       for w, c in table.items()} for table in tables)
-    phi[()] = inv[()] = 1
-    return base, phi, inv, half
+def int_series(assoc, order):
+    """(B, series): the braiding and the associator through degree order
+    as int terms, the one table that the load check and both chord
+    engines read.
+
+    series[crossing, sign] lists (k, word, p B^k / q) for each non-unit
+    term p/q of degree k: exp(sign x / 2) for crossing True, with the
+    words (1,) * k, k ascending, and Phi^sign for crossing False, in the
+    order Associator.words gives.  B is the graded_base of all four
+    series (60 at orders 4 and 5), so a term is one int, which takes a
+    part over B^n to one over B^(n + k).
+    """
+    series = {}
+    for sign in (1, -1):
+        series[True, sign] = [
+            (k, (1,) * k, Fraction(sign ** k, 2 ** k * factorial(k)))
+            for k in range(1, order + 1)]
+        series[False, sign] = [t for t in assoc.words(sign) if t[0] <= order]
+    base = graded_base((k, c) for terms in series.values()
+                       for k, _, c in terms)
+    return base, {key: tuple((k, w, c.numerator * base ** k // c.denominator)
+                             for k, w, c in terms)
+                  for key, terms in series.items()}
 
 
 def _check(assoc):
@@ -250,12 +261,15 @@ def _check(assoc):
     triple per degree 1..order, in one pass over ints.
 
     An element is a list by degree of {word: int}, its degree-d part
-    standing for itself over B^d (_int_series); products keep this, so
+    standing for itself over B^d (int_series); products keep this, so
     nothing is divided.  Each identity's product is formed once, and
     each degree's part of its residual is reduced to normal form.
     """
     order = assoc.order
-    _, phi, inv, half = _int_series(assoc)
+    _, series = int_series(assoc, order)
+    # Phi, Phi^-1 and exp(x / 2), each with its unit
+    phi, inv, half = ({(): 1, **{w: m for _k, w, m in series[key]}}
+                      for key in ((False, 1), (False, -1), (True, 1)))
     sub = partial(_substitute, order=order)
 
     def exp_half(x):

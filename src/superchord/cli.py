@@ -19,7 +19,7 @@ from .jsonio import (
 from .kontsevich import lg_invariant, wz_eval, z_eval
 from .ribbon import ribbon_trivial, rt_invariant
 from .scalars import AlphaScalar
-from .verify import SUITES, run_all, run_suite
+from .verify import LEAST_ORDER, SUITES, run_all, run_suite
 from .weightsys import named_system, weight_system
 
 
@@ -202,8 +202,11 @@ def _parser():
     p.add_argument("suite", nargs="?", choices=suites, default="all")
     p.add_argument("--suite", dest="suite_flag", choices=suites)
     p.add_argument("--seed", type=int, default=0)
+    least = ", ".join("%s from %d" % kv for kv in sorted(LEAST_ORDER.items()))
     p.add_argument("--order", "--degree", type=int, default=3,
-                   help="truncation degree, 0 to %d (default 3)" % MAX_ORDER)
+                   help="truncation degree, 0 to %d (default 3); %s, all "
+                        "from %d" % (MAX_ORDER, least,
+                                     max(LEAST_ORDER.values())))
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(run=_cmd_verify)
     return top

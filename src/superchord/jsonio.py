@@ -99,10 +99,15 @@ def series_to_json(s):
 
 @_loader("series")
 def series_from_json(obj):
+    """An HSeries; an h_order other than the coefficient count minus one
+    raises ValueError before any series ring is built."""
     coeffs = [scalar_from_json(c) for c in obj["coeffs"]]
+    order = _json_int(obj["h_order"], "h_order")
+    if order != len(coeffs) - 1:
+        raise ValueError("h_order %d needs %d coefficients, got %d"
+                         % (order, order + 1, len(coeffs)))
     base = QALPHA if any(isinstance(c, AlphaScalar) for c in coeffs) else QQ
-    ring = SeriesRing(base, _json_int(obj["h_order"], "h_order"))
-    return HSeries(ring, [base.coerce(c) for c in coeffs])
+    return HSeries(SeriesRing(base, order), [base.coerce(c) for c in coeffs])
 
 
 def diagram_to_json(diagram):

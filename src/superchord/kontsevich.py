@@ -27,18 +27,21 @@ term by its positioned diagram on the current strand pieces, so equal
 terms merge as they are made, and canonicalises each key once
 (diagrams.diagram_classes): only the first of a class becomes a
 ChordDiagram, the representative, and keeps its class key, so weighing
-it searches no more.  Both apply the three move kinds as one kind of
-step, a word series: the crossing's exponential is the powers of letter
-1, the chord on its two strands, with coefficients (s/2)^k/k!, the
-double point's its odd powers with 2 (1/2)^k/k!.  Both hold h degree
-m (m chords for diagrams) as ints over B^m, B from _moves(order), so a
-series term has one int multiplier whatever layer it starts from, and
-build a Fraction only at the output.  Both truncate as they go: the
-diagram backend never builds a term of more than order chords, and the
-matrix backend applies each associator word in two halves (_plan) and
-reads a move met before from its image, its operator on a few strands
-in the representation (Le-Murakami identify it with the quantum
-R-matrix and the associator there; _MatrixBackend._move).
+it searches no more.  Both apply the three move kinds as one step,
+move(p, crossing, sign, signs), a word series from one int table
+(_moves): associator.int_series, the table the associator's load
+check verifies, gives the crossing's exponential, the powers of letter
+1, the chord on its two strands, with coefficients (s/2)^k/k!, and Phi
+and Phi^-1; the double point is the odd crossing terms, doubled.  Both
+hold h degree m (m chords for diagrams) as ints over B^m, B of that
+table, so a series term has one int multiplier whatever layer it
+starts from, and build a Fraction only at the output.  Both truncate
+as they go: the diagram backend never builds a term of more than order
+chords, and the matrix backend applies each associator word in two
+halves (_plan) and reads a move met before from its image, its
+operator on a few strands in the representation (Le-Murakami identify
+it with the quantum R-matrix and the associator there;
+_MatrixBackend.move).
 
 Composites: paired_invariant reduces a knot's z_eval modulo the
 four-term relations on the circle (reduce_fourterm), cuts each residual
@@ -53,15 +56,15 @@ from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import factorial, prod
+from math import prod
 
-from .associator import build_associator, check_order
+from .associator import build_associator, check_order, int_series
 from .diagrams import (
     CIRCLE, ChordDiagram, LinearSpan, canonical_form, diagram_classes,
     four_term_relators, relator_vector, slit_component)
 from .scalars import (
-    QALPHA, QQ, HSeries, SeriesRing, add_term, graded_base,
-    kronecker_bits, series_inverse)
+    QALPHA, QQ, HSeries, SeriesRing, add_term, kronecker_bits,
+    series_inverse)
 from .supergraded import SuperMap
 from .weightsys import weight_system, wlg
 from .words import PathTracer, parse_word
@@ -72,39 +75,24 @@ def _moves(order):
     """The table that both chord engines read at one order: (B, moves,
     images).
 
-    moves[crossing, sign] is (terms, plan) for a crossing of that sign,
-    exp(sign chord / 2), a double point (True, 0), the crossings'
-    difference, or an associator move, Phi for sign 1 and Phi^-1 for -1.
-    A term is (degree k, word, multiplier): a crossing has the words (1,)
-    * k with coefficients (sign/2)^k / k!, k ascending, a double point
-    those of odd k, doubled, an associator move its non-unit words of
-    degree <= order in the order Associator.words gives them.  h degree m
-    is held over B^m, B the graded_base of every term (60 at order 4), so
-    a term p/q of degree k has the one int multiplier p B^k / q, which
-    takes any layer n to layer n + k.  plan is the term's schedule in
-    _MatrixBackend._series (_plan).
+    moves[crossing, sign] is (terms, plan): the int series of
+    associator.int_series, which the associator's load check verifies,
+    for a crossing of that sign, exp(sign chord / 2), or an associator
+    move, Phi for sign 1 and Phi^-1 for -1; and a double point (True, 0),
+    the crossings' difference, the odd crossing terms doubled.  A term
+    (k, word, p B^k / q) takes any layer n, held over B^n, to layer n +
+    k.  plan is the term's schedule in _MatrixBackend._series (_plan).
 
     images[view] is (uses, held) for the int system view that walks the
     moves: uses counts the uses of each move signature before its image,
     held maps a signature to its image, {block code: columns}.  Clearing
     this cache drops them with the rest.
     """
-    series, assoc = {}, build_associator(max(2, order))
-    for sign in (1, -1):
-        series[True, sign] = [
-            (k, (1,) * k, Fraction(sign ** k, 2 ** k * factorial(k)))
-            for k in range(1, order + 1)]
-        series[False, sign] = [t for t in assoc.words(sign) if t[0] <= order]
-    series[True, 0] = [(k, w, a - b) for (k, w, a), (_, _, b)
-                       in zip(series[True, 1], series[True, -1]) if k % 2]
-    base = graded_base((k, c) for terms in series.values()
-                       for k, _, c in terms)
-    moves = {}
-    for (crossing, sign), terms in series.items():
-        ints = tuple((k, w, c.numerator * base ** k // c.denominator)
-                     for k, w, c in terms)
-        moves[crossing, sign] = ints, _plan(order, crossing, ints)
-    return base, moves, {}
+    base, series = int_series(build_associator(max(2, order)), order)
+    series[True, 0] = tuple((k, w, 2 * m) for k, w, m in series[True, 1]
+                            if k % 2)
+    return base, {key: (terms, _plan(order, key[0], terms))
+                  for key, terms in series.items()}, {}
 
 
 # The use of a move's signature, over all walks on one int system, on
@@ -147,7 +135,9 @@ def _plan(order, crossing, terms):
 
 
 def _walk(word, backend):
-    """Drive a backend through the slices, keeping the sign word current."""
+    """Drive a backend through the slices, keeping the sign word current:
+    every crossing, double point and associator move is one
+    backend.move(p, crossing, sign, signs)."""
     signs = list(word.source)
     for sl in word.slices:
         p = 0
@@ -157,21 +147,21 @@ def _walk(word, backend):
                 p += 1
             elif kind == "x":
                 if p:
-                    backend.associate(p, 1, signs)
-                backend.crossing(p, 0 if tok[2] else tok[1], signs)
+                    backend.move(p, False, 1, signs)
+                backend.move(p, True, 0 if tok[2] else tok[1], signs)
                 signs[p], signs[p + 1] = signs[p + 1], signs[p]
                 if p:
-                    backend.associate(p, -1, signs)
+                    backend.move(p, False, -1, signs)
                 p += 2
             elif kind == "cup":
                 backend.cup(p, tok[1])
                 signs[p:p] = [tok[1], -tok[1]]
                 if p:
-                    backend.associate(p, -1, signs)
+                    backend.move(p, False, -1, signs)
                 p += 2
             else:
                 if p:
-                    backend.associate(p, 1, signs)
+                    backend.move(p, False, 1, signs)
                 backend.cap(p, signs[p])
                 del signs[p:p + 2]
     return backend.finish()
@@ -233,20 +223,19 @@ class _DiagramBackend:
             self.tracer.stamp(p, self.tracer.end_serial(p))
         self.terms = {(): 1}
 
-    def crossing(self, p, s, signs):
-        self._step(True, s, p, p, signs, {})
-        self.tracer.cross(p)
-
-    def associate(self, p, sign, signs):
-        self._step(False, sign, 0, p, signs, dict(self.terms))
-
-    def _step(self, crossing, sign, lo, p, signs, new):
-        """Add to new, the next state, each key times every non-unit term
-        of a move's series on strands lo..p + 1, right after the key's copy
-        for a crossing (none for a double point)."""
+    def move(self, p, crossing, sign, signs):
+        """Apply a crossing, a double point or an associator move at p:
+        add each key times every non-unit term of the move's series on
+        strands p, p + 1 (a crossing) or 0..p + 1 (an associator move) to
+        the next state.  For an associator move that state starts as a
+        copy of this one; for a crossing each key's copy goes right before
+        its terms, and a double point has none.  A crossing then crosses
+        the traced strands."""
         terms = _moves(self.order)[1][crossing, sign][0]
-        heads, tails, series = self._expand(terms, lo, p, signs)
+        heads, tails, series = self._expand(terms, p if crossing else 0, p,
+                                            signs)
         room = self.order - terms[0][0] if terms else -1
+        new = {} if crossing else dict(self.terms)
         for key, c in self.terms.items():
             if crossing and sign:
                 new[key] = new.get(key, 0) + c
@@ -271,6 +260,8 @@ class _DiagramBackend:
                         if counted else bases)))
                     new[k] = new.get(k, 0) + (base if sg > 0 else -base)
         self.terms = new
+        if crossing:
+            self.tracer.cross(p)
 
     def _expand(self, terms, lo, p, signs):
         """The head pieces, the tail pieces and each series term (degree,
@@ -365,7 +356,7 @@ class _MatrixBackend:
     in two halves (_plan): each suffix v once, then each prefix u on the
     sum of its terms' multiples of v(S) by target layer, each letter
     adding into its parent's state; empty layers are skipped.  A move
-    whose signature comes back is read from its image instead (_move);
+    whose signature comes back is read from its image instead (move);
     met holds the signatures this walk has met.
     """
 
@@ -381,15 +372,9 @@ class _MatrixBackend:
         self.deg = [self.ws.identity(len(word.source))]
         self.deg += [dict() for _ in range(order)]
 
-    def crossing(self, p, s, signs):
-        self._move(p, True, s, signs)
-
-    def associate(self, p, sign, signs):
-        if _moves(self.order)[1][False, sign][0]:
-            self._move(p, False, sign, signs)
-
-    def _move(self, p, crossing, sign, signs):
-        """Apply a crossing or an associator move at p to every layer.
+    def move(self, p, crossing, sign, signs):
+        """Apply a crossing, a double point or an associator move at p to
+        every layer.
 
         The move acts on the block of fields p, p + 1 (a crossing) or 0..p
         + 1 (an associator move) and on no other field, whatever the
@@ -444,7 +429,7 @@ class _MatrixBackend:
         the sources apart, and degree k comes out over B^k.  A crossing is
         built at p = 0 and followed by its flip.  The columns are those of
         degrees 1..order: the degree-0 term is the flip or the identity,
-        which _move applies to whole layers."""
+        which move applies to whole layers."""
         width = self.ws.bits * len(roles)
         seed = {s | s << width: 1 for s in codes}
         total = self._series([seed] + [{} for _ in range(self.order)],
@@ -523,10 +508,7 @@ class _NormBackend:
         self.order, self.ws = order, ws
         self.deg = [1] + [0] * order
 
-    def crossing(self, p, sign, signs):
-        self.associate(p, sign, signs, True)
-
-    def associate(self, p, sign, signs, crossing=False):
+    def move(self, p, crossing, sign, signs):
         norm = self.ws.norm
         letters = (sum(norm[signs[a], signs[p]] for a in range(p)),
                    norm[signs[p], signs[p + 1]])

@@ -62,6 +62,13 @@ SINGULAR_WORDS = (
     (2, "parallel", _PARALLEL_KINKS),
 )
 
+# The least order at which each suite's checks on SINGULAR_WORDS are
+# defined: the leading term and the defect coefficient of m marks lie in
+# degree m, and vassiliev reads the degrees below m.
+_MARKS = max(m for m, _label, _text in SINGULAR_WORDS)
+LEAST_ORDER = {"zleading": _MARKS, "corollary": _MARKS,
+               "vassiliev": _MARKS - 1}
+
 
 def fourterm_failures(system):
     """The role patterns (r1, r2, r3) on which [t12, t13 + t23] is not 0.
@@ -165,6 +172,7 @@ def verify_zleading(order=3, seed=0):
     """Alternating integral of m double points starts at degree m, with
     the marks' chord diagram: every mark here is on a crossing of
     oriented sign +1, so its coefficient is 1."""
+    check_order(order, LEAST_ORDER["zleading"])
     report = VerifyReport("zleading")
     for m, label, text in SINGULAR_WORDS:
         word = parse_word(text)
@@ -188,6 +196,7 @@ def _singular_defects(order):
 
 def verify_corollary(order=3, seed=0):
     """Degree-m defect coefficient equals the weight of the diagram."""
+    check_order(order, LEAST_ORDER["corollary"])
     report = VerifyReport("corollary")
     ws = weight_system(*named_system("gl21"))
     for m, label, text, v in _singular_defects(order):
@@ -198,6 +207,7 @@ def verify_corollary(order=3, seed=0):
 
 def verify_vassiliev(order=3, seed=0):
     """Defect vanishes below the number of double points; odd framing bars."""
+    check_order(order, LEAST_ORDER["vassiliev"])
     report = VerifyReport("vassiliev")
     for m, label, _text, v in _singular_defects(order):
         report.add("vanish_below_%s" % label,
@@ -311,4 +321,8 @@ def run_suite(name, order=3, seed=0):
 
 
 def run_all(order=3, seed=0):
+    """Every suite; an order that one of them cannot serve is refused
+    first, one above the cap as everywhere else."""
+    check_order(order)
+    check_order(order, max(LEAST_ORDER.values()))
     return [run_suite(name, order=order, seed=seed) for name in SUITES]

@@ -183,6 +183,60 @@ def test_order_cap_exits_1_without_traceback(tmp_path):
         assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("args, least", [
+    (["verify", "all", "--order", "0"], 2),
+    (["verify", "all", "--order", "1"], 2),
+    (["verify", "zleading", "--order", "1"], 2),
+    (["verify", "corollary", "--order", "0"], 2),
+    (["verify", "vassiliev", "--order", "0"], 1),
+])
+def test_verify_refuses_below_its_least_order(capsys, args, least):
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: order must be an int from %d to 5, "
+                            "got %s\n" % (least, args[-1]))
+
+
+def test_verify_serves_its_least_orders(capsys):
+    assert main(["verify", "all", "--order", "2"]) == 0
+    assert main(["verify", "vassiliev", "--order", "1"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
+def huge_order_ribbon(tmp_path):
+    """A .ribbon file whose first braiding entry is a series of h_order
+    10^30 with one coefficient."""
+    obj = ribbon_to_json(ribbon_diagonal([[2, 5], [7, 3]]))
+    obj["braiding"][0][2] = {"h_order": 10 ** 30, "coeffs": ["1"]}
+    return write(tmp_path, "bad.ribbon", json.dumps(obj))
+
+
+def test_rt_huge_series_order_is_clean_error(tmp_path, capsys):
+    path = write(tmp_path, "trefoil.tw", TREFOIL)
+    assert main(["rt", path, "--data", huge_order_ribbon(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: h_order %d needs %d coefficients, got 1\n"
+                            % (10 ** 30, 10 ** 30 + 1))
+
+
+def test_refusals_exit_1_without_traceback(tmp_path):
+    path = write(tmp_path, "trefoil.tw", TREFOIL)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    for args in (["verify", "all", "--order", "1"],
+                 ["rt", path, "--data", huge_order_ribbon(tmp_path)]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "superchord"] + args,
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+
+
 def test_order_five_accepted(tmp_path, capsys):
     path = write(tmp_path, "unknot.tw", "braid[1]: ; close")
     assert main(["z", path, "--order", "5", "--format", "json"]) == 0

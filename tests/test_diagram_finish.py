@@ -62,7 +62,13 @@ class _AnchorBackend:
                 self.tracer.stamp(p, ("a", e, j, p))
         return e
 
-    def crossing(self, p, s, signs):
+    def move(self, p, crossing, sign, signs):
+        if crossing:
+            self._crossing(p, sign, signs)
+        else:
+            self._associate(p, sign, signs)
+
+    def _crossing(self, p, s, signs):
         e = self._stamp_layers((p, p + 1))
         tvw = [(p, p + 1, signs[p] * signs[p + 1])]
         series = self._expand(_moves(self.order)[1][True, s][0], (), tvw, e)
@@ -74,7 +80,7 @@ class _AnchorBackend:
         self.terms = new
         self.tracer.cross(p)
 
-    def associate(self, p, sign, signs):
+    def _associate(self, p, sign, signs):
         terms = _moves(self.order)[1][False, sign][0]
         if not terms:
             return

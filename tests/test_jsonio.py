@@ -4,6 +4,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from superchord.diagrams import CIRCLE, ChordDiagram, canonical_form
 from superchord.jsonio import (
@@ -229,3 +230,70 @@ def test_integer_fields_reject_non_integers(bad):
         _set(obj, path, bad)
         with pytest.raises(ValueError, match=what + " must be a JSON int"):
             ribbon_from_json(obj)
+
+
+def test_series_order_must_match_the_coefficient_count():
+    # refused before the series ring is built, which at h_order 10^30
+    # could not even size its zero
+    huge = {"h_order": 10 ** 30, "coeffs": ["1"]}
+    message = r"^h_order 10{30} needs 10{29}1 coefficients, got 1$"
+    for load in (series_from_json, scalar_from_json):
+        with pytest.raises(ValueError, match=message):
+            load(huge)
+    obj = round_trip(ribbon_to_json(ribbon_diagonal([[2, 5], [7, 3]])))
+    obj["braiding"][0][2] = huge
+    with pytest.raises(ValueError, match=message):
+        ribbon_from_json(obj)
+    with pytest.raises(ValueError, match="^h_order 2 needs 3 coefficients"):
+        series_from_json({"h_order": 2, "coeffs": ["1", "0"]})
+
+
+# JSON ints the loaders must bear: small ones, and ones of 2^63 and above,
+# which fit no index and no machine word
+INTS = st.one_of(st.integers(-2, 4), st.integers(2 ** 63, 2 ** 130),
+                 st.integers(-2 ** 130, -2 ** 63))
+LEAVES = st.one_of(
+    INTS, st.booleans(), st.none(), st.floats(-2, 2),
+    st.sampled_from(["0", "1", "-1/2", "3/4", "1/0", "a", "circle",
+                     "interval", str(2 ** 64)]))
+SCALARS = st.recursive(LEAVES, lambda inner: st.one_of(
+    st.fixed_dictionaries({"num": st.lists(inner, max_size=3)},
+                          optional={"den": st.lists(inner, max_size=3)}),
+    st.fixed_dictionaries({"h_order": INTS,
+                           "coeffs": st.lists(inner, max_size=3)})),
+    max_leaves=6)
+SKELETONS = st.lists(st.one_of(st.sampled_from(["circle", "interval"]),
+                               LEAVES), max_size=3)
+ENDPOINTS = st.one_of(st.lists(INTS, min_size=2, max_size=2), LEAVES)
+CHORDS = st.lists(st.one_of(st.lists(ENDPOINTS, min_size=2, max_size=2),
+                            LEAVES), max_size=3)
+ENTRIES = st.lists(st.one_of(st.tuples(INTS, INTS, SCALARS).map(list),
+                             LEAVES), max_size=3)
+LOADED = st.one_of(
+    st.tuples(st.just(diagram_from_json), st.fixed_dictionaries(
+        {"skeleton": SKELETONS, "chords": CHORDS})),
+    st.tuples(st.just(scalar_from_json), SCALARS),
+    st.tuples(st.just(series_from_json), st.fixed_dictionaries(
+        {"h_order": INTS, "coeffs": st.lists(SCALARS, max_size=3)})),
+    st.tuples(st.just(zvalue_from_json), st.fixed_dictionaries(
+        {"skeleton": SKELETONS, "h_order": INTS,
+         "terms": st.lists(st.fixed_dictionaries(
+             {"degree": INTS, "chords": CHORDS, "coeff": SCALARS}),
+             max_size=2)})),
+    st.tuples(st.just(ribbon_from_json), st.fixed_dictionaries(
+        {"parities": st.lists(INTS, min_size=1, max_size=2),
+         "braiding": ENTRIES, "twist": ENTRIES},
+        optional={name: ENTRIES for name in ("cup_pm", "cap_mp")})))
+HUGE_ENTRY = round_trip(ribbon_to_json(ribbon_diagonal([[2, 5], [7, 3]])))
+HUGE_ENTRY["braiding"][0][2] = {"h_order": 10 ** 30, "coeffs": ["1"]}
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(case=LOADED)
+@example(case=(ribbon_from_json, HUGE_ENTRY))
+def test_loaders_load_or_raise_value_error(case):
+    load, obj = case
+    try:
+        load(obj)
+    except ValueError:
+        pass

@@ -17,6 +17,50 @@ def test_all_suites_green():
     assert sum(len(r.checks) for r in reports) == 42
 
 
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started before the order was checked")
+
+
+def test_least_orders_come_from_the_mark_counts():
+    assert max(m for m, _l, _t in verify.SINGULAR_WORDS) == 2
+    assert verify.LEAST_ORDER == {"zleading": 2, "corollary": 2,
+                                  "vassiliev": 1}
+
+
+@pytest.mark.parametrize("name, order, least", [
+    ("zleading", 0, 2), ("zleading", 1, 2), ("corollary", 0, 2),
+    ("corollary", 1, 2), ("vassiliev", 0, 1)])
+def test_singular_suites_refuse_orders_below_their_least(monkeypatch, name,
+                                                         order, least):
+    # below its least order a suite cannot decide its checks: it read
+    # v.coeff(2) of an order-1 series, or reported the 2-mark words'
+    # leading terms as failures
+    for work in ("parse_word", "z_eval", "vassiliev_defect",
+                 "_singular_defects", "named_system", "weight_system"):
+        monkeypatch.setattr(verify, work, _no_work)
+    message = r"^order must be an int from %d to 5, got %d$" % (least, order)
+    for run in (SUITES[name], lambda order: run_suite(name, order=order)):
+        with pytest.raises(ValueError, match=message):
+            run(order=order)
+
+
+@pytest.mark.parametrize("order", [0, 1])
+def test_run_all_refuses_below_its_least_order_up_front(monkeypatch, order):
+    for name in SUITES:
+        monkeypatch.setitem(SUITES, name, _no_work)
+    with pytest.raises(ValueError, match="from 2 to 5, got %d$" % order):
+        run_all(order=order)
+
+
+@pytest.mark.parametrize("order", [0, 1])
+def test_other_suites_serve_orders_0_and_1(order):
+    served = [name for name in SUITES
+              if verify.LEAST_ORDER.get(name, 0) <= order]
+    assert len(served) == 6 + order
+    for name in served:
+        assert run_suite(name, order=order).ok, name
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError, match="fourterm"):
         run_suite("nonsense")

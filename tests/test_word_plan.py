@@ -11,7 +11,7 @@ least degree of a word that ends in it.  After one move both must give
 the same layers, key for key, on random states of every named system
 and the Links-Gould pair, on both uses of a move made twice in one walk:
 the direct walk of the first and the image that the second builds and
-reads (kontsevich._MatrixBackend._move).  Q(alpha) layers are walked as
+reads (kontsevich._MatrixBackend.move).  Q(alpha) layers are walked as
 the package walks them, as ints on the system at alpha = 2^K; P ->
 P(2^K) is one to one on the polynomials with |coefficients| < 2^(K -
 1), far above any the moves here make, so equal ints are equal
@@ -140,10 +140,7 @@ def _assert_move_matches(backend, p, crossing, sign, signs):
     backend.met = set()
     for _ in range(2):
         backend.deg = source
-        if crossing:
-            backend.crossing(p, sign, signs)
-        else:
-            backend.associate(p, sign, signs)
+        backend.move(p, crossing, sign, signs)
         assert backend.deg == want
 
 
