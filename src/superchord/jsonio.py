@@ -7,7 +7,7 @@ kind of file: load_word a .tw word, load_diagram a .cd diagram and
 load_ribbon .ribbon data, which it refuses if an axiom check fails.
 Integer fields (chord endpoints, truncation orders, matrix indices,
 parities) must be JSON integers: a float, a string or a boolean there is
-a ValueError, never rounded.
+a ValueError, never rounded, and a parity other than 0 or 1 is one too.
 """
 
 import functools
@@ -197,9 +197,15 @@ def ribbon_to_json(data):
 
 @_loader("ribbon data")
 def ribbon_from_json(obj, ring=QQ):
-    """Build RibbonData and verify every axiom; raises on any failure."""
+    """Build RibbonData and verify every axiom; raises on any failure,
+    a parity other than 0 or 1 and labels other than a JSON array of
+    strings included."""
     parities = tuple(_json_int(p, "parity") for p in obj["parities"])
-    labels = tuple(obj["labels"]) if "labels" in obj else None
+    labels = obj.get("labels")
+    if "labels" in obj and not (isinstance(labels, list) and all(
+            isinstance(label, str) for label in labels)):
+        raise ValueError("labels must be a JSON array of strings, got %r"
+                         % (labels,))
     v = SuperSpace(parities, labels)
     vv = v.tensor(v)
     braiding = _entries_from_json(obj["braiding"], vv, vv, ring)

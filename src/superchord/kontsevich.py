@@ -38,10 +38,11 @@ table, so a series term has one int multiplier whatever layer it
 starts from, and build a Fraction only at the output.  Both truncate
 as they go: the diagram backend never builds a term of more than order
 chords, and the matrix backend applies each associator word in two
-halves (_plan) and reads a move met before from its image, its
-operator on a few strands in the representation (Le-Murakami identify
-it with the quantum R-matrix and the associator there;
-_MatrixBackend.move).
+halves (_plan) and reads a move from its image, its operator on a few
+strands in the representation (Le-Murakami identify it with the
+quantum R-matrix and the associator there), once the walk meets its
+signature a second time or an earlier walk on the same int system has
+built it (_MatrixBackend.move).
 
 Composites: paired_invariant reduces a knot's z_eval modulo the
 four-term relations on the circle (reduce_fourterm), cuts each residual
@@ -62,9 +63,7 @@ from .associator import build_associator, check_order, int_series
 from .diagrams import (
     CIRCLE, ChordDiagram, LinearSpan, canonical_form, diagram_classes,
     four_term_relators, relator_vector, slit_component)
-from .scalars import (
-    QALPHA, QQ, HSeries, SeriesRing, add_term, kronecker_bits,
-    series_inverse)
+from .scalars import QALPHA, QQ, HSeries, SeriesRing, add_term, series_inverse
 from .supergraded import SuperMap
 from .weightsys import weight_system, wlg
 from .words import PathTracer, parse_word
@@ -83,10 +82,10 @@ def _moves(order):
     (k, word, p B^k / q) takes any layer n, held over B^n, to layer n +
     k.  plan is the term's schedule in _MatrixBackend._series (_plan).
 
-    images[view] is (uses, held) for the int system view that walks the
-    moves: uses counts the uses of each move signature before its image,
-    held maps a signature to its image, {block code: columns}.  Clearing
-    this cache drops them with the rest.
+    images[view] maps a move signature to its image, {block code:
+    columns}, for the int system view that walks the moves, so walks on
+    one view share them (_MatrixBackend.move).  Clearing this cache drops
+    them with the rest, as a swapped associator needs.
     """
     base, series = int_series(build_associator(max(2, order)), order)
     series[True, 0] = tuple((k, w, 2 * m) for k, w, m in series[True, 1]
@@ -94,13 +93,6 @@ def _moves(order):
     return base, {key: (terms, _plan(order, key[0], terms))
                   for key, terms in series.items()}, {}
 
-
-# The use of a move's signature, over all walks on one int system, on
-# which _MatrixBackend builds its image, unless a second use in one walk
-# built it first.  A build costs about one direct walk of the block codes
-# it builds, so a signature that each walk meets once builds nothing
-# before its third walk: the associator moves of a (1,1)-tangle word.
-_ADMIT = 3
 
 # the piece field of an end piece << 8 | rank, in either half of a chord
 _PB = (1 << 32) - 256
@@ -346,8 +338,9 @@ class _MatrixBackend:
     WeightSystem's int-coded keys; wz_eval decodes them to index tuples
     only for open words.  Letter 0 adds its chords (a, p) into one
     state per layer.  Layer m holds ints over (B chord_den)^m, B of
-    _moves, over Q(alpha) on the int system at alpha = 2^k, k from the
-    bounds of _NormBackend, and finish decodes each value once.
+    _moves, on the int system `WeightSystem.walker` gives for the bound
+    of _NormBackend (over Q(alpha) only; at(0) over Q), and finish
+    decodes each value once with it.
 
     Every move is a word series applied by _series: a crossing is
     exp(s chord / 2), the powers of letter 1, followed by a flip, and a
@@ -356,18 +349,16 @@ class _MatrixBackend:
     in two halves (_plan): each suffix v once, then each prefix u on the
     sum of its terms' multiples of v(S) by target layer, each letter
     adding into its parent's state; empty layers are skipped.  A move
-    whose signature comes back is read from its image instead (move);
-    met holds the signatures this walk has met.
+    whose signature comes back in a walk, or whose image an earlier walk
+    built, is read from its image instead (move); met holds the
+    signatures this walk has met.
     """
 
     def __init__(self, word, order, rep, tensor):
         self.order = order
-        self.system = weight_system(rep, tensor)
-        self.k = 0
-        if rep.ring is QALPHA:
-            self.k = kronecker_bits(max(_walk(word, _NormBackend(
-                order, self.system))))
-        self.ws = self.system.at(self.k)
+        system = weight_system(rep, tensor)
+        self.ws = system.walker(max(_walk(word, _NormBackend(order, system)))
+                                if rep.ring is QALPHA else 0)
         self.met = set()
         self.deg = [self.ws.identity(len(word.source))]
         self.deg += [dict() for _ in range(order)]
@@ -381,24 +372,23 @@ class _MatrixBackend:
         layer, so it has an image: for each block code s and degree k >=
         1, the columns of its series applied to s, a flat tuple of (target
         - s, coefficient over B^k) pairs.  Its signature is (crossing,
-        sign, roles of the block), for this int system.  The image is read
-        from the signature's second use in one walk or its _ADMIT-th use
-        on the system, whichever comes first; earlier uses walk the series
-        directly.  The block codes of the layers that the image lacks are
-        built in one walk (_columns); then a key v at layer n adds v c
-        into layer n + k, for each column entry c of degree k <= order -
-        n, to the flip or the copy of the layers, or to empty layers for a
-        double point, signature (True, 0, roles).
+        sign, roles of the block), for this int system.  A move is read
+        from its image when this walk has met its signature before or an
+        earlier walk on the same int system built the image; otherwise it
+        walks its series directly.  The block codes of the layers that the
+        image lacks are built in one walk (_columns); then a key v at
+        layer n adds v c into layer n + k, for each column entry c of
+        degree k <= order - n, to the flip or the copy of the layers, or
+        to empty layers for a double point, signature (True, 0, roles).
         """
         _, moves, table = _moves(self.order)
         plan = moves[crossing, sign][1]
         roles = tuple(signs[p:p + 2] if crossing else signs[:p + 2])
-        uses, images = table.setdefault(self.ws, ({}, {}))
+        images = table.setdefault(self.ws, {})
         sig = crossing, sign, roles
         image = images.get(sig)
         if image is None:
-            uses[sig] = uses.get(sig, 0) + 1
-            if uses[sig] < _ADMIT and sig not in self.met:
+            if sig not in self.met:
                 self.met.add(sig)
                 total = self._series(self.deg, p, signs, plan, sign != 0)
                 self.deg = ([self.ws.flip(layer, p) for layer in total]
@@ -489,8 +479,8 @@ class _MatrixBackend:
 
     def finish(self):
         base = _moves(self.order)[0] * self.ws.chord_den
-        value = self.system.value
-        return [{key: value(v, base ** m, self.k)
+        value = self.ws.value
+        return [{key: value(v, base ** m)
                  for key, v in layer.items()}
                 for m, layer in enumerate(self.deg)]
 

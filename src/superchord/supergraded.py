@@ -28,13 +28,15 @@ def rings_equal(a, b):
 
 
 class SuperSpace:
-    """Graded space given by a tuple of basis parities (0 even, 1 odd)."""
+    """Graded space given by a tuple of basis parities (0 even, 1 odd);
+    any other parity raises ValueError."""
 
     __slots__ = ("parities", "labels")
 
     def __init__(self, parities, labels=None):
-        ps = tuple(int(p) % 2 for p in parities)
-        self.parities = ps
+        ps = self.parities = tuple(parities)
+        if not set(ps) <= {0, 1}:
+            raise ValueError("a parity must be 0 or 1, got %r" % (ps,))
         if labels is None:
             labels = tuple("e%d" % i for i in range(len(ps)))
         self.labels = tuple(labels)

@@ -16,8 +16,7 @@ from .diagrams import (
     CIRCLE, INTERVAL, cable_diagram, canonical_form, enumerate_diagrams,
     four_term_relators, random_diagram, slit_component)
 from .kontsevich import paired_invariant, vassiliev_defect, z_eval
-from .scalars import (
-    QALPHA, QQ, SeriesRing, add_term, kronecker_bits, series_exp)
+from .scalars import QALPHA, QQ, SeriesRing, add_term, series_exp
 from .weightsys import named_system, squared_system, weight_system, wlg
 from .words import diagram_of_singular, parse_word
 
@@ -79,16 +78,12 @@ def fourterm_failures(system):
     ad-invariant tensor the identity holds on every pattern, and with it
     the vanishing of the weight system on every four-term relator of
     every degree (Bar-Natan, Topology 34, 1995, Thm 6; Vaintrob, MRL 1,
-    1994, for superalgebras).  Over Q(alpha) the walk is on the int
-    system at alpha = 2^k: each side's values are bounded by
-    norm[r1, r2] (norm[r1, r3] + norm[r2, r3]), so 2^(k - 1) above four
-    times the square of the largest norm makes a zero int a zero
-    polynomial.
+    1994, for superalgebras).  The walk is on the int system
+    `WeightSystem.walker` gives for four times the square of the largest
+    norm: each side's values are bounded by norm[r1, r2] (norm[r1, r3] +
+    norm[r2, r3]), so over Q(alpha) a zero int is a zero polynomial.
     """
-    k = 0
-    if system.ring is QALPHA:
-        k = kronecker_bits(4 * max(system.norm.values()) ** 2)
-    ws = system.at(k)
+    ws = system.walker(4 * max(system.norm.values()) ** 2)
     one = ws.identity(3)
     failures = []
     for r in product((1, -1), repeat=3):

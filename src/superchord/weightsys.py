@@ -9,14 +9,15 @@ mask, and cups, caps, flips and chords move fields by shifts and masks.
 `WeightSystem` gives the only operations on it; `WeightSystem.decode`
 turns a key back into its index tuple, which only outputs need (the
 endomorphism of a one-interval diagram, the open words of
-`kontsevich.wz_eval`).  A walk runs on the int system `at(k)`, at
-alpha = 2^k (k from `bound`; 0 over Q), and decodes once at the
-output.  The chord columns are held over one common int denominator,
-`chord_den` (1 for the gl(m|n) defining modules with t_gl), so a state
-after c chords stands for itself over chord_den^c, and whoever walks it
-divides once at the end.  A strand of role +1 runs downward through V,
-one of role -1 upward through V*.  `cup(+-)` (k -> V x V*) and `cap(-+)`
-(V* x V -> k) are plain; `cap(+-)`, the right pairing V x V* -> k, and
+`kontsevich.wz_eval`).  A walk runs on the int system `walker(b)`,
+`at(k)` at alpha = 2^k, k picked from the walk's bound b (0 over Q); it
+owns k, and its `value` decodes once at the output.  The chord columns
+are held over one common int denominator, `chord_den` (1 for the
+gl(m|n) defining modules with t_gl), so a state after c chords stands
+for itself over chord_den^c, and whoever walks it divides once at the
+end.  A strand of role +1 runs downward through V, one of role -1
+upward through V*.  `cup(+-)` (k -> V x V*) and `cap(-+)` (V* x V -> k)
+are plain; `cap(+-)`, the right pairing V x V* -> k, and
 `cup(-+)` sign odd indices, which gives the supertrace sign.  `chord`
 inserts the invariant tensor sum t^{ij} e_i x e_j at two strands, acting
 through the representation or its dual by role, with Koszul transport
@@ -196,10 +197,11 @@ class WeightSystem:
     chord columns of each pair of strand roles, unsigned by role, are
     built with the system by `_chord_tables`, over one int denominator
     chord_den; `at(k)` turns them into the cells that `chord` reads, so
-    only an int system walks, and this one answers `identity`, `cup`,
-    `cap`, `flip`, `encode` and `decode`, which read no cells.  Calling
-    the system on a diagram evaluates each canonical_form class once and
-    answers repeats from a memo; `tangle11` evaluates afresh every time.
+    only an int system walks (`walker` picks it and its k), and this one
+    answers `identity`, `cup`, `cap`, `flip`, `encode` and `decode`,
+    which read no cells.  Calling the system on a diagram evaluates each
+    canonical_form class once and answers repeats from a memo;
+    `tangle11` evaluates afresh every time.
     Build one through `weight_system`, so that its callers share it.
     """
 
@@ -219,14 +221,16 @@ class WeightSystem:
 
     def at(self, k):
         """The int system at alpha = 2^k (k = 0 over Q), the only one
-        that walks: the same codes and bits, no memo, and one chord
-        table per role pair with one cell per pair of basis codes, None
-        for an empty column.  A cell holds its column's entries (da, db,
-        P(2^k)) for q = 0 and q = 1, q the parity of the fields from the
-        first site up to the second; an odd entry takes the Koszul sign
-        (-1)^q.  Cached per k; `bound` gives k."""
+        that walks: the same codes and bits, no memo, its k, by which
+        `value` decodes, and one chord table per role pair with one cell
+        per pair of basis codes, None for an empty column.  A cell holds
+        its column's entries (da, db, P(2^k)) for q = 0 and q = 1, q the
+        parity of the fields from the first site up to the second; an odd
+        entry takes the Koszul sign (-1)^q.  Cached per k; `walker`
+        picks k."""
         if k not in self._views:
             view = copy(self)
+            view.k = k
             view._cells = {}
             for roles, columns in self._columns.items():
                 cells = view._cells[roles] = dict.fromkeys(
@@ -242,6 +246,12 @@ class WeightSystem:
             self._views[k] = view
         return self._views[k]
 
+    def walker(self, bound):
+        """The int system that walks values of |coefficients| at most
+        bound over Z[alpha]: at(0) over Q, and over Q(alpha) at(k) with
+        2^(k - 1) > bound, so that `value` reads each coefficient back."""
+        return self.at(kronecker_bits(bound) if self.ring is QALPHA else 0)
+
     def bound(self, steps):
         """A bound on every |coefficient| of the station walk of steps
         over Z[alpha]: the product of norm[roles] over its chords and dim
@@ -256,15 +266,14 @@ class WeightSystem:
         a word-series term of multiplier f takes |f| (_NormBackend).  P
         -> P(2^k) is a ring homomorphism, so the walk on at(k) gives
         N(2^k) for an output N, whose balanced base-2^k digits are N's
-        coefficients once 2^(k - 1) exceeds this bound.
+        coefficients once 2^(k - 1) exceeds this bound (`walker`).
         """
         return prod(self.norm[s[3]] if s[0] == "chord" else
                     self.dim if s[0] == "cap" else 1 for s in steps)
 
-    def value(self, n, den, k):
-        """The ring value of n / den, for an int n of the system at(k);
-        k = 0 over Q."""
-        return kronecker_decode(n, k, den) if k else Fraction(n, den)
+    def value(self, n, den):
+        """The ring value of n / den, for an int n of this int system."""
+        return kronecker_decode(n, self.k, den) if self.k else Fraction(n, den)
 
     def encode(self, indices):
         """The key of a tuple of basis indices."""
@@ -356,13 +365,12 @@ class WeightSystem:
         first chord: a cup or cap inserts or removes a pair (i, i) of
         even total parity, so it leaves the Koszul signs of the chords
         unchanged, and chords on distinct stations commute because the
-        tensor is even.  An empty state ends the walk early.  The state
-        is divided by chord_den once per chord, at the end.  Over
-        Q(alpha), 2^(k - 1) exceeds `bound`.
+        tensor is even.  An empty state ends the walk early.  The walk
+        runs on the `walker` of its `bound`, and the state is divided by
+        chord_den once per chord, at the end.
         """
         steps = _sweep(diagram)
-        k = kronecker_bits(self.bound(steps)) if self.ring is QALPHA else 0
-        view = self.at(k)
+        view = self.walker(self.bound(steps))
         state = view.identity(1 if with_source else 0)
         ups = chords = 0
         for step in steps:
@@ -379,9 +387,9 @@ class WeightSystem:
         den = self.chord_den ** chords
         sign = -1 if ups % 2 else 1
         if with_source:
-            return {self.decode(key, 2): self.value(sign * v, den, k)
+            return {self.decode(key, 2): view.value(sign * v, den)
                     for key, v in state.items()}
-        return self.value(sign * state.get(0, 0), den, k)
+        return view.value(sign * state.get(0, 0), den)
 
     def __call__(self, diagram):
         """Weight of a diagram: the closed value of an all-circle skeleton,

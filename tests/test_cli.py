@@ -221,14 +221,39 @@ def test_rt_huge_series_order_is_clean_error(tmp_path, capsys):
                             % (10 ** 30, 10 ** 30 + 1))
 
 
+def bad_space_ribbon(tmp_path, field, bad):
+    """A .ribbon file of the diagonal data with one field of its space
+    replaced."""
+    obj = ribbon_to_json(ribbon_diagonal([[2, 5], [7, 3]]))
+    obj[field] = bad
+    return write(tmp_path, "space.ribbon", json.dumps(obj))
+
+
+@pytest.mark.parametrize("field, bad, message", [
+    ("parities", [2, 2 ** 64], "a parity must be 0 or 1, got (2, %d)"
+     % 2 ** 64),
+    ("labels", "ab", "labels must be a JSON array of strings, got 'ab'"),
+])
+def test_rt_bad_parity_or_labels_is_clean_error(tmp_path, capsys, field,
+                                                bad, message):
+    path = write(tmp_path, "trefoil.tw", TREFOIL)
+    dpath = bad_space_ribbon(tmp_path, field, bad)
+    assert main(["rt", path, "--data", dpath]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s\n" % message
+
+
 def test_refusals_exit_1_without_traceback(tmp_path):
     path = write(tmp_path, "trefoil.tw", TREFOIL)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    parity = bad_space_ribbon(tmp_path, "parities", [2, 2 ** 64])
     for args in (["verify", "all", "--order", "1"],
-                 ["rt", path, "--data", huge_order_ribbon(tmp_path)]):
+                 ["rt", path, "--data", huge_order_ribbon(tmp_path)],
+                 ["rt", path, "--data", parity]):
         proc = subprocess.run(
             [sys.executable, "-m", "superchord"] + args,
             env=env, capture_output=True, text=True, timeout=300)

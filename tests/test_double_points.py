@@ -9,10 +9,13 @@ resolutions of `resolve_singular` below, each a plain word that
 `resolution` writes with every mark made X+ or X-, walked as before.
 The words are generated closed braids on at most 3 strands with at most
 6 letters and (1,1)-tangles, each with 1 to 3 marks, at orders 3 and 4.
-Over Q(alpha) the int walk at alpha = 2^K is checked too, with K from
-the double point's own terms in `_NormBackend`.  On the same words the
-walk starts at degree m with the marks' chord diagram, signed by the
-marked crossings' oriented signs.
+`wz_eval` walks each word twice from an empty image table: the first
+walk builds the image of each move it meets twice, a double point met
+twice included, and the second reads those images.  Over Q(alpha) the
+int walk at alpha = 2^K is checked too, with K from the double point's
+own terms in `_NormBackend`.  On the same words the walk starts at
+degree m with the marks' chord diagram, signed by the marked crossings'
+oriented signs.
 """
 
 import re
@@ -28,6 +31,7 @@ from superchord.verify import SINGULAR_WORDS
 from superchord.weightsys import named_system
 from superchord.words import TangleWord, diagram_of_singular, parse_word
 from test_int_walk import _assert_wz_matches, braids, tangles
+from test_move_images import met_twice
 
 # a knot on 3 strands with three marks and framing 4
 THREE_MARKS = ("braid[3]: s1 sing s2^-1 s1 sing s2^-1 s1 sing s2 s1 s2 "
@@ -119,17 +123,21 @@ def wz_resolution_sum(word, rep, tensor, order):
 
 
 def assert_wz_is_the_resolution_sum(name, text, order):
-    """wz_eval of the word, walked kontsevich._ADMIT times from an empty
-    image table so that the last walk reads every move from its image,
-    double points included, equals the resolution sum on every walk."""
+    """wz_eval of the word, walked twice from an empty image table, equals
+    the resolution sum on both walks: the first builds the image of each
+    signature it meets twice, double points included, and the second
+    reads those from their first use.  Returns the signatures (crossing,
+    sign, roles) with an image, a double point's of sign 0: those met
+    twice in one walk, and no others."""
     rep, tensor = named_system(name)
     word = parse_word(text)
     want = wz_resolution_sum(word, rep, tensor, order)
     _moves(order)[2].clear()
-    for _ in range(kontsevich._ADMIT):
+    for _ in range(2):
         assert wz_eval(word, rep, tensor, order) == want, (name, text)
-    (_uses, images), = _moves(order)[2].values()
-    assert any(sign == 0 for _x, sign, _r in images), text
+    images, = _moves(order)[2].values()
+    assert set(images) == met_twice(word), (name, text)
+    return sorted(images)
 
 
 def _walks(call):
@@ -185,6 +193,16 @@ def test_z_eval_is_the_resolution_sum(text, order):
        order=st.integers(3, 4))
 def test_wz_eval_is_the_resolution_sum(name, text, order):
     assert_wz_is_the_resolution_sum(name, text, order)
+
+
+@pytest.mark.parametrize("name", ["gl21", "gl11", "valpha"])
+def test_a_double_point_met_twice_is_read_from_its_image(name):
+    # the interleaved 2-mark word meets its double point twice in one
+    # walk, so the first walk builds its image and the second reads it
+    interleaved, = [w for _m, label, w in SINGULAR_WORDS
+                    if label == "interleaved"]
+    held = assert_wz_is_the_resolution_sum(name, interleaved, 4)
+    assert [sig for sig in held if sig[1] == 0] == [(True, 0, (1, 1))]
 
 
 @pytest.mark.parametrize("name", ["valpha", "lg"])

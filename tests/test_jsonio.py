@@ -232,6 +232,28 @@ def test_integer_fields_reject_non_integers(bad):
             ribbon_from_json(obj)
 
 
+# a parity other than 0 or 1 and labels other than a JSON array of
+# strings; the first two once loaded as even vectors, "ab" as ("a", "b")
+BAD_SPACES = [("parities", [2, 2 ** 64], "a parity must be 0 or 1"),
+              ("parities", [0, -1], "a parity must be 0 or 1"),
+              ("labels", "ab", "labels must be a JSON array of strings"),
+              ("labels", ["c0", 1], "labels must be a JSON array of strings"),
+              ("labels", None, "labels must be a JSON array of strings")]
+
+
+def bad_space(field, bad):
+    """The diagonal ribbon data with one field of its space replaced."""
+    obj = round_trip(ribbon_to_json(ribbon_diagonal([[2, 5], [7, 3]])))
+    obj[field] = bad
+    return obj
+
+
+@pytest.mark.parametrize("field, bad, message", BAD_SPACES)
+def test_ribbon_parities_and_labels_are_refused(field, bad, message):
+    with pytest.raises(ValueError, match="^" + message):
+        ribbon_from_json(bad_space(field, bad))
+
+
 def test_series_order_must_match_the_coefficient_count():
     # refused before the series ring is built, which at h_order 10^30
     # could not even size its zero
@@ -283,7 +305,9 @@ LOADED = st.one_of(
     st.tuples(st.just(ribbon_from_json), st.fixed_dictionaries(
         {"parities": st.lists(INTS, min_size=1, max_size=2),
          "braiding": ENTRIES, "twist": ENTRIES},
-        optional={name: ENTRIES for name in ("cup_pm", "cap_mp")})))
+        optional={"labels": st.one_of(st.lists(LEAVES, max_size=2),
+                                      LEAVES),
+                  **{name: ENTRIES for name in ("cup_pm", "cap_mp")}})))
 HUGE_ENTRY = round_trip(ribbon_to_json(ribbon_diagonal([[2, 5], [7, 3]])))
 HUGE_ENTRY["braiding"][0][2] = {"h_order": 10 ** 30, "coeffs": ["1"]}
 
@@ -291,9 +315,16 @@ HUGE_ENTRY["braiding"][0][2] = {"h_order": 10 ** 30, "coeffs": ["1"]}
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(case=LOADED)
 @example(case=(ribbon_from_json, HUGE_ENTRY))
+@example(case=(ribbon_from_json, bad_space("parities", [2, 2 ** 64])))
+@example(case=(ribbon_from_json, bad_space("labels", "ab")))
 def test_loaders_load_or_raise_value_error(case):
     load, obj = case
     try:
-        load(obj)
+        loaded = load(obj)
     except ValueError:
-        pass
+        return
+    if load is ribbon_from_json:
+        # the space holds the parities and labels read, none rewritten
+        assert list(loaded.space.parities) == obj["parities"]
+        assert list(loaded.space.labels) == obj.get(
+            "labels", list(loaded.space.labels))

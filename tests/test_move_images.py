@@ -1,16 +1,17 @@
 """The slice engine's move images against the direct walk of each move.
 
-kontsevich._MatrixBackend applies a crossing or an associator move through
-its image from the second use of the move's signature in one walk, or its
-kontsevich._ADMIT-th on one int system: for each block code the columns
-of the move's word series, built once and kept in the `_moves` table,
-under the int system that walks them.
+kontsevich._MatrixBackend applies a crossing, a double point or an
+associator move through its image once a walk meets the move's signature
+a second time, or once an earlier walk on the same int system built it:
+for each block code the columns of the move's word series, built once
+and kept in the `_moves` table, under the int system that walks them.
 The oracle is the direct walk of every move, the word series applied by
 `_series` on each use, as every use was walked before images.  Both must
-give the same layers, key for key, on every walk of a word, the walks
-that build images and those that only read them included.  Q(alpha)
-systems are compared as the ints they walk at alpha = 2^K, K from the
-proven bound of `_NormBackend`, which both backends share.
+give the same layers, key for key, on every walk of a word: the first,
+which builds the images of the signatures it meets twice, and the
+second, which reads them from its first use.  Q(alpha) systems are
+compared as the ints they walk at alpha = 2^K, K from the proven bound
+of `_NormBackend`, which both backends share.
 """
 
 from fractions import Fraction
@@ -19,7 +20,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from superchord import associator, kontsevich
+from superchord import associator
 from superchord.associator import build_associator
 from superchord.kontsevich import _MatrixBackend, _moves, _walk, wz_eval
 from superchord.weightsys import lg_data, named_system
@@ -43,6 +44,32 @@ class DirectBackend(_MatrixBackend):
                     if crossing else total)
 
 
+class SignatureBackend:
+    """A walk that applies nothing and lists the signature of each move."""
+
+    def __init__(self):
+        self.met = []
+
+    def move(self, p, crossing, sign, signs):
+        self.met.append((crossing, sign, tuple(
+            signs[p:p + 2] if crossing else signs[:p + 2])))
+
+    def cup(self, p, sign):
+        pass
+
+    cap = cup
+
+    def finish(self):
+        return self.met
+
+
+def met_twice(word):
+    """The move signatures that one walk of word meets more than once:
+    those, and only those, that the slice engine keeps an image of."""
+    met = _walk(word, SignatureBackend())
+    return {sig for sig in met if met.count(sig) > 1}
+
+
 def layers(backend_class, word, order, name):
     """The int layers of one walk of word, keyed as the engine keys them."""
     backend = backend_class(word, order, *SYSTEMS[name]())
@@ -51,11 +78,12 @@ def layers(backend_class, word, order, name):
 
 
 def assert_images_are_the_direct_walk(order, names, words):
-    """Walk each word kontsevich._ADMIT times per system from an empty
-    image table, so that its signatures walk directly, are admitted and
-    are read from their images, and compare every walk with the direct
-    one, which must leave the table empty; returns the number of images
-    built."""
+    """Walk each word twice per system from an empty image table, so that
+    the first walk builds the images of the signatures it meets twice and
+    the second reads them from their first use, and compare both walks
+    with the direct one, which must leave the table empty; the table
+    then holds the signatures met twice alone.  Returns the number of
+    images built."""
     built = 0
     for name in names:
         for text in words:
@@ -63,11 +91,12 @@ def assert_images_are_the_direct_walk(order, names, words):
             _moves(order)[2].clear()
             view, want = layers(DirectBackend, word, order, name)
             assert not _moves(order)[2], "the direct walk used images"
-            for _ in range(kontsevich._ADMIT):
+            for _ in range(2):
                 assert layers(_MatrixBackend, word, order, name) == (
                     view, want), (name, text)
-            built += sum(1 for image in _moves(order)[2][view][1].values()
-                         if image)
+            held = _moves(order)[2][view]
+            assert set(held) == met_twice(word), (name, text)
+            built += sum(1 for image in held.values() if image)
     return built
 
 
@@ -158,7 +187,7 @@ def test_direct_walk_builds_no_image():
     # method the walk calls, it would build and read images, and the
     # comparison would set the engine against itself
     _moves(4)[2].clear()
-    for _ in range(kontsevich._ADMIT):
+    for _ in range(2):
         layers(DirectBackend, parse_word(SIX_KNOTS[1]), 4, "gl21")
     assert not _moves(4)[2]
 
@@ -192,10 +221,9 @@ def test_images_follow_a_swapped_associator():
     rep, tensor = named_system("gl21")
 
     def raw():
-        # the last walk reads the images that the earlier ones admitted
-        walks = [wz_eval(text, rep, tensor, 4)
-                 for _ in range(kontsevich._ADMIT)]
-        assert any(image for _uses, held in _moves(4)[2].values()
+        # the second walk reads the images that the first one built
+        walks = [wz_eval(text, rep, tensor, 4) for _ in range(2)]
+        assert any(image for held in _moves(4)[2].values()
                    for image in held.values())
         for got in walks:
             assert got == direct_wz_eval(text, rep, tensor, 4)

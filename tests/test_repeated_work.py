@@ -1,6 +1,7 @@
 """Work that one call must not repeat."""
 
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -244,21 +245,53 @@ def _image_builds(monkeypatch):
     return builds
 
 
-def test_a_move_met_once_per_walk_builds_no_image(monkeypatch):
+def _walk_seed0_tangles(monkeypatch, rounds):
+    """The image builds of walking VALPHA_TANGLES_SEED0 rounds times from
+    an empty image table, the signatures that hold an image, and per
+    walk how often it meets each of its associator moves' signatures."""
     rep, tensor = weightsys.named_system("valpha")
     kontsevich._moves(4)[2].clear()
     builds = _image_builds(monkeypatch)
-    for text in VALPHA_TANGLES_SEED0:
-        wz_eval(text, rep, tensor, 4)
+    met = []
+    move = kontsevich._MatrixBackend.move
+
+    def counted(self, p, crossing, sign, signs):
+        if not crossing:
+            met.append((sign, tuple(signs[:p + 2])))
+        return move(self, p, crossing, sign, signs)
+
+    monkeypatch.setattr(kontsevich._MatrixBackend, "move", counted)
+    per_walk = []
+    for _ in range(rounds):
+        for text in VALPHA_TANGLES_SEED0:
+            start = len(met)
+            wz_eval(text, rep, tensor, 4)
+            per_walk.append(sorted(Counter(met[start:]).values()))
+    images, = kontsevich._moves(4)[2].values()
+    return (builds, sorted(sig for sig, image in images.items() if image),
+            per_walk)
+
+
+def test_a_move_met_once_per_walk_builds_no_image(monkeypatch):
     # both words walk on one int system and meet the associator move
-    # after their cup and the one before their cap once each, so neither
-    # builds an image; the crossing X-, met twice in the first word,
-    # builds the only one
-    (uses, _images), = kontsevich._moves(4)[2].values()
-    assert sorted(n for (crossing, _s, _r), n in uses.items()
-                  if not crossing) == [2, 2]
+    # after their cup, the one before their cap and X+ once each, so
+    # none of them builds an image; the crossing X-, met twice in the
+    # first word, builds the only one
+    builds, held, per_walk = _walk_seed0_tangles(monkeypatch, 1)
+    assert per_walk == [[1, 1], [1, 1]]
+    assert held == [(True, -1, (1, 1))]
     assert [(crossing, roles) for _i, crossing, roles, _c in builds] == [
         (True, (1, 1))]
+
+
+def test_walking_a_word_again_admits_no_new_image(monkeypatch):
+    # a signature met once per walk walks directly however often its
+    # word is walked: three rounds still hold the image of X- alone
+    builds, held, per_walk = _walk_seed0_tangles(monkeypatch, 3)
+    assert per_walk == [[1, 1]] * 6
+    assert held == [(True, -1, (1, 1))]
+    assert {(crossing, roles) for _i, crossing, roles, _c in builds} == {
+        (True, (1, 1))}
 
 
 def test_each_move_image_column_is_built_once(monkeypatch):

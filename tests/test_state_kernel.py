@@ -171,7 +171,7 @@ def _encoded(ws, state):
 
 
 def _decoded(ws, state, width):
-    out = {ws.decode(key, width): ws.value(v, 1, _k(ws))
+    out = {ws.decode(key, width): ws.at(_k(ws)).value(v, 1)
            for key, v in state.items()}
     assert len(out) == len(state)
     return out

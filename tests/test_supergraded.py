@@ -133,3 +133,9 @@ def test_ring_guard():
     g = SuperMap.identity(V21, QALPHA)
     with pytest.raises(RingMismatchError):
         f.compose(g)
+
+
+def test_super_space_refuses_parities_other_than_0_and_1():
+    for bad in ((2,), (0, 3), (-1,), (0.5,), (0, 2 ** 64)):
+        with pytest.raises(ValueError, match="a parity must be 0 or 1"):
+            SuperSpace(bad)
