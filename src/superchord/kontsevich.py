@@ -569,6 +569,14 @@ def hump_factor(order):
 
 
 @lru_cache(maxsize=None)
+def hump_inverse(weight, ring, order):
+    """The inverse of the hump factor paired with weight over ring,
+    built once per (weight, ring, order): paired_invariant divides every
+    knot by it."""
+    return series_inverse(hump_factor(order).pair(weight, ring))
+
+
+@lru_cache(maxsize=None)
 def _fourterm_span(degree):
     """Span over Q of the degree-m four-term relators on one circle.
 
@@ -621,7 +629,8 @@ def paired_invariant(word, weight, ring, order):
     it, and only its quotient basis classes are cut at place 0 and
     weighed.  Dividing by the paired hump factor once per maximum beyond
     the first makes the result a framed invariant of the knot,
-    independent of the sliced presentation.
+    independent of the sliced presentation; its inverse is built once
+    per (weight, ring, order) by `hump_inverse` and read by every knot.
     """
     check_order(order)
     word = parse_word(word)
@@ -631,7 +640,7 @@ def paired_invariant(word, weight, ring, order):
         lambda d: weight(slit_component(d, 0)), ring)
     caps = sum(1 for sl in word.slices for tok in sl if tok[0] == "cap")
     if caps > 1:
-        inv = series_inverse(hump_factor(order).pair(weight, ring))
+        inv = hump_inverse(weight, ring, order)
         for _ in range(caps - 1):
             series = series * inv
     return series

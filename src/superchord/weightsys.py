@@ -29,10 +29,12 @@ A diagram is walked as a planar picture: each component is a serpentine
 of stations, one chord endpoint per station, alternating roles +1 and
 -1.  The walk is a sweep: cups open the stations left to right (the
 interval's last station is open from the start: its source), each chord
-is applied as soon as both its stations are open, and each turn closes
-as soon as both its stations have had their chord and are adjacent
-among the open stations (a circle's closure after its inner turns),
-leaving a scalar or the entries of an endomorphism of V.  The order
+is applied as soon as both its stations are open, and after every chord
+and every cup each turn closes whose two stations have had their chord
+and are adjacent among the open stations (a circle's closure after its
+inner turns), leaving a scalar or the entries of an endomorphism of V.
+Closing after every chord, not only after each cup, keeps interlaced
+diagrams narrow: no chord is applied on more open stations.  The order
 does not change the value: a cup or cap inserts or removes a pair
 (i, i) of even total parity, so the Koszul signs of the chords are
 those of opening every cup first, and chords on distinct stations
@@ -44,8 +46,9 @@ The slice engine of `kontsevich.wz_eval` drives the same operations,
 slice by slice, over one state per h degree.
 
 `weight_system(rep, tensor)` gives the one `WeightSystem` of a pair: its
-chord columns, built with it in one pass (`_chord_tables`), its int
-systems and its memo.  It walks nothing itself: `chord` runs on `at(k)`
+chord columns, built with it in one pass (`_chord_tables`: the role pair
+(+1, +1) summed, the other three its signed partial transposes), its
+int systems and its memo.  It walks nothing itself: `chord` runs on `at(k)`
 only.  `ws(d)` is the closed value of an all-circle diagram, or the
 scalar by which the endomorphism of a one-interval diagram acts
 (`scalar_of_endo`); other skeletons raise ValueError.  It is memoised by
@@ -82,12 +85,15 @@ def _sweep(diagram):
     (upward, through the dual).  The interval's last station is live
     from the start (the source) and its first one is never closed (the
     target).  Cups open station pairs left to right; each chord is
-    applied as soon as both its stations are open, and each turn closes
-    as soon as both its stations have had their chord and are adjacent
+    applied as soon as both its stations are open, and after every
+    chord, and after every cup for cups that open no chord, each turn
+    closes whose two stations have had their chord and are adjacent
     among the live stations, so a circle's closure follows its inner
-    turns.  The steps are ("cup", p), ("chord", a, b, roles) and
-    ("cap", p, sign): p is the live position of the left station, and a
-    cap's sign is the role of its left station.
+    turns.  The chords come in the same order as when turns closed
+    after each cup only, each on no more live stations.  The steps are
+    ("cup", p), ("chord", a, b, roles) and ("cap", p, sign): p is the
+    live position of the left station, and a cap's sign is the role of
+    its left station.
     """
     station, roles, cups, caps, live = {}, [], [], [], []
     for c, kind in enumerate(diagram.skeleton):
@@ -106,14 +112,9 @@ def _sweep(diagram):
             live.append(g + nst - 1)
     todo = [(station[e1], station[e2]) for e1, e2 in diagram.chords]
     steps = []
-    for s in cups:
-        p = bisect(live, s)
-        live[p:p] = [s, s + 1]
-        steps.append(("cup", p))
-        for a, b in [ch for ch in todo if ch[0] in live and ch[1] in live]:
-            todo.remove((a, b))
-            steps.append(("chord", live.index(a), live.index(b),
-                          (roles[a], roles[b])))
+
+    def close():
+        """Close every turn whose stations are done and adjacent."""
         busy = {x for ch in todo for x in ch}
         p = 0
         while p < len(live) - 1:
@@ -124,6 +125,17 @@ def _sweep(diagram):
                 p = max(p - 1, 0)
             else:
                 p += 1
+
+    for s in cups:
+        p = bisect(live, s)
+        live[p:p] = [s, s + 1]
+        steps.append(("cup", p))
+        for a, b in [ch for ch in todo if ch[0] in live and ch[1] in live]:
+            todo.remove((a, b))
+            steps.append(("chord", live.index(a), live.index(b),
+                          (roles[a], roles[b])))
+            close()
+        close()
     return steps
 
 
@@ -131,56 +143,60 @@ def _chord_tables(rep, tensor, codes, bits):
     """The chord columns of (rep, tensor), their int denominator
     chord_den and their norms.
 
-    For each pair of strand roles, the chord sum c A_i x B_j over the
-    tensor's pair terms (c, i, j), A through rep.mats at a site of role
-    +1 and through the dual's at one of role -1, unsigned by role.  A
-    column, at code(ca) << bits | code(cb), lists the entries (da, db,
-    value, odd): the output takes code(ra) - code(ca) at the first site
-    and code(rb) - code(cb) at the second, the value is held over
-    chord_den as a tuple of int coefficients in alpha, lowest degree
-    first (one over Q), and odd is 1 when both sites change parity (the
-    tensor is even, so both do or neither does).  norm[roles] is the
-    largest, over output pairs, of the summed |coefficients| writing
-    into one.  Raises ValueError on an entry that changes the parity of
-    one site only, and on a Q(alpha) value that is not a polynomial.
+    The chord sum c A_i x B_j over the tensor's pair terms (c, i, j) is
+    summed once, with A and B through rep.mats: the role pair (+1, +1).
+    A site of role -1 acts through the dual, rho*(x)[c, r] =
+    -(-1)^{|x||r|} rho(x)[r, c], and |x| = |r| + |c| on a nonzero
+    entry, so the other three role pairs are partial transposes of that
+    sum, each entry signed by its index pairs alone; no dual is built.
+    The tables are unsigned by role.  A column, at code(ca) << bits |
+    code(cb), lists the entries (da, db, value, odd), sorted by output
+    indices: the output takes code(ra) - code(ca) at the first site and
+    code(rb) - code(cb) at the second, the value is held over chord_den
+    as a tuple of int coefficients in alpha, lowest degree first (one
+    over Q), and odd is 1 when both sites change parity (the tensor is
+    even, so both do or neither does).  norm[roles] is the largest, over
+    output pairs, of the summed |coefficients| writing into one.  Raises
+    ValueError on an entry that changes the parity of one site only, and
+    on a Q(alpha) value that is not a polynomial.
     """
-    ring = rep.ring
-    mats = {1: rep.mats, -1: rep_combine("dual", rep).mats}
+    ring, par = rep.ring, rep.space.parities
     sums = {}
     for c, i, j in tensor.as_pair_terms():
         c = ring.coerce(c)
-        for role_a in (1, -1):
-            left = [(ra, ca, c * va)
-                    for (ra, ca), va in mats[role_a][i].m.items()]
-            for role_b in (1, -1):
-                right = mats[role_b][j].m.items()
-                for ra, ca, cva in left:
-                    for (rb, cb), vb in right:
-                        add_term(sums.setdefault((role_a, role_b, ca, cb), {}),
-                                 (ra, rb), cva * vb)
-    for col in sums.values():
-        for rows, v in col.items():
-            v = v.as_poly() if ring is QALPHA else Poly.const(v)
-            col[rows] = v.n, v.d
-    den = lcm(1, *(d for col in sums.values() for _, d in col.values()))
-    columns = {roles: {} for roles in product((1, -1), repeat=2)}
-    rows_norm = {roles: {} for roles in columns}
-    for (role_a, role_b, ca, cb), col in sums.items():
-        entries = []
-        for (ra, rb), (n, d) in sorted(col.items()):
+        right = rep.mats[j].m.items()
+        for (ra, ca), va in rep.mats[i].m.items():
+            cva = c * va
+            for (rb, cb), vb in right:
+                add_term(sums, (ra, ca, rb, cb), cva * vb)
+    for key, v in sums.items():
+        v = v.as_poly() if ring is QALPHA else Poly.const(v)
+        sums[key] = v.n, v.d
+    den = lcm(1, *(d for _, d in sums.values()))
+
+    def site(role, r, c):
+        """The entry of rep's (r, c) at a site of role: (row, column,
+        sign).  At role -1 it is the dual's (c, r), whose sign
+        -(-1)^{|r|(1 + |c|)} is +1 for r odd and c even only."""
+        return (r, c, 1) if role > 0 else (c, r, 1 if par[r] > par[c] else -1)
+
+    columns, norm = {}, {}
+    for roles in product((1, -1), repeat=2):
+        cols, rows_norm = {}, {}
+        for (ra, ca, rb, cb), (n, d) in sums.items():
+            (ra, ca, sa), (rb, cb, sb) = (site(roles[0], ra, ca),
+                                          site(roles[1], rb, cb))
             odd = (codes[ra] ^ codes[ca]) & 1
             if odd != (codes[rb] ^ codes[cb]) & 1:
                 raise ValueError("weight systems need an even tensor")
-            val = tuple(x * (den // d) for x in n)
-            entries.append((codes[ra] - codes[ca], codes[rb] - codes[cb],
-                            val, odd))
-            out = rows_norm[role_a, role_b]
-            out[ra, rb] = out.get((ra, rb), 0) + sum(map(abs, val))
-        if entries:
-            columns[role_a, role_b][codes[ca] << bits | codes[cb]] = tuple(
-                entries)
-    norm = {roles: max(out.values(), default=0)
-            for roles, out in rows_norm.items()}
+            val = tuple(x * sa * sb * (den // d) for x in n)
+            cols.setdefault(codes[ca] << bits | codes[cb], []).append(
+                (ra, rb, codes[ra] - codes[ca], codes[rb] - codes[cb], val,
+                 odd))
+            rows_norm[ra, rb] = rows_norm.get((ra, rb), 0) + sum(map(abs, val))
+        columns[roles] = {key: tuple(entry[2:] for entry in sorted(col))
+                          for key, col in cols.items()}
+        norm[roles] = max(rows_norm.values(), default=0)
     return columns, den, norm
 
 

@@ -639,10 +639,11 @@ def odd_associator(order):
 @contextmanager
 def odd_gauge():
     """Serve odd_associator to kontsevich inside the block.  The move
-    table and hump_factor hold values built from the associator, so they
-    are cleared on entry and on exit; the four-term spans depend on the
-    degree alone."""
-    caches = (kontsevich._moves, kontsevich.hump_factor)
+    table, hump_factor and hump_inverse hold values built from the
+    associator, so they are cleared on entry and on exit; the four-term
+    spans depend on the degree alone."""
+    caches = (kontsevich._moves, kontsevich.hump_factor,
+              kontsevich.hump_inverse)
     for cache in caches:
         cache.cache_clear()
     kontsevich.build_associator = odd_associator

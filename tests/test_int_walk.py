@@ -14,14 +14,17 @@ numerators that the reference finds, on generated words and on every
 interval diagram of degree <= 4.
 """
 
+from bisect import bisect
 from copy import copy
 from fractions import Fraction
 from math import factorial
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from superchord.diagrams import enumerate_diagrams
+from superchord import weightsys
+from superchord.diagrams import CIRCLE, INTERVAL, enumerate_diagrams
 from superchord.kontsevich import (
     _moves, _MatrixBackend, _NormBackend, _walk, wz_eval)
 from superchord.scalars import QALPHA, AlphaScalar, Poly, alpha
@@ -210,3 +213,103 @@ def test_wz_eval_on_closed_braids_matches_the_q_alpha_walk(name, text,
 @given(text=tangles(), order=st.integers(3, 4))
 def test_wz_eval_on_tangles_matches_the_q_alpha_walk(name, text, order):
     _assert_wz_matches(name, text, order)
+
+
+def reference_sweep(diagram):
+    """The planar walk of a diagram as steps on live positions.
+
+    Each component is a serpentine of stations, one chord endpoint per
+    station, with roles alternating +1 (downward, through V) and -1
+    (upward, through the dual).  The interval's last station is live
+    from the start (the source) and its first one is never closed (the
+    target).  Cups open station pairs left to right; each chord is
+    applied as soon as both its stations are open, and each turn closes
+    as soon as both its stations have had their chord and are adjacent
+    among the live stations, so a circle's closure follows its inner
+    turns.  The steps are ("cup", p), ("chord", a, b, roles) and
+    ("cap", p, sign): p is the live position of the left station, and a
+    cap's sign is the role of its left station.
+    """
+    station, roles, cups, caps, live = {}, [], [], [], []
+    for c, kind in enumerate(diagram.skeleton):
+        k = diagram.counts[c]
+        closed = kind == CIRCLE
+        nst = max(k + k % 2, 2) if closed else k + 1 - k % 2
+        g = len(roles)
+        for p in range(k):
+            station[(c, p)] = g + p
+        roles += [1, -1] * (nst // 2) + [1] * (nst % 2)
+        cups += range(g, g + nst - 1, 2)
+        caps += [(s, s + 1) for s in range(g + 1, g + nst - 1 - closed, 2)]
+        if closed:
+            caps.append((g, g + nst - 1))
+        else:
+            live.append(g + nst - 1)
+    todo = [(station[e1], station[e2]) for e1, e2 in diagram.chords]
+    steps = []
+    for s in cups:
+        p = bisect(live, s)
+        live[p:p] = [s, s + 1]
+        steps.append(("cup", p))
+        for a, b in [ch for ch in todo if ch[0] in live and ch[1] in live]:
+            todo.remove((a, b))
+            steps.append(("chord", live.index(a), live.index(b),
+                          (roles[a], roles[b])))
+        busy = {x for ch in todo for x in ch}
+        p = 0
+        while p < len(live) - 1:
+            pair = tuple(live[p:p + 2])
+            if pair in caps and busy.isdisjoint(pair):
+                steps.append(("cap", p, roles[pair[0]]))
+                live[p:p + 2] = []
+                p = max(p - 1, 0)
+            else:
+                p += 1
+    return steps
+
+
+def _chord_widths(steps, width):
+    """(roles, live stations) at each chord of steps, width live at the
+    start."""
+    out = []
+    for step in steps:
+        if step[0] == "chord":
+            out.append((step[3], width))
+        width += {"cup": 2, "cap": -2}.get(step[0], 0)
+    return out
+
+
+def assert_sweep_is_the_reference(names, diagrams):
+    """On each named system, the station walk of every diagram (a
+    one-interval one as its endomorphism's entries, any other as its
+    closed value) is the walk of reference_sweep, and _sweep applies the
+    reference's chords in its order, each on no more live stations.
+    Returns the number of diagrams."""
+    for name in names:
+        ws = weight_system(*named_system(name))
+        for d in diagrams:
+            with_source = INTERVAL in d.skeleton
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(weightsys, "_sweep", reference_sweep)
+                want = ws._evaluate(d, with_source)
+            assert ws._evaluate(d, with_source) == want, (name, d)
+            start = d.skeleton.count(INTERVAL)
+            got = _chord_widths(_sweep(d), start)
+            ref = _chord_widths(reference_sweep(d), start)
+            assert [r for r, _ in got] == [r for r, _ in ref], d
+            assert all(w <= v for (_, w), (_, v) in zip(got, ref)), d
+    return len(diagrams)
+
+
+SWEEP_SKELETONS = ((INTERVAL,), (CIRCLE,), (CIRCLE, CIRCLE),
+                   (INTERVAL, CIRCLE))
+
+
+def test_sweep_matches_the_reference_sweep():
+    # every diagram of degree <= 4 on each skeleton, and a seeded sample
+    # of the 945 degree-5 interval classes
+    small = [d for sk in SWEEP_SKELETONS for m in range(5)
+             for d in enumerate_diagrams(sk, m)]
+    sample = Random(0).sample(enumerate_diagrams((INTERVAL,), 5), 20)
+    assert assert_sweep_is_the_reference(
+        ("gl11", "gl21", "lg"), small + sample) == 740

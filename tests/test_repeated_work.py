@@ -11,6 +11,7 @@ from superchord import (
     verify, weightsys, words)
 from superchord.associator import associator_checks, build_associator
 from superchord.kontsevich import lg_invariant, wz_eval, z_eval
+from superchord.verify import CONWAY_WORDS
 from superchord.words import parse_word
 from test_associator import _solve_associator
 from test_diagram_finish import LONG_WORD, _AnchorBackend
@@ -348,9 +349,33 @@ def test_station_walk_applies_chords_on_partial_states(monkeypatch):
     calls = _counting(monkeypatch, weightsys.WeightSystem, "chord")
     for d in classes.values():
         fresh(d)
-    # 19,008 state keys when every cup was opened before the first chord
-    assert sum(len(args[1]) for args in calls) <= 9424
+    # 19,008 state keys when every cup was opened before the first chord;
+    # 9,424 when caps closed only after each cup, not after each chord
+    assert sum(len(args[1]) for args in calls) <= 4894
     assert len(calls) == 30
+
+
+def test_chord_tables_sum_one_role_pair(monkeypatch):
+    data = weightsys.lg_data()
+    duals = _counting(monkeypatch, weightsys, "rep_combine")
+    products = [_counting(monkeypatch, scalars.AlphaScalar, name)
+                for name in ("__mul__", "__rmul__")]
+    weightsys.WeightSystem(*data)
+    # 1 dual and 396 products when each of the four role pairs was
+    # summed through the representation or its dual; the other three are
+    # signed partial transposes of the (+1, +1) sum
+    assert duals == []
+    assert sum(map(len, products)) <= 116
+
+
+def test_paired_invariant_inverts_the_hump_once_per_order(monkeypatch):
+    kontsevich.hump_inverse.cache_clear()
+    calls = _counting(monkeypatch, kontsevich, "series_inverse")
+    for _label, text in CONWAY_WORDS:
+        lg_invariant(text, 3)
+    # 5 when each knot inverted the paired hump; every word here has
+    # two maxima or more
+    assert len(calls) == 1
 
 
 def test_station_walk_over_q_alpha_builds_no_fraction(monkeypatch):

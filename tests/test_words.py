@@ -4,6 +4,8 @@ import re
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
 from superchord import words
 from superchord.cli import main
 from superchord.diagrams import CIRCLE, INTERVAL, canonical_form, ChordDiagram
@@ -335,3 +337,71 @@ def test_paths_with_a_top_end_keep_their_order(monkeypatch):
             range(w.components.count(CIRCLE)))
         bottom_only += len(w.components) - len(comps)
     assert bottom_only > 0
+
+
+_NAME = {1: "+", -1: "-"}
+# what a spoiled word may hold in place of one of its tokens
+_SPOILS = ("id(+)", "id(-)", "X+", "X-", "sing", "cup(+-)", "cup(-+)",
+           "cap(+-)", "cap(-+)", "cup(++)", "cap(--)", "id(x)", "", "s1",
+           "close", "obj: +", "slice:", "braid[2]: s1")
+
+
+@st.composite
+def sliced_words(draw):
+    """A sliced word walked over strand signs, with cups and caps on its
+    boundary as well as inside, its obj line kept or dropped, its lines
+    split in every accepted way, and at most one token spoiled; (text,
+    sound), sound when no token is spoiled and the boundary is declared
+    or can be inferred, so that the word must parse."""
+    signs = draw(st.lists(st.sampled_from((1, -1)), max_size=3))
+    lines = [["obj:"] + [_NAME[s] for s in signs]]
+    for _ in range(draw(st.integers(1, 4))):
+        row, nxt, p = ["slice:"] if draw(st.booleans()) else [], [], 0
+        while p <= len(signs):
+            if len(nxt) + len(signs) - p < 6 and draw(st.booleans()):
+                s = draw(st.sampled_from((1, -1)))
+                row.append("cup(%s%s)" % (_NAME[s], _NAME[-s]))
+                nxt += [s, -s]
+                continue
+            if p == len(signs):
+                break
+            pair, move = signs[p:p + 2], draw(st.sampled_from("ixc"))
+            if move == "x" and len(pair) == 2:
+                row += draw(st.sampled_from((["X+"], ["X-"], ["X+", "sing"])))
+                nxt += pair[::-1]
+                p += 2
+            elif move == "c" and len(pair) == 2 and pair[0] == -pair[1]:
+                row.append("cap(%s%s)" % tuple(_NAME[s] for s in pair))
+                p += 2
+            else:
+                row.append("id(%s)" % _NAME[signs[p]])
+                nxt.append(signs[p])
+                p += 1
+        lines.append(row or ["slice:"])
+        signs = nxt
+    declared = draw(st.booleans())
+    if not declared:
+        del lines[0]
+    sound = declared or not any(t[0] == "X" for t in lines[0])
+    toks = [(i, j) for i, row in enumerate(lines) for j in range(len(row))]
+    if toks and draw(st.booleans()):
+        i, j = draw(st.sampled_from(toks))
+        spoil = draw(st.sampled_from(_SPOILS))
+        sound = sound and spoil == lines[i][j]
+        lines[i][j] = spoil
+    sep = draw(st.sampled_from(("\n", "\r\n", "\r", ";", " ; ")))
+    space = draw(st.sampled_from((" ", "\t", "  ")))
+    return sep.join(space.join(row) for row in lines), sound
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(case=sliced_words())
+def test_sliced_words_parse_or_raise_value_error(case):
+    text, sound = case
+    try:
+        word = parse_word(text)
+    except ValueError:
+        assert not sound, text
+        return
+    assert len(word.framings) == len(word.components)
+    assert set(word.source + word.target) <= {1, -1}
