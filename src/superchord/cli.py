@@ -20,12 +20,11 @@ from .kontsevich import lg_invariant, wz_eval, z_eval
 from .ribbon import ribbon_trivial, rt_invariant
 from .scalars import AlphaScalar
 from .verify import LEAST_ORDER, SUITES, run_all, run_suite
-from .weightsys import named_system, weight_system
+from .weightsys import SYSTEMS, named_system, weight_system
 
 
-_ALG_REP = {("gl2_1", "defining"): "gl21",
-            ("gl1_1", "defining"): "gl11",
-            ("gl2_1", "v_alpha"): "valpha"}
+_ALG_REP = {("gl%d_%d" % mn, rep): name
+            for name, (mn, rep, _tensor) in SYSTEMS.items()}
 
 
 def _system_name(args):
@@ -171,7 +170,7 @@ def _parser():
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("ws", help="weight of a .cd diagram")
-    p.add_argument("--system", choices=("lg", "gl21", "gl11", "valpha"),
+    p.add_argument("--system", choices=("lg",) + tuple(SYSTEMS),
                    default="lg")
     common(p, order=False, flag="--diagram")
     p.set_defaults(run=_cmd_ws)
@@ -181,10 +180,11 @@ def _parser():
     p.set_defaults(run=_cmd_z)
 
     p = sub.add_parser("wz", help="weight-system series of a closed .tw word")
-    p.add_argument("--system", choices=("gl21", "gl11", "valpha"),
-                   default="gl21")
-    p.add_argument("--algebra", choices=("gl2_1", "gl1_1"))
-    p.add_argument("--rep", choices=("defining", "v_alpha"))
+    p.add_argument("--system", choices=tuple(SYSTEMS), default="gl21")
+    p.add_argument("--algebra", choices=tuple(dict.fromkeys(
+        alg for alg, _rep in _ALG_REP)))
+    p.add_argument("--rep", choices=tuple(dict.fromkeys(
+        rep for _alg, rep in _ALG_REP)))
     common(p)
     p.set_defaults(run=_cmd_wz)
 

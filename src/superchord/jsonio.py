@@ -7,7 +7,8 @@ kind of file: load_word a .tw word, load_diagram a .cd diagram and
 load_ribbon .ribbon data, which it refuses if an axiom check fails.
 Integer fields (chord endpoints, truncation orders, matrix indices,
 parities) must be JSON integers: a float, a string or a boolean there is
-a ValueError, never rounded, and a parity other than 0 or 1 is one too.
+a ValueError, never rounded, and a parity other than 0 or 1 is one too,
+as is a .cd or .ribbon file nested too deeply to read.
 """
 
 import functools
@@ -229,11 +230,20 @@ def load_word(path):
         return parse_word(f.read())
 
 
-def load_diagram(path):
+def _load_json(path, from_json, what, *args):
+    """from_json of a file's JSON value.  Nesting too deep for the parser
+    or the loader is malformed input like any other: a ValueError."""
     with open(path) as f:
-        return diagram_from_json(json.load(f))
+        try:
+            return from_json(json.load(f), *args)
+        except RecursionError:
+            raise ValueError(
+                "malformed %s: nested too deeply" % what) from None
+
+
+def load_diagram(path):
+    return _load_json(path, diagram_from_json, "chord diagram")
 
 
 def load_ribbon(path, ring=QQ):
-    with open(path) as f:
-        return ribbon_from_json(json.load(f), ring)
+    return _load_json(path, ribbon_from_json, "ribbon data", ring)

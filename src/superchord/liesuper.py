@@ -7,11 +7,15 @@ parity |a|+|b| and bracket
     [E_ab, E_cd] = d_bc E_ad - (-1)^{(|a|+|b|)(|c|+|d|)} d_da E_cb.
 
 Invariant 2-tensors (Casimir elements of g x g) are kept in basis
-coordinates by `InvariantTensor`; `casimir_tensor` produces the tensor dual
-to the supertrace form on gl(m|n), or its sl(m|n) variant, by inverting the
-Gram matrix of the form.  Representations carry one matrix per basis
+coordinates by `InvariantTensor`; `casimir_tensor` produces t_gl, the
+tensor dual to the supertrace form on gl(m|n), by inverting the Gram
+matrix of the form.  Every other tensor is t_gl plus a multiple of the
+central I x I, added by `extend_identity`: t_sl, and the Links-Gould
+tensor a (I x I) + t_sl.  Representations carry one matrix per basis
 element; odd basis elements act by parity-reversing maps, and
-`standard_rep` checks the bracket axiom exactly.  `build_gl`,
+`standard_rep` checks the bracket axiom exactly.  `rep_combine` is the
+graded tensor product; no dual module is built, because the chord tables
+of `weightsys` read V* as signed partial transposes of V.  `build_gl`,
 `standard_rep`, `invariant_form` and `casimir_tensor` are memoised, so
 each object is built and checked once per process and shared by every
 caller, which must not mutate it.
@@ -21,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .diagrams import invert_matrix
-from .scalars import QALPHA, QQ, add_term, alpha
+from .scalars import QALPHA, QQ, AlphaScalar, add_term, alpha
 from .supergraded import SuperMap, SuperSpace, rings_equal
 
 
@@ -148,14 +152,6 @@ class InvariantTensor:
             out[(j, i)] = c if s > 0 else -c
         return InvariantTensor(self.algebra, out, self.ring)
 
-    def add(self, other):
-        if other.algebra is not self.algebra:
-            raise ValueError("mismatched algebras")
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            add_term(out, key, self.ring.coerce(c))
-        return InvariantTensor(self.algebra, out, self.ring)
-
     def ad_residual(self, k):
         """Coordinates of ad_{e_k}(t); identically zero iff t is invariant.
 
@@ -185,12 +181,13 @@ class InvariantTensor:
 
 @lru_cache(maxsize=None)
 def casimir_tensor(alg, which):
-    """Tensor dual to the supertrace form: t = sum (B^{-1})^{ij} e_i x e_j.
+    """Tensor dual to the supertrace form B: t = sum (B^{-1})^{ij} e_i x e_j.
 
-    which = "gl" inverts the full form; "sl" subtracts the identity
-    component, t_sl = t_gl - (1/(m-n)) I x I, giving the tensor dual to the
-    form restricted to the supertraceless subalgebra.  which has no
-    default, so that each tensor has one memo key.
+    which = "gl" inverts the full form.  which = "sl" is the tensor dual
+    to B restricted to the supertraceless subalgebra I-perp: one shift
+    t_sl = t_gl - (1 / B(I, I)) I x I, with B(I, I) = str(I) = m - n read
+    from the form, so it is undefined for gl(m|m).  which has no default,
+    so that each tensor has one memo key.
     """
     form = invariant_form(alg)
     inv = _invert_form(alg, form)
@@ -199,29 +196,26 @@ def casimir_tensor(alg, which):
         return t_gl
     if which != "sl":
         raise ValueError("which must be 'gl' or 'sl'")
-    if alg.m == alg.n:
+    ident = alg.identity_coords()
+    b_ii = sum(ci * cj * form.get((i, j), 0)
+               for i, ci in ident.items() for j, cj in ident.items())
+    if not b_ii:
         raise ValueError(
             "the sl Casimir tensor divides by the superdimension m - n "
             "and is undefined for gl(m|m)")
-    ident = alg.identity_coords()
-    sdim = Fraction(alg.m - alg.n)
-    ii = {}
-    for i, ci in ident.items():
-        for j, cj in ident.items():
-            ii[(i, j)] = -ci * cj / sdim
-    return t_gl.add(InvariantTensor(alg, ii, QQ))
+    return extend_identity(t_gl, -1 / b_ii)
 
 
 def extend_identity(t, a):
-    """s = a (I x I) + t for a scalar a, over the alpha-rational ring."""
-    alg = t.algebra
-    a = QALPHA.coerce(a)
-    terms = {k: QALPHA.coerce(c) for k, c in t.terms.items()}
-    ident = alg.identity_coords()
+    """s = a (I x I) + t for a scalar a.  s lies over t's ring when a is
+    rational and over Q(alpha) when a is an alpha scalar."""
+    ring = QALPHA if isinstance(a, AlphaScalar) else t.ring
+    terms = {k: ring.coerce(c) for k, c in t.terms.items()}
+    ident = t.algebra.identity_coords()
     for i, ci in ident.items():
         for j, cj in ident.items():
-            add_term(terms, (i, j), a * QALPHA.coerce(ci * cj))
-    return InvariantTensor(alg, terms, QALPHA)
+            add_term(terms, (i, j), a * ring.coerce(ci * cj))
+    return InvariantTensor(t.algebra, terms, ring)
 
 
 class Representation:
@@ -282,43 +276,26 @@ class Representation:
             sum(1 for p in self.space.parities if p == 1), self.algebra.name)
 
 
-def rep_combine(kind, rep, other=None):
-    """Dual or tensor product of representations.
-
-    dual:   rho*(x)[k, j] = -(-1)^{|x||j|} rho(x)[j, k] on the dual space.
-    tensor: rho(x) = rho1(x) x id + id x rho2(x) with graded Kronecker
-            factors, so the Koszul sign on the second summand is automatic.
+def rep_combine(rep, other):
+    """Graded tensor product of two representations of one algebra:
+    rho(x) = rho1(x) x id + id x rho2(x) with graded Kronecker factors, so
+    the Koszul sign on the second summand is automatic.  No dual module is
+    built anywhere: the chord tables read V* as signed partial transposes.
     """
-    if kind == "dual":
-        space = rep.space.dual()
-        mats = {}
-        for i, mat in rep.mats.items():
-            px = rep.algebra.parities[i]
-            entries = {}
-            for (j, k), c in mat.m.items():
-                s = -((-1) ** (px * space.parities[j]))
-                entries[(k, j)] = c if s > 0 else -c
-            mats[i] = SuperMap(space, space, entries, rep.ring)
-        return Representation(rep.algebra, space, mats, rep.ring,
-                              rep.name + "*")
-    if kind == "tensor":
-        if other is None:
-            raise ValueError("tensor needs two representations")
-        if other.algebra is not rep.algebra:
-            raise ValueError("mismatched algebras")
-        if not rings_equal(rep.ring, other.ring):
-            raise ValueError("mismatched coefficient rings")
-        space = rep.space.tensor(other.space)
-        ida = SuperMap.identity(rep.space, rep.ring)
-        idb = SuperMap.identity(other.space, other.ring)
-        mats = {}
-        for i in range(rep.algebra.dim):
-            left = rep.mats[i].tensor(idb)
-            right = ida.tensor(other.mats[i])
-            mats[i] = left + right
-        return Representation(rep.algebra, space, mats, rep.ring,
-                              "%s(x)%s" % (rep.name, other.name))
-    raise ValueError("kind must be 'dual' or 'tensor'")
+    if other.algebra is not rep.algebra:
+        raise ValueError("mismatched algebras")
+    if not rings_equal(rep.ring, other.ring):
+        raise ValueError("mismatched coefficient rings")
+    space = rep.space.tensor(other.space)
+    ida = SuperMap.identity(rep.space, rep.ring)
+    idb = SuperMap.identity(other.space, other.ring)
+    mats = {}
+    for i in range(rep.algebra.dim):
+        left = rep.mats[i].tensor(idb)
+        right = ida.tensor(other.mats[i])
+        mats[i] = left + right
+    return Representation(rep.algebra, space, mats, rep.ring,
+                          "%s(x)%s" % (rep.name, other.name))
 
 
 def _matrix_unit_rep(alg):

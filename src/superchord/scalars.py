@@ -569,13 +569,7 @@ def series_inverse(s):
     c0 = s.c[0]
     if not c0:
         raise ScalarError("series has no inverse: zero constant term")
-    if isinstance(c0, Fraction):
-        inv0 = 1 / c0
-    elif isinstance(c0, AlphaScalar):
-        inv0 = AlphaScalar(1) / c0
-    else:
-        raise ScalarError("cannot invert constant term %r" % (c0,))
-    out = ring.coerce(inv0)
+    out = ring.coerce(ring.base.one / c0)
     # Newton's iteration out_{k+1} = out_k * (2 - s * out_k) doubles the
     # number of correct coefficients, so ceil(log2(order + 1)) steps do
     for _ in range(ring.order.bit_length()):

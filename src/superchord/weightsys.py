@@ -481,9 +481,10 @@ def lg_data():
     return rep, extend_identity(casimir_tensor(g, "sl"), lg_constant())
 
 
-_SYSTEMS = {"gl21": ((2, 1), "defining", "gl"),
-            "gl11": ((1, 1), "defining", "gl"),
-            "valpha": ((2, 1), "v_alpha", "sl")}
+# the named systems besides "lg": name -> ((m, n), module, tensor)
+SYSTEMS = {"gl21": ((2, 1), "defining", "gl"),
+           "gl11": ((1, 1), "defining", "gl"),
+           "valpha": ((2, 1), "v_alpha", "sl")}
 
 
 @lru_cache(maxsize=None)
@@ -493,7 +494,7 @@ def named_system(name):
     lg_data().  Memoised, so a name always gives the same pair."""
     if name == "lg":
         return lg_data()
-    (m, n), rep, tensor = _SYSTEMS[name]
+    (m, n), rep, tensor = SYSTEMS[name]
     g = build_gl(m, n)
     return standard_rep(g, rep), casimir_tensor(g, tensor)
 
@@ -504,7 +505,7 @@ def squared_system(name):
     that the cabling check weighs.  Memoised like named_system, so its
     weight_system is built once."""
     rep, tensor = named_system(name)
-    return rep_combine("tensor", rep, rep), tensor
+    return rep_combine(rep, rep), tensor
 
 
 def wlg(diagram):

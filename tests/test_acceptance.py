@@ -200,7 +200,7 @@ def test_criterion_08_valpha_vanishing():
 
 def test_criterion_09_cabling_identity():
     rep, tv = gl_system(2, 1)
-    square = rep_combine("tensor", rep, rep)
+    square = rep_combine(rep, rep)
     rng = random.Random(20250817)
     ok = True
     for _ in range(50):

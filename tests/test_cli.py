@@ -251,14 +251,22 @@ def test_refusals_exit_1_without_traceback(tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     parity = bad_space_ribbon(tmp_path, "parities", [2, 2 ** 64])
-    for args in (["verify", "all", "--order", "1"],
-                 ["rt", path, "--data", huge_order_ribbon(tmp_path)],
-                 ["rt", path, "--data", parity]):
+    refusals = [["verify", "all", "--order", "1"],
+                ["rt", path, "--data", huge_order_ribbon(tmp_path)],
+                ["rt", path, "--data", parity]]
+    for depth in (1000, 20000):
+        deep = "[" * depth + "]" * depth
+        refusals += [
+            ["ws", write(tmp_path, "deep%d.cd" % depth, deep)],
+            ["rt", path, "--data",
+             write(tmp_path, "deep%d.ribbon" % depth, deep)]]
+    for args in refusals:
         proc = subprocess.run(
             [sys.executable, "-m", "superchord"] + args,
             env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
 
 

@@ -153,6 +153,37 @@ def test_loaders_reject_missing_keys_and_wrong_types(load, obj):
         load(obj)
 
 
+def nested(depth):
+    """JSON text of arrays nested depth levels deep."""
+    return "[" * depth + "]" * depth
+
+
+def nested_series(depth):
+    """A one-entry .ribbon object whose braiding value is a series of a
+    series of ... depth levels deep: shallow enough for the parser, too
+    deep for the loader's own recursion."""
+    value = "1"
+    for _ in range(depth):
+        value = {"h_order": 0, "coeffs": [value]}
+    return {"parities": [0], "braiding": [[0, 0, value]], "twist": []}
+
+
+@pytest.mark.parametrize("load, what, text", [
+    (load_diagram, "chord diagram", nested(1000)),
+    (load_diagram, "chord diagram", nested(20000)),
+    (load_ribbon, "ribbon data", nested(1000)),
+    (load_ribbon, "ribbon data", nested(20000)),
+    (load_ribbon, "ribbon data", json.dumps(nested_series(400))),
+], ids=["cd-1000", "cd-20000", "ribbon-1000", "ribbon-20000",
+        "ribbon-series-400"])
+def test_deep_nesting_is_malformed(tmp_path, load, what, text):
+    path = tmp_path / "deep"
+    path.write_text(text)
+    with pytest.raises(ValueError,
+                       match="^malformed %s: nested too deeply$" % what):
+        load(str(path))
+
+
 ZERO_DENOMINATORS = ["1/0", {"num": ["1"], "den": ["0"]},
                      {"num": ["1/0"]}]
 

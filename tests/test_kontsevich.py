@@ -269,7 +269,7 @@ def test_lg_rejects_open_and_multi_component():
 
 def test_cabling_identity_on_random_diagrams():
     rep, tv = gl11_defining()
-    square = rep_combine("tensor", rep, rep)
+    square = rep_combine(rep, rep)
     rng = random.Random(20240811)
     for _ in range(12):
         d = random_diagram((CIRCLE,), rng.choice([1, 2]), rng)

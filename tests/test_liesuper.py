@@ -4,15 +4,89 @@ from fractions import Fraction
 
 import pytest
 
+from superchord.diagrams import invert_matrix
 from superchord.liesuper import (
-    build_gl, casimir_tensor, extend_identity, invariant_form, rep_combine,
-    standard_rep)
-from superchord.scalars import QALPHA, alpha
+    InvariantTensor, Representation, build_gl, casimir_tensor,
+    extend_identity, invariant_form, rep_combine, standard_rep)
+from superchord.scalars import QALPHA, QQ, add_term, alpha
 from superchord.supergraded import SuperMap
 
 
 def frac(x):
     return Fraction(x)
+
+
+def dual_rep(rep):
+    """The dual module, rho*(x)[k, j] = -(-1)^{|x||j|} rho(x)[j, k] on
+    the dual space: the oracle for the signed partial transposes by which
+    the chord tables read V*."""
+    space = rep.space.dual()
+    mats = {}
+    for i, mat in rep.mats.items():
+        px = rep.algebra.parities[i]
+        entries = {}
+        for (j, k), c in mat.m.items():
+            s = -((-1) ** (px * space.parities[j]))
+            entries[(k, j)] = c if s > 0 else -c
+        mats[i] = SuperMap(space, space, entries, rep.ring)
+    return Representation(rep.algebra, space, mats, rep.ring,
+                          rep.name + "*")
+
+
+def _tensor_sum(self, other):
+    """self + other over self's ring, in self's key order."""
+    if other.algebra is not self.algebra:
+        raise ValueError("mismatched algebras")
+    out = dict(self.terms)
+    for key, c in other.terms.items():
+        add_term(out, key, self.ring.coerce(c))
+    return InvariantTensor(self.algebra, out, self.ring)
+
+
+def reference_casimir(alg, which):
+    """casimir_tensor with t_sl built by its own I x I loop over m - n
+    and a tensor sum: the oracle for the one `extend_identity` shift."""
+    inv = invert_matrix(invariant_form(alg), alg.dim)
+    t_gl = InvariantTensor(alg, inv, QQ)
+    if which == "gl":
+        return t_gl
+    if which != "sl":
+        raise ValueError("which must be 'gl' or 'sl'")
+    if alg.m == alg.n:
+        raise ValueError(
+            "the sl Casimir tensor divides by the superdimension m - n "
+            "and is undefined for gl(m|m)")
+    ident = alg.identity_coords()
+    sdim = Fraction(alg.m - alg.n)
+    ii = {}
+    for i, ci in ident.items():
+        for j, cj in ident.items():
+            ii[(i, j)] = -ci * cj / sdim
+    return _tensor_sum(t_gl, InvariantTensor(alg, ii, QQ))
+
+
+def assert_casimir_is_the_oracle(pairs):
+    """casimir_tensor(build_gl(m, n), which) against reference_casimir for
+    each (m, n) and which in gl, sl: the same terms in the same key order
+    over the same ring, or the same ValueError text.  Returns the number
+    of (m, n) pairs checked."""
+    count = 0
+    for m, n in pairs:
+        g = build_gl(m, n)
+        for which in ("gl", "sl"):
+            try:
+                want = reference_casimir(g, which)
+            except ValueError as e:
+                with pytest.raises(ValueError) as got:
+                    casimir_tensor(g, which)
+                assert str(got.value) == str(e), (m, n, which)
+                continue
+            t = casimir_tensor(g, which)
+            assert list(t.terms.items()) == list(want.terms.items()), (
+                m, n, which)
+            assert t.ring is want.ring, (m, n, which)
+        count += 1
+    return count
 
 
 def casimir(rep, tensor):
@@ -88,6 +162,29 @@ def test_invariant_form_ad_invariance():
                 right = sum(c * form.get((i, l), 0)
                             for l, c in g.bracket(j, k).items())
                 assert left == right
+
+
+def test_casimir_is_the_oracle_on_small_gl():
+    # the sl shift through one extend_identity against its own I x I
+    # loop, every gl(m|n) with 1 <= m, n <= 3; gl(m|m) refuses sl
+    pairs = [(m, n) for m in range(1, 4) for n in range(1, 4)]
+    assert assert_casimir_is_the_oracle(pairs) == 9
+
+
+def test_extend_identity_takes_its_ring_from_its_constant():
+    g = build_gl(2, 1)
+    t = casimir_tensor(g, "gl")
+    # str(I) = 1 on gl(2|1), so a rational shift by -1 is t_sl, over Q
+    s = extend_identity(t, Fraction(-1))
+    assert s.ring is QQ
+    assert list(s.terms.items()) == list(casimir_tensor(g, "sl").terms.items())
+    assert extend_identity(t, 3).ring is QQ
+    for a in (alpha(), QALPHA.coerce(Fraction(1, 2))):
+        assert extend_identity(t, a).ring is QALPHA
+    # a rational constant keeps a Q(alpha) tensor's ring
+    s = extend_identity(extend_identity(t, alpha()), Fraction(1, 2))
+    assert s.ring is QALPHA
+    assert s.terms == extend_identity(t, alpha() + Fraction(1, 2)).terms
 
 
 def test_casimir_gl11_frozen_inverse():
@@ -228,7 +325,7 @@ def test_v_alpha_one_term_constant_kills_casimir():
 def test_dual_rep_satisfies_axioms():
     g = build_gl(2, 1)
     rep = standard_rep(g, "defining")
-    dual = rep_combine("dual", rep)
+    dual = dual_rep(rep)
     assert dual.check_axioms()
     assert dual.space.parities == rep.space.parities
     ix = g.index
@@ -239,14 +336,14 @@ def test_dual_rep_satisfies_axioms():
 def test_dual_of_v_alpha_satisfies_axioms():
     g = build_gl(2, 1)
     rep = standard_rep(g, "v_alpha")
-    dual = rep_combine("dual", rep)
+    dual = dual_rep(rep)
     assert dual.check_axioms()
 
 
 def test_tensor_rep_carrier_and_axioms():
     g = build_gl(2, 1)
     rep = standard_rep(g, "defining")
-    two = rep_combine("tensor", rep, rep)
+    two = rep_combine(rep, rep)
     evens = sum(1 for p in two.space.parities if p == 0)
     odds = sum(1 for p in two.space.parities if p == 1)
     assert (evens, odds) == (5, 4)
@@ -256,7 +353,9 @@ def test_tensor_rep_carrier_and_axioms():
 def test_rep_combine_rejects_bad_kinds():
     g = build_gl(2, 1)
     rep = standard_rep(g, "defining")
-    with pytest.raises(ValueError):
-        rep_combine("sum", rep, rep)
-    with pytest.raises(ValueError):
-        rep_combine("tensor", rep)
+    with pytest.raises(TypeError):
+        rep_combine(rep)
+    with pytest.raises(ValueError, match="mismatched algebras"):
+        rep_combine(rep, standard_rep(build_gl(1, 1), "defining"))
+    with pytest.raises(ValueError, match="mismatched coefficient rings"):
+        rep_combine(rep, standard_rep(g, "v_alpha"))

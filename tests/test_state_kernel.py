@@ -24,11 +24,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from superchord.liesuper import (
-    InvariantTensor, build_gl, casimir_tensor, extend_identity, rep_combine,
-    standard_rep)
+    InvariantTensor, build_gl, casimir_tensor, extend_identity, standard_rep)
 from superchord.scalars import AlphaScalar, Poly, add_term, alpha
 from superchord.weightsys import (
     WeightSystem, lg_data, named_system, squared_system, weight_system)
+
+from test_liesuper import dual_rep
 
 
 def oracle_chord(state, a, b, matrix, par):
@@ -112,7 +113,7 @@ def _tuple_matrices(rep, tensor):
     -1, over its own lcm of denominators: ints over Q, ring values over
     Q(alpha)."""
     ring = rep.ring
-    mats = {1: rep.mats, -1: rep_combine("dual", rep).mats}
+    mats = {1: rep.mats, -1: dual_rep(rep).mats}
     matrices = {}
     for roles in product((1, -1), repeat=2):
         m = {}

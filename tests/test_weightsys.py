@@ -12,13 +12,15 @@ from superchord.diagrams import (
     ChordDiagram, enumerate_diagrams, four_term_relators, random_diagram,
     slit_component)
 from superchord.liesuper import (
-    build_gl, casimir_tensor, extend_identity, rep_combine, standard_rep)
+    build_gl, casimir_tensor, extend_identity, standard_rep)
 from superchord.scalars import QALPHA, alpha
 from superchord.supergraded import (
     SuperMap, copair_left, pair_dual_left, pair_dual_right, tensor_space)
 from superchord.weightsys import (
     WeightSystem, lg_constant, lg_data, named_system, scalar_of_endo,
     weight_system, wlg, ws_link, ws_tangle11)
+
+from test_liesuper import dual_rep
 
 
 def brute_eval(diagram, rep, tensor):
@@ -30,7 +32,7 @@ def brute_eval(diagram, rep, tensor):
     """
     V = rep.space
     ring = rep.ring
-    dual = rep_combine("dual", rep)
+    dual = dual_rep(rep)
 
     slot_of = {}
     slot_dirs = []
