@@ -5,31 +5,39 @@ denominator coefficient arrays, series tagged with their truncation
 order.  Tangle words stay in the text grammar.  Each loader reads one
 kind of file: load_word a .tw word, load_diagram a .cd diagram and
 load_ribbon .ribbon data, which it refuses if an axiom check fails.
+Ribbon data is read over Q and holds exactly the maps of `ribbon.MAPS`,
+the bends optional.
 Integer fields (chord endpoints, truncation orders, matrix indices,
 parities) must be JSON integers: a float, a string or a boolean there is
 a ValueError, never rounded, and a parity other than 0 or 1 is one too,
-as is a .cd or .ribbon file nested too deeply to read.
+as is a value or a file nested too deeply to read.  This module checks
+only what JSON alone can get wrong; the skeleton kinds, the parities'
+range and the coercion of entries are checked by the classes it builds.
 """
 
 import functools
 import json
 from fractions import Fraction
 
-from .diagrams import CIRCLE, INTERVAL, ChordDiagram, canonical_form
+from .diagrams import ChordDiagram, canonical_form
 from .kontsevich import ZValue
-from .ribbon import RibbonData
+from .ribbon import MAPS, RibbonData
 from .scalars import AlphaScalar, HSeries, Poly, QALPHA, QQ, SeriesRing
-from .supergraded import SuperMap, SuperSpace, UNIT
+from .supergraded import SuperMap, SuperSpace, tensor_space
 from .words import parse_word
 
 
 def _loader(what):
-    """Report a missing key or a wrong type in the input as ValueError."""
+    """Report a missing key, a wrong type or nesting too deep to read in
+    the input as ValueError."""
     def wrap(fn):
         @functools.wraps(fn)
-        def load(obj, *args):
+        def load(obj):
             try:
-                return fn(obj, *args)
+                return fn(obj)
+            except RecursionError:
+                raise ValueError(
+                    "malformed %s: nested too deeply" % what) from None
             except (KeyError, TypeError, IndexError) as e:
                 raise ValueError("malformed %s: %s: %s"
                                  % (what, type(e).__name__, e)) from e
@@ -75,7 +83,7 @@ def _coefficients(arr):
             else _json_int(c, "coefficient") for c in arr]
 
 
-def scalar_from_json(obj):
+def _scalar(obj):
     """A Fraction, AlphaScalar or HSeries; a zero denominator, or a
     coefficient that is neither a "p/q" string nor a JSON integer, raises
     ValueError."""
@@ -89,7 +97,7 @@ def scalar_from_json(obj):
     except ZeroDivisionError as e:
         raise ValueError("zero denominator in scalar %r" % (obj,)) from e
     if isinstance(obj, dict) and "h_order" in obj:
-        return series_from_json(obj)
+        return _series(obj)
     raise ValueError("unrecognized scalar %r" % (obj,))
 
 
@@ -98,17 +106,28 @@ def series_to_json(s):
             "coeffs": [scalar_to_json(c) for c in s.c]}
 
 
-@_loader("series")
-def series_from_json(obj):
+def _series(obj):
     """An HSeries; an h_order other than the coefficient count minus one
     raises ValueError before any series ring is built."""
-    coeffs = [scalar_from_json(c) for c in obj["coeffs"]]
+    coeffs = [_scalar(c) for c in obj["coeffs"]]
     order = _json_int(obj["h_order"], "h_order")
     if order != len(coeffs) - 1:
         raise ValueError("h_order %d needs %d coefficients, got %d"
                          % (order, order + 1, len(coeffs)))
     base = QALPHA if any(isinstance(c, AlphaScalar) for c in coeffs) else QQ
     return HSeries(SeriesRing(base, order), [base.coerce(c) for c in coeffs])
+
+
+# the public loaders; the private bodies recurse into each other, so a
+# value nested too deeply is reported by the loader that was called
+@_loader("scalar")
+def scalar_from_json(obj):
+    return _scalar(obj)
+
+
+@_loader("series")
+def series_from_json(obj):
+    return _series(obj)
 
 
 def diagram_to_json(diagram):
@@ -118,12 +137,7 @@ def diagram_to_json(diagram):
 
 @_loader("chord diagram")
 def diagram_from_json(obj):
-    skeleton = []
-    for kind in obj["skeleton"]:
-        if kind not in (CIRCLE, INTERVAL):
-            raise ValueError("unknown skeleton component %r" % (kind,))
-        skeleton.append(kind)
-    return ChordDiagram(tuple(skeleton), _chords_from_json(obj["chords"]))
+    return ChordDiagram(obj["skeleton"], _chords_from_json(obj["chords"]))
 
 
 def zvalue_to_json(z):
@@ -144,8 +158,8 @@ def zvalue_from_json(obj):
     order = _json_int(obj["h_order"], "h_order")
     if order < 0:
         raise ValueError("h_order must be at least 0, got %d" % order)
-    skeleton = tuple(diagram_from_json(
-        {"skeleton": obj["skeleton"], "chords": []}).skeleton)
+    # ChordDiagram refuses an unknown kind, also when there are no terms
+    skeleton = ChordDiagram(obj["skeleton"], ()).skeleton
     terms, reps = {}, {}
     for t in obj["terms"]:
         d = ChordDiagram(skeleton, _chords_from_json(t["chords"]))
@@ -160,7 +174,7 @@ def zvalue_from_json(obj):
         if e in terms:
             raise ValueError("two terms of one diagram class: %r"
                              % (d.chords,))
-        terms[e] = scalar_from_json(t["coeff"])
+        terms[e] = _scalar(t["coeff"])
         reps[e] = d
     return ZValue(skeleton, terms, reps, order)
 
@@ -169,9 +183,9 @@ def _entries_to_json(m):
     return [[i, j, scalar_to_json(v)] for (i, j), v in sorted(m.m.items())]
 
 
-def _entries_from_json(rows, source, target, ring):
-    """The map of [row, column, value] rows, each index a JSON integer in
-    range: a row of the target, a column of the source."""
+def _entries_from_json(rows, source, target):
+    """The map over Q of [row, column, value] rows, each index a JSON
+    integer in range: a row of the target, a column of the source."""
     entries = {}
     for i, j, v in rows:
         key = (_json_int(i, "entry index"), _json_int(j, "entry index"))
@@ -179,28 +193,24 @@ def _entries_from_json(rows, source, target, ring):
             if not 0 <= index < dim:
                 raise ValueError("entry index %d is outside 0..%d"
                                  % (index, dim - 1))
-        entries[key] = ring.coerce(scalar_from_json(v))
-    return SuperMap(source, target, entries, ring)
-
-
-_BENDS = ("cup_pm", "cup_mp", "cap_pm", "cap_mp")
+        entries[key] = _scalar(v)
+    return SuperMap(source, target, entries)
 
 
 def ribbon_to_json(data):
     out = {"parities": list(data.space.parities),
-           "labels": list(data.space.labels),
-           "braiding": _entries_to_json(data.braiding),
-           "twist": _entries_to_json(data.twist)}
-    for name in _BENDS:
+           "labels": list(data.space.labels)}
+    for name in MAPS:
         out[name] = _entries_to_json(getattr(data, name))
     return out
 
 
 @_loader("ribbon data")
-def ribbon_from_json(obj, ring=QQ):
-    """Build RibbonData and verify every axiom; raises on any failure,
-    a parity other than 0 or 1 and labels other than a JSON array of
-    strings included."""
+def ribbon_from_json(obj):
+    """Build RibbonData over Q from the maps of `MAPS` that obj holds and
+    verify every axiom; raises on any failure, a missing braiding or
+    twist, a parity other than 0 or 1 and labels other than a JSON array
+    of strings included."""
     parities = tuple(_json_int(p, "parity") for p in obj["parities"])
     labels = obj.get("labels")
     if "labels" in obj and not (isinstance(labels, list) and all(
@@ -208,19 +218,10 @@ def ribbon_from_json(obj, ring=QQ):
         raise ValueError("labels must be a JSON array of strings, got %r"
                          % (labels,))
     v = SuperSpace(parities, labels)
-    vv = v.tensor(v)
-    braiding = _entries_from_json(obj["braiding"], vv, vv, ring)
-    twist = _entries_from_json(obj["twist"], v, v, ring)
-    bends = {}
-    shapes = {"cup_pm": (UNIT, v.tensor(v.dual())),
-              "cup_mp": (UNIT, v.dual().tensor(v)),
-              "cap_pm": (v.tensor(v.dual()), UNIT),
-              "cap_mp": (v.dual().tensor(v), UNIT)}
-    for name in _BENDS:
-        if name in obj:
-            src, tgt = shapes[name]
-            bends[name] = _entries_from_json(obj[name], src, tgt, ring)
-    data = RibbonData(v, braiding, twist, ring, **bends)
+    spaces = [tensor_space([v] * k) for k in range(3)]
+    data = RibbonData(v, **{
+        name: _entries_from_json(obj[name], spaces[a], spaces[b])
+        for name, (a, b) in MAPS.items() if name in obj})
     data.require_axioms()
     return data
 
@@ -230,20 +231,16 @@ def load_word(path):
         return parse_word(f.read())
 
 
-def _load_json(path, from_json, what, *args):
-    """from_json of a file's JSON value.  Nesting too deep for the parser
-    or the loader is malformed input like any other: a ValueError."""
+def _load_json(path, from_json):
     with open(path) as f:
-        try:
-            return from_json(json.load(f), *args)
-        except RecursionError:
-            raise ValueError(
-                "malformed %s: nested too deeply" % what) from None
+        return from_json(json.load(f))
 
 
+@_loader("chord diagram")
 def load_diagram(path):
-    return _load_json(path, diagram_from_json, "chord diagram")
+    return _load_json(path, diagram_from_json)
 
 
-def load_ribbon(path, ring=QQ):
-    return _load_json(path, ribbon_from_json, "ribbon data", ring)
+@_loader("ribbon data")
+def load_ribbon(path):
+    return _load_json(path, ribbon_from_json)

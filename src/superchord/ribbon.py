@@ -2,12 +2,14 @@
 
 RibbonData carries the carrier space, the braiding on V (x) V and its
 inverse, the twist on V, and the four bend maps (plain graded duality by
-default).  The inverse may be declared; otherwise `invert_matrix` solves
-for it, which needs a field, so data over Q[[h]] declares it.  The
-named axiom checks are decidable by direct matrix identity: an inverse
-braiding, the Yang-Baxter equation, naturality of the twist, the snake
-identities, and consistency of the declared twist with the curl built
-from braiding and duality, mirroring how the word parser expands kinks.
+default).  `MAPS` names every map but the inverse, with its strand
+counts: the maps a .ribbon file holds, read over Q.  The inverse may be
+declared; otherwise `invert_matrix` solves for it, which needs a field,
+so data over Q[[h]] declares it.  The named axiom checks are decidable
+by direct matrix identity: an inverse braiding, the Yang-Baxter
+equation, naturality of the twist, the snake identities, and
+consistency of the declared twist with the curl built from braiding and
+duality, mirroring how the word parser expands kinks.
 `RibbonData.checks` holds their results, computed once per instance, so
 loading data and then evaluating on it checks the axioms once.
 
@@ -39,8 +41,11 @@ def invert_supermap(f):
     return SuperMap(f.target, f.source, entries, f.ring)
 
 
-_ARITY = dict(braiding=(2, 2), braiding_inv=(2, 2), twist=(1, 1),
-              cup_pm=(0, 2), cup_mp=(0, 2), cap_pm=(2, 0), cap_mp=(2, 0))
+# the maps of a .ribbon file, with their source and target strand
+# counts; a strand is V or V*, which have the same parities
+MAPS = dict(braiding=(2, 2), twist=(1, 1), cup_pm=(0, 2), cup_mp=(0, 2),
+            cap_pm=(2, 0), cap_mp=(2, 0))
+_ARITY = dict(MAPS, braiding_inv=(2, 2))
 
 
 class RibbonData:

@@ -374,3 +374,12 @@ def test_rt_non_integer_coefficient_is_clean_error(tmp_path, capsys, bad):
     assert captured.out == ""
     assert captured.err.startswith("error: coefficient must be a JSON integer")
     assert "Traceback" not in captured.err
+
+
+def test_ws_unknown_component_kind_is_one_error_line(tmp_path, capsys):
+    path = write(tmp_path, "disk.cd",
+                 json.dumps({"skeleton": ["disk"], "chords": []}))
+    assert main(["ws", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown component kind 'disk'\n"

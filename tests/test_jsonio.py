@@ -12,7 +12,8 @@ from superchord.jsonio import (
     ribbon_from_json, ribbon_to_json, scalar_from_json, scalar_to_json,
     series_from_json, series_to_json, zvalue_from_json, zvalue_to_json)
 from superchord.kontsevich import lg_invariant, z_eval
-from superchord.ribbon import ribbon_diagonal, ribbon_superflip, rt_invariant
+from superchord.ribbon import (
+    MAPS, RibbonData, ribbon_diagonal, ribbon_superflip, rt_invariant)
 from superchord.scalars import alpha
 
 
@@ -182,6 +183,29 @@ def test_deep_nesting_is_malformed(tmp_path, load, what, text):
     with pytest.raises(ValueError,
                        match="^malformed %s: nested too deeply$" % what):
         load(str(path))
+
+
+def _deep_value():
+    """The series nested 400 deep of `nested_series`."""
+    return nested_series(400)["braiding"][0][2]
+
+
+def _deep_zvalue():
+    return {"skeleton": ["circle"], "h_order": 0,
+            "terms": [{"degree": 0, "chords": [], "coeff": _deep_value()}]}
+
+
+@pytest.mark.parametrize("load, what, obj", [
+    (scalar_from_json, "scalar", _deep_value()),
+    (series_from_json, "series", _deep_value()),
+    (zvalue_from_json, "integral value", _deep_zvalue()),
+    (ribbon_from_json, "ribbon data", nested_series(400)),
+], ids=["scalar", "series", "zvalue", "ribbon"])
+def test_deep_value_in_process_is_malformed(load, what, obj):
+    # the private bodies recurse, and only the loader called reports it
+    with pytest.raises(ValueError,
+                       match="^malformed %s: nested too deeply$" % what):
+        load(obj)
 
 
 ZERO_DENOMINATORS = ["1/0", {"num": ["1"], "den": ["0"]},
@@ -359,3 +383,37 @@ def test_loaders_load_or_raise_value_error(case):
         assert list(loaded.space.parities) == obj["parities"]
         assert list(loaded.space.labels) == obj.get(
             "labels", list(loaded.space.labels))
+
+
+def test_unknown_component_kind_is_refused_by_name(tmp_path):
+    disk = {"skeleton": ["disk"], "chords": []}
+    message = "^unknown component kind 'disk'$"
+    with pytest.raises(ValueError, match=message):
+        diagram_from_json(disk)
+    with pytest.raises(ValueError, match=message):
+        zvalue_from_json({"skeleton": ["disk"], "h_order": 0, "terms": []})
+    path = tmp_path / "disk.cd"
+    path.write_text(json.dumps(disk))
+    with pytest.raises(ValueError, match=message):
+        load_diagram(str(path))
+
+
+def test_ribbon_round_trip_keeps_non_default_bends():
+    d = ribbon_diagonal([[2, 5], [7, 3]])
+    half = Fraction(1, 2)
+    data = RibbonData(d.space, d.braiding, d.twist,
+                      cup_pm=d.cup_pm.scale(2), cup_mp=d.cup_mp.scale(2),
+                      cap_pm=d.cap_pm.scale(half), cap_mp=d.cap_mp.scale(half),
+                      braiding_inv=d.braiding_inv)
+    assert all(data.checks.values())
+    obj = round_trip(ribbon_to_json(data))
+    assert list(MAPS) == ["braiding", "twist", "cup_pm", "cup_mp", "cap_pm",
+                          "cap_mp"]
+    assert list(obj) == ["parities", "labels"] + list(MAPS)
+    back = ribbon_from_json(obj)
+    for name in MAPS:
+        assert getattr(back, name) == getattr(data, name)
+    assert back.cup_pm != d.cup_pm and back.cap_mp != d.cap_mp
+    for word in ["braid[2]: s1 s1 s1 t1^-3 ; close",
+                 "braid[3]: s1 s2^-1 s1 s2^-1 ; close"]:
+        assert rt_invariant(word, back) == 2
